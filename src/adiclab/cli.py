@@ -20,7 +20,7 @@ import sys
 from dataclasses import dataclass, fields
 from fractions import Fraction
 from pathlib import Path
-from typing import Iterator, Sequence
+from typing import Iterable, Iterator, Sequence
 
 from . import __version__
 from .construct import (
@@ -31,14 +31,8 @@ from .construct import (
     mean_target_stream,
 )
 from .digits import Base, DigitStream, expand, stream_from_digits
-from .entropy import (
-    be_dimension,
-    neg_entropy_minimum,
-    neg_entropy_minimum_grid,
-    sweep_csv,
-    theta_sweep,
-)
-from .stats import DEFAULT_CHECKPOINTS, convergence_trace, format_decimal
+from .entropy import be_dimension, neg_entropy_minimum, neg_entropy_minimum_grid, sweep_csv
+from .stats import DEFAULT_CHECKPOINTS, convergence_trace, weak_normality_verdict
 from .verify import MODULES, report_dict, run_checks
 
 MAX_CONSTRUCT_LENGTH = 10**8
@@ -112,16 +106,6 @@ class ExperimentConfig:
         return hashlib.sha256(canon.encode()).hexdigest()[:12]
 
 
-@dataclass(frozen=True)
-class RunArtifact:
-    """Where a command wrote its output, and under which config hash."""
-
-    path: Path | None
-    fmt: str
-    config_hash: str
-    sidecar: Path | None = None
-
-
 def _provenance_line(config_hash: str) -> str:
     return f"# adiclab {__version__} config={config_hash}"
 
@@ -137,15 +121,34 @@ def _parse_fraction(text: str, flag: str) -> Fraction:
         raise UsageError(f"{flag}: not a rational number: {text!r} ({exc})")
 
 
-def _write_artifact(cfg: ExperimentConfig, text: str, header: bool = True) -> RunArtifact:
-    h = cfg.config_hash()
-    body = (_provenance_line(h) + "\n" + text) if header else text
+def _write_replacing(path: Path, chunks: Iterable[str]) -> None:
+    """Write `chunks` to a temporary file beside `path`, then rename it onto
+    `path`. If producing or writing a chunk fails, the temporary file is
+    removed and whatever was at `path` before is left as it was.
+
+    A symlink is followed, so the file it names is replaced. A device or a
+    pipe (such as /dev/null) cannot be replaced and is written in place."""
+    if path.exists() and not path.is_file():
+        with open(path, "w") as handle:
+            handle.writelines(chunks)
+        return
+    path = Path(os.path.realpath(path))
+    tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
+    try:
+        with open(tmp, "w") as handle:
+            handle.writelines(chunks)
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
+
+
+def _write_artifact(cfg: ExperimentConfig, text: str, header: bool = True) -> None:
+    body = (_provenance_line(cfg.config_hash()) + "\n" + text) if header else text
     if cfg.out is None:
         sys.stdout.write(body)
-        return RunArtifact(path=None, fmt=cfg.fmt or "text", config_hash=h)
-    path = Path(cfg.out)
-    path.write_text(body)
-    return RunArtifact(path=path, fmt=cfg.fmt or "text", config_hash=h)
+    else:
+        _write_replacing(Path(cfg.out), [body])
 
 
 # ---------------------------------------------------------------------------
@@ -213,18 +216,12 @@ def cmd_construct(cfg: ExperimentConfig) -> int:
         sys.stdout.write("\n")
         return 0
     path = Path(cfg.out)
-    with open(path, "w") as handle:
-        handle.write(_provenance_line(h) + "\n")
-        for chunk in _digit_chunks(stream, cfg.length):
-            handle.write(chunk)
-        handle.write("\n")
-    sidecar = path.with_name(path.name + ".json")
-    sidecar.write_text(
-        json.dumps(
-            {"provenance": _provenance_dict(h), "config": cfg.to_json_dict()}, indent=2
-        )
-        + "\n"
+    _write_replacing(
+        path,
+        itertools.chain([_provenance_line(h) + "\n"], _digit_chunks(stream, cfg.length), ["\n"]),
     )
+    sidecar = {"provenance": _provenance_dict(h), "config": cfg.to_json_dict()}
+    _write_replacing(path.with_name(path.name + ".json"), [json.dumps(sidecar, indent=2) + "\n"])
     return 0
 
 
@@ -280,17 +277,12 @@ def cmd_analyze(cfg: ExperimentConfig) -> int:
     normality = None
     if cfg.normality_tol is not None:
         tol = _parse_fraction(cfg.normality_tol, "--normality-tol")
-        if tol < 0:
-            raise UsageError(f"--normality-tol must be >= 0, got {tol}")
         final = trace.reports[-1]
-        target = Fraction(1, base.s)
-        deviation = max(abs(f - target) for f in final.freqs)
-        normality = {
-            "n": final.n,
-            "tol": format_decimal(tol, cfg.precision),
-            "max_deviation": format_decimal(deviation, cfg.precision),
-            "consistent": deviation <= tol,
-        }
+        try:
+            verdict = weak_normality_verdict(final, tol)
+        except ValueError as exc:
+            raise UsageError(f"--normality-tol: {exc}")
+        normality = {"n": final.n, **verdict.to_json_dict(cfg.precision)}
 
     if fmt == "json":
         doc = {"provenance": _provenance_dict(cfg.config_hash())}
@@ -301,9 +293,9 @@ def cmd_analyze(cfg: ExperimentConfig) -> int:
     else:
         text = trace.to_csv(cfg.precision)
         if normality is not None:
-            verdict = "consistent" if normality["consistent"] else "inconsistent"
+            verdict_word = "consistent" if normality["consistent"] else "inconsistent"
             text += (
-                f"# normality: {verdict} max_deviation={normality['max_deviation']}"
+                f"# normality: {verdict_word} max_deviation={normality['max_deviation']}"
                 f" tol={normality['tol']}\n"
             )
         _write_artifact(cfg, text)
@@ -341,7 +333,7 @@ def cmd_dimension(cfg: ExperimentConfig) -> int:
     if cfg.sweep is not None:
         thetas = _parse_sweep(cfg.sweep)
         try:
-            results = theta_sweep(thetas, base)
+            results = [neg_entropy_minimum(t, base) for t in thetas]
         except (ValueError, ArithmeticError) as exc:
             raise UsageError(f"--sweep: {exc}")
         _write_artifact(cfg, sweep_csv(results, cfg.precision))

@@ -464,9 +464,12 @@ def mean_target_stream(theta: Fraction | int | float | str, base: Base = BASE4) 
     constants. Interior theta runs the greedy construction on the
     entropy-optimal frequency vector at mean theta, so the limit
     frequencies all exist and the stream witnesses the dimension bound of
-    the mean level set. The float optimum is rationalized (denominators
-    capped at 10**12) before the greedy construction, which shifts the
-    realized mean from theta by less than 1e-11.
+    the mean level set. The realized mean is not exactly theta: the
+    bisection in `neg_entropy_minimum` stops once the float mean is within
+    1e-10 of theta, and rationalizing that optimum (denominators capped at
+    10**12) before the greedy construction shifts it by about 1e-12 more.
+    So the realized mean can miss theta by up to about 1e-10; over theta =
+    k/100 in base 4 the largest miss is 9.97e-11, at theta = 49/50.
     """
     s = base.s
     th = Fraction(theta)

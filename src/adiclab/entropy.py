@@ -31,12 +31,10 @@ __all__ = [
     "xlogx",
     "be_dimension",
     "exp_family_vector",
-    "MeanConstraint",
     "EntropyResult",
     "neg_entropy_minimum",
     "GridMinimum",
     "neg_entropy_minimum_grid",
-    "theta_sweep",
     "sweep_csv",
 ]
 
@@ -44,6 +42,11 @@ __all__ = [
 # covers targets within ~1e-20 of the endpoint means without overflow.
 LAMBDA_BRACKET = 50.0
 _MAX_BISECT = 200
+
+# Largest grid the oracle scans: npts**(s-2) cells (npts for s <= 3, where
+# the axis itself is the largest array), each held in several float64
+# temporaries. It admits base 5 at step 1/200 (201**3 cells).
+_MAX_GRID_CELLS = 2**24
 
 
 def xlogx(x: float) -> float:
@@ -92,32 +95,6 @@ def exp_family_vector(lam: float, base: Base = BASE4) -> tuple[tuple[float, ...]
     tau = tuple(w / z for w in weights)
     mean = sum(i * t for i, t in enumerate(tau))
     return tau, mean
-
-
-@dataclass(frozen=True)
-class MeanConstraint:
-    """The slice of the probability simplex with digit mean theta.
-
-    Only interior means are proper constraint slices; the endpoints
-    degenerate to single point masses and are handled by their own path in
-    `neg_entropy_minimum`.
-    """
-
-    base: Base
-    theta: float
-
-    def __post_init__(self) -> None:
-        if not 0.0 < self.theta < self.base.s - 1:
-            raise ValueError(
-                f"theta must lie strictly inside (0, {self.base.s - 1}), got {self.theta}"
-            )
-
-    def satisfied_by(self, tau: Sequence[float], tol: float = 1e-9) -> bool:
-        t = _entries(tau)
-        if len(t) != self.base.s or any(v < -tol for v in t):
-            return False
-        mean = sum(i * v for i, v in enumerate(t))
-        return abs(sum(t) - 1.0) <= tol and abs(mean - self.theta) <= tol
 
 
 @dataclass(frozen=True)
@@ -212,7 +189,8 @@ def neg_entropy_minimum_grid(
     every evaluated point lies exactly on the slice. The returned value is
     never below the true minimum (that holds at any step, even a very
     coarse one) and lies within O(step * ln(1/step)) above it. Memory grows
-    like (1/step)**(s-2).
+    like (1/step)**(s-2); a grid of more than 2**24 cells is refused with
+    ValueError before anything is allocated.
     """
     s = base.s
     th = float(theta)
@@ -222,6 +200,12 @@ def neg_entropy_minimum_grid(
         raise ValueError(f"step must lie in (0, 0.5], got {step}")
 
     npts = int(round(1.0 / step)) + 1
+    cells = npts ** max(s - 2, 1)
+    if cells > _MAX_GRID_CELLS:
+        raise ValueError(
+            f"grid oracle at step {step} in base {s} needs {cells} cells, "
+            f"over the limit of {_MAX_GRID_CELLS}; use a coarser step"
+        )
     axis = np.linspace(0.0, 1.0, npts)
     free: list[np.ndarray] = []
     for j in range(s - 2):
@@ -257,13 +241,6 @@ def neg_entropy_minimum_grid(
         raise ArithmeticError(f"no feasible grid point at step {step} for theta={th}")
     argmin = (float(t0c[idx]), float(t1c[idx])) + tuple(float(axis[i]) for i in idx)
     return GridMinimum(theta=th, step=step, m_value=best, argmin=argmin)
-
-
-def theta_sweep(
-    thetas: Sequence[float | Fraction], base: Base = BASE4, tol: float = 1e-10
-) -> list[EntropyResult]:
-    """Closed-form results over a grid of means; order preserved."""
-    return [neg_entropy_minimum(t, base, tol) for t in thetas]
 
 
 def sweep_csv(results: Sequence[EntropyResult], precision: int = 12) -> str:

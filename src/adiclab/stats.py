@@ -163,14 +163,14 @@ class NormalityVerdict:
 
     def to_json_dict(self, precision: int = 12) -> dict:
         return {
-            "consistent": self.consistent,
-            "max_deviation": format_decimal(self.max_deviation, precision),
             "tol": format_decimal(self.tol, precision),
+            "max_deviation": format_decimal(self.max_deviation, precision),
+            "consistent": self.consistent,
         }
 
 
-def weak_normality_verdict(p: DigitPrefix, tol: Fraction | int | str) -> NormalityVerdict:
-    """Check max_i |v_i - 1/s| <= tol on the given prefix.
+def weak_normality_verdict(report: FreqReport, tol: Fraction | int | str) -> NormalityVerdict:
+    """Check max_i |v_i - 1/s| <= tol on the prefix that `report` describes.
 
     This is a diagnostic about the prefix, never a claim about the limit:
     "consistent" means the finite-n frequencies are within tol of uniform.
@@ -180,7 +180,6 @@ def weak_normality_verdict(p: DigitPrefix, tol: Fraction | int | str) -> Normali
     tol = Fraction(tol)
     if tol < 0:
         raise ValueError(f"tolerance must be >= 0, got {tol}")
-    rep = freq_report(p)
-    target = Fraction(1, p.base.s)
-    deviation = max(abs(f - target) for f in rep.freqs)
+    target = Fraction(1, len(report.freqs))
+    deviation = max(abs(f - target) for f in report.freqs)
     return NormalityVerdict(consistent=deviation <= tol, max_deviation=deviation, tol=tol)

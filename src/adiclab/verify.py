@@ -5,6 +5,8 @@ enumeration of the base-s digit strings of the integers 1..N (most
 significant digit first), so reruns are bit-identical; all other checks
 use fixed parameter tables. A check returns its parameters, observed
 values, and a verdict -- failures are report content, not exceptions.
+Each invariant is stated here once; the acceptance tests run these checks
+rather than restating them.
 """
 
 from __future__ import annotations
@@ -32,7 +34,7 @@ from .digits import BASE4, Base, DigitPrefix, dual_representation, expand, prefi
 from .entropy import be_dimension, exp_family_vector, neg_entropy_minimum, neg_entropy_minimum_grid
 from .stats import convergence_trace, freq_report
 
-__all__ = ["CheckResult", "MODULES", "enumerated_prefixes", "run_checks", "report_dict"]
+__all__ = ["CHECKS", "CheckResult", "MODULES", "enumerated_prefixes", "run_checks", "report_dict"]
 
 MODULES = ("digits", "stats", "construct", "entropy")
 
@@ -64,19 +66,26 @@ class CheckResult:
     observed: dict
 
 
-_CHECKS: list[tuple[str, str, Callable[[], CheckResult]]] = []
+# Every check by its name, "<module>/<check>"; each call reruns the check.
+CHECKS: dict[str, Callable[[], CheckResult]] = {}
 
 
-def _check(name: str, module: str):
-    def register(fn: Callable[[], CheckResult]):
-        _CHECKS.append((name, module, fn))
-        return fn
+def _module(name: str) -> str:
+    return name.partition("/")[0]
+
+
+def _check(name: str):
+    """Register a body returning (passed, params, observed) as check `name`."""
+
+    def register(body: Callable[[], tuple[bool, dict, dict]]) -> Callable[[], CheckResult]:
+        def run() -> CheckResult:
+            passed, params, observed = body()
+            return CheckResult(name, _module(name), passed, params, observed)
+
+        CHECKS[name] = run
+        return run
 
     return register
-
-
-def _result(name: str, module: str, passed: bool, params: dict, observed: dict) -> CheckResult:
-    return CheckResult(name=name, module=module, passed=passed, params=params, observed=observed)
 
 
 def enumerated_prefixes(base: Base, count: int) -> list[DigitPrefix]:
@@ -98,8 +107,8 @@ def enumerated_prefixes(base: Base, count: int) -> list[DigitPrefix]:
 # ---------------------------------------------------------------------------
 
 
-@_check("digits/expand_roundtrip", "digits")
-def _expand_roundtrip() -> CheckResult:
+@_check("digits/expand_roundtrip")
+def _expand_roundtrip() -> tuple[bool, dict, dict]:
     max_den, depth = 200, 64
     bound = Fraction(1, 4**depth)
     worst = Fraction(0)
@@ -114,17 +123,15 @@ def _expand_roundtrip() -> CheckResult:
             worst = max(worst, gap)
             if stream_value(stream) != x:
                 failures += 1
-    return _result(
-        "digits/expand_roundtrip",
-        "digits",
+    return (
         failures == 0,
         {"max_denominator": max_den, "prefix_length": depth},
         {"failures": failures, "worst_gap": str(worst)},
     )
 
 
-@_check("digits/period_length_bound", "digits")
-def _period_length_bound() -> CheckResult:
+@_check("digits/period_length_bound")
+def _period_length_bound() -> tuple[bool, dict, dict]:
     max_den = 500
     failures = 0
     worst = 0.0
@@ -135,30 +142,22 @@ def _period_length_bound() -> CheckResult:
             worst = max(worst, total / q)
             if total > q:
                 failures += 1
-    return _result(
-        "digits/period_length_bound",
-        "digits",
+    return (
         failures == 0,
         {"max_denominator": max_den},
         {"failures": failures, "worst_length_over_q": worst},
     )
 
 
-@_check("digits/dual_value_equality", "digits")
-def _dual_value_equality() -> CheckResult:
+@_check("digits/dual_value_equality")
+def _dual_value_equality() -> tuple[bool, dict, dict]:
     batch = [p for p in enumerated_prefixes(BASE4, 160) if p.digits[-1] != 0][:100]
     failures = sum(1 for p in batch if stream_value(dual_representation(p)) != prefix_value(p))
-    return _result(
-        "digits/dual_value_equality",
-        "digits",
-        failures == 0 and len(batch) == 100,
-        {"prefixes": len(batch)},
-        {"failures": failures},
-    )
+    return failures == 0 and len(batch) == 100, {"prefixes": len(batch)}, {"failures": failures}
 
 
-@_check("digits/expand_determinism", "digits")
-def _expand_determinism() -> CheckResult:
+@_check("digits/expand_determinism")
+def _expand_determinism() -> tuple[bool, dict, dict]:
     xs = [Fraction(a, b) for a, b in ((1, 3), (1, 5), (3, 7), (22, 113), (1, 97))]
     failures = 0
     for x in xs:
@@ -167,9 +166,7 @@ def _expand_determinism() -> CheckResult:
             failures += 1
         if s1.prefix(256).digits != s2.prefix(256).digits:
             failures += 1
-    return _result(
-        "digits/expand_determinism",
-        "digits",
+    return (
         failures == 0,
         {"values": [str(x) for x in xs], "prefix_length": 256},
         {"failures": failures},
@@ -181,8 +178,8 @@ def _expand_determinism() -> CheckResult:
 # ---------------------------------------------------------------------------
 
 
-@_check("stats/frequency_identities", "stats")
-def _frequency_identities() -> CheckResult:
+@_check("stats/frequency_identities")
+def _frequency_identities() -> tuple[bool, dict, dict]:
     prefixes = enumerated_prefixes(BASE4, 1000)
     failures = 0
     for p in prefixes:
@@ -193,17 +190,11 @@ def _frequency_identities() -> CheckResult:
             failures += 1
         if not 0 <= rep.mean <= p.base.s - 1:
             failures += 1
-    return _result(
-        "stats/frequency_identities",
-        "stats",
-        failures == 0,
-        {"prefixes": len(prefixes)},
-        {"failures": failures},
-    )
+    return failures == 0, {"prefixes": len(prefixes)}, {"failures": failures}
 
 
-@_check("stats/incremental_consistency", "stats")
-def _incremental_consistency() -> CheckResult:
+@_check("stats/incremental_consistency")
+def _incremental_consistency() -> tuple[bool, dict, dict]:
     stream = expand(Fraction(22, 113))
     digits = stream.prefix(300).digits
     failures = 0
@@ -215,17 +206,11 @@ def _incremental_consistency() -> CheckResult:
             if sum(delta) != 1 or delta[digits[n - 1]] != 1:
                 failures += 1
         prev = rep
-    return _result(
-        "stats/incremental_consistency",
-        "stats",
-        failures == 0,
-        {"source": "22/113", "length": len(digits)},
-        {"failures": failures},
-    )
+    return failures == 0, {"source": "22/113", "length": len(digits)}, {"failures": failures}
 
 
-@_check("stats/periodic_deviation_bound", "stats")
-def _periodic_deviation_bound() -> CheckResult:
+@_check("stats/periodic_deviation_bound")
+def _periodic_deviation_bound() -> tuple[bool, dict, dict]:
     # At n = preperiod + m*|P|, |v_i - c_i/|P|| <= preperiod/n exactly.
     failures = 0
     for num, den in ((1, 6), (1, 5), (1, 3), (3, 28)):
@@ -241,9 +226,7 @@ def _periodic_deviation_bound() -> CheckResult:
                 dev = abs(rep.freqs[i] - Fraction(period_counts[i], len(per)))
                 if dev > Fraction(len(pre), n):
                     failures += 1
-    return _result(
-        "stats/periodic_deviation_bound",
-        "stats",
+    return (
         failures == 0,
         {"sources": ["1/6", "1/5", "1/3", "3/28"], "repetitions": 50},
         {"failures": failures},
@@ -255,8 +238,8 @@ def _periodic_deviation_bound() -> CheckResult:
 # ---------------------------------------------------------------------------
 
 
-@_check("construct/greedy_increment_range", "construct")
-def _greedy_increment_range() -> CheckResult:
+@_check("construct/greedy_increment_range")
+def _greedy_increment_range() -> tuple[bool, dict, dict]:
     failures = 0
     for tau in TAU_BATTERY:
         running = [0] * tau.s
@@ -270,17 +253,15 @@ def _greedy_increment_range() -> CheckResult:
             ]
             if running != expected:
                 failures += 1
-    return _result(
-        "construct/greedy_increment_range",
-        "construct",
+    return (
         failures == 0,
         {"vectors": [",".join(t.as_strings()) for t in TAU_BATTERY], "steps": 1000},
         {"failures": failures},
     )
 
 
-@_check("construct/greedy_exact_counts", "construct")
-def _greedy_exact_counts() -> CheckResult:
+@_check("construct/greedy_exact_counts")
+def _greedy_exact_counts() -> tuple[bool, dict, dict]:
     max_n = 10**4
     failures = 0
     for tau in TAU_BATTERY:
@@ -295,17 +276,15 @@ def _greedy_exact_counts() -> CheckResult:
                 position += 1
             if tuple(counts) != targets:
                 failures += 1
-    return _result(
-        "construct/greedy_exact_counts",
-        "construct",
+    return (
         failures == 0,
         {"vectors": [",".join(t.as_strings()) for t in TAU_BATTERY], "max_boundary": max_n},
         {"failures": failures},
     )
 
 
-@_check("construct/block_length_bounds", "construct")
-def _block_length_bounds() -> CheckResult:
+@_check("construct/block_length_bounds")
+def _block_length_bounds() -> tuple[bool, dict, dict]:
     cases = [
         (ColumnSchedule.constant(ProbabilityVector.parse("1/4,1/4,1/4,1/4")), ScheduleSpec.polynomial(1)),
         (ColumnSchedule.constant(ProbabilityVector.parse("1/6,1/3,1/3,1/6")), ScheduleSpec.polynomial(2)),
@@ -319,17 +298,11 @@ def _block_length_bounds() -> CheckResult:
             length = sum(math.floor(t * sk) for t in col.entries)
             if not sk - col.s <= length <= sk:
                 failures += 1
-    return _result(
-        "construct/block_length_bounds",
-        "construct",
-        failures == 0,
-        {"cases": 3, "blocks": 200},
-        {"failures": failures},
-    )
+    return failures == 0, {"cases": 3, "blocks": 200}, {"failures": failures}
 
 
-@_check("construct/block_mean_sandwich", "construct")
-def _block_mean_sandwich() -> CheckResult:
+@_check("construct/block_mean_sandwich")
+def _block_mean_sandwich() -> tuple[bool, dict, dict]:
     # |r_n - theta| <= 10*k / sum_{i<=k} s_i at the k-th block boundary,
     # for column rules with exact per-column mean theta. Reflection-symmetric
     # vectors balance exactly, so an asymmetric column is included too.
@@ -371,17 +344,15 @@ def _block_mean_sandwich() -> CheckResult:
                 if gap > bound:
                     failures += 1
                 boundary_index += 1
-    return _result(
-        "construct/block_mean_sandwich",
-        "construct",
+    return (
         failures == 0,
         {"thetas": ["3/2", "3/2", "3/2", "5/4"], "cases": 4, "max_digits": limit},
         {"failures": failures, "worst_gap_over_bound": worst},
     )
 
 
-@_check("construct/schedule_validator_verdicts", "construct")
-def _schedule_validator_verdicts() -> CheckResult:
+@_check("construct/schedule_validator_verdicts")
+def _schedule_validator_verdicts() -> tuple[bool, dict, dict]:
     linear = validate_schedule(ScheduleSpec.polynomial(1))
     quadratic = validate_schedule(ScheduleSpec.polynomial(2))
     doubling = validate_schedule(ScheduleSpec.geometric(2))
@@ -392,17 +363,15 @@ def _schedule_validator_verdicts() -> CheckResult:
         and not doubling.accepted
         and named == [CONDITION_NEXT_TERM]
     )
-    return _result(
-        "construct/schedule_validator_verdicts",
-        "construct",
+    return (
         passed,
         {"schedules": ["k", "k^2", "2^k"]},
         {"accepted": [linear.accepted, quadratic.accepted, doubling.accepted], "failed": named},
     )
 
 
-@_check("construct/distinguish_pairs", "construct")
-def _distinguish_pairs() -> CheckResult:
+@_check("construct/distinguish_pairs")
+def _distinguish_pairs() -> tuple[bool, dict, dict]:
     spec = ScheduleSpec.polynomial(1)
     horizon = 10**4
     failures = 0
@@ -417,9 +386,7 @@ def _distinguish_pairs() -> CheckResult:
             failures += 1
         elif prefix_distinguish(a, b, fwd.index).index != fwd.index:
             failures += 1  # verdict must be stable under horizon changes
-    return _result(
-        "construct/distinguish_pairs",
-        "construct",
+    return (
         failures == 0,
         {"pairs": list(DISTINGUISH_PAIRS), "horizon": horizon},
         {"failures": failures, "indices": indices},
@@ -431,8 +398,8 @@ def _distinguish_pairs() -> CheckResult:
 # ---------------------------------------------------------------------------
 
 
-@_check("entropy/closed_form_vs_grid", "entropy")
-def _closed_form_vs_grid() -> CheckResult:
+@_check("entropy/closed_form_vs_grid")
+def _closed_form_vs_grid() -> tuple[bool, dict, dict]:
     tol, step = 1e-4, 1e-3
     gaps = {}
     for theta in THETA_GRID:
@@ -440,63 +407,43 @@ def _closed_form_vs_grid() -> CheckResult:
         grid = neg_entropy_minimum_grid(theta, step=step).m_value
         gaps[theta] = abs(closed - grid)
     worst = max(gaps.values())
-    return _result(
-        "entropy/closed_form_vs_grid",
-        "entropy",
+    return (
         worst <= tol,
         {"thetas": list(THETA_GRID), "step": step, "tol": tol},
         {"worst_gap": worst},
     )
 
 
-@_check("entropy/reflection_symmetry", "entropy")
-def _reflection_symmetry() -> CheckResult:
+@_check("entropy/reflection_symmetry")
+def _reflection_symmetry() -> tuple[bool, dict, dict]:
     tol = 1e-8
     worst = 0.0
     for theta in THETA_GRID:
         gap = abs(neg_entropy_minimum(theta).m_value - neg_entropy_minimum(3.0 - theta).m_value)
         worst = max(worst, gap)
-    return _result(
-        "entropy/reflection_symmetry",
-        "entropy",
-        worst <= tol,
-        {"thetas": list(THETA_GRID), "tol": tol},
-        {"worst_gap": worst},
-    )
+    return worst <= tol, {"thetas": list(THETA_GRID), "tol": tol}, {"worst_gap": worst}
 
 
-@_check("entropy/mean_monotone_in_multiplier", "entropy")
-def _mean_monotone() -> CheckResult:
+@_check("entropy/mean_monotone_in_multiplier")
+def _mean_monotone() -> tuple[bool, dict, dict]:
     lams = [x / 2.0 for x in range(-40, 41)]
     means = [exp_family_vector(lam)[1] for lam in lams]
     failures = sum(1 for a, b in zip(means, means[1:]) if not b > a)
-    return _result(
-        "entropy/mean_monotone_in_multiplier",
-        "entropy",
-        failures == 0,
-        {"lambda_range": [-20, 20], "points": len(lams)},
-        {"failures": failures},
-    )
+    return failures == 0, {"lambda_range": [-20, 20], "points": len(lams)}, {"failures": failures}
 
 
-@_check("entropy/bound_matches_argmin_dimension", "entropy")
-def _bound_matches_argmin() -> CheckResult:
+@_check("entropy/bound_matches_argmin_dimension")
+def _bound_matches_argmin() -> tuple[bool, dict, dict]:
     tol = 1e-9
     worst = 0.0
     for theta in THETA_GRID:
         res = neg_entropy_minimum(theta)
         worst = max(worst, abs(res.dimension_bound - be_dimension(res.argmin)))
-    return _result(
-        "entropy/bound_matches_argmin_dimension",
-        "entropy",
-        worst <= tol,
-        {"thetas": list(THETA_GRID), "tol": tol},
-        {"worst_gap": worst},
-    )
+    return worst <= tol, {"thetas": list(THETA_GRID), "tol": tol}, {"worst_gap": worst}
 
 
-@_check("entropy/argmin_feasible", "entropy")
-def _argmin_feasible() -> CheckResult:
+@_check("entropy/argmin_feasible")
+def _argmin_feasible() -> tuple[bool, dict, dict]:
     failures = 0
     for theta in THETA_GRID:
         res = neg_entropy_minimum(theta)
@@ -505,37 +452,23 @@ def _argmin_feasible() -> CheckResult:
             failures += 1
         if any(t < 0 for t in res.argmin):
             failures += 1
-    return _result(
-        "entropy/argmin_feasible",
-        "entropy",
-        failures == 0,
-        {"thetas": list(THETA_GRID)},
-        {"failures": failures},
-    )
+    return failures == 0, {"thetas": list(THETA_GRID)}, {"failures": failures}
 
 
-@_check("entropy/permutation_invariance", "entropy")
-def _permutation_invariance() -> CheckResult:
+@_check("entropy/permutation_invariance")
+def _permutation_invariance() -> tuple[bool, dict, dict]:
     tau = (0.5, 0.25, 0.125, 0.125)
     values = {be_dimension(p) for p in permutations(tau)}
     spread = max(values) - min(values)
-    return _result(
-        "entropy/permutation_invariance",
-        "entropy",
-        spread <= 1e-12,
-        {"tau": list(tau), "permutations": 24},
-        {"spread": spread},
-    )
+    return spread <= 1e-12, {"tau": list(tau), "permutations": 24}, {"spread": spread}
 
 
-@_check("entropy/degenerate_dimensions", "entropy")
-def _degenerate_dimensions() -> CheckResult:
+@_check("entropy/degenerate_dimensions")
+def _degenerate_dimensions() -> tuple[bool, dict, dict]:
     points = [tuple(1.0 if i == j else 0.0 for i in range(4)) for j in range(4)]
     point_ok = all(be_dimension(p) == 0.0 for p in points)
     uniform_gap = abs(be_dimension((0.25, 0.25, 0.25, 0.25)) - 1.0)
-    return _result(
-        "entropy/degenerate_dimensions",
-        "entropy",
+    return (
         point_ok and uniform_gap <= 1e-12,
         {"point_masses": 4},
         {"point_masses_zero": point_ok, "uniform_gap": uniform_gap},
@@ -557,8 +490,7 @@ def run_checks(modules: Sequence[str] | None = None) -> list[CheckResult]:
         selected = set(modules)
     else:
         selected = set(MODULES)
-    results = [fn() for name, module, fn in sorted(_CHECKS) if module in selected]
-    return results
+    return [run() for name, run in sorted(CHECKS.items()) if _module(name) in selected]
 
 
 def report_dict(results: Sequence[CheckResult]) -> dict:

@@ -1,4 +1,6 @@
 import json
+import os
+import threading
 
 from adiclab.cli import ExperimentConfig, main
 
@@ -66,6 +68,55 @@ class TestConstruct:
         first = path.read_bytes()
         assert run_cli(capsys, *argv)[0] == 0
         assert path.read_bytes() == first
+
+    def test_failed_stream_leaves_no_partial_artifact(self, tmp_path, capsys):
+        # The declared mean 3/2 breaks at column 4, after digits were emitted.
+        balanced = ["1/6", "1/3", "1/3", "1/6"]
+        config = tmp_path / "bad.json"
+        config.write_text(
+            json.dumps(
+                {
+                    "schedule": {"family": "polynomial", "degree": 1},
+                    "columns": {
+                        "kind": "explicit",
+                        "theta": "3/2",
+                        "columns": [balanced] * 3 + [["1/2", "1/2", "0", "0"]],
+                        "tail": balanced,
+                    },
+                }
+            )
+        )
+        out_path = tmp_path / "out.txt"
+        argv = ("construct", "--config", str(config), "--length", "100", "--out", str(out_path))
+        code, _, err = run_cli(capsys, *argv)
+        assert code == 2 and "column 4" in err
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["bad.json"]
+
+        out_path.write_bytes(b"earlier artifact\n")
+        assert run_cli(capsys, *argv)[0] == 2
+        assert out_path.read_bytes() == b"earlier artifact\n"
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["bad.json", "out.txt"]
+
+    def test_out_through_symlink_replaces_its_target(self, tmp_path, capsys):
+        target = tmp_path / "target.txt"
+        target.write_text("earlier artifact\n")
+        link = tmp_path / "link.txt"
+        link.symlink_to(target)
+        assert run_cli(capsys, "construct", "--mean", "3", "--length", "4", "--out", str(link))[0] == 0
+        assert link.is_symlink()
+        assert target.read_text().splitlines()[1] == "3333"
+
+    def test_out_to_pipe_is_written_in_place(self, tmp_path, capsys):
+        fifo = tmp_path / "pipe"
+        os.mkfifo(fifo)
+        received = []
+        reader = threading.Thread(target=lambda: received.append(fifo.read_text()), daemon=True)
+        reader.start()
+        code = run_cli(capsys, "construct", "--mean", "3", "--length", "4", "--out", str(fifo))[0]
+        reader.join(timeout=10)
+        assert code == 0 and not reader.is_alive()
+        assert received[0].splitlines()[1] == "3333"
+        assert not fifo.is_file()
 
     def test_usage_errors(self, capsys):
         assert run_cli(capsys, "construct", "--mean", "0")[0] == 2  # no length
@@ -199,6 +250,12 @@ class TestDimension:
         assert run_cli(capsys, "dimension", "--theta", "1", "--tau", "1,0,0,0")[0] == 2
         assert run_cli(capsys, "dimension", "--sweep", "1:2")[0] == 2
         assert run_cli(capsys, "dimension", "--tau", "1,0,0,0", "--oracle")[0] == 2
+
+    def test_oversized_oracle_is_usage_error(self, capsys):
+        # About 1e12 and 1e9 grid cells; refused before any allocation.
+        for base in ("6", "5"):
+            code, _, err = run_cli(capsys, "dimension", "--base", base, "--theta", "1", "--oracle")
+            assert code == 2 and "cells" in err
 
 
 class TestVerify:

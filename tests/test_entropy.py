@@ -7,13 +7,11 @@ from hypothesis import given, strategies as st
 from adiclab.digits import Base
 from adiclab.entropy import (
     EntropyResult,
-    MeanConstraint,
     be_dimension,
     exp_family_vector,
     neg_entropy_minimum,
     neg_entropy_minimum_grid,
     sweep_csv,
-    theta_sweep,
     xlogx,
 )
 
@@ -221,32 +219,21 @@ class TestGridOracle:
         with pytest.raises(ValueError):
             neg_entropy_minimum_grid(1.0, step=0.7)
 
+    # About 1e12, 1e9, 258**3 (just over 2**24) and 1e9 cells.
+    @pytest.mark.parametrize("base, step", [(6, 1e-3), (5, 1e-3), (5, 1 / 257), (2, 1e-9)])
+    def test_oversized_grid_is_refused_before_allocating(self, base, step):
+        with pytest.raises(ValueError, match="cells"):
+            neg_entropy_minimum_grid(0.5, Base(base), step)
+
 
 class TestSweep:
     def test_sweep_preserves_order_and_csv_header(self):
-        results = theta_sweep((0.5, 1.0, 1.5))
+        results = [neg_entropy_minimum(t) for t in (0.5, 1.0, 1.5)]
         assert [r.theta for r in results] == [0.5, 1.0, 1.5]
         text = sweep_csv(results)
         lines = text.splitlines()
         assert lines[0] == "theta,m,dimension_bound"
         assert len(lines) == 4
-
-
-class TestMeanConstraint:
-    def test_validates_interior(self):
-        with pytest.raises(ValueError):
-            MeanConstraint(Base(4), 0.0)
-        with pytest.raises(ValueError):
-            MeanConstraint(Base(4), 3.0)
-
-    def test_membership(self):
-        c = MeanConstraint(Base(4), 1.5)
-        assert c.satisfied_by((0.25, 0.25, 0.25, 0.25))
-        assert not c.satisfied_by((1.0, 0.0, 0.0, 0.0))
-
-    def test_argmin_satisfies_constraint(self):
-        c = MeanConstraint(Base(4), 0.9)
-        assert c.satisfied_by(neg_entropy_minimum(0.9).argmin)
 
 
 class TestEntropyResultShape:

@@ -140,11 +140,12 @@ class TestConvergenceTrace:
 
 class TestWeakNormality:
     def test_exact_uniform_with_zero_tolerance(self):
-        verdict = weak_normality_verdict(DigitPrefix(BASE4, (0, 1, 2, 3)), 0)
+        verdict = weak_normality_verdict(freq_report(DigitPrefix(BASE4, (0, 1, 2, 3))), 0)
         assert verdict.consistent and verdict.max_deviation == 0
 
     def test_point_mass_is_inconsistent(self):
-        verdict = weak_normality_verdict(DigitPrefix(BASE4, (0, 0, 0, 0)), Fraction(1, 8))
+        report = freq_report(DigitPrefix(BASE4, (0, 0, 0, 0)))
+        verdict = weak_normality_verdict(report, Fraction(1, 8))
         assert not verdict.consistent
         assert verdict.max_deviation == Fraction(3, 4)
 
@@ -152,16 +153,12 @@ class TestWeakNormality:
         from adiclab.construct import ProbabilityVector, greedy_stream
 
         stream = greedy_stream(ProbabilityVector.parse("1/4,1/4,1/4,1/4"))
-        verdict = weak_normality_verdict(stream.prefix(10**4), Fraction(1, 100))
+        verdict = weak_normality_verdict(freq_report(stream.prefix(10**4)), Fraction(1, 100))
         assert verdict.consistent
 
     def test_rejects_negative_tolerance(self):
         with pytest.raises(ValueError):
-            weak_normality_verdict(DigitPrefix(BASE4, (0,)), Fraction(-1, 10))
-
-    def test_rejects_empty_prefix(self):
-        with pytest.raises(ValueError):
-            weak_normality_verdict(DigitPrefix(BASE4, ()), 0)
+            weak_normality_verdict(freq_report(DigitPrefix(BASE4, (0,))), Fraction(-1, 10))
 
 
 class TestPeriodicDeviationBound:

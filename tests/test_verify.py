@@ -1,7 +1,7 @@
 import pytest
 
 from adiclab.digits import BASE4
-from adiclab.verify import MODULES, enumerated_prefixes, report_dict, run_checks
+from adiclab.verify import CHECKS, MODULES, enumerated_prefixes, report_dict, run_checks
 
 
 def test_enumerated_prefixes_are_base4_counters():
@@ -10,8 +10,8 @@ def test_enumerated_prefixes_are_base4_counters():
 
 
 def test_run_checks_subset_and_order():
-    results = run_checks(["digits"])
-    assert results and all(r.module == "digits" for r in results)
+    results = run_checks(["entropy"])
+    assert results and all(r.module == "entropy" for r in results)
     names = [r.name for r in results]
     assert names == sorted(names)
 
@@ -24,6 +24,7 @@ def test_unknown_module_rejected():
 def test_full_battery_passes():
     results = run_checks()
     assert {r.module for r in results} == set(MODULES)
+    assert [r.name for r in results] == sorted(CHECKS)
     failing = [r.name for r in results if not r.passed]
     assert failing == [], f"failing checks: {failing}"
     report = report_dict(results)
