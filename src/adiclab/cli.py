@@ -30,12 +30,15 @@ from .construct import (
     greedy_stream,
     mean_target_stream,
 )
-from .digits import Base, DigitStream, expand, stream_from_digits
+from .digits import Base, DigitStream, digit_text, expand, parse_digit_text, stream_from_digits
 from .entropy import be_dimension, neg_entropy_minimum, neg_entropy_minimum_grid, sweep_csv
 from .stats import DEFAULT_CHECKPOINTS, convergence_trace, weak_normality_verdict
 from .verify import MODULES, report_dict, run_checks
 
 MAX_CONSTRUCT_LENGTH = 10**8
+# A sweep solves one bisection per point (about 0.2 ms each), so this caps
+# a sweep at roughly 20 s.
+_MAX_SWEEP_POINTS = 10**5
 DEFAULT_PRECISION = 12
 PRECISION_ENV = "ADICLAB_PRECISION"
 
@@ -186,15 +189,11 @@ def _stream_from_config(cfg: ExperimentConfig) -> DigitStream:
         raise UsageError(str(exc))
 
 
-def _digit_chunks(stream: DigitStream, length: int, chunk: int = 1 << 16) -> Iterator[str]:
-    it = itertools.islice(stream.iter_digits(), length)
+def _digit_chunks(stream: DigitStream, length: int) -> Iterator[str]:
     produced = 0
-    while True:
-        block = list(itertools.islice(it, chunk))
-        if not block:
-            break
-        produced += len(block)
-        yield "".join(str(d) for d in block)
+    for chunk in stream.chunks(length):
+        produced += len(chunk)
+        yield digit_text(chunk)
     if produced < length:
         raise UsageError(f"digit source ended after {produced} digits, wanted {length}")
 
@@ -230,22 +229,27 @@ def cmd_construct(cfg: ExperimentConfig) -> int:
 # ---------------------------------------------------------------------------
 
 
-def _read_digit_file(path: str, base: Base) -> tuple[int, ...]:
+def _read_digit_file(path: str, base: Base) -> bytes:
+    """Digit values of a digit text file, one byte per digit.
+
+    Lines starting with '#' are skipped and every other line is stripped
+    at both ends; what remains must be ASCII digits below the base."""
     try:
         text = Path(path).read_text()
     except OSError as exc:
         raise UsageError(f"cannot read digit file: {exc}")
-    digits = []
+    lines = []
     for line in text.splitlines():
         if line.startswith("#"):
             continue
-        for ch in line.strip():
-            if not ch.isdigit() or int(ch) >= base.s:
-                raise UsageError(f"non-digit character {ch!r} for base {base.s} in {path}")
-            digits.append(int(ch))
+        try:
+            lines.append(parse_digit_text(line.strip(), base.s))
+        except ValueError as exc:
+            raise UsageError(f"{exc} in {path}")
+    digits = b"".join(lines)
     if not digits:
         raise UsageError(f"no digits found in {path}")
-    return tuple(digits)
+    return digits
 
 
 def _default_file_checkpoints(length: int) -> tuple[int, ...]:
@@ -314,12 +318,10 @@ def _parse_sweep(text: str) -> list[float]:
     start, stop, step = (_parse_fraction(p, "--sweep") for p in parts)
     if step <= 0 or stop < start:
         raise UsageError(f"--sweep needs step > 0 and stop >= start, got {text!r}")
-    thetas = []
-    value = start
-    while value <= stop:
-        thetas.append(float(value))
-        value += step
-    return thetas
+    count = (stop - start) // step + 1
+    if count > _MAX_SWEEP_POINTS:
+        raise UsageError(f"--sweep {text} has {count} points; at most {_MAX_SWEEP_POINTS} are allowed")
+    return [float(start + k * step) for k in range(count)]
 
 
 def cmd_dimension(cfg: ExperimentConfig) -> int:

@@ -18,6 +18,11 @@ Column vectors and schedule parameters are exact rationals and every floor
 is exact: the constructions are floor-sensitive, and the exact-count
 claims are only checkable in integer arithmetic.
 
+Both streams produce whole chunks (see `digits`): the greedy stream
+computes a block of steps at once with numpy, in int64 where every
+intermediate fits and in exact Python ints otherwise, and the block stream
+emits each block as runs of one repeated digit.
+
 Schedules come from a closed set of named families because the growth
 conditions they must satisfy are limit statements, not verifiable from
 finite data; `validate_schedule` settles each condition analytically per
@@ -34,7 +39,9 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Iterator, Sequence
 
-from .digits import BASE4, Base, DigitStream, constant_stream
+import numpy as np
+
+from .digits import BASE4, CHUNK_DIGITS, Base, Chunk, DigitStream, chunk_from_array, constant_stream, to_chunk
 from .entropy import neg_entropy_minimum
 
 __all__ = [
@@ -110,6 +117,12 @@ def floor_counts(tau: ProbabilityVector, n: int) -> tuple[int, ...]:
     return tuple((t.numerator * n) // t.denominator for t in tau.entries)
 
 
+# Greedy steps in a stream's first chunk; each later chunk doubles them up
+# to CHUNK_DIGITS steps (about that many digits, since the increments of
+# one step sum to 1 on average).
+_FIRST_STEPS = 256
+
+
 def greedy_stream(tau: ProbabilityVector, base: Base | None = None) -> DigitStream:
     """Digit stream whose limiting frequencies equal tau exactly.
 
@@ -117,6 +130,13 @@ def greedy_stream(tau: ProbabilityVector, base: Base | None = None) -> DigitStre
     increasing digit order, so for every n the prefix of length
     sum(floor_counts(tau, n)) contains exactly floor(tau_i * n) copies of
     digit i. Pure integer arithmetic throughout.
+
+    A chunk covers the steps K..K+M-1 at once: with tau_i = p_i/q_i and
+    a_i = p_i*K mod q_i, digit i is emitted at step K+j exactly when
+    (a_i + p_i*j) // q_i rises at j+1. The digits are the nonzero cells of
+    that (steps x s) increment table, read row by row. A column is computed
+    in int64 when q_i * (CHUNK_DIGITS + 2) < 2**63, which bounds every
+    a_i + p_i*j, and in exact Python ints otherwise.
     """
     if base is None:
         base = Base(tau.s)
@@ -124,20 +144,21 @@ def greedy_stream(tau: ProbabilityVector, base: Base | None = None) -> DigitStre
         raise ValueError(f"vector has {tau.s} entries but base is {base.s}")
     nums = tuple(t.numerator for t in tau.entries)
     dens = tuple(t.denominator for t in tau.entries)
+    dtypes = tuple(np.int64 if q * (CHUNK_DIGITS + 2) < 2**63 else object for q in dens)
     s = tau.s
 
-    def make() -> Iterator[int]:
-        prev = [nums[i] // dens[i] for i in range(s)]
-        k = 1
+    def make() -> Iterator[Chunk]:
+        k, steps = 1, _FIRST_STEPS
         while True:
-            for i in range(s):
-                nxt = (nums[i] * (k + 1)) // dens[i]
-                if nxt != prev[i]:
-                    yield i
-                    prev[i] = nxt
-            k += 1
+            rises = np.empty((steps, s), dtype=bool)
+            for i, (p, q, dtype) in enumerate(zip(nums, dens, dtypes)):
+                floors = (p * k % q + p * np.arange(steps + 1, dtype=dtype)) // q
+                rises[:, i] = floors[1:] != floors[:-1]
+            yield chunk_from_array(np.flatnonzero(rises) % s, base)
+            k += steps
+            steps = min(2 * steps, CHUNK_DIGITS)
 
-    return DigitStream(base=base, make_iter=make)
+    return DigitStream(base=base, make_chunks=make)
 
 
 # ---------------------------------------------------------------------------
@@ -413,19 +434,23 @@ def block_stream(columns: ColumnSchedule, spec: ScheduleSpec, base: Base = BASE4
         raise ScheduleRejectedError(validation)
     if columns.column(1).s != base.s:
         raise ValueError(f"columns have {columns.column(1).s} entries, base is {base.s}")
+    units = [to_chunk((i,), base) for i in range(base.s)]
 
-    def make() -> Iterator[int]:
+    def make() -> Iterator[Chunk]:
         k = 1
         while True:
             col = columns.column(k)
             sk = spec.term(k)
             for i, t in enumerate(col.entries):
                 reps = math.floor(t * sk)
-                if reps:
-                    yield from itertools.repeat(i, reps)
+                # A long run goes out in pieces, so a huge block is never held at once.
+                while reps > 0:
+                    piece = min(reps, CHUNK_DIGITS)
+                    yield units[i] * piece
+                    reps -= piece
             k += 1
 
-    return DigitStream(base=base, make_iter=make)
+    return DigitStream(base=base, make_chunks=make)
 
 
 def block_boundaries(columns: ColumnSchedule, spec: ScheduleSpec, max_digits: int) -> list[int]:

@@ -7,24 +7,38 @@ terminate, and therefore admit a second expansion ending in the constant
 maximal digit. The canonical expansion is always the one with period (0);
 `dual_representation` is the explicit converter to the other form.
 
-Everything in this module is exact: values are `fractions.Fraction`, digits
-are plain ints, and streams are deterministic generators. Floor and
-periodicity logic is off-by-one fragile in floating point, so none is used.
+Everything in this module is exact: values are `fractions.Fraction` and
+digits are plain ints. Floor and periodicity logic is off-by-one fragile in
+floating point, so none is used.
+
+A `DigitStream` produces its digits in chunks: `bytes` with one byte per
+digit (values 0..s-1, not ASCII) up to base 256, and `array("Q")` of
+64-bit words above it. Consumers count, sum, slice and encode whole chunks
+in C; `iter_digits`, `prefix` and `digit_at` are thin per-digit views.
+Generated streams start with short chunks and grow them toward
+CHUNK_DIGITS digits, so reading a short prefix stays cheap.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
+from array import array
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Iterable, Iterator, Sequence
+from typing import Callable, Iterable, Iterator, Sequence, Union
 
 __all__ = [
     "Base",
     "BASE4",
     "DigitPrefix",
     "DigitStream",
+    "Chunk",
+    "CHUNK_DIGITS",
+    "to_chunk",
+    "chunk_from_array",
+    "digit_text",
+    "parse_digit_text",
     "periodic_stream",
     "constant_stream",
     "stream_from_digits",
@@ -53,10 +67,73 @@ class Base:
 
 BASE4 = Base(4)
 
+Chunk = Union[bytes, array]
 
-def _check_digit(value: int, s: int) -> None:
-    if not isinstance(value, int) or not 0 <= value <= s - 1:
-        raise ValueError(f"digit {value!r} out of range for base {s}")
+# Generated streams grow their chunks up to about this many digits.
+CHUNK_DIGITS = 1 << 16
+
+_ASCII_DIGITS = "0123456789"
+_VALUES_TO_ASCII = bytes.maketrans(bytes(range(10)), _ASCII_DIGITS.encode())
+_ASCII_TO_VALUES = bytes.maketrans(_ASCII_DIGITS.encode(), bytes(range(10)))
+
+
+def _wide(base: Base) -> bool:
+    """True when a digit needs more than one byte: chunks are then
+    `array("Q")` instead of `bytes`."""
+    if base.s > 1 << 64:
+        raise ValueError(f"digit streams hold bases up to 2**64, got {base.s}")
+    return base.s > 256
+
+
+def to_chunk(digits: Iterable[int] | bytes, base: Base) -> Chunk:
+    """`digits` as one chunk, after checking that each is an int in 0..s-1.
+
+    A `bytes` argument is taken as digit values, one per byte. The check
+    runs in C; only a failing input is scanned again, to name its first bad
+    digit.
+    """
+    s = base.s
+    wide = _wide(base)
+    if wide or not isinstance(digits, bytes):
+        digits = tuple(digits)
+    try:
+        chunk = array("Q", digits) if wide else bytes(digits)
+        valid = max(chunk, default=0) < s if wide else not chunk.translate(None, bytes(range(s)))
+    except (TypeError, ValueError, OverflowError):
+        valid = False
+    if not valid:
+        bad = next(d for d in digits if not (isinstance(d, int) and 0 <= d < s))
+        raise ValueError(f"digit {bad!r} out of range for base {s}")
+    return chunk
+
+
+def chunk_from_array(values, base: Base) -> Chunk:
+    """The chunk holding the values of an integer numpy array, which must
+    already be base-s digits."""
+    if _wide(base):
+        return array("Q", values.astype("Q").tobytes())
+    return values.astype("B").tobytes()
+
+
+def digit_text(chunk: bytes) -> str:
+    """The ASCII numeral of a chunk of digits below 10."""
+    return chunk.translate(_VALUES_TO_ASCII).decode("ascii")
+
+
+def parse_digit_text(text: str, s: int) -> bytes:
+    """Digit values of an ASCII numeral, one byte per character.
+
+    Only the ASCII characters "0".."9" below s are digits: a non-ASCII
+    digit such as "٣" or "²" is refused like any other character, with a
+    ValueError that names the first offending character.
+    """
+    allowed = _ASCII_DIGITS[: min(s, 10)]
+    if text.isascii():
+        raw = text.encode("ascii")
+        if not raw.translate(None, allowed.encode()):
+            return raw.translate(_ASCII_TO_VALUES)
+    bad = next(ch for ch in text if ch not in allowed)
+    raise ValueError(f"non-digit character {bad!r} for base {s}")
 
 
 @dataclass(frozen=True)
@@ -68,9 +145,7 @@ class DigitPrefix:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "digits", tuple(self.digits))
-        s = self.base.s
-        for d in self.digits:
-            _check_digit(d, s)
+        to_chunk(self.digits, self.base)
 
     def __len__(self) -> int:
         return len(self.digits)
@@ -83,38 +158,46 @@ class DigitPrefix:
         """ASCII digit string; defined for bases up to 10."""
         if self.base.s > 10:
             raise ValueError("text serialization is defined for bases <= 10 only")
-        return "".join(str(d) for d in self.digits)
+        return digit_text(bytes(self.digits))
 
     @classmethod
     def from_text(cls, text: str, base: Base = BASE4) -> "DigitPrefix":
         if base.s > 10:
             raise ValueError("text serialization is defined for bases <= 10 only")
-        digits = []
-        for ch in text.strip():
-            if not ch.isdigit():
-                raise ValueError(f"non-digit character {ch!r} in digit text")
-            digits.append(int(ch))
-        return cls(base, tuple(digits))
+        return cls(base, tuple(parse_digit_text(text.strip(), base.s)))
 
 
 @dataclass(frozen=True)
 class DigitStream:
     """A deterministic, unbounded digit source.
 
-    `make_iter` must be pure: every call yields the same sequence, so
-    independent consumers (including concurrent ones) can re-iterate
-    safely. Streams derived from rationals carry an explicit
-    (preperiod, period) descriptor; purely procedural streams (the
+    `make_chunks` returns an iterator over the stream's chunks (see the
+    module docstring for their layout). It must be pure: every call yields
+    the same digits, so independent consumers (including concurrent ones)
+    can re-read the stream safely. Streams derived from rationals carry an
+    explicit (preperiod, period) descriptor; purely procedural streams (the
     constructive algorithms) leave it unset, and their value is then not
     computable from finite data.
     """
 
     base: Base
-    make_iter: Callable[[], Iterator[int]]
+    make_chunks: Callable[[], Iterator[Chunk]]
     eventual_period: tuple[tuple[int, ...], tuple[int, ...]] | None = None
 
+    def chunks(self, n: int) -> Iterator[Chunk]:
+        """Chunks holding the first n digits, the last one cut to fit; they
+        hold fewer digits if the stream ends first."""
+        if n <= 0:
+            return
+        for chunk in self.make_chunks():
+            if len(chunk) >= n:
+                yield chunk[:n]
+                return
+            n -= len(chunk)
+            yield chunk
+
     def iter_digits(self) -> Iterator[int]:
-        return self.make_iter()
+        return itertools.chain.from_iterable(self.make_chunks())
 
     def digit_at(self, k: int) -> int:
         """The k-th digit, 1-based. O(1) for periodic streams, O(k) otherwise."""
@@ -125,12 +208,17 @@ class DigitStream:
             if k <= len(pre):
                 return pre[k - 1]
             return per[(k - len(pre) - 1) % len(per)]
-        return next(itertools.islice(self.make_iter(), k - 1, None))
+        seen = 0
+        for chunk in self.chunks(k):
+            seen += len(chunk)
+        if seen < k:
+            raise ValueError(f"stream ended after {seen} digits, before position {k}")
+        return chunk[-1]
 
     def prefix(self, n: int) -> DigitPrefix:
         if n < 0:
             raise ValueError(f"prefix length must be >= 0, got {n}")
-        digits = tuple(itertools.islice(self.make_iter(), n))
+        digits = tuple(itertools.chain.from_iterable(self.chunks(n)))
         if len(digits) < n:
             raise ValueError(f"stream ended after {len(digits)} digits, wanted {n}")
         return DigitPrefix(self.base, digits)
@@ -139,36 +227,43 @@ class DigitStream:
 def periodic_stream(
     preperiod: Iterable[int], period: Iterable[int], base: Base = BASE4
 ) -> DigitStream:
-    """Stream consisting of `preperiod` followed by `period` repeated forever."""
+    """Stream consisting of `preperiod` followed by `period` repeated forever.
+
+    After the preperiod, each chunk holds whole periods, twice as many as
+    the chunk before, until a chunk reaches CHUNK_DIGITS digits.
+    """
     pre = tuple(preperiod)
     per = tuple(period)
     if not per:
         raise ValueError("period must be nonempty")
-    for d in (*pre, *per):
-        _check_digit(d, base.s)
+    head, tile = to_chunk(pre, base), to_chunk(per, base)
 
-    def make() -> Iterator[int]:
-        yield from pre
+    def make() -> Iterator[Chunk]:
+        if head:
+            yield head
+        chunk = tile
         while True:
-            yield from per
+            yield chunk
+            if len(chunk) < CHUNK_DIGITS:
+                chunk = chunk * 2
 
-    return DigitStream(base=base, make_iter=make, eventual_period=(pre, per))
+    return DigitStream(base=base, make_chunks=make, eventual_period=(pre, per))
 
 
 def constant_stream(digit: int, base: Base = BASE4) -> DigitStream:
     return periodic_stream((), (digit,), base)
 
 
-def stream_from_digits(digits: Sequence[int], base: Base = BASE4) -> DigitStream:
-    """Wrap a finite, materialized digit sequence as a (finite) stream.
+def stream_from_digits(digits: Sequence[int] | bytes, base: Base = BASE4) -> DigitStream:
+    """Wrap a finite, materialized digit sequence as a (finite) stream of
+    one chunk.
 
+    `digits` is a sequence of ints or a `bytes` object of digit values.
     Consumers that read past the end see the stream simply stop; this is
     intended for analyzing digit files of known length.
     """
-    data = tuple(digits)
-    for d in data:
-        _check_digit(d, base.s)
-    return DigitStream(base=base, make_iter=lambda: iter(data))
+    data = to_chunk(digits, base)
+    return DigitStream(base=base, make_chunks=lambda: iter((data,)))
 
 
 def expand(x: Fraction | int | str, base: Base = BASE4) -> DigitStream:
@@ -199,13 +294,36 @@ def expand(x: Fraction | int | str, base: Base = BASE4) -> DigitStream:
     return periodic_stream(digits[:start], digits[start:], base)
 
 
+# Below this many digits the schoolbook loop beats splitting.
+_NUMERAL_LEAF = 128
+
+
+def _numeral(digits: Sequence[int], s: int, powers: dict[int, int] | None = None) -> int:
+    """The integer whose base-s digits, most significant first, are `digits`.
+
+    Halving keeps the big-int products balanced, so the cost is that of a
+    few full-size multiplications instead of the quadratic `acc * s + d`
+    loop, which runs only at the leaves. `powers` caches s**k across the
+    recursion.
+    """
+    n = len(digits)
+    if n <= _NUMERAL_LEAF:
+        acc = 0
+        for d in digits:
+            acc = acc * s + d
+        return acc
+    if powers is None:
+        powers = {}
+    half = n // 2
+    k = n - half
+    if k not in powers:
+        powers[k] = s**k
+    return _numeral(digits[:half], s, powers) * powers[k] + _numeral(digits[half:], s, powers)
+
+
 def prefix_value(p: DigitPrefix) -> Fraction:
     """Exact partial sum sum_{k<=n} a_k * s**(-k) of a finite prefix."""
-    s = p.base.s
-    acc = 0
-    for d in p.digits:
-        acc = acc * s + d
-    return Fraction(acc, s ** len(p.digits))
+    return Fraction(_numeral(p.digits, p.base.s), p.base.s ** len(p.digits))
 
 
 def stream_value(stream: DigitStream) -> Fraction:
@@ -219,10 +337,7 @@ def stream_value(stream: DigitStream) -> Fraction:
     pre, per = stream.eventual_period
     s = stream.base.s
     head = prefix_value(DigitPrefix(stream.base, pre))
-    pval = 0
-    for d in per:
-        pval = pval * s + d
-    tail = Fraction(pval, s ** len(per) - 1)
+    tail = Fraction(_numeral(per, s), s ** len(per) - 1)
     return head + tail / s ** len(pre)
 
 

@@ -1,0 +1,196 @@
+"""The chunked stream path against per-digit oracles.
+
+Each oracle below is the per-digit formula the chunked code replaces: the
+greedy step rule, the block layout, the tiled period and the plain
+sequence. Prefix lengths are taken at the streams' own chunk edges, where
+an off-by-one would show.
+"""
+
+import itertools
+import math
+from fractions import Fraction
+
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from adiclab.construct import (
+    ColumnSchedule,
+    ProbabilityVector,
+    ScheduleSpec,
+    block_stream,
+    greedy_stream,
+)
+from adiclab.digits import CHUNK_DIGITS, Base, periodic_stream, stream_from_digits
+from adiclab.stats import convergence_trace
+
+BASES = st.one_of(st.integers(min_value=2, max_value=10), st.just(300))
+
+# greedy_stream computes a column in int64 up to this denominator and in
+# exact ints above it; numerators of about q/3 and 2q/3 push a_i + p_i*j
+# toward 2**63, and past it for 2**62 + 1 if int64 were used there.
+INT64_LIMIT = (2**63 - 1) // (CHUNK_DIGITS + 2)
+HUGE = 10**30 + 7
+LARGE_DENOMINATORS = (INT64_LIMIT - 1, INT64_LIMIT, INT64_LIMIT + 1, 2**62 + 1, HUGE)
+
+
+def greedy_oracle(tau: ProbabilityVector, n: int) -> tuple[int, ...]:
+    nums = [t.numerator for t in tau.entries]
+    dens = [t.denominator for t in tau.entries]
+    prev = [p // q for p, q in zip(nums, dens)]
+    out: list[int] = []
+    k = 1
+    while len(out) < n:
+        for i, (p, q) in enumerate(zip(nums, dens)):
+            nxt = (p * (k + 1)) // q
+            if nxt != prev[i]:
+                out.append(i)
+                prev[i] = nxt
+        k += 1
+    return tuple(out[:n])
+
+
+def block_oracle(columns: ColumnSchedule, spec: ScheduleSpec, n: int) -> tuple[int, ...]:
+    out: list[int] = []
+    k = 1
+    while len(out) < n:
+        for i, t in enumerate(columns.column(k).entries):
+            out.extend([i] * math.floor(t * spec.term(k)))
+        k += 1
+    return tuple(out[:n])
+
+
+def periodic_oracle(pre, per, n: int) -> tuple[int, ...]:
+    return tuple(itertools.islice(itertools.chain(pre, itertools.cycle(per)), n))
+
+
+def edge_lengths(stream, chunks: int = 3) -> list[int]:
+    """1 and the lengths just around the stream's first chunk boundaries."""
+    ends = list(itertools.accumulate(len(c) for c in itertools.islice(stream.make_chunks(), chunks)))
+    return sorted({n for end in ends for n in (end - 1, end, end + 1) if n >= 1} | {1})
+
+
+@st.composite
+def vectors(draw, s: int, max_den: int = 30) -> ProbabilityVector:
+    weights = draw(st.lists(st.integers(min_value=0, max_value=max_den), min_size=s, max_size=s))
+    if sum(weights) == 0:
+        weights[draw(st.integers(min_value=0, max_value=s - 1))] = 1
+    total = sum(weights)
+    return ProbabilityVector(tuple(Fraction(w, total) for w in weights))
+
+
+def assert_matches(stream, oracle):
+    lengths = edge_lengths(stream)
+    want = oracle(lengths[-1])
+    for n in lengths:
+        assert stream.prefix(n).digits == want[:n], n
+    assert tuple(itertools.islice(stream.iter_digits(), len(want))) == want
+    assert stream.digit_at(len(want)) == want[-1]
+
+
+class TestGreedyChunks:
+    @settings(max_examples=25)
+    @given(st.data(), BASES)
+    def test_prefix_matches_step_formula(self, data, s):
+        tau = data.draw(vectors(s))
+        assert_matches(greedy_stream(tau), lambda n: greedy_oracle(tau, n))
+
+    @pytest.mark.parametrize(
+        "tau",
+        [ProbabilityVector((Fraction(q // 3, q), Fraction(1, q), 1 - Fraction(q // 3 + 1, q))) for q in LARGE_DENOMINATORS]
+        + [ProbabilityVector((Fraction(1, 2) - Fraction(1, HUGE), Fraction(1, 3), Fraction(1, 6) + Fraction(1, HUGE)))],
+        ids=["below", "at", "above", "far-above", "huge", "mixed"],
+    )
+    def test_large_denominators_on_both_sides_of_int64(self, tau):
+        stream = greedy_stream(tau)
+        # Steps through the first chunk of full size (256 doubling to CHUNK_DIGITS).
+        steps = sum(min(256 << k, CHUNK_DIGITS) for k in range(9))
+        n = sum(math.floor(t * (steps + 1)) - math.floor(t) for t in tau.entries)
+        assert stream.prefix(n).digits == greedy_oracle(tau, n)
+
+
+class TestBlockChunks:
+    @settings(max_examples=40)
+    @given(st.data(), st.integers(min_value=2, max_value=10), st.sampled_from([1, 2]))
+    def test_prefix_matches_block_layout(self, data, s, degree):
+        columns = ColumnSchedule.constant(data.draw(vectors(s)))
+        spec = ScheduleSpec.polynomial(degree)
+        assert_matches(block_stream(columns, spec, Base(s)), lambda n: block_oracle(columns, spec, n))
+
+    def test_base_300(self):
+        # Every block re-checks a 300-entry column, so one sparse vector
+        # stands in for a Hypothesis sweep here.
+        tau = ProbabilityVector((Fraction(1, 3),) + (Fraction(0),) * 298 + (Fraction(2, 3),))
+        columns, spec = ColumnSchedule.constant(tau), ScheduleSpec.polynomial(2)
+        assert_matches(block_stream(columns, spec, Base(300)), lambda n: block_oracle(columns, spec, n))
+
+    def test_long_runs_are_split(self):
+        columns = ColumnSchedule.converging(ProbabilityVector.parse("1/2,1/4,1/4,0"), 3)
+        spec = ScheduleSpec.affine(200_000)
+        stream = block_stream(columns, spec)
+        sizes = [len(c) for c in itertools.islice(stream.make_chunks(), 12)]
+        assert max(sizes) == CHUNK_DIGITS
+        n = sum(sizes)
+        assert stream.prefix(n).digits == block_oracle(columns, spec, n)
+
+
+class TestPeriodicChunks:
+    @settings(max_examples=60)
+    @given(st.data(), BASES)
+    def test_prefix_matches_tiled_period(self, data, s):
+        digit = st.integers(min_value=0, max_value=s - 1)
+        pre = data.draw(st.lists(digit, max_size=5))
+        per = data.draw(st.lists(digit, min_size=1, max_size=7))
+        stream = periodic_stream(pre, per, Base(s))
+        assert_matches(stream, lambda n: periodic_oracle(pre, per, n))
+
+    def test_chunks_reach_full_size(self):
+        stream = periodic_stream((1,), (0, 2, 3))
+        sizes = [len(c) for c in itertools.islice(stream.make_chunks(), 20)]
+        assert sizes[:4] == [1, 3, 6, 12]
+        assert CHUNK_DIGITS <= sizes[-1] < 2 * CHUNK_DIGITS
+        n = sum(sizes)
+        assert stream.prefix(n).digits == periodic_oracle((1,), (0, 2, 3), n)
+
+
+class TestDigitSequences:
+    @settings(max_examples=40)
+    @given(st.data(), BASES)
+    def test_ints_and_bytes_give_the_same_stream(self, data, s):
+        digits = data.draw(st.lists(st.integers(min_value=0, max_value=min(s, 256) - 1), min_size=1, max_size=300))
+        for source in (digits, tuple(digits), bytes(digits)):
+            stream = stream_from_digits(source, Base(s))
+            assert stream.prefix(len(digits)).digits == tuple(digits)
+            assert [stream.digit_at(k) for k in (1, len(digits))] == [digits[0], digits[-1]]
+
+    @pytest.mark.parametrize(
+        "s, bad",
+        [(4, (0, 4)), (4, (-1,)), (4, (1.0,)), (4, bytes([1, 7])), (300, (300,)), (300, (-2,)), (2, "01")],
+    )
+    def test_out_of_range_digits_are_refused(self, s, bad):
+        with pytest.raises(ValueError, match="out of range"):
+            stream_from_digits(bad, Base(s))
+
+    def test_bases_beyond_64_bits_are_refused(self):
+        with pytest.raises(ValueError, match="2\\*\\*64"):
+            periodic_stream((), (1,), Base(2**64 + 1))
+        assert periodic_stream((), (2**64 - 1,), Base(2**64)).prefix(2).digits == (2**64 - 1,) * 2
+
+
+class TestChunkedTally:
+    @settings(max_examples=40)
+    @given(st.data(), BASES)
+    def test_counts_match_a_per_digit_tally(self, data, s):
+        digits = data.draw(st.lists(st.integers(min_value=0, max_value=s - 1), min_size=1, max_size=400))
+        points = sorted(data.draw(st.sets(st.integers(min_value=1, max_value=len(digits)), min_size=1)))
+        trace = convergence_trace(stream_from_digits(digits, Base(s)), points)
+        for n, report in zip(points, trace.reports):
+            assert report.counts == tuple(digits[:n].count(i) for i in range(s))
+
+    def test_checkpoints_across_chunk_edges(self):
+        tau = ProbabilityVector.parse("1/2,1/3,1/6,0")
+        stream = greedy_stream(tau)
+        points = edge_lengths(stream, 4)
+        digits = greedy_oracle(tau, points[-1])
+        trace = convergence_trace(stream, points)
+        for n, report in zip(points, trace.reports):
+            assert report.counts == tuple(digits[:n].count(i) for i in range(4))

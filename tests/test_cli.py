@@ -1,6 +1,12 @@
+import contextlib
+import hashlib
+import io
 import json
 import os
 import threading
+import time
+
+import pytest
 
 from adiclab.cli import ExperimentConfig, main
 
@@ -194,6 +200,21 @@ class TestAnalyze:
         assert run_cli(capsys, "analyze", "--rational", "1/3", "--format", "text")[0] == 2
         assert run_cli(capsys, "analyze", "--in", str(source), "--mean", "0")[0] == 2
 
+    @pytest.mark.parametrize("digits, bad", [("\u0660\u0661\u0662\u0663", "\u0660"), ("01\u00b23", "\u00b2")])
+    def test_non_ascii_digits_are_refused(self, tmp_path, capsys, digits, bad):
+        # Arabic-Indic digits and a superscript two are digits to str.isdigit().
+        source = tmp_path / "digits.txt"
+        source.write_text(f"# any text \u0663 here\n{digits}\n", encoding="utf-8")
+        code, _, err = run_cli(capsys, "analyze", "--in", str(source))
+        assert code == 2
+        assert f"non-digit character {bad!r} for base 4 in {source}" in err
+
+    def test_comment_lines_may_hold_any_utf8(self, tmp_path, capsys):
+        source = tmp_path / "digits.txt"
+        source.write_text("# caf\u00e9 \u0663\n  0123 \n", encoding="utf-8")
+        code, out, _ = run_cli(capsys, "analyze", "--in", str(source))
+        assert code == 0 and out.splitlines()[-1] == "4,0.25,0.25,0.25,0.25,1.5"
+
     def test_mean_target_trace_hits_theta(self, capsys):
         code, out, _ = run_cli(
             capsys, "analyze", "--mean", "3/2", "--checkpoints", "100000"
@@ -250,6 +271,12 @@ class TestDimension:
         assert run_cli(capsys, "dimension", "--theta", "1", "--tau", "1,0,0,0")[0] == 2
         assert run_cli(capsys, "dimension", "--sweep", "1:2")[0] == 2
         assert run_cli(capsys, "dimension", "--tau", "1,0,0,0", "--oracle")[0] == 2
+
+    def test_oversized_sweep_is_refused_before_solving(self, capsys):
+        start = time.perf_counter()
+        code, _, err = run_cli(capsys, "dimension", "--sweep", "0:3:1/1000000")
+        assert code == 2 and "3000001 points" in err
+        assert time.perf_counter() - start < 1.0
 
     def test_oversized_oracle_is_usage_error(self, capsys):
         # About 1e12 and 1e9 grid cells; refused before any allocation.
@@ -312,3 +339,107 @@ class TestConfigMerging:
         a = ExperimentConfig(command="construct", mean="0", length=10)
         b = ExperimentConfig(command="construct", mean="0", length=11)
         assert a.config_hash() != b.config_hash()
+
+
+# sha256 digests of artifacts written by the per-digit implementation that
+# the chunked streams replaced; the chunked path must reproduce them byte
+# for byte. Lengths and checkpoints straddle the 65536-digit chunk size.
+GOLDEN_SOURCES = {
+    "greedy4": ["--tau", "1/2,1/3,1/6,0"],
+    "greedy6": ["--tau", "1/6,1/12,1/4,1/6,1/6,1/6", "--base", "6"],
+    "greedy10": ["--tau", "3/20,1/20,1/10,1/10,1/10,1/10,1/10,1/10,1/10,1/10", "--base", "10"],
+    "mean": ["--mean", "23/25"],
+    "block": ["--config", "block.json"],
+    "rational": ["--rational", "123457/999983"],
+}
+GOLDEN_BLOCK = {
+    "schedule": {"family": "polynomial", "degree": 2},
+    "columns": {"kind": "converging", "limit": ["1/2", "1/4", "1/4", "0"], "mix_digit": 3},
+}
+GOLDEN = {
+    "greedy4": {
+        "stdout": "cfe5f92abd4e0332eaed51de50f4a2920474cad23913425f84c2ac87175a72d2",
+        "file": "897150ba9499d88f43ac5a7ccf7a253d03ab35a65523c334bd7a2ae27af069b5",
+        "sidecar": "67d78c3e568bf5cc8d3fc4d7fcec7e8ed74d444621806abe1470187343830f1e",
+        "in_csv": "54fae082606940199e72ca5b63d3d403138a2558bc3c3ad65f07c0faf625a475",
+        "in_json": "97844655871466e23af8d1991ed9afc27119a1c8fdd6d5127e62950e45489dbc",
+        "inline": "748275c74a0e4f733627ece9f4a0c70f60b4c1d6c5a9378d54ebb9541ce55d8a",
+    },
+    "greedy6": {
+        "stdout": "0b331aeb1a5c184ca884e65757db9c32ead83f897b8e34a2dea8ba1d11487c96",
+        "file": "b74611de0bc53e3751b680950d1507b4fc3cbc547a70ff5c91d22ae1ad92eac6",
+        "sidecar": "f97c1e9f64220e352b0f29625987a27c24c75f1c79574ee99c69a16c05b444de",
+        "in_csv": "8f4f96b4aae8bf04017ce9b92a2830676851c65a6cf92ed487640d84799835ab",
+        "in_json": "95945c7dce29ae08c9a85bc2bb02210ea2953724cd4a8a254071ae5a861b9b6c",
+        "inline": "20d013bc64afd10260c95a8fd9d5c396b605c801d658bedc49e686cdb549d324",
+    },
+    "greedy10": {
+        "stdout": "17ec165682719d569c94e3ab38af0de3b204782512dfacc7b141efe66470cf27",
+        "file": "778f17d158264050827f8d4f03e78a38e402bc6df4c6fec1d8fa03e6d107cedf",
+        "sidecar": "c1319e6491d25f95d91c0cea8814f37ee53ff1734b596ae36718f04f087116b6",
+        "in_csv": "da5d19277040976752f91f9d866e6e96676f05901ecefd697e707565ae882963",
+        "in_json": "3cddc3c6555fef803f74d95c2356fc0caabeb54a82ddfe06a3fc6d98c60ec0da",
+        "inline": "e769aeaa10c8debb4ba55504cbb080de4c578a3ec4e200e2d8e6e0f6b17737e0",
+    },
+    "mean": {
+        "stdout": "eeb44aca7a8af49343f3cb2290e0ae41e3ee6f271a6ac1b860e6de65e2864165",
+        "file": "a947b99d6c87bdc565c6003e33199dbcb29f28418d5cbceca91376b97558c9ab",
+        "sidecar": "d53e8cf6fc9208ffbfaff0cbac56720698ea952333ea6967777ecc4093c2e2d2",
+        "in_csv": "311f94819897b1da3fbf67f7710de897d5c20916ac165f517c14d7fc32580bce",
+        "in_json": "d7278e855f863a949758a2998255719ad989e495fb0e005f980143b9993bc6c8",
+        "inline": "4a9b8f145fde6b4e7f80a0f27d15275f242e755eb5c2a799f8460b7c4f9ff50a",
+    },
+    "block": {
+        "stdout": "71ee52ae2dddefbcf9c9a08dff6fc84c7bad283a93eac0cf39ca329def578d07",
+        "file": "69d8825148cc1bddceab1a97012b63d80c29f3d72e6cd86f916f2295233d7ad7",
+        "sidecar": "596b4a638fb39f222ff4207af4c0fe030589b601f502c439bfe40c5b9f2b2a17",
+        "in_csv": "61f0cb8b5c3dd76c6c59dec74cd76f309cbfaa5020eedfd2a33a7a876fd8c545",
+        "in_json": "17b21846dfd0bd85a75da691dd1846554ece1ba284187afb84a3cad52db0f610",
+        "inline": "b9c9d7660bd1c69c04fce44a1a33cd94c1c82433ec899f5125c3815536d6a37f",
+    },
+    "rational": {
+        "stdout": "ad8222586977806797a514926eba53b1113fc3835b874891be1f98ad8145ea39",
+        "file": "6c06006b2d57d4114e4fd583b67a81bf8480c400e5135e0c772daedb82ffddc7",
+        "sidecar": "8fc4029e39bb6eb9a17fbcb56718348c7da72e3609d9a42c0066f144b5f2f626",
+        "in_csv": "f946bc7727c3756b98885ae4e2d86116c07640291d2be7f7b91445a06347bbda",
+        "in_json": "be0029f6cd25dc2b67769eb92633723092365a75cc8113fdd455860cfacd8391",
+        "inline": "687cb5eaf635ffe2d067b7df919273c481e912a08e71acb9d2fe1f9b3f11caf9",
+    },
+}
+GOLDEN_SWEEP = "e0de43a6ac9555deb91ebe5ff3189099e9ee524f61319bb194c5814d485d8baa"
+
+
+def _stdout_digest(*argv) -> str:
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        assert main(list(argv)) == 0
+    return hashlib.sha256(out.getvalue().encode()).hexdigest()
+
+
+def _file_digest(path) -> str:
+    with open(path, "rb") as handle:
+        return hashlib.sha256(handle.read()).hexdigest()
+
+
+class TestGoldenArtifacts:
+    @pytest.mark.parametrize("name", sorted(GOLDEN_SOURCES))
+    def test_construct_and_analyze_bytes(self, name, tmp_path, monkeypatch):
+        # Relative paths keep the config hashes in the headers fixed.
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "block.json").write_text(json.dumps(GOLDEN_BLOCK))
+        flags = GOLDEN_SOURCES[name]
+        base = flags[flags.index("--base") + 1] if "--base" in flags else "4"
+        out = f"{name}.txt"
+        got = {"stdout": _stdout_digest("construct", *flags, "--length", "70000")}
+        assert main(["construct", *flags, "--length", "70000", "--out", out]) == 0
+        got["file"] = _file_digest(out)
+        got["sidecar"] = _file_digest(out + ".json")
+        got["in_csv"] = _stdout_digest("analyze", "--in", out, "--base", base)
+        got["in_json"] = _stdout_digest("analyze", "--in", out, "--base", base, "--format", "json")
+        got["inline"] = _stdout_digest(
+            "analyze", *flags, "--checkpoints", "1,10,65535,65536,65537,70000", "--format", "json"
+        )
+        assert got == GOLDEN[name]
+
+    def test_sweep_bytes(self):
+        assert _stdout_digest("dimension", "--sweep", "0:3:1/20") == GOLDEN_SWEEP

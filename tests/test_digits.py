@@ -58,6 +58,12 @@ class TestDigitPrefix:
         with pytest.raises(ValueError):
             DigitPrefix.from_text("159")  # 5 and 9 out of range for base 4
 
+    @pytest.mark.parametrize("text", ["\u0661\u0662", "1\u00b2", "\uff11"])
+    def test_from_text_accepts_ascii_digits_only(self, text):
+        # Arabic-Indic, superscript and fullwidth digits pass str.isdigit().
+        with pytest.raises(ValueError, match="non-digit character"):
+            DigitPrefix.from_text(text)
+
 
 class TestExpand:
     def test_quarter_terminates_with_zero_period(self):
@@ -129,6 +135,20 @@ class TestPrefixValue:
     def test_mixed_digits(self):
         # Exact-rational sum: 1/4 + 0 + 2/64.
         assert prefix_value(DigitPrefix(BASE4, (1, 0, 2))) == Fraction(9, 32)
+
+    @given(st.data(), st.one_of(st.integers(min_value=2, max_value=10), st.just(300)))
+    def test_matches_the_schoolbook_numeral(self, data, s):
+        # Long prefixes are split in halves; the acc*s + d loop is the oracle.
+        digits = data.draw(st.lists(st.integers(min_value=0, max_value=s - 1), max_size=1500))
+        pre = data.draw(st.lists(st.integers(min_value=0, max_value=s - 1), max_size=300))
+        acc = 0
+        for d in digits:
+            acc = acc * s + d
+        assert prefix_value(DigitPrefix(Base(s), tuple(digits))) == Fraction(acc, s ** len(digits))
+        if digits:
+            value = stream_value(periodic_stream(pre, digits, Base(s)))
+            head = prefix_value(DigitPrefix(Base(s), tuple(pre)))
+            assert value == head + Fraction(acc, s ** len(digits) - 1) / s ** len(pre)
 
 
 class TestDualRepresentation:
