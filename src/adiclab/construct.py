@@ -34,9 +34,9 @@ proven, so `prefix_distinguish` reports either a differing index or
 from __future__ import annotations
 
 import itertools
-import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from typing import Callable, Iterator, Sequence
 
 import numpy as np
@@ -87,6 +87,11 @@ class ProbabilityVector:
         return len(self.entries)
 
     def mean(self) -> Fraction:
+        return self._mean
+
+    @cached_property
+    def _mean(self) -> Fraction:
+        # The vector is frozen, so its mean is computed once.
         return sum(i * e for i, e in enumerate(self.entries))
 
     def as_strings(self) -> list[str]:
@@ -336,9 +341,11 @@ class ColumnSchedule:
 
     The rule must be a pure function of the column index. A declared mean
     is re-checked exactly on every produced column and violations are hard
-    errors (the mean theorem's hypothesis is per-column exact). A declared
-    limit is the target of the frequency theorem; it is not checkable from
-    finitely many columns, so it is carried as metadata only.
+    errors (the mean theorem's hypothesis is per-column exact). A vector
+    computes its mean once, so a rule that returns the same vector pays for
+    it once. A declared limit is the target of the frequency theorem; it is
+    not checkable from finitely many columns, so it is carried as metadata
+    only.
     """
 
     rule: Callable[[int], ProbabilityVector]
@@ -421,6 +428,12 @@ class ColumnSchedule:
                    limit=tail, config=cfg)
 
 
+def _block_counts(col: ProbabilityVector, sk: Fraction) -> list[int]:
+    """floor(tau_i * s_k) for each entry of the column, in integers."""
+    a, b = sk.numerator, sk.denominator
+    return [t.numerator * a // (t.denominator * b) for t in col.entries]
+
+
 def block_stream(columns: ColumnSchedule, spec: ScheduleSpec, base: Base = BASE4) -> DigitStream:
     """Digits laid out block by block: block k holds floor(tau_ik * s_k)
     copies of digit i, in increasing digit order.
@@ -439,10 +452,7 @@ def block_stream(columns: ColumnSchedule, spec: ScheduleSpec, base: Base = BASE4
     def make() -> Iterator[Chunk]:
         k = 1
         while True:
-            col = columns.column(k)
-            sk = spec.term(k)
-            for i, t in enumerate(col.entries):
-                reps = math.floor(t * sk)
+            for i, reps in enumerate(_block_counts(columns.column(k), spec.term(k))):
                 # A long run goes out in pieces, so a huge block is never held at once.
                 while reps > 0:
                     piece = min(reps, CHUNK_DIGITS)
@@ -459,9 +469,7 @@ def block_boundaries(columns: ColumnSchedule, spec: ScheduleSpec, max_digits: in
     total = 0
     k = 1
     while True:
-        col = columns.column(k)
-        sk = spec.term(k)
-        length = sum(math.floor(t * sk) for t in col.entries)
+        length = sum(_block_counts(columns.column(k), spec.term(k)))
         if total + length > max_digits:
             return out
         total += length

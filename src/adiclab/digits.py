@@ -11,6 +11,14 @@ Everything in this module is exact: values are `fractions.Fraction` and
 digits are plain ints. Floor and periodicity logic is off-by-one fragile in
 floating point, so none is used.
 
+`expand` is lazy. The preperiod length comes from gcd(q, s) alone, and the
+period is looked for only as far as the first chunk; a longer period is
+found when `eventual_period` is first read, and that search gives up with
+a ValueError after _MAX_PERIOD_DIGITS digits, so it is bounded on every
+input. Digits past the first chunk are long division done a chunk at a
+time in numpy, in int64 where every product fits and in exact Python ints
+otherwise.
+
 A `DigitStream` produces its digits in chunks: `bytes` with one byte per
 digit (values 0..s-1, not ASCII) up to base 256, and `array("Q")` of
 64-bit words above it. Consumers count, sum, slice and encode whole chunks
@@ -26,7 +34,10 @@ import math
 from array import array
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from typing import Callable, Iterable, Iterator, Sequence, Union
+
+import numpy as np
 
 __all__ = [
     "Base",
@@ -68,9 +79,19 @@ class Base:
 BASE4 = Base(4)
 
 Chunk = Union[bytes, array]
+Period = tuple[tuple[int, ...], tuple[int, ...]]
 
 # Generated streams grow their chunks up to about this many digits.
 CHUNK_DIGITS = 1 << 16
+
+# expand looks this far into a period by plain long division; a period that
+# closes within it makes a plain periodic stream. Otherwise the stream's
+# first chunk holds the preperiod and this many digits after it.
+_SHORT_PERIOD = 256
+
+# Longest period `eventual_period` looks for on an expand stream before it
+# gives up, so that reading it takes bounded time and memory on any input.
+_MAX_PERIOD_DIGITS = 10**7
 
 _ASCII_DIGITS = "0123456789"
 _VALUES_TO_ASCII = bytes.maketrans(bytes(range(10)), _ASCII_DIGITS.encode())
@@ -174,15 +195,22 @@ class DigitStream:
     `make_chunks` returns an iterator over the stream's chunks (see the
     module docstring for their layout). It must be pure: every call yields
     the same digits, so independent consumers (including concurrent ones)
-    can re-read the stream safely. Streams derived from rationals carry an
-    explicit (preperiod, period) descriptor; purely procedural streams (the
-    constructive algorithms) leave it unset, and their value is then not
-    computable from finite data.
+    can re-read the stream safely. Streams derived from rationals carry a
+    `find_period` that returns their (preperiod, period) descriptor;
+    purely procedural streams (the constructive algorithms) leave it unset,
+    and their value is then not computable from finite data.
     """
 
     base: Base
     make_chunks: Callable[[], Iterator[Chunk]]
-    eventual_period: tuple[tuple[int, ...], tuple[int, ...]] | None = None
+    find_period: Callable[[], Period] | None = None
+
+    @cached_property
+    def eventual_period(self) -> Period | None:
+        """The (preperiod, period) descriptor, or None for a procedural
+        stream. Computed on first access and kept; an expand stream whose
+        period is longer than _MAX_PERIOD_DIGITS raises ValueError here."""
+        return None if self.find_period is None else self.find_period()
 
     def chunks(self, n: int) -> Iterator[Chunk]:
         """Chunks holding the first n digits, the last one cut to fit; they
@@ -200,10 +228,15 @@ class DigitStream:
         return itertools.chain.from_iterable(self.make_chunks())
 
     def digit_at(self, k: int) -> int:
-        """The k-th digit, 1-based. O(1) for periodic streams, O(k) otherwise."""
+        """The k-th digit, 1-based. O(1) once the period is known, O(k)
+        otherwise. A period not yet known is looked for only when k lies
+        past _MAX_PERIOD_DIGITS, where the search costs less than reading
+        to position k; below that the stream is read."""
         if k < 1:
             raise ValueError(f"digit positions are 1-based, got {k}")
-        if self.eventual_period is not None:
+        # cached_property keeps a computed descriptor in the instance dict.
+        use_period = k > _MAX_PERIOD_DIGITS or "eventual_period" in vars(self)
+        if use_period and self.eventual_period is not None:
             pre, per = self.eventual_period
             if k <= len(pre):
                 return pre[k - 1]
@@ -247,7 +280,9 @@ def periodic_stream(
             if len(chunk) < CHUNK_DIGITS:
                 chunk = chunk * 2
 
-    return DigitStream(base=base, make_chunks=make, eventual_period=(pre, per))
+    stream = DigitStream(base=base, make_chunks=make, find_period=lambda: (pre, per))
+    stream.eventual_period  # the pair is known: cache it, so digit_at is O(1) at once
+    return stream
 
 
 def constant_stream(digit: int, base: Base = BASE4) -> DigitStream:
@@ -266,14 +301,61 @@ def stream_from_digits(digits: Sequence[int] | bytes, base: Base = BASE4) -> Dig
     return DigitStream(base=base, make_chunks=lambda: iter((data,)))
 
 
+def _split_denominator(q: int, s: int) -> tuple[int, int]:
+    """(m, q') for a denominator q in base s.
+
+    Dividing t = q by gcd(t, s) until t is coprime to s leaves q', the part
+    of q coprime to s; the number of divisions, m, is the preperiod length
+    of every p/q in lowest terms. q' == 1 exactly when p/q terminates.
+    """
+    m = 0
+    while (g := math.gcd(q, s)) > 1:
+        q //= g
+        m += 1
+    return m, q
+
+
+def _remainder_chunks(r: int, s: int, q: int, n: int) -> Iterator[np.ndarray]:
+    """The long-division remainders r*s**k mod q, k = 0, 1, ..., as arrays
+    of n, 2n, ... up to CHUNK_DIGITS values.
+
+    Each array is filled by doubling: the second half of a prefix is its
+    first half times s**len mod q. int64 holds every product when
+    q * max(q, s) < 2**63; exact Python ints (`object`) are used otherwise.
+    """
+    dtype = np.int64 if q * max(q, s) < 2**63 else object
+    while True:
+        rems = np.empty(n, dtype=dtype)
+        rems[0] = r
+        have = 1
+        while have < n:
+            step = min(have, n - have)
+            rems[have : have + step] = rems[:step] * pow(s, have, q) % q
+            have += step
+        yield rems
+        r = int(rems[-1]) * s % q
+        n = min(2 * n, CHUNK_DIGITS)
+
+
 def expand(x: Fraction | int | str, base: Base = BASE4) -> DigitStream:
     """Canonical digit expansion of x in [0, 1].
 
-    Long division with remainder-cycle detection. The returned stream's
-    (preperiod, period) descriptor is minimal; terminating numbers get the
-    period-(0) form, and the endpoints follow the convention 0 = .(0) and
-    1 = .(s-1). The expansion satisfies sum(a_k * s**-k) == x exactly, and
-    preperiod + period length never exceeds the reduced denominator.
+    The stream's (preperiod, period) descriptor is minimal; terminating
+    numbers get the period-(0) form, and the endpoints follow the
+    convention 0 = .(0) and 1 = .(s-1). The expansion satisfies
+    sum(a_k * s**-k) == x exactly, and preperiod + period length never
+    exceeds the reduced denominator.
+
+    The digits are produced lazily. With x = p/q, the preperiod length m
+    comes from `_split_denominator`, and long division then runs m digits
+    plus up to _SHORT_PERIOD more, watching for the remainder r_m to
+    return. If it does, the period is known and the stream is a plain
+    `periodic_stream`. Otherwise later digits are computed a chunk at a
+    time: the k-th remainder after r_m is r_m * s**k mod q and its digit
+    is that remainder times s, floor-divided by q (see `_remainder_chunks`
+    for the int64/object choice). The period is then searched for only
+    when `eventual_period` is first read, chunk by chunk, up to
+    _MAX_PERIOD_DIGITS digits; past that the read raises ValueError.
     """
     x = Fraction(x)
     if not 0 <= x <= 1:
@@ -283,15 +365,48 @@ def expand(x: Fraction | int | str, base: Base = BASE4) -> DigitStream:
         # 1 has no in-range period-(0) expansion; the maximal-digit tail is it.
         return periodic_stream((), (s - 1,), base)
     q = x.denominator
+    m, _ = _split_denominator(q, s)
     rem = x.numerator
     digits: list[int] = []
-    seen: dict[int, int] = {}
-    while rem not in seen:
-        seen[rem] = len(digits)
+    for _ in range(m):
         d, rem = divmod(rem * s, q)
         digits.append(d)
-    start = seen[rem]
-    return periodic_stream(digits[:start], digits[start:], base)
+    start = rem
+    for _ in range(_SHORT_PERIOD):
+        d, rem = divmod(rem * s, q)
+        digits.append(d)
+        if rem == start:
+            return periodic_stream(digits[:m], digits[m:], base)
+
+    head = to_chunk(digits, base)
+
+    def tail() -> Iterator[tuple[np.ndarray, Chunk]]:
+        # Remainders and digits after the head, from r_(m + _SHORT_PERIOD) on.
+        for rems in _remainder_chunks(rem, s, q, 2 * _SHORT_PERIOD):
+            yield rems, chunk_from_array(rems * s // q, base)
+
+    def make() -> Iterator[Chunk]:
+        yield head
+        for _, chunk in tail():
+            yield chunk
+
+    def find_period() -> Period:
+        pieces = [head]
+        length = _SHORT_PERIOD
+        for rems, chunk in tail():
+            hits = np.flatnonzero(rems == start)
+            cut = int(hits[0]) if hits.size else len(rems)
+            pieces.append(chunk[:cut])
+            length += cut
+            if length > _MAX_PERIOD_DIGITS:
+                raise ValueError(
+                    f"the period of {x} in base {s} is longer than {_MAX_PERIOD_DIGITS} digits"
+                )
+            if hits.size:
+                found = tuple(itertools.chain.from_iterable(pieces))
+                return found[:m], found[m:]
+
+    return DigitStream(base=base, make_chunks=make, find_period=find_period)
 
 
 # Below this many digits the schoolbook loop beats splitting.
@@ -368,13 +483,4 @@ def has_two_representations(x: Fraction | int | str, base: Base = BASE4) -> bool
     x = Fraction(x)
     if not 0 <= x <= 1:
         raise ValueError(f"defined on [0, 1], got {x}")
-    if x == 0 or x == 1:
-        return False
-    q = x.denominator
-    while q > 1:
-        g = math.gcd(q, base.s)
-        if g == 1:
-            return False
-        while q % g == 0:
-            q //= g
-    return True
+    return 0 < x < 1 and _split_denominator(x.denominator, base.s)[1] == 1

@@ -1,13 +1,14 @@
 """The chunked stream path against per-digit oracles.
 
 Each oracle below is the per-digit formula the chunked code replaces: the
-greedy step rule, the block layout, the tiled period and the plain
-sequence. Prefix lengths are taken at the streams' own chunk edges, where
-an off-by-one would show.
+greedy step rule, the block layout, the tiled period, the plain sequence
+and long division with a table of seen remainders. Prefix lengths are
+taken at the streams' own chunk edges, where an off-by-one would show.
 """
 
 import itertools
 import math
+import time
 from fractions import Fraction
 
 import pytest
@@ -20,7 +21,8 @@ from adiclab.construct import (
     block_stream,
     greedy_stream,
 )
-from adiclab.digits import CHUNK_DIGITS, Base, periodic_stream, stream_from_digits
+from adiclab import digits
+from adiclab.digits import CHUNK_DIGITS, Base, expand, periodic_stream, stream_from_digits, stream_value
 from adiclab.stats import convergence_trace
 
 BASES = st.one_of(st.integers(min_value=2, max_value=10), st.just(300))
@@ -61,6 +63,32 @@ def block_oracle(columns: ColumnSchedule, spec: ScheduleSpec, n: int) -> tuple[i
 
 def periodic_oracle(pre, per, n: int) -> tuple[int, ...]:
     return tuple(itertools.islice(itertools.chain(pre, itertools.cycle(per)), n))
+
+
+def division_oracle(x: Fraction, s: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """(preperiod, period) of x in base s by long division that stops at
+    the first remainder seen before: O(q) time and memory."""
+    if x == 1:
+        return (), (s - 1,)
+    q, rem = x.denominator, x.numerator
+    out: list[int] = []
+    seen: dict[int, int] = {}
+    while rem not in seen:
+        seen[rem] = len(out)
+        d, rem = divmod(rem * s, q)
+        out.append(d)
+    start = seen[rem]
+    return tuple(out[:start]), tuple(out[start:])
+
+
+def long_division(x: Fraction, s: int, n: int) -> tuple[int, ...]:
+    """The first n digits of x < 1 in base s, one divmod each."""
+    q, rem = x.denominator, x.numerator
+    out = []
+    for _ in range(n):
+        d, rem = divmod(rem * s, q)
+        out.append(d)
+    return tuple(out)
 
 
 def edge_lengths(stream, chunks: int = 3) -> list[int]:
@@ -122,6 +150,17 @@ class TestBlockChunks:
         tau = ProbabilityVector((Fraction(1, 3),) + (Fraction(0),) * 298 + (Fraction(2, 3),))
         columns, spec = ColumnSchedule.constant(tau), ScheduleSpec.polynomial(2)
         assert_matches(block_stream(columns, spec, Base(300)), lambda n: block_oracle(columns, spec, n))
+
+    def test_base_300_uniform_column(self):
+        # A 300-entry column's mean and block counts once cost one Fraction
+        # product per entry and block: 0.7-1 s for these 20000 digits on a
+        # 2-vCPU x86-64 machine.
+        tau = ProbabilityVector((Fraction(1, 300),) * 300)
+        columns, spec = ColumnSchedule.constant(tau), ScheduleSpec.polynomial(1)
+        start = time.perf_counter()
+        got = block_stream(columns, spec, Base(300)).prefix(20000).digits
+        assert time.perf_counter() - start < 0.25
+        assert got == block_oracle(columns, spec, 20000)
 
     def test_long_runs_are_split(self):
         columns = ColumnSchedule.converging(ProbabilityVector.parse("1/2,1/4,1/4,0"), 3)
@@ -194,3 +233,94 @@ class TestChunkedTally:
         trace = convergence_trace(stream, points)
         for n, report in zip(points, trace.reports):
             assert report.counts == tuple(digits[:n].count(i) for i in range(4))
+
+
+# The largest q for which expand's remainder arithmetic runs in int64
+# (q * max(q, s) < 2**63, with s <= q); above it, exact Python ints.
+INT64_REMAINDERS = math.isqrt(2**63 - 1)
+EXPAND_EDGES = (1, 255, 256, 257, CHUNK_DIGITS - 1, CHUNK_DIGITS, CHUNK_DIGITS + 1)
+
+
+def smallest_prime_factor(s: int) -> int:
+    return next(p for p in range(2, s + 1) if s % p == 0)
+
+
+@st.composite
+def expand_cases(draw):
+    """(x, s): denominators with periods around the 256-digit short path
+    (s**L - 1 has period L), ordinary ones, and 1 (terminating x), each
+    times a power of a prime factor of s, which adds a preperiod."""
+    s = draw(BASES)
+    core = draw(
+        st.one_of(
+            st.just(1),
+            st.sampled_from([254, 255, 256, 257, 258]).map(lambda length: s**length - 1),
+            st.integers(min_value=2, max_value=10**5),
+        )
+    )
+    q = core * smallest_prime_factor(s) ** draw(st.integers(min_value=0, max_value=9))
+    return Fraction(draw(st.integers(min_value=0, max_value=q)), q), s
+
+
+class TestExpandChunks:
+    @settings(max_examples=60, deadline=None)
+    @given(expand_cases(), st.sampled_from(EXPAND_EDGES))
+    def test_matches_the_division_oracle(self, case, n):
+        x, s = case
+        pre, per = division_oracle(x, s)
+        stream = expand(x, Base(s))
+        for length in {n, *edge_lengths(stream)}:
+            assert stream.prefix(length).digits == periodic_oracle(pre, per, length), length
+        assert stream.eventual_period == (pre, per)
+        assert stream_value(stream) == x
+
+    @pytest.mark.parametrize("s", [2, 3, 4, 10, 300])
+    @pytest.mark.parametrize("side", ["below", "above"])
+    def test_both_sides_of_int64(self, s, side):
+        # core * s**j lands just below, or just above, the int64 limit. The
+        # core's period, 509 or 1018 digits in these bases, is past the
+        # short path and still cheap for the oracle.
+        core = 1019
+        j = 0
+        while core * s ** (j + 1) <= INT64_REMAINDERS:
+            j += 1
+        q = core * s ** (j if side == "below" else j + 1)
+        p = q // 3
+        while math.gcd(p, q) > 1:
+            p += 1
+        x = Fraction(p, q)
+        pre, per = division_oracle(x, s)
+        assert len(per) > 256
+        stream = expand(x, Base(s))
+        assert stream.eventual_period == (pre, per)
+        assert stream.prefix(CHUNK_DIGITS + 1).digits == periodic_oracle(pre, per, CHUNK_DIGITS + 1)
+
+    @pytest.mark.parametrize("q", [INT64_REMAINDERS - 1, INT64_REMAINDERS, INT64_REMAINDERS + 1, 2**64 - 59])
+    @pytest.mark.parametrize("s", [3, 10, 300])
+    def test_large_denominators_at_the_int64_limit(self, q, s):
+        x = Fraction(2 * q // 3, q)
+        stream = expand(x, Base(s))
+        want = long_division(x, s, CHUNK_DIGITS + 1)
+        for n in EXPAND_EDGES:
+            assert stream.prefix(n).digits == want[:n], n
+
+    def test_period_search_stops_at_the_cap(self, monkeypatch):
+        monkeypatch.setattr(digits, "_MAX_PERIOD_DIGITS", 1000)
+        at_cap = expand(Fraction(1, 4**1000 - 1))
+        assert at_cap.eventual_period == ((), (0,) * 999 + (1,))
+        over = expand(Fraction(1, 4**1001 - 1))
+        # Below the cap, digit_at reads the stream and needs no period.
+        assert [over.digit_at(k) for k in (1, 1000)] == [0, 0]
+        start = time.perf_counter()
+        with pytest.raises(ValueError, match="longer than 1000 digits"):
+            over.eventual_period
+        assert time.perf_counter() - start < 0.5
+        with pytest.raises(ValueError, match="longer than 1000 digits"):
+            stream_value(over)
+
+    def test_short_prefix_of_a_huge_period_is_cheap(self):
+        x = Fraction(1, 10**30 + 57)
+        start = time.perf_counter()
+        got = expand(x).prefix(1000).digits
+        assert time.perf_counter() - start < 0.5
+        assert got == long_division(x, 4, 1000)
