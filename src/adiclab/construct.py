@@ -34,6 +34,7 @@ proven, so `prefix_distinguish` reports either a differing index or
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
@@ -75,12 +76,36 @@ class ProbabilityVector:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "entries", tuple(Fraction(e) for e in self.entries))
+        self._check(*self._over_lcm())
+
+    @classmethod
+    def from_numerators(cls, numerators: Sequence[int], denominator: int) -> "ProbabilityVector":
+        """The vector (n_i / denominator) for integers n_i, checked in those
+        integers; it skips the plain constructor's common-denominator search.
+        Equal numerators share one Fraction, so a vector with few distinct
+        entries (zeros, a uniform part) reduces few fractions."""
+        vec = object.__new__(cls)
+        reduced = {n: Fraction(n, denominator) for n in set(numerators)}
+        object.__setattr__(vec, "entries", tuple(map(reduced.__getitem__, numerators)))
+        vec._check(numerators, denominator)
+        return vec
+
+    def _over_lcm(self) -> tuple[list[int], int]:
+        """(n_i, D): the entries as n_i / D over the lcm D of their denominators."""
+        den = math.lcm(*(e.denominator for e in self.entries))
+        return [e.numerator * (den // e.denominator) for e in self.entries], den
+
+    def _check(self, numerators: Sequence[int], denominator: int) -> None:
+        """The simplex conditions on the entries n_i / denominator, exactly,
+        in integers: at least two entries, each n_i >= 0, sum n_i = denominator."""
         if len(self.entries) < 2:
             raise ValueError("a probability vector needs at least two entries")
-        if any(e < 0 for e in self.entries):
+        if min(numerators) < 0:
             raise ValueError(f"negative entry in {self.entries}")
-        if sum(self.entries) != 1:
-            raise ValueError(f"entries must sum to 1 exactly, got sum {sum(self.entries)}")
+        if sum(numerators) != denominator:
+            raise ValueError(
+                f"entries must sum to 1 exactly, got sum {Fraction(sum(numerators), denominator)}"
+            )
 
     @property
     def s(self) -> int:
@@ -384,17 +409,21 @@ class ColumnSchedule:
         if not 0 <= mix_digit < limit.s:
             raise ValueError(f"mix digit {mix_digit} out of range for {limit.s} entries")
         if rate == "harmonic":
-            eps = lambda n: Fraction(1, n + 1)
+            inverse_eps = lambda n: n + 1
         elif rate == "quadratic":
-            eps = lambda n: Fraction(1, (n + 1) ** 2)
+            inverse_eps = lambda n: (n + 1) ** 2
         else:
             raise ValueError(f"unknown rate {rate!r}; use 'harmonic' or 'quadratic'")
+        # With limit = (a_i / D) and eps_n = 1/E, column n is
+        # (a_i * (E - 1) + D * [i == mix]) / (D * E): integer numerators over
+        # one denominator, checked in integers.
+        scaled, den = limit._over_lcm()
 
         def rule(n: int) -> ProbabilityVector:
-            e = eps(n)
-            entries = [t * (1 - e) for t in limit.entries]
-            entries[mix_digit] += e
-            return ProbabilityVector(tuple(entries))
+            e = inverse_eps(n)
+            nums = [a * (e - 1) for a in scaled]
+            nums[mix_digit] += den
+            return ProbabilityVector.from_numerators(nums, den * e)
 
         cfg = {
             "kind": "converging",

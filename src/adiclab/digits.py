@@ -17,7 +17,10 @@ found when `eventual_period` is first read, and that search gives up with
 a ValueError after _MAX_PERIOD_DIGITS digits, so it is bounded on every
 input. Digits past the first chunk are long division done a chunk at a
 time in numpy, in int64 where every product fits and in exact Python ints
-otherwise.
+otherwise. For a small rational the call costs little more than its long
+division: it works on the integer pair (p, q), and the `periodic_stream` it
+returns records its (preperiod, period) pair when it is built, so
+`stream_value` reads it and returns one exact fraction.
 
 A `DigitStream` produces its digits in chunks: `bytes` with one byte per
 digit (values 0..s-1, not ASCII) up to base 256, and `array("Q")` of
@@ -262,14 +265,19 @@ def periodic_stream(
 ) -> DigitStream:
     """Stream consisting of `preperiod` followed by `period` repeated forever.
 
-    After the preperiod, each chunk holds whole periods, twice as many as
-    the chunk before, until a chunk reaches CHUNK_DIGITS digits.
+    Both parts are checked in one `to_chunk` call, so a bad digit in the
+    preperiod is named before one in the period. The (preperiod, period)
+    pair is recorded on the stream as its `eventual_period`, so `digit_at`
+    and `stream_value` use it at once. After the preperiod, each chunk
+    holds whole periods, twice as many as the chunk before, until a chunk
+    reaches CHUNK_DIGITS digits.
     """
     pre = tuple(preperiod)
     per = tuple(period)
     if not per:
         raise ValueError("period must be nonempty")
-    head, tile = to_chunk(pre, base), to_chunk(per, base)
+    digits = to_chunk(pre + per, base)
+    head, tile = digits[: len(pre)], digits[len(pre) :]
 
     def make() -> Iterator[Chunk]:
         if head:
@@ -280,8 +288,11 @@ def periodic_stream(
             if len(chunk) < CHUNK_DIGITS:
                 chunk = chunk * 2
 
-    stream = DigitStream(base=base, make_chunks=make, find_period=lambda: (pre, per))
-    stream.eventual_period  # the pair is known: cache it, so digit_at is O(1) at once
+    pair = (pre, per)
+    stream = DigitStream(base, make, lambda: pair)
+    # cached_property keeps its value in the instance dict; filling it here
+    # skips the first-read path for a pair that is already known.
+    vars(stream)["eventual_period"] = pair
     return stream
 
 
@@ -346,35 +357,42 @@ def expand(x: Fraction | int | str, base: Base = BASE4) -> DigitStream:
     sum(a_k * s**-k) == x exactly, and preperiod + period length never
     exceeds the reduced denominator.
 
-    The digits are produced lazily. With x = p/q, the preperiod length m
+    x may be a Fraction, which is used as it is, or anything `Fraction`
+    accepts; the range test and the x = 1 test compare the integers p and
+    q of x = p/q. The digits are produced lazily. The preperiod length m
     comes from `_split_denominator`, and long division then runs m digits
     plus up to _SHORT_PERIOD more, watching for the remainder r_m to
     return. If it does, the period is known and the stream is a plain
-    `periodic_stream`. Otherwise later digits are computed a chunk at a
-    time: the k-th remainder after r_m is r_m * s**k mod q and its digit
-    is that remainder times s, floor-divided by q (see `_remainder_chunks`
-    for the int64/object choice). The period is then searched for only
-    when `eventual_period` is first read, chunk by chunk, up to
-    _MAX_PERIOD_DIGITS digits; past that the read raises ValueError.
+    `periodic_stream`, which records the pair at once. Otherwise later
+    digits are computed a chunk at a time: the k-th remainder after r_m is
+    r_m * s**k mod q and its digit is that remainder times s,
+    floor-divided by q (see `_remainder_chunks` for the int64/object
+    choice). The period is then searched for only when `eventual_period`
+    is first read, chunk by chunk, up to _MAX_PERIOD_DIGITS digits; past
+    that the read raises ValueError.
     """
-    x = Fraction(x)
-    if not 0 <= x <= 1:
+    if not isinstance(x, Fraction):
+        x = Fraction(x)
+    p, q = x.numerator, x.denominator
+    if not 0 <= p <= q:
         raise ValueError(f"expand is defined on [0, 1], got {x}")
     s = base.s
-    if x == 1:
+    if p == q:
         # 1 has no in-range period-(0) expansion; the maximal-digit tail is it.
         return periodic_stream((), (s - 1,), base)
-    q = x.denominator
     m, _ = _split_denominator(q, s)
-    rem = x.numerator
+    rem = p
     digits: list[int] = []
+    append = digits.append
     for _ in range(m):
-        d, rem = divmod(rem * s, q)
-        digits.append(d)
+        rem *= s
+        append(rem // q)
+        rem %= q
     start = rem
     for _ in range(_SHORT_PERIOD):
-        d, rem = divmod(rem * s, q)
-        digits.append(d)
+        rem *= s
+        append(rem // q)
+        rem %= q
         if rem == start:
             return periodic_stream(digits[:m], digits[m:], base)
 
@@ -445,15 +463,17 @@ def stream_value(stream: DigitStream) -> Fraction:
     """Exact limit value of an eventually periodic stream.
 
     Only streams carrying a (preperiod, period) descriptor have a value
-    computable from finite data; anything else raises.
+    computable from finite data; anything else raises. With m = len(pre),
+    L = len(per) and N the numeral of a digit string, the value is the
+    single fraction (N(pre) * (s**L - 1) + N(per)) / (s**m * (s**L - 1)),
+    reduced once.
     """
     if stream.eventual_period is None:
         raise ValueError("stream value needs a (preperiod, period) descriptor")
     pre, per = stream.eventual_period
     s = stream.base.s
-    head = prefix_value(DigitPrefix(stream.base, pre))
-    tail = Fraction(_numeral(per, s), s ** len(per) - 1)
-    return head + tail / s ** len(pre)
+    cycle = s ** len(per) - 1  # one period is worth N(per) / cycle
+    return Fraction(_numeral(pre, s) * cycle + _numeral(per, s), s ** len(pre) * cycle)
 
 
 def dual_representation(p: DigitPrefix) -> DigitStream:

@@ -6,8 +6,10 @@ and long division with a table of seen remainders. Prefix lengths are
 taken at the streams' own chunk edges, where an off-by-one would show.
 """
 
+import hashlib
 import itertools
 import math
+import re
 import time
 from fractions import Fraction
 
@@ -18,11 +20,20 @@ from adiclab.construct import (
     ColumnSchedule,
     ProbabilityVector,
     ScheduleSpec,
+    block_boundaries,
     block_stream,
     greedy_stream,
 )
 from adiclab import digits
-from adiclab.digits import CHUNK_DIGITS, Base, expand, periodic_stream, stream_from_digits, stream_value
+from adiclab.digits import (
+    CHUNK_DIGITS,
+    Base,
+    expand,
+    periodic_stream,
+    prefix_value,
+    stream_from_digits,
+    stream_value,
+)
 from adiclab.stats import convergence_trace
 
 BASES = st.one_of(st.integers(min_value=2, max_value=10), st.just(300))
@@ -89,6 +100,11 @@ def long_division(x: Fraction, s: int, n: int) -> tuple[int, ...]:
         d, rem = divmod(rem * s, q)
         out.append(d)
     return tuple(out)
+
+
+def sha256_of(values) -> str:
+    """Digest of a sequence of ints written as comma-separated decimals."""
+    return hashlib.sha256(",".join(map(str, values)).encode()).hexdigest()
 
 
 def edge_lengths(stream, chunks: int = 3) -> list[int]:
@@ -161,6 +177,34 @@ class TestBlockChunks:
         got = block_stream(columns, spec, Base(300)).prefix(20000).digits
         assert time.perf_counter() - start < 0.25
         assert got == block_oracle(columns, spec, 20000)
+
+    @pytest.mark.parametrize(
+        "rate, digits_sha, boundaries_sha",
+        [
+            (
+                "harmonic",
+                "29127cf964a4391ef4efcb2d6b1118e0022c3da4fc07319a09bc40e441ae31f9",
+                "74729189dd1d9084294a25ada2333ea68d239bee90ddc3b12ca138814c802dad",
+            ),
+            (
+                "quadratic",
+                "61f919eb19de094ae52e60fa01dc6a7f6e56a2adf870494896c01a7eb2112e47",
+                "e05e94701c9f3b2140e2e1c7a8b75559bad0076c9ffe63e7be60d9dc8777ad63",
+            ),
+        ],
+        ids=["harmonic", "quadratic"],
+    )
+    def test_base_300_converging_columns(self, rate, digits_sha, boundaries_sha):
+        # A converging column once cost 300 Fraction products and a
+        # Fraction-checked vector per block: about 1 s for these 20000 digits
+        # on a 2-vCPU x86-64 machine. The digests are those of that code.
+        tau = ProbabilityVector((Fraction(1, 300),) * 300)
+        columns, spec = ColumnSchedule.converging(tau, 0, rate), ScheduleSpec.polynomial(1)
+        start = time.perf_counter()
+        got = block_stream(columns, spec, Base(300)).prefix(20000).digits
+        assert time.perf_counter() - start < 0.25
+        assert sha256_of(got) == digits_sha
+        assert sha256_of(block_boundaries(columns, spec, 20000)) == boundaries_sha
 
     def test_long_runs_are_split(self):
         columns = ColumnSchedule.converging(ProbabilityVector.parse("1/2,1/4,1/4,0"), 3)
@@ -324,3 +368,94 @@ class TestExpandChunks:
         got = expand(x).prefix(1000).digits
         assert time.perf_counter() - start < 0.5
         assert got == long_division(x, 4, 1000)
+
+
+SMALL_RATIONAL_BASES = (2, 3, 5, 10, 300)
+
+
+class TestSmallRationals:
+    """Every p/q in [0, 1] with q <= 60, in bases other than the battery's 4."""
+
+    @pytest.mark.parametrize("s", SMALL_RATIONAL_BASES)
+    def test_descriptor_value_and_prefix(self, s):
+        base, depth = Base(s), 64
+        for q in range(1, 61):
+            for p in range(q + 1):
+                x = Fraction(p, q)
+                stream = expand(x, base)
+                pre, per = stream.eventual_period
+                assert (pre, per) == division_oracle(x, s), x
+                assert len(pre) + len(per) <= q, x
+                assert stream_value(stream) == x, x
+                assert 0 <= x - prefix_value(stream.prefix(depth)) <= Fraction(1, s**depth), x
+
+
+def numeral(digits, s: int) -> int:
+    acc = 0
+    for d in digits:
+        acc = acc * s + d
+    return acc
+
+
+def textbook_value(pre, per, s: int) -> Fraction:
+    """N(pre)/s^m + N(per)/(s^m (s^L - 1)), summed as two Fractions."""
+    m, length = len(pre), len(per)
+    return Fraction(numeral(pre, s), s**m) + Fraction(numeral(per, s), s**m * (s**length - 1))
+
+
+class TestStreamValue:
+    @settings(max_examples=80)
+    @given(st.data(), BASES)
+    def test_matches_the_textbook_sum(self, data, s):
+        digit = st.integers(min_value=0, max_value=s - 1)
+        # Up to 300 digits, past the 128-digit leaves where numerals split.
+        pre = data.draw(st.lists(digit, max_size=300))
+        per = data.draw(st.lists(digit, min_size=1, max_size=300))
+        assert stream_value(periodic_stream(pre, per, Base(s))) == textbook_value(pre, per, s)
+
+    @pytest.mark.parametrize("s", [2, 3, 4, 10, 300])
+    @pytest.mark.parametrize("pre", [(), (0,), (1,), (1, 0, 1)], ids=["empty", "0", "1", "101"])
+    @pytest.mark.parametrize("length", [1, 2, 5])
+    def test_maximal_period_carries(self, s, pre, length):
+        # pre followed by (s-1) forever is pre with 1 added at its last place.
+        value = stream_value(periodic_stream(pre, (s - 1,) * length, Base(s)))
+        assert value == textbook_value(pre, (s - 1,) * length, s)
+        assert value == Fraction(numeral(pre, s) + 1, s ** len(pre))
+
+
+class TestValidationMessages:
+    @pytest.mark.parametrize(
+        "pre, per, s, bad",
+        [
+            ((0, 4), (1,), 4, 4),
+            ((1,), (2, 5), 4, 5),
+            ((7,), (9,), 4, 7),
+            ((-1,), (4,), 4, -1),
+            ((), (1.0,), 4, 1.0),
+            ((2,), (3, 300), 300, 300),
+            ((301,), (-1,), 300, 301),
+        ],
+    )
+    def test_periodic_stream_names_the_first_bad_digit(self, pre, per, s, bad):
+        with pytest.raises(ValueError, match=f"^{re.escape(f'digit {bad!r} out of range for base {s}')}$"):
+            periodic_stream(pre, per, Base(s))
+
+    @pytest.mark.parametrize(
+        "x, shown", [(Fraction(-1, 3), "-1/3"), (Fraction(4, 3), "4/3"), (2, "2"), ("5/4", "5/4")]
+    )
+    def test_expand_refuses_values_outside_the_unit_interval(self, x, shown):
+        with pytest.raises(ValueError, match=f"^{re.escape(f'expand is defined on [0, 1], got {shown}')}$"):
+            expand(x)
+
+    @pytest.mark.parametrize("x", [Fraction(1, 3), Fraction(5, 24), Fraction(22, 113), Fraction(0), Fraction(1)])
+    def test_short_period_is_known_at_once(self, x):
+        stream = expand(x)
+
+        def unread():
+            raise AssertionError("the stream was read")
+
+        # The instance's own make_chunks now fails, so digit_at must use the period.
+        object.__setattr__(stream, "make_chunks", unread)
+        pre, per = division_oracle(x, 4)
+        k = 10**9
+        assert stream.digit_at(k) == per[(k - len(pre) - 1) % len(per)]

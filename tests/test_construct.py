@@ -1,3 +1,4 @@
+import math
 from fractions import Fraction
 
 import pytest
@@ -56,6 +57,24 @@ class TestProbabilityVector:
             ProbabilityVector.parse("1/2,1/2,1/2,-1/2")
         with pytest.raises(ValueError):
             ProbabilityVector.parse("1/2,1/4,0,0")
+
+    @given(probability_vectors(size=5, max_denominator=30), st.integers(min_value=1, max_value=4))
+    def test_from_numerators_is_the_plain_vector(self, tau, scale):
+        den = scale * math.lcm(*(t.denominator for t in tau.entries))
+        nums = [t.numerator * (den // t.denominator) for t in tau.entries]
+        assert ProbabilityVector.from_numerators(nums, den) == tau
+
+    @pytest.mark.parametrize(
+        "nums, den, entries",
+        [([1, -1, 2], 2, "1/2,-1/2,1"), ([1, 1, 1], 2, "1/2,1/2,1/2"), ([2], 2, "1")],
+        ids=["negative", "sum", "short"],
+    )
+    def test_from_numerators_refuses_like_the_plain_vector(self, nums, den, entries):
+        with pytest.raises(ValueError) as plain:
+            ProbabilityVector.parse(entries)
+        with pytest.raises(ValueError) as direct:
+            ProbabilityVector.from_numerators(nums, den)
+        assert str(direct.value) == str(plain.value)
 
 
 class TestGreedyIncrements:
@@ -201,6 +220,15 @@ class TestBlockStream:
             col = columns.column(n)
             half_less = Fraction(1, 2) - Fraction(1, 2 * n + 2)
             assert col.entries == (half_less, half_less, Fraction(1, n + 1), 0)
+
+    @given(probability_vectors(size=4, max_denominator=30), st.integers(0, 3), st.sampled_from(["harmonic", "quadratic"]))
+    def test_converging_columns_match_the_fraction_formula(self, limit, mix, rate):
+        columns = ColumnSchedule.converging(limit, mix, rate)
+        for n in (1, 2, 7, 100):
+            eps = Fraction(1, n + 1) if rate == "harmonic" else Fraction(1, (n + 1) ** 2)
+            want = [t * (1 - eps) for t in limit.entries]
+            want[mix] += eps
+            assert columns.column(n) == ProbabilityVector(tuple(want))
 
     def test_converging_frequency_approaches_limit(self):
         limit = ProbabilityVector.parse("1/2,1/2,0,0")

@@ -1,7 +1,18 @@
+from collections import Counter
+
 import pytest
 
+from adiclab import verify
 from adiclab.digits import BASE4
 from adiclab.verify import CHECKS, MODULES, enumerated_prefixes, report_dict, run_checks
+
+# The digits checks that expand every p/q in [0, 1] up to a denominator:
+# their parameters and their expand calls, sum(q + 1 for q <= max). A
+# faster battery must not come from checking fewer values.
+EXPAND_SWEEPS = {
+    "digits/period_length_bound": ({"max_denominator": 500}, 125_750),
+    "digits/expand_roundtrip": ({"max_denominator": 200, "prefix_length": 64}, 20_300),
+}
 
 
 def test_enumerated_prefixes_are_base4_counters():
@@ -21,7 +32,26 @@ def test_unknown_module_rejected():
         run_checks(["numerology"])
 
 
-def test_full_battery_passes():
+def test_full_battery_passes(monkeypatch):
+    running: list[str] = []
+    calls: Counter = Counter()
+
+    def counted(name, run):
+        def check():
+            running.append(name)
+            return run()
+
+        return check
+
+    def expand(*args, **kwargs):
+        calls[running[-1]] += 1
+        return real_expand(*args, **kwargs)
+
+    real_expand = verify.expand
+    monkeypatch.setattr(verify, "expand", expand)
+    for name, run in list(CHECKS.items()):
+        monkeypatch.setitem(CHECKS, name, counted(name, run))
+
     results = run_checks()
     assert {r.module for r in results} == set(MODULES)
     assert [r.name for r in results] == sorted(CHECKS)
@@ -30,3 +60,7 @@ def test_full_battery_passes():
     report = report_dict(results)
     assert report["failed"] == 0
     assert report["passed"] == len(results)
+    by_name = {r.name: r for r in results}
+    for name, (params, expand_calls) in EXPAND_SWEEPS.items():
+        assert by_name[name].params == params
+        assert calls[name] == expand_calls, name
