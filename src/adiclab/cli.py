@@ -380,6 +380,8 @@ def cmd_dimension(cfg: ExperimentConfig) -> int:
 def cmd_verify(cfg: ExperimentConfig) -> int:
     if cfg.fmt not in (None, "json"):
         raise UsageError(f"verify reports are JSON; --format {cfg.fmt} is not applicable")
+    if cfg.base != 4:
+        raise UsageError(f"the verify battery is base-4 only; --base {cfg.base} is not supported")
     try:
         results = run_checks(cfg.modules)
     except ValueError as exc:

@@ -11,16 +11,22 @@ Everything in this module is exact: values are `fractions.Fraction` and
 digits are plain ints. Floor and periodicity logic is off-by-one fragile in
 floating point, so none is used.
 
-`expand` is lazy. The preperiod length comes from gcd(q, s) alone, and the
-period is looked for only as far as the first chunk; a longer period is
+`expand` finds no digit by long division one at a time. The preperiod
+length m comes from gcd(q, s) alone, and the period length is the
+multiplicative order of s modulo the part of q coprime to s, looked for
+with at most _SHORT_PERIOD modular multiplications and cached per
+denominator and base. The first n digits of p/q are the base-s digits of
+(p * s**n) // q: one big-int division, written out from the integer's
+bits when s is a power of two up to 256. A period of at most
+_SHORT_PERIOD digits thus gives, from one division, a periodic stream
+that records its (preperiod, period) pair when it is built, so
+`stream_value` reads it and returns one exact fraction. A longer period is
 found when `eventual_period` is first read, and that search gives up with
 a ValueError after _MAX_PERIOD_DIGITS digits, so it is bounded on every
-input. Digits past the first chunk are long division done a chunk at a
-time in numpy, in int64 where every product fits and in exact Python ints
-otherwise. For a small rational the call costs little more than its long
-division: it works on the integer pair (p, q), and the `periodic_stream` it
-returns records its (preperiod, period) pair when it is built, so
-`stream_value` reads it and returns one exact fraction.
+input. Digits past the first chunk of such a stream are long division
+done a chunk at a time in numpy, in int64 where every product fits and in
+exact Python ints otherwise. Numerals, the inverse, are built by halving
+down to leaves that `int(text, s)` reads in C up to base 36.
 
 A `DigitStream` produces its digits in chunks: `bytes` with one byte per
 digit (values 0..s-1, not ASCII) up to base 256, and `array("Q")` of
@@ -37,7 +43,7 @@ import math
 from array import array
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
+from functools import cached_property, lru_cache, partial
 from typing import Callable, Iterable, Iterator, Sequence, Union
 
 import numpy as np
@@ -87,14 +93,18 @@ Period = tuple[tuple[int, ...], tuple[int, ...]]
 # Generated streams grow their chunks up to about this many digits.
 CHUNK_DIGITS = 1 << 16
 
-# expand looks this far into a period by plain long division; a period that
-# closes within it makes a plain periodic stream. Otherwise the stream's
-# first chunk holds the preperiod and this many digits after it.
+# A period of at most this many digits is found by `expand` at once, from
+# the order of s; a longer one makes a lazy stream whose first chunk holds
+# the preperiod and this many digits after it.
 _SHORT_PERIOD = 256
 
 # Longest period `eventual_period` looks for on an expand stream before it
 # gives up, so that reading it takes bounded time and memory on any input.
 _MAX_PERIOD_DIGITS = 10**7
+
+# Digit values up to base 256, one per byte; the first s of them are the
+# alphabet that `bytes.translate` deletes to range-check a chunk.
+_BYTE_VALUES = bytes(range(256))
 
 _ASCII_DIGITS = "0123456789"
 _VALUES_TO_ASCII = bytes.maketrans(bytes(range(10)), _ASCII_DIGITS.encode())
@@ -122,7 +132,7 @@ def to_chunk(digits: Iterable[int] | bytes, base: Base) -> Chunk:
         digits = tuple(digits)
     try:
         chunk = array("Q", digits) if wide else bytes(digits)
-        valid = max(chunk, default=0) < s if wide else not chunk.translate(None, bytes(range(s)))
+        valid = max(chunk, default=0) < s if wide else not chunk.translate(None, _BYTE_VALUES[:s])
     except (TypeError, ValueError, OverflowError):
         valid = False
     if not valid:
@@ -191,6 +201,11 @@ class DigitPrefix:
         return cls(base, tuple(parse_digit_text(text.strip(), base.s)))
 
 
+class _OwnPeriod(partial):
+    """A `find_period` that this module builds from the stream's own
+    digits, so `eventual_period` does not match its pair against them."""
+
+
 @dataclass(frozen=True)
 class DigitStream:
     """A deterministic, unbounded digit source.
@@ -212,8 +227,27 @@ class DigitStream:
     def eventual_period(self) -> Period | None:
         """The (preperiod, period) descriptor, or None for a procedural
         stream. Computed on first access and kept; an expand stream whose
-        period is longer than _MAX_PERIOD_DIGITS raises ValueError here."""
-        return None if self.find_period is None else self.find_period()
+        period is longer than _MAX_PERIOD_DIGITS raises ValueError here.
+
+        A pair from a caller's `find_period` is checked here: its period
+        must be nonempty, its digits must lie in the base, and preperiod +
+        period must equal the stream's first len(pre) + len(per) digits.
+        Otherwise ValueError. Streams this module builds from their own
+        digits skip the match.
+        """
+        if self.find_period is None:
+            return None
+        pair = self.find_period()
+        if isinstance(self.find_period, _OwnPeriod):
+            return pair
+        pre, per = (tuple(part) for part in pair)
+        if not per:
+            raise ValueError("period must be nonempty")
+        to_chunk(pre + per, self.base)
+        n = len(pre) + len(per)
+        if tuple(itertools.chain.from_iterable(self.chunks(n))) != pre + per:
+            raise ValueError(f"the (preperiod, period) pair does not match the stream's first {n} digits")
+        return pre, per
 
     def chunks(self, n: int) -> Iterator[Chunk]:
         """Chunks holding the first n digits, the last one cut to fit; they
@@ -276,23 +310,50 @@ def periodic_stream(
     per = tuple(period)
     if not per:
         raise ValueError("period must be nonempty")
-    digits = to_chunk(pre + per, base)
-    head, tile = digits[: len(pre)], digits[len(pre) :]
+    return _tiled_stream(to_chunk(pre + per, base), len(pre), base)
 
-    def make() -> Iterator[Chunk]:
-        if head:
-            yield head
-        chunk = tile
-        while True:
-            yield chunk
-            if len(chunk) < CHUNK_DIGITS:
-                chunk = chunk * 2
 
-    pair = (pre, per)
-    stream = DigitStream(base, make, lambda: pair)
-    # cached_property keeps its value in the instance dict; filling it here
-    # skips the first-read path for a pair that is already known.
-    vars(stream)["eventual_period"] = pair
+def _tiled_chunks(head: Chunk, tile: Chunk) -> Iterator[Chunk]:
+    """`head` if it is nonempty, then `tile` repeated: twice as many copies
+    per chunk until a chunk reaches CHUNK_DIGITS digits."""
+    if head:
+        yield head
+    chunk = tile
+    while True:
+        yield chunk
+        if len(chunk) < CHUNK_DIGITS:
+            chunk = chunk * 2
+
+
+def _known(pair: Period) -> Period:
+    return pair
+
+
+def _tiled_stream(digits: Chunk, m: int, base: Base) -> DigitStream:
+    """The periodic stream whose preperiod is the first m of `digits` and
+    whose period is the rest.
+
+    The digits are range-checked in C, by one `translate` (or `max` above
+    base 256), and the (preperiod, period) pair read off the chunk is
+    written straight into the instance dict slot of the `eventual_period`
+    cached property, so no first read happens. The chunk source and the
+    period finder are `partial`s of module-level functions, not closures.
+    The stream has no `__post_init__` to run, so its fields are written
+    into the instance dict at once; the frozen dataclass's `__init__`
+    would set each through `object.__setattr__`.
+    """
+    s = base.s
+    if max(digits) >= s if isinstance(digits, array) else digits.translate(None, _BYTE_VALUES[:s]):
+        raise ValueError(f"digits out of range for base {s}")
+    head, tile = digits[:m], digits[m:]
+    pair = (tuple(head), tuple(tile))
+    stream = object.__new__(DigitStream)
+    vars(stream).update(
+        base=base,
+        make_chunks=partial(_tiled_chunks, head, tile),
+        find_period=_OwnPeriod(_known, pair),
+        eventual_period=pair,
+    )
     return stream
 
 
@@ -348,6 +409,53 @@ def _remainder_chunks(r: int, s: int, q: int, n: int) -> Iterator[np.ndarray]:
         n = min(2 * n, CHUNK_DIGITS)
 
 
+# Bound on the (q', s) pairs whose period length `_short_order` keeps.
+_ORDER_CACHE_SIZE = 4096
+
+
+@lru_cache(maxsize=_ORDER_CACHE_SIZE)
+def _short_order(q: int, s: int) -> int | None:
+    """The multiplicative order of s modulo q, for q coprime to s, or None
+    when it is above _SHORT_PERIOD. It takes at most _SHORT_PERIOD modular
+    multiplications; the order of s modulo 1 is 1."""
+    if q == 1:
+        return 1
+    t = power = s % q
+    for order in range(1, _SHORT_PERIOD + 1):
+        if power == 1:
+            return order
+        power = power * t % q
+    return None
+
+
+_BIT_VALUES = bytes.maketrans(b"01", b"\x00\x01")
+
+
+def _base_digits(n: int, base: Base, count: int) -> Chunk:
+    """The `count` base-s digits of 0 <= n < s**count, most significant
+    first, as one chunk.
+
+    For s = 2**k up to 256 they come from the bits of n in C: in the
+    k*count-character binary numeral, every k-th character from i on is the
+    i-th bit of each digit, so the k slices, read as one byte per digit by
+    `int.from_bytes` and shifted into place, add up to the digits. Every
+    other base takes exactly `count` divmod steps.
+    """
+    s = base.s
+    if s <= 256 and s & (s - 1) == 0:
+        k = s.bit_length() - 1
+        bits = format(n, "b").encode().rjust(k * count, b"0").translate(_BIT_VALUES)
+        acc = 0
+        for i in range(k):
+            acc = acc << 1 | int.from_bytes(bits[i::k], "big")
+        return acc.to_bytes(count, "big")
+    wide = _wide(base)
+    out = array("Q", bytes(8 * count)) if wide else bytearray(count)
+    for i in range(count - 1, -1, -1):
+        n, out[i] = divmod(n, s)
+    return out if wide else bytes(out)
+
+
 def expand(x: Fraction | int | str, base: Base = BASE4) -> DigitStream:
     """Canonical digit expansion of x in [0, 1].
 
@@ -359,17 +467,23 @@ def expand(x: Fraction | int | str, base: Base = BASE4) -> DigitStream:
 
     x may be a Fraction, which is used as it is, or anything `Fraction`
     accepts; the range test and the x = 1 test compare the integers p and
-    q of x = p/q. The digits are produced lazily. The preperiod length m
-    comes from `_split_denominator`, and long division then runs m digits
-    plus up to _SHORT_PERIOD more, watching for the remainder r_m to
-    return. If it does, the period is known and the stream is a plain
-    `periodic_stream`, which records the pair at once. Otherwise later
-    digits are computed a chunk at a time: the k-th remainder after r_m is
-    r_m * s**k mod q and its digit is that remainder times s,
-    floor-divided by q (see `_remainder_chunks` for the int64/object
-    choice). The period is then searched for only when `eventual_period`
-    is first read, chunk by chunk, up to _MAX_PERIOD_DIGITS digits; past
-    that the read raises ValueError.
+    q of x = p/q. No digit is found by long division one at a time. With
+    (m, q') from `_split_denominator`, the preperiod has m digits and the
+    period L = ord_q'(s) digits (L = 1, period (0), when q' = 1); L comes
+    from `_short_order`, cached per (q', s). The first n digits of x are
+    the base-s digits of (p * s**n) // q, so one big-int division gives
+    them all, and `_base_digits` writes them out.
+
+    When L <= _SHORT_PERIOD, n = m + L: those digits are the preperiod and
+    one period (the period's integer is r' * (s**L - 1) / q', with r'/q'
+    the fractional part of x * s**m), and the stream records the pair at
+    once. Otherwise n = m + _SHORT_PERIOD and the stream is lazy: those
+    digits are its first chunk, and later digits are computed a chunk at a
+    time: the k-th remainder after r_m is r_m * s**k mod q and its digit
+    is that remainder times s, floor-divided by q (see `_remainder_chunks`
+    for the int64/object choice). The period is then searched for only
+    when `eventual_period` is first read, chunk by chunk, up to
+    _MAX_PERIOD_DIGITS digits; past that the read raises ValueError.
     """
     if not isinstance(x, Fraction):
         x = Fraction(x)
@@ -380,23 +494,16 @@ def expand(x: Fraction | int | str, base: Base = BASE4) -> DigitStream:
     if p == q:
         # 1 has no in-range period-(0) expansion; the maximal-digit tail is it.
         return periodic_stream((), (s - 1,), base)
-    m, _ = _split_denominator(q, s)
-    rem = p
-    digits: list[int] = []
-    append = digits.append
-    for _ in range(m):
-        rem *= s
-        append(rem // q)
-        rem %= q
-    start = rem
-    for _ in range(_SHORT_PERIOD):
-        rem *= s
-        append(rem // q)
-        rem %= q
-        if rem == start:
-            return periodic_stream(digits[:m], digits[m:], base)
-
-    head = to_chunk(digits, base)
+    m, core = _split_denominator(q, s)
+    # q' divides s**L - 1, so a period of at most _SHORT_PERIOD digits needs
+    # q' < s**_SHORT_PERIOD: a wider q' is neither searched nor cached.
+    length = _short_order(core, s) if core.bit_length() <= _SHORT_PERIOD * s.bit_length() else None
+    n = m + (length or _SHORT_PERIOD)
+    value, rem = divmod(p * s**n, q)
+    head = _base_digits(value, base, n)
+    if length is not None:
+        return _tiled_stream(head, m, base)
+    start = p * s**m % q
 
     def tail() -> Iterator[tuple[np.ndarray, Chunk]]:
         # Remainders and digits after the head, from r_(m + _SHORT_PERIOD) on.
@@ -424,11 +531,17 @@ def expand(x: Fraction | int | str, base: Base = BASE4) -> DigitStream:
                 found = tuple(itertools.chain.from_iterable(pieces))
                 return found[:m], found[m:]
 
-    return DigitStream(base=base, make_chunks=make, find_period=find_period)
+    return DigitStream(base=base, make_chunks=make, find_period=_OwnPeriod(find_period))
 
 
-# Below this many digits the schoolbook loop beats splitting.
+# Below this many digits a numeral is built whole instead of split. A leaf
+# stays far under the 4300 digits that CPython's `int` accepts from a
+# string in a base that is not a power of two.
 _NUMERAL_LEAF = 128
+
+# Digit values 0..35 to the characters `int` reads in bases up to 36; every
+# other byte maps to "!", which `int` refuses.
+_ALNUM = b"0123456789abcdefghijklmnopqrstuvwxyz".ljust(256, b"!")
 
 
 def _numeral(digits: Sequence[int], s: int, powers: dict[int, int] | None = None) -> int:
@@ -436,11 +549,15 @@ def _numeral(digits: Sequence[int], s: int, powers: dict[int, int] | None = None
 
     Halving keeps the big-int products balanced, so the cost is that of a
     few full-size multiplications instead of the quadratic `acc * s + d`
-    loop, which runs only at the leaves. `powers` caches s**k across the
+    loop. A leaf of at most _NUMERAL_LEAF digits is, for s <= 36, one
+    `int(text, s)` call on its digits translated to characters, all in C;
+    above base 36 it is that loop. `powers` caches s**k across the
     recursion.
     """
     n = len(digits)
     if n <= _NUMERAL_LEAF:
+        if s <= 36:
+            return int(bytes(digits).translate(_ALNUM) or b"0", s)
         acc = 0
         for d in digits:
             acc = acc * s + d

@@ -6,11 +6,13 @@ and long division with a table of seen remainders. Prefix lengths are
 taken at the streams' own chunk edges, where an off-by-one would show.
 """
 
+import dataclasses
 import hashlib
 import itertools
 import math
 import re
 import time
+from array import array
 from fractions import Fraction
 
 import pytest
@@ -28,6 +30,7 @@ from adiclab import digits
 from adiclab.digits import (
     CHUNK_DIGITS,
     Base,
+    DigitStream,
     expand,
     periodic_stream,
     prefix_value,
@@ -37,6 +40,9 @@ from adiclab.digits import (
 from adiclab.stats import convergence_trace
 
 BASES = st.one_of(st.integers(min_value=2, max_value=10), st.just(300))
+# expand reads the digits of a power-of-two base up to 256 off the bits of
+# one integer; these add every other bit width to the 2, 4 and 8 in BASES.
+POWER_OF_TWO_BASES = st.sampled_from([16, 32, 64, 128, 256])
 
 # greedy_stream computes a column in int64 up to this denominator and in
 # exact ints above it; numerators of about q/3 and 2q/3 push a_i + p_i*j
@@ -226,6 +232,16 @@ class TestPeriodicChunks:
         stream = periodic_stream(pre, per, Base(s))
         assert_matches(stream, lambda n: periodic_oracle(pre, per, n))
 
+    def test_streams_built_without_init_carry_every_field(self):
+        # Periodic streams skip the dataclass __init__; they must still
+        # equal, hash and print like a stream built through it.
+        stream = periodic_stream((1,), (0, 2, 3))
+        fields = {f.name: getattr(stream, f.name) for f in dataclasses.fields(DigitStream)}
+        assert set(vars(stream)) == set(fields) | {"eventual_period"}
+        built = DigitStream(**fields)
+        assert built == stream and hash(built) == hash(stream) and repr(built) == repr(stream)
+        assert built.eventual_period == stream.eventual_period == ((1,), (0, 2, 3))
+
     def test_chunks_reach_full_size(self):
         stream = periodic_stream((1,), (0, 2, 3))
         sizes = [len(c) for c in itertools.islice(stream.make_chunks(), 20)]
@@ -294,7 +310,7 @@ def expand_cases(draw):
     """(x, s): denominators with periods around the 256-digit short path
     (s**L - 1 has period L), ordinary ones, and 1 (terminating x), each
     times a power of a prime factor of s, which adds a preperiod."""
-    s = draw(BASES)
+    s = draw(st.one_of(BASES, POWER_OF_TWO_BASES))
     core = draw(
         st.one_of(
             st.just(1),
@@ -362,6 +378,44 @@ class TestExpandChunks:
         with pytest.raises(ValueError, match="longer than 1000 digits"):
             stream_value(over)
 
+    @pytest.mark.parametrize("s", [2**16, 2**64 - 1, 2**64])
+    def test_bases_of_64_bit_digits(self, s):
+        for x in (Fraction(0), Fraction(1, 3), Fraction(5, 12), Fraction(7, 2 * (s + 1)), Fraction(1)):
+            pre, per = division_oracle(x, s)
+            stream = expand(x, Base(s))
+            assert stream.eventual_period == (pre, per), x
+            assert stream.prefix(20).digits == periodic_oracle(pre, per, 20), x
+            assert stream_value(stream) == x
+
+    def test_bases_beyond_64_bits_are_refused(self):
+        with pytest.raises(ValueError, match="2\\*\\*64"):
+            expand(Fraction(1, 3), Base(2**64 + 1))
+
+    def test_order_cache_stays_bounded(self):
+        # 10**4 distinct primes q' > 10**5, more than the cache holds; each
+        # order is looked for once, and the cache keeps at most its bound.
+        sieve = bytearray([1]) * 250_000
+        sieve[:2] = b"\0\0"
+        for i in range(2, 500):
+            if sieve[i]:
+                sieve[i * i :: i] = bytes(len(range(i * i, len(sieve), i)))
+        primes = [q for q in range(100_001, len(sieve)) if sieve[q]][:10_000]
+        assert len(primes) == 10_000 > digits._ORDER_CACHE_SIZE
+        info = digits._short_order.cache_info()
+        assert info.maxsize == digits._ORDER_CACHE_SIZE
+        for q in primes:
+            expand(Fraction(1, q))
+        after = digits._short_order.cache_info()
+        assert after.misses - info.misses == len(primes)
+        assert after.currsize <= digits._ORDER_CACHE_SIZE
+        # A q' of 3170 bits is at least 4**256, so its period is longer than
+        # 256 digits without a search, and it never enters the cache.
+        wide = expand(Fraction(1, 3**2000))
+        assert digits._short_order.cache_info() == after
+        assert wide.prefix(300).digits == long_division(Fraction(1, 3**2000), 4, 300)
+        # A short period that left the cache is found again.
+        assert expand(Fraction(1, 3)).eventual_period == ((), (1,))
+
     def test_short_prefix_of_a_huge_period_is_cheap(self):
         x = Fraction(1, 10**30 + 57)
         start = time.perf_counter()
@@ -370,11 +424,12 @@ class TestExpandChunks:
         assert got == long_division(x, 4, 1000)
 
 
-SMALL_RATIONAL_BASES = (2, 3, 5, 10, 300)
+SMALL_RATIONAL_BASES = (2, 3, 4, 5, 8, 10, 16, 32, 64, 128, 256, 300)
 
 
 class TestSmallRationals:
-    """Every p/q in [0, 1] with q <= 60, in bases other than the battery's 4."""
+    """Every p/q in [0, 1] with q <= 60: in every power-of-two base up to
+    256, whose digits expand reads off bits, and in bases it divides by."""
 
     @pytest.mark.parametrize("s", SMALL_RATIONAL_BASES)
     def test_descriptor_value_and_prefix(self, s):
@@ -446,6 +501,23 @@ class TestValidationMessages:
     def test_expand_refuses_values_outside_the_unit_interval(self, x, shown):
         with pytest.raises(ValueError, match=f"^{re.escape(f'expand is defined on [0, 1], got {shown}')}$"):
             expand(x)
+
+    @pytest.mark.parametrize("s", [4, 10, 300])
+    def test_computed_digits_are_range_checked(self, s, monkeypatch):
+        # Digits that expand computes are checked before a stream is built.
+        out_of_range = array("Q", [s]) if s > 256 else bytes([s])
+        monkeypatch.setattr(digits, "_base_digits", lambda n, base, count: out_of_range * count)
+        with pytest.raises(ValueError, match=f"^digits out of range for base {s}$"):
+            expand(Fraction(1, 3), Base(s))
+
+    @pytest.mark.parametrize("s", [2, 3, 4, 10, 256, 300])
+    def test_periods_up_to_256_digits_are_known_at_once(self, s):
+        # s**L - 1 has period L: 256 digits is the longest short period.
+        known = expand(Fraction(1, s**256 - 1), Base(s))
+        lazy = expand(Fraction(1, s**257 - 1), Base(s))
+        assert "eventual_period" in vars(known) and "eventual_period" not in vars(lazy)
+        assert known.eventual_period == ((), (0,) * 255 + (1,))
+        assert lazy.eventual_period == ((), (0,) * 256 + (1,))
 
     @pytest.mark.parametrize("x", [Fraction(1, 3), Fraction(5, 24), Fraction(22, 113), Fraction(0), Fraction(1)])
     def test_short_period_is_known_at_once(self, x):

@@ -299,6 +299,20 @@ class TestVerify:
         code, _, err = run_cli(capsys, "verify", "--module", "astrology")
         assert code == 2 and "unknown module" in err
 
+    @pytest.mark.parametrize("base", ["2", "10", "300"])
+    def test_other_bases_are_refused(self, base, tmp_path, capsys):
+        # The checks run in base 4 whatever --base says, so another base is
+        # a usage error, from the flag or from a config file, before any check runs.
+        code, out, err = run_cli(capsys, "verify", "--module", "stats", "--base", base)
+        assert (code, out) == (2, "")
+        assert f"base-4 only; --base {base} is not supported" in err
+        config = tmp_path / "c.json"
+        config.write_text(json.dumps({"base": int(base)}))
+        code, out, err = run_cli(capsys, "verify", "--module", "stats", "--config", str(config))
+        assert (code, out) == (2, "") and "base-4 only" in err
+        code, out, _ = run_cli(capsys, "verify", "--module", "stats", "--base", "4")
+        assert code == 0 and json.loads(out)["failed"] == 0
+
 
 class TestConfigMerging:
     def test_file_supplies_defaults(self, tmp_path, capsys):
