@@ -26,9 +26,10 @@ from . import __version__
 from .construct import (
     ProbabilityVector,
     block_stream,
-    construction_from_config,
+    columns_from_config,
     greedy_stream,
     mean_target_stream,
+    schedule_from_config,
 )
 from .digits import Base, DigitStream, digit_text, expand, parse_digit_text, stream_from_digits
 from .entropy import be_dimension, neg_entropy_minimum, neg_entropy_minimum_grid, sweep_csv
@@ -169,24 +170,18 @@ def _stream_from_config(cfg: ExperimentConfig) -> DigitStream:
             "pick exactly one digit source: --tau (greedy), --mean, --rational, "
             f"or a schedule+columns config; got {picks or 'none'}"
         )
-    try:
-        if cfg.tau is not None:
-            tau = ProbabilityVector.parse(cfg.tau)
-            if tau.s != base.s:
-                raise UsageError(f"--tau has {tau.s} entries but base is {base.s}")
-            return greedy_stream(tau, base)
-        if cfg.mean is not None:
-            return mean_target_stream(_parse_fraction(cfg.mean, "--mean"), base)
-        if cfg.rational is not None:
-            return expand(_parse_fraction(cfg.rational, "--rational"), base)
-        if cfg.schedule is None or cfg.columns is None:
-            raise UsageError("block construction needs both 'schedule' and 'columns' in the config")
-        columns, spec = construction_from_config({"schedule": cfg.schedule, "columns": cfg.columns})
-        return block_stream(columns, spec, base)
-    except UsageError:
-        raise
-    except (ValueError, ZeroDivisionError) as exc:
-        raise UsageError(str(exc))
+    if cfg.tau is not None:
+        tau = ProbabilityVector.parse(cfg.tau)
+        if tau.s != base.s:
+            raise UsageError(f"--tau has {tau.s} entries but base is {base.s}")
+        return greedy_stream(tau, base)
+    if cfg.mean is not None:
+        return mean_target_stream(_parse_fraction(cfg.mean, "--mean"), base)
+    if cfg.rational is not None:
+        return expand(_parse_fraction(cfg.rational, "--rational"), base)
+    if cfg.schedule is None or cfg.columns is None:
+        raise UsageError("block construction needs both 'schedule' and 'columns' in the config")
+    return block_stream(columns_from_config(cfg.columns), schedule_from_config(cfg.schedule), base)
 
 
 def _digit_chunks(stream: DigitStream, length: int) -> Iterator[str]:
@@ -273,10 +268,7 @@ def cmd_analyze(cfg: ExperimentConfig) -> int:
     else:
         stream = _stream_from_config(cfg)
         checkpoints = cfg.checkpoints or DEFAULT_CHECKPOINTS
-    try:
-        trace = convergence_trace(stream, checkpoints)
-    except ValueError as exc:
-        raise UsageError(str(exc))
+    trace = convergence_trace(stream, checkpoints)
 
     normality = None
     if cfg.normality_tol is not None:
@@ -331,6 +323,11 @@ def cmd_dimension(cfg: ExperimentConfig) -> int:
         raise UsageError(f"pick exactly one of --tau, --theta, --sweep; got {picks or 'none'}")
     if cfg.oracle and cfg.theta is None:
         raise UsageError("--oracle needs --theta (the grid oracle scans one mean slice)")
+    if cfg.grid_step is not None and not cfg.oracle:
+        raise UsageError("--grid-step needs --oracle")
+    writes = "csv" if cfg.sweep is not None else "json"
+    if cfg.fmt not in (None, writes):
+        raise UsageError(f"dimension --{picks[0]} writes {writes.upper()}; --format {cfg.fmt} is not applicable")
 
     if cfg.sweep is not None:
         thetas = _parse_sweep(cfg.sweep)
@@ -382,10 +379,7 @@ def cmd_verify(cfg: ExperimentConfig) -> int:
         raise UsageError(f"verify reports are JSON; --format {cfg.fmt} is not applicable")
     if cfg.base != 4:
         raise UsageError(f"the verify battery is base-4 only; --base {cfg.base} is not supported")
-    try:
-        results = run_checks(cfg.modules)
-    except ValueError as exc:
-        raise UsageError(str(exc))
+    results = run_checks(cfg.modules)
     doc = {"provenance": _provenance_dict(cfg.config_hash())}
     doc["modules"] = list(cfg.modules) if cfg.modules else list(MODULES)
     doc.update(report_dict(results))
@@ -546,10 +540,7 @@ def main(argv: Sequence[str] | None = None) -> int:
     try:
         cfg = effective_config(args)
         return _COMMANDS[cfg.command](cfg)
-    except UsageError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except (ValueError, ArithmeticError, OSError) as exc:
+    except (UsageError, ValueError, ArithmeticError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -64,7 +64,6 @@ __all__ = [
     "prefix_distinguish",
     "schedule_from_config",
     "columns_from_config",
-    "construction_from_config",
 ]
 
 
@@ -273,13 +272,6 @@ class ScheduleSpec:
             return f"{self.a}*k+{self.b}" if self.b else f"{self.a}*k"
         return f"{self.ratio}^k"
 
-    def to_json_dict(self) -> dict:
-        if self.family == "polynomial":
-            return {"family": "polynomial", "degree": self.degree}
-        if self.family == "affine":
-            return {"family": "affine", "a": str(self.a), "b": str(self.b)}
-        return {"family": "geometric", "ratio": str(self.ratio)}
-
 
 @dataclass(frozen=True)
 class ConditionStatus:
@@ -368,15 +360,11 @@ class ColumnSchedule:
     is re-checked exactly on every produced column and violations are hard
     errors (the mean theorem's hypothesis is per-column exact). A vector
     computes its mean once, so a rule that returns the same vector pays for
-    it once. A declared limit is the target of the frequency theorem; it is
-    not checkable from finitely many columns, so it is carried as metadata
-    only.
+    it once.
     """
 
     rule: Callable[[int], ProbabilityVector]
     mean: Fraction | None = None
-    limit: ProbabilityVector | None = None
-    config: dict | None = None  # JSON form, when built from one
 
     def column(self, n: int) -> ProbabilityVector:
         if n < 1:
@@ -393,8 +381,7 @@ class ColumnSchedule:
     @classmethod
     def constant(cls, tau: ProbabilityVector, mean: Fraction | None = None) -> "ColumnSchedule":
         declared = tau.mean() if mean is None else Fraction(mean)
-        cfg = {"kind": "constant", "tau": tau.as_strings()}
-        return cls(rule=lambda n: tau, mean=declared, limit=tau, config=cfg)
+        return cls(rule=lambda n: tau, mean=declared)
 
     @classmethod
     def converging(
@@ -425,13 +412,7 @@ class ColumnSchedule:
             nums[mix_digit] += den
             return ProbabilityVector.from_numerators(nums, den * e)
 
-        cfg = {
-            "kind": "converging",
-            "limit": limit.as_strings(),
-            "mix_digit": mix_digit,
-            "rate": rate,
-        }
-        return cls(rule=rule, mean=None, limit=limit, config=cfg)
+        return cls(rule=rule)
 
     @classmethod
     def explicit(
@@ -446,15 +427,7 @@ class ColumnSchedule:
         def rule(n: int) -> ProbabilityVector:
             return head[n - 1] if n <= len(head) else tail
 
-        cfg = {
-            "kind": "explicit",
-            "columns": [c.as_strings() for c in head],
-            "tail": tail.as_strings(),
-        }
-        if mean is not None:
-            cfg["theta"] = str(Fraction(mean))
-        return cls(rule=rule, mean=Fraction(mean) if mean is not None else None,
-                   limit=tail, config=cfg)
+        return cls(rule=rule, mean=Fraction(mean) if mean is not None else None)
 
 
 def _block_counts(col: ProbabilityVector, sk: Fraction) -> list[int]:
@@ -620,10 +593,3 @@ def columns_from_config(obj: dict) -> ColumnSchedule:
         mean = Fraction(obj["theta"]) if "theta" in obj else None
         return ColumnSchedule.explicit(cols, tail, mean)
     raise ValueError(f"unknown columns kind {kind!r}")
-
-
-def construction_from_config(doc: dict) -> tuple[ColumnSchedule, ScheduleSpec]:
-    """Split a {"schedule": ..., "columns": ...} document into its parts."""
-    if "schedule" not in doc or "columns" not in doc:
-        raise ValueError("block construction config needs 'schedule' and 'columns' keys")
-    return columns_from_config(doc["columns"]), schedule_from_config(doc["schedule"])

@@ -11,22 +11,9 @@ Everything in this module is exact: values are `fractions.Fraction` and
 digits are plain ints. Floor and periodicity logic is off-by-one fragile in
 floating point, so none is used.
 
-`expand` finds no digit by long division one at a time. The preperiod
-length m comes from gcd(q, s) alone, and the period length is the
-multiplicative order of s modulo the part of q coprime to s, looked for
-with at most _SHORT_PERIOD modular multiplications and cached per
-denominator and base. The first n digits of p/q are the base-s digits of
-(p * s**n) // q: one big-int division, written out from the integer's
-bits when s is a power of two up to 256. A period of at most
-_SHORT_PERIOD digits thus gives, from one division, a periodic stream
-that records its (preperiod, period) pair when it is built, so
-`stream_value` reads it and returns one exact fraction. A longer period is
-found when `eventual_period` is first read, and that search gives up with
-a ValueError after _MAX_PERIOD_DIGITS digits, so it is bounded on every
-input. Digits past the first chunk of such a stream are long division
-done a chunk at a time in numpy, in int64 where every product fits and in
-exact Python ints otherwise. Numerals, the inverse, are built by halving
-down to leaves that `int(text, s)` reads in C up to base 36.
+`expand` gives a rational's digits and its (preperiod, period) pair; its
+docstring states how. Numerals, the inverse, are built by halving down to
+leaves that `int(text, s)` reads in C up to base 36.
 
 A `DigitStream` produces its digits in chunks: `bytes` with one byte per
 digit (values 0..s-1, not ASCII) up to base 256, and `array("Q")` of
@@ -79,10 +66,6 @@ class Base:
     def __post_init__(self) -> None:
         if not isinstance(self.s, int) or self.s < 2:
             raise ValueError(f"base must be an integer >= 2, got {self.s!r}")
-
-    @property
-    def alphabet(self) -> range:
-        return range(self.s)
 
 
 BASE4 = Base(4)
@@ -183,22 +166,6 @@ class DigitPrefix:
 
     def __len__(self) -> int:
         return len(self.digits)
-
-    @property
-    def n(self) -> int:
-        return len(self.digits)
-
-    def to_text(self) -> str:
-        """ASCII digit string; defined for bases up to 10."""
-        if self.base.s > 10:
-            raise ValueError("text serialization is defined for bases <= 10 only")
-        return digit_text(bytes(self.digits))
-
-    @classmethod
-    def from_text(cls, text: str, base: Base = BASE4) -> "DigitPrefix":
-        if base.s > 10:
-            raise ValueError("text serialization is defined for bases <= 10 only")
-        return cls(base, tuple(parse_digit_text(text.strip(), base.s)))
 
 
 class _OwnPeriod(partial):
@@ -467,12 +434,15 @@ def expand(x: Fraction | int | str, base: Base = BASE4) -> DigitStream:
 
     x may be a Fraction, which is used as it is, or anything `Fraction`
     accepts; the range test and the x = 1 test compare the integers p and
-    q of x = p/q. No digit is found by long division one at a time. With
-    (m, q') from `_split_denominator`, the preperiod has m digits and the
-    period L = ord_q'(s) digits (L = 1, period (0), when q' = 1); L comes
-    from `_short_order`, cached per (q', s). The first n digits of x are
-    the base-s digits of (p * s**n) // q, so one big-int division gives
-    them all, and `_base_digits` writes them out.
+    q of x = p/q. With (m, q') from `_split_denominator`, which divides q
+    by gcd(q, s) until the rest is coprime to s, the preperiod has m digits
+    and the period L = ord_q'(s) digits (L = 1, period (0), when q' = 1).
+    `_short_order` looks for L with at most _SHORT_PERIOD modular
+    multiplications, in a cache of _ORDER_CACHE_SIZE (q', s) pairs; a q'
+    too wide for such a period skips both. The first n digits of x are the
+    base-s digits of (p * s**n) // q, so one big-int division gives them
+    all, and `_base_digits` writes them out: from the integer's bits when s
+    is a power of two up to 256, by one `divmod` per digit otherwise.
 
     When L <= _SHORT_PERIOD, n = m + L: those digits are the preperiod and
     one period (the period's integer is r' * (s**L - 1) / q', with r'/q'

@@ -17,6 +17,9 @@ def run_cli(capsys, *argv):
     return code, captured.out, captured.err
 
 
+UNIFORM_COLUMNS = {"kind": "constant", "tau": ["1/4", "1/4", "1/4", "1/4"]}
+
+
 class TestConstruct:
     def test_mean_zero(self, capsys):
         code, out, _ = run_cli(capsys, "construct", "--mean", "0", "--length", "10")
@@ -138,6 +141,33 @@ class TestConstruct:
         )
         assert code == 2 and "length" in err
         assert run_cli(capsys, "construct", "--base", "12", "--mean", "0", "--length", "5")[0] == 2
+        got = run_cli(capsys, "construct", "--tau", "1/0,1,0,0", "--length", "5")
+        assert got == (2, "", "error: Fraction(1, 0)\n")
+
+    @pytest.mark.parametrize(
+        "doc, message",
+        [
+            (
+                {"schedule": {"family": "geometric", "ratio": "2"}, "columns": UNIFORM_COLUMNS},
+                "schedule s_k = 2^k rejected; failed condition(s): next_term_over_partial_sum",
+            ),
+            (
+                {"schedule": {"family": "polynomial", "degree": 1}},
+                "block construction needs both 'schedule' and 'columns' in the config",
+            ),
+            (
+                {"schedule": {"family": "polynomial", "degree": 1}, "columns": {**UNIFORM_COLUMNS, "theta": "1"}},
+                "column 1 has mean 3/2, declared mean is 1",
+            ),
+        ],
+        ids=["geometric", "no-columns", "wrong-theta"],
+    )
+    def test_block_config_errors(self, doc, message, tmp_path, capsys):
+        config = tmp_path / "blocks.json"
+        config.write_text(json.dumps(doc))
+        for command in (["construct", "--length", "10"], ["analyze"]):
+            got = run_cli(capsys, *command, "--config", str(config))
+            assert got == (2, "", f"error: {message}\n")
 
 
 class TestAnalyze:
@@ -197,6 +227,8 @@ class TestAnalyze:
         source.write_text("0123\n")
         code, _, err = run_cli(capsys, "analyze", "--in", str(source), "--checkpoints", "10")
         assert code == 2 and "before checkpoint" in err
+        got = run_cli(capsys, "analyze", "--in", str(source), "--checkpoints", "2,10")
+        assert got == (2, "", "error: stream ended at 4 digits, before checkpoint 10\n")
         assert run_cli(capsys, "analyze", "--rational", "1/3", "--format", "text")[0] == 2
         assert run_cli(capsys, "analyze", "--in", str(source), "--mean", "0")[0] == 2
 
@@ -272,6 +304,48 @@ class TestDimension:
         assert run_cli(capsys, "dimension", "--sweep", "1:2")[0] == 2
         assert run_cli(capsys, "dimension", "--tau", "1,0,0,0", "--oracle")[0] == 2
 
+    @pytest.mark.parametrize(
+        "flags, message",
+        [
+            (["--theta", "1/2", "--format", "csv"], "dimension --theta writes JSON; --format csv"),
+            (["--tau", "1,0,0,0", "--format", "text"], "dimension --tau writes JSON; --format text"),
+            (["--sweep", "0:1:1/2", "--format", "json"], "dimension --sweep writes CSV; --format json"),
+        ],
+    )
+    def test_format_the_mode_does_not_write(self, flags, message, tmp_path, capsys):
+        got = run_cli(capsys, "dimension", *flags)
+        assert got == (2, "", f"error: {message} is not applicable\n")
+        config = tmp_path / "c.json"
+        config.write_text(json.dumps({"format": flags[-1]}))
+        got = run_cli(capsys, "dimension", *flags[:2], "--config", str(config))
+        assert got == (2, "", f"error: {message} is not applicable\n")
+
+    @pytest.mark.parametrize(
+        "flags, fmt", [(["--theta", "1/2"], "json"), (["--sweep", "0:1:1/2"], "csv")]
+    )
+    def test_format_the_mode_writes(self, flags, fmt, capsys):
+        # Only the provenance, which hashes the flags, may differ.
+        code, default, _ = run_cli(capsys, "dimension", *flags)
+        assert code == 0
+        code, named, _ = run_cli(capsys, "dimension", *flags, "--format", fmt)
+        assert code == 0
+        if fmt == "json":
+            default, named = json.loads(default), json.loads(named)
+            del default["provenance"], named["provenance"]
+        else:
+            default, named = default.splitlines()[1:], named.splitlines()[1:]
+        assert default == named
+
+    def test_grid_step_needs_oracle(self, tmp_path, capsys):
+        got = run_cli(capsys, "dimension", "--theta", "1/2", "--grid-step", "1/100")
+        assert got == (2, "", "error: --grid-step needs --oracle\n")
+        config = tmp_path / "c.json"
+        config.write_text(json.dumps({"grid_step": "1/100"}))
+        got = run_cli(capsys, "dimension", "--theta", "1/2", "--config", str(config))
+        assert got == (2, "", "error: --grid-step needs --oracle\n")
+        code, out, _ = run_cli(capsys, "dimension", "--theta", "1/2", "--oracle", "--grid-step", "1/100")
+        assert code == 0 and json.loads(out)["oracle"]["step"] == 0.01
+
     def test_oversized_sweep_is_refused_before_solving(self, capsys):
         start = time.perf_counter()
         code, _, err = run_cli(capsys, "dimension", "--sweep", "0:3:1/1000000")
@@ -298,6 +372,12 @@ class TestVerify:
     def test_unknown_module(self, capsys):
         code, _, err = run_cli(capsys, "verify", "--module", "astrology")
         assert code == 2 and "unknown module" in err
+        got = run_cli(capsys, "verify", "--module", "numerology")
+        assert got == (
+            2,
+            "",
+            "error: unknown module(s) ['numerology']; valid names: ['digits', 'stats', 'construct', 'entropy']\n",
+        )
 
     @pytest.mark.parametrize("base", ["2", "10", "300"])
     def test_other_bases_are_refused(self, base, tmp_path, capsys):

@@ -1,3 +1,4 @@
+import json
 import math
 from fractions import Fraction
 
@@ -16,7 +17,6 @@ from adiclab.construct import (
     block_boundaries,
     block_stream,
     columns_from_config,
-    construction_from_config,
     floor_counts,
     greedy_increments,
     greedy_stream,
@@ -113,7 +113,7 @@ class TestGreedyStream:
 
     def test_half_half_alternates(self):
         stream = greedy_stream(ProbabilityVector.parse("1/2,1/2,0,0"))
-        assert stream.prefix(12).to_text() == "010101010101"
+        assert stream.prefix(12).digits == (0, 1) * 6
 
     def test_uniform_boundary_counts(self):
         stream = greedy_stream(ProbabilityVector.parse("1/4,1/4,1/4,1/4"))
@@ -192,7 +192,7 @@ class TestBlockStream:
         # Blocks 1..3 are empty (floor(k/4) = 0), block 4 is "0123".
         columns = ColumnSchedule.constant(ProbabilityVector.parse("1/4,1/4,1/4,1/4"))
         stream = block_stream(columns, ScheduleSpec.polynomial(1))
-        assert stream.prefix(8).to_text() == "01230123"
+        assert stream.prefix(8).digits == (0, 1, 2, 3) * 2
         assert block_boundaries(columns, ScheduleSpec.polynomial(1), 20) == [0, 0, 0, 4, 8, 12, 16]
 
     def test_point_mass_blocks(self):
@@ -317,9 +317,13 @@ class TestPrefixDistinguish:
 
 class TestConfigParsing:
     def test_schedule_round_trip(self):
-        for spec in (ScheduleSpec.polynomial(2), ScheduleSpec.affine(2, 1), ScheduleSpec.geometric(3)):
-            again = schedule_from_config(spec.to_json_dict())
-            assert again == spec
+        docs = {
+            '{"family": "polynomial", "degree": 2}': ScheduleSpec.polynomial(2),
+            '{"family": "affine", "a": "2", "b": "1"}': ScheduleSpec.affine(2, 1),
+            '{"family": "geometric", "ratio": "3"}': ScheduleSpec.geometric(3),
+        }
+        for doc, spec in docs.items():
+            assert schedule_from_config(json.loads(doc)) == spec
 
     def test_constant_columns_config(self):
         columns = columns_from_config({"kind": "constant", "tau": ["1/4", "1/4", "1/4", "1/4"]})
@@ -336,8 +340,10 @@ class TestConfigParsing:
         columns = columns_from_config(
             {"kind": "converging", "limit": ["1/2", "1/2", "0", "0"], "mix_digit": 2}
         )
-        assert columns.limit.entries == (Fraction(1, 2), Fraction(1, 2), 0, 0)
-        assert columns.config["rate"] == "harmonic"
+        expected = ColumnSchedule.converging(ProbabilityVector.parse("1/2,1/2,0,0"), 2, "harmonic")
+        for n in (1, 2, 7, 100):
+            assert columns.column(n) == expected.column(n)
+        assert columns.mean is None
 
     def test_explicit_columns_config(self):
         columns = columns_from_config(
@@ -351,14 +357,13 @@ class TestConfigParsing:
         assert columns.column(5).entries == (0, 0, 0, 1)
 
     def test_full_document(self):
-        columns, spec = construction_from_config(
-            {
-                "schedule": {"family": "polynomial", "degree": 1},
-                "columns": {"kind": "constant", "tau": ["1/4", "1/4", "1/4", "1/4"]},
-            }
-        )
+        doc = {
+            "schedule": {"family": "polynomial", "degree": 1},
+            "columns": {"kind": "constant", "tau": ["1/4", "1/4", "1/4", "1/4"]},
+        }
+        columns, spec = columns_from_config(doc["columns"]), schedule_from_config(doc["schedule"])
         assert spec == ScheduleSpec.polynomial(1)
-        assert block_stream(columns, spec).prefix(4).to_text() == "0123"
+        assert block_stream(columns, spec).prefix(4).digits == (0, 1, 2, 3)
 
     def test_bad_configs(self):
         with pytest.raises(ValueError):
@@ -367,8 +372,6 @@ class TestConfigParsing:
             schedule_from_config({"family": "fibonacci"})
         with pytest.raises(ValueError):
             columns_from_config({"kind": "drifting"})
-        with pytest.raises(ValueError):
-            construction_from_config({"columns": {"kind": "constant", "tau": ["1", "0", "0", "0"]}})
         with pytest.raises(ValueError):
             ColumnSchedule.converging(ProbabilityVector.parse("1/2,1/2,0,0"), mix_digit=7)
         with pytest.raises(ValueError):
