@@ -30,6 +30,7 @@ from .entropy import (
     EntropyResult,
     be_dimension,
     exp_family_vector,
+    neg_entropy_minima,
     neg_entropy_minimum,
     neg_entropy_minimum_grid,
     xlogx,
@@ -79,6 +80,7 @@ __all__ = [
     "xlogx",
     "be_dimension",
     "exp_family_vector",
+    "neg_entropy_minima",
     "neg_entropy_minimum",
     "neg_entropy_minimum_grid",
 ]

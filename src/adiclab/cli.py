@@ -32,13 +32,19 @@ from .construct import (
     schedule_from_config,
 )
 from .digits import Base, DigitStream, digit_text, expand, parse_digit_text, stream_from_digits
-from .entropy import be_dimension, neg_entropy_minimum, neg_entropy_minimum_grid, sweep_csv
+from .entropy import (
+    be_dimension,
+    neg_entropy_minima,
+    neg_entropy_minimum,
+    neg_entropy_minimum_grid,
+    sweep_csv,
+)
 from .stats import DEFAULT_CHECKPOINTS, convergence_trace, weak_normality_verdict
 from .verify import MODULES, report_dict, run_checks
 
 MAX_CONSTRUCT_LENGTH = 10**8
-# A sweep solves one bisection per point (about 0.2 ms each), so this caps
-# a sweep at roughly 20 s.
+# A sweep bisects all its points in one batch, at about 0.05 ms a point in
+# base 4 (0.09 ms in base 10), so this caps a base-4 sweep at about 5 s.
 _MAX_SWEEP_POINTS = 10**5
 DEFAULT_PRECISION = 12
 PRECISION_ENV = "ADICLAB_PRECISION"
@@ -79,6 +85,17 @@ class ExperimentConfig:
     modules: tuple[str, ...] | None = None
 
     _KEYMAP = {"fmt": "format", "source": "in"}
+    # JSON type of each field that is not a string; (list, t) is a list of t.
+    _TYPES = {
+        "base": int,
+        "length": int,
+        "precision": int,
+        "oracle": bool,
+        "schedule": dict,
+        "columns": dict,
+        "checkpoints": (list, int),
+        "modules": (list, str),
+    }
 
     def to_json_dict(self) -> dict:
         out = {}
@@ -92,14 +109,34 @@ class ExperimentConfig:
         return out
 
     @classmethod
-    def from_json_dict(cls, doc: dict) -> "ExperimentConfig":
+    def check_json(cls, doc: dict) -> None:
+        """Refuse a key that names no field, or a value of the wrong JSON
+        type for its field (null stands for an unset field)."""
         inverse = {v: k for k, v in cls._KEYMAP.items()}
-        kwargs = {}
         names = {f.name for f in fields(cls)}
         for key, value in doc.items():
             name = inverse.get(key, key)
             if name not in names:
                 raise UsageError(f"unknown config key {key!r}")
+            if value is None:
+                continue
+            kind = cls._TYPES.get(name, str)
+            if isinstance(kind, tuple):
+                ok = isinstance(value, (list, tuple)) and all(_is_json(v, kind[1]) for v in value)
+                wanted = f"a list of {_JSON_NAMES[kind[1]]}s"
+            else:
+                ok = _is_json(value, kind)
+                wanted = f"a JSON {_JSON_NAMES[kind]}"
+            if not ok:
+                raise UsageError(f"config key {key!r} must be {wanted}, got {json.dumps(value)}")
+
+    @classmethod
+    def from_json_dict(cls, doc: dict) -> "ExperimentConfig":
+        cls.check_json(doc)
+        inverse = {v: k for k, v in cls._KEYMAP.items()}
+        kwargs = {}
+        for key, value in doc.items():
+            name = inverse.get(key, key)
             if name in ("checkpoints", "modules") and value is not None:
                 value = tuple(value)
             kwargs[name] = value
@@ -108,6 +145,14 @@ class ExperimentConfig:
     def config_hash(self) -> str:
         canon = json.dumps(self.to_json_dict(), sort_keys=True, separators=(",", ":"))
         return hashlib.sha256(canon.encode()).hexdigest()[:12]
+
+
+_JSON_NAMES = {int: "integer", str: "string", bool: "boolean", dict: "object"}
+
+
+def _is_json(value, kind: type) -> bool:
+    # bool is a subclass of int, but true is not a JSON integer
+    return isinstance(value, kind) and (kind is bool or not isinstance(value, bool))
 
 
 def _provenance_line(config_hash: str) -> str:
@@ -332,7 +377,7 @@ def cmd_dimension(cfg: ExperimentConfig) -> int:
     if cfg.sweep is not None:
         thetas = _parse_sweep(cfg.sweep)
         try:
-            results = [neg_entropy_minimum(t, base) for t in thetas]
+            results = neg_entropy_minima(thetas, base)
         except (ValueError, ArithmeticError) as exc:
             raise UsageError(f"--sweep: {exc}")
         _write_artifact(cfg, sweep_csv(results, cfg.precision))
@@ -488,6 +533,7 @@ def effective_config(args: argparse.Namespace) -> ExperimentConfig:
     """Merge the config file (if any) with explicit flags; flags win."""
     file_doc = _load_config_file(args.config) if getattr(args, "config", None) else {}
     file_doc.pop("command", None)
+    ExperimentConfig.check_json(file_doc)
 
     merged: dict = dict(file_doc)
     keymap = ExperimentConfig._KEYMAP
@@ -517,10 +563,7 @@ def effective_config(args: argparse.Namespace) -> ExperimentConfig:
     merged["precision"] = _resolve_precision(merged.get("precision"))
     if merged.get("base") is None:
         merged.pop("base", None)
-    try:
-        cfg = ExperimentConfig.from_json_dict(merged)
-    except TypeError as exc:
-        raise UsageError(str(exc))
+    cfg = ExperimentConfig.from_json_dict(merged)
     if cfg.base < 2:
         raise UsageError(f"--base must be >= 2, got {cfg.base}")
     return cfg

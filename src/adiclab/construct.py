@@ -552,18 +552,37 @@ def prefix_distinguish(a: DigitStream, b: DigitStream, horizon: int) -> Distingu
 # ---------------------------------------------------------------------------
 
 
+_REQUIRED = object()
+
+
+def _field(obj: dict, key: str, owner: str, convert, default=_REQUIRED):
+    """convert(obj[key]), or `default` when the key is absent. A missing
+    required key, or a value of the wrong JSON type, is a ValueError that
+    names the key and `owner`."""
+    if key not in obj:
+        if default is _REQUIRED:
+            raise ValueError(f"{owner} needs the key {key!r}")
+        return default
+    try:
+        return convert(obj[key])
+    except TypeError:
+        raise ValueError(f"{owner}: {key!r} has the wrong type, got {obj[key]!r}") from None
+
+
 def schedule_from_config(obj: dict) -> ScheduleSpec:
     """Build a ScheduleSpec from its JSON form, e.g.
     {"family": "polynomial", "degree": 2}."""
     if not isinstance(obj, dict) or "family" not in obj:
         raise ValueError(f"schedule config must be an object with a 'family' key, got {obj!r}")
     family = obj["family"]
+    owner = f"schedule family {family!r}"
     if family == "polynomial":
-        return ScheduleSpec.polynomial(int(obj.get("degree", 1)))
+        return ScheduleSpec.polynomial(_field(obj, "degree", owner, int, 1))
     if family == "affine":
-        return ScheduleSpec.affine(Fraction(obj.get("a", 1)), Fraction(obj.get("b", 0)))
+        a = _field(obj, "a", owner, Fraction, Fraction(1))
+        return ScheduleSpec.affine(a, _field(obj, "b", owner, Fraction, Fraction(0)))
     if family == "geometric":
-        return ScheduleSpec.geometric(Fraction(obj["ratio"]))
+        return ScheduleSpec.geometric(_field(obj, "ratio", owner, Fraction))
     raise ValueError(f"unknown schedule family {family!r}")
 
 
@@ -578,18 +597,16 @@ def columns_from_config(obj: dict) -> ColumnSchedule:
     if not isinstance(obj, dict) or "kind" not in obj:
         raise ValueError(f"columns config must be an object with a 'kind' key, got {obj!r}")
     kind = obj["kind"]
+    owner = f"columns kind {kind!r}"
     if kind == "constant":
-        tau = ProbabilityVector.parse(obj["tau"])
-        mean = Fraction(obj["theta"]) if "theta" in obj else None
-        return ColumnSchedule.constant(tau, mean)
+        tau = _field(obj, "tau", owner, ProbabilityVector.parse)
+        return ColumnSchedule.constant(tau, _field(obj, "theta", owner, Fraction, None))
     if kind == "converging":
-        limit = ProbabilityVector.parse(obj["limit"])
-        return ColumnSchedule.converging(
-            limit, int(obj["mix_digit"]), obj.get("rate", "harmonic")
-        )
+        limit = _field(obj, "limit", owner, ProbabilityVector.parse)
+        mix = _field(obj, "mix_digit", owner, int)
+        return ColumnSchedule.converging(limit, mix, obj.get("rate", "harmonic"))
     if kind == "explicit":
-        cols = [ProbabilityVector.parse(c) for c in obj["columns"]]
-        tail = ProbabilityVector.parse(obj["tail"])
-        mean = Fraction(obj["theta"]) if "theta" in obj else None
-        return ColumnSchedule.explicit(cols, tail, mean)
+        cols = _field(obj, "columns", owner, lambda vs: [ProbabilityVector.parse(v) for v in vs])
+        tail = _field(obj, "tail", owner, ProbabilityVector.parse)
+        return ColumnSchedule.explicit(cols, tail, _field(obj, "theta", owner, Fraction, None))
     raise ValueError(f"unknown columns kind {kind!r}")

@@ -8,8 +8,12 @@ lower bound for the level set of the asymptotic-mean function.
 
 f is strictly convex on the constraint slice, so its unique stationary
 point is the exponential-family (Gibbs) vector tau_i ~ exp(lambda * i);
-the multiplier is found by bisection on the strictly increasing mean. An
-exhaustive grid scan over the slice serves as an independent oracle.
+the multiplier is found by bisection on the strictly increasing mean.
+`neg_entropy_minima` bisects a whole list of means at once, as numpy
+arrays, yet each weight still comes from `math.exp` and each sum runs
+left to right, so every result is bit for bit what a bisection of that
+mean alone gives. An exhaustive grid scan over the slice, walked in slabs
+of bounded size, serves as an independent oracle.
 
 This module works in binary64, unlike the exact-rational digit modules:
 logarithms are transcendental, so exactness is impossible, and the oracle
@@ -18,10 +22,11 @@ bounds the error instead.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Sequence
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -32,6 +37,7 @@ __all__ = [
     "be_dimension",
     "exp_family_vector",
     "EntropyResult",
+    "neg_entropy_minima",
     "neg_entropy_minimum",
     "GridMinimum",
     "neg_entropy_minimum_grid",
@@ -42,11 +48,17 @@ __all__ = [
 # covers targets within ~1e-20 of the endpoint means without overflow.
 LAMBDA_BRACKET = 50.0
 _MAX_BISECT = 200
+# Vector entries (thetas times digits) one block of the batched bisection
+# holds at once.
+_BATCH_ENTRIES = 2**16
 
-# Largest grid the oracle scans: npts**(s-2) cells (npts for s <= 3, where
-# the axis itself is the largest array), each held in several float64
-# temporaries. It admits base 5 at step 1/200 (201**3 cells).
+# Largest grid the oracle scans: npts**(s-2) cells (npts for s <= 3). Every
+# cell is formed and tested, so this bounds the scan's time; its memory is
+# bounded by the slab size instead. It admits base 5 at step 1/200 (201**3
+# cells).
 _MAX_GRID_CELLS = 2**24
+# Cells the grid oracle forms at once.
+_SLAB_CELLS = 2**16
 
 
 def xlogx(x: float) -> float:
@@ -56,6 +68,15 @@ def xlogx(x: float) -> float:
     if x == 0.0:
         return 0.0
     return x * math.log(x)
+
+
+def _lsum(values: Iterable[float]) -> float:
+    """Left-to-right float sum. The builtin sum compensates its rounding
+    from Python 3.12 on, so it would not match the solver's array sums."""
+    total = 0.0
+    for v in values:
+        total += v
+    return total
 
 
 def _entries(tau) -> tuple[float, ...]:
@@ -91,9 +112,9 @@ def exp_family_vector(lam: float, base: Base = BASE4) -> tuple[tuple[float, ...]
     s = base.s
     shift = max(lam * i for i in range(s))
     weights = [math.exp(lam * i - shift) for i in range(s)]
-    z = sum(weights)
+    z = _lsum(weights)
     tau = tuple(w / z for w in weights)
-    mean = sum(i * t for i, t in enumerate(tau))
+    mean = _lsum(i * t for i, t in enumerate(tau))
     return tau, mean
 
 
@@ -117,10 +138,58 @@ class EntropyResult:
         }
 
 
-def neg_entropy_minimum(
-    theta: float | Fraction, base: Base = BASE4, tol: float = 1e-10
-) -> EntropyResult:
-    """Minimum of f over probability vectors with digit mean theta.
+def _bisect_block(
+    thetas: list[float], base: Base, tol: float
+) -> Iterator[tuple[int, EntropyResult]]:
+    """Bisect the interior `thetas` together, one row each, and yield
+    (position, result) as rows meet the tolerance.
+
+    Each row performs exactly the arithmetic of `exp_family_vector`
+    (weights from `math.exp`, sums taken left to right), so a result does
+    not depend on which other rows share the block.
+    """
+    s = base.s
+    digits = np.arange(s)
+    rows = np.arange(len(thetas))
+    target = np.array(thetas)
+    lo = np.full(len(thetas), -LAMBDA_BRACKET)
+    hi = np.full(len(thetas), LAMBDA_BRACKET)
+    log_s = math.log(s)
+    for _ in range(_MAX_BISECT):
+        mid = 0.5 * (lo + hi)
+        exponents = mid[:, None] * digits
+        exponents -= exponents.max(axis=1)[:, None]
+        weights = np.array(list(map(math.exp, exponents.ravel().tolist()))).reshape(exponents.shape)
+        tau = weights / np.cumsum(weights, axis=1)[:, -1:]
+        mean = np.cumsum(tau * digits, axis=1)[:, -1]
+        below = mean < target
+        lo, hi = np.where(below, mid, lo), np.where(below, hi, mid)
+        done = np.abs(mean - target) <= tol
+        if not done.any():
+            continue
+        for k, lam, argmin in zip(rows[done].tolist(), mid[done].tolist(), tau[done].tolist()):
+            m = _lsum(map(xlogx, argmin))
+            yield k, EntropyResult(
+                theta=thetas[k],
+                m_value=m,
+                argmin=tuple(argmin),
+                multiplier=lam,
+                dimension_bound=-m / log_s,
+            )
+        keep = ~done
+        if not keep.any():
+            return
+        rows, target, lo, hi = rows[keep], target[keep], lo[keep], hi[keep]
+    raise ArithmeticError(
+        f"bisection did not reach |mean - theta| <= {tol} for theta={thetas[rows[0]]}"
+    )
+
+
+def neg_entropy_minima(
+    thetas: Iterable[float | Fraction], base: Base = BASE4, tol: float = 1e-10
+) -> list[EntropyResult]:
+    """Minimum of f over probability vectors with digit mean theta, for
+    each theta in `thetas`, in order.
 
     Interior theta: bisection locates the multiplier with
     |mean(lambda) - theta| <= tol; the minimizer is the Gibbs vector there
@@ -128,45 +197,54 @@ def neg_entropy_minimum(
     point-mass result (m = 0, bound 0). The result is symmetric under
     theta -> s-1-theta because digit reflection preserves f and reflects
     the mean.
+
+    `tol` and every theta are validated, in order, before anything is
+    solved. The interior thetas are then bisected together as arrays, in
+    blocks of about 2**16 vector entries so that memory stays bounded.
     """
     if tol <= 0:
         raise ValueError(f"tolerance must be positive, got {tol}")
     s = base.s
-    th = float(theta)
-    if not 0.0 <= th <= s - 1.0:
-        raise ValueError(f"theta must lie in [0, {s - 1}], got {th}")
-    if th == 0.0 or th == s - 1.0:
-        hot = 0 if th == 0.0 else s - 1
-        point = tuple(1.0 if i == hot else 0.0 for i in range(s))
-        return EntropyResult(
-            theta=th, m_value=0.0, argmin=point, multiplier=None, dimension_bound=0.0
-        )
-
-    lo, hi = -LAMBDA_BRACKET, LAMBDA_BRACKET
-    _, mean_lo = exp_family_vector(lo, base)
-    _, mean_hi = exp_family_vector(hi, base)
-    if not mean_lo <= th <= mean_hi:
-        # Unreachable for representable interior theta; signals a fault.
-        raise ArithmeticError(
-            f"bisection bracket [{lo}, {hi}] does not contain a multiplier for theta={th}"
-        )
-    for _ in range(_MAX_BISECT):
-        mid = 0.5 * (lo + hi)
-        tau, mean = exp_family_vector(mid, base)
-        if abs(mean - th) <= tol:
-            m = sum(xlogx(t) for t in tau)
-            return EntropyResult(
-                theta=th,
-                m_value=m,
-                argmin=tau,
-                multiplier=mid,
-                dimension_bound=-m / math.log(s),
+    ths = [float(theta) for theta in thetas]
+    for th in ths:
+        if not 0.0 <= th <= s - 1.0:
+            raise ValueError(f"theta must lie in [0, {s - 1}], got {th}")
+    results: list[EntropyResult | None] = [None] * len(ths)
+    interior = []
+    for k, th in enumerate(ths):
+        if th == 0.0 or th == s - 1.0:
+            hot = 0 if th == 0.0 else s - 1
+            point = tuple(1.0 if i == hot else 0.0 for i in range(s))
+            results[k] = EntropyResult(
+                theta=th, m_value=0.0, argmin=point, multiplier=None, dimension_bound=0.0
             )
-        if mean < th:
-            lo = mid
         else:
-            hi = mid
-    raise ArithmeticError(f"bisection did not reach |mean - theta| <= {tol} for theta={th}")
+            interior.append(k)
+    if not interior:
+        return results
+
+    _, mean_lo = exp_family_vector(-LAMBDA_BRACKET, base)
+    _, mean_hi = exp_family_vector(LAMBDA_BRACKET, base)
+    for k in interior:
+        if not mean_lo <= ths[k] <= mean_hi:
+            # Unreachable for representable interior theta; signals a fault.
+            raise ArithmeticError(
+                f"bisection bracket [{-LAMBDA_BRACKET}, {LAMBDA_BRACKET}] does not "
+                f"contain a multiplier for theta={ths[k]}"
+            )
+    block = max(1, _BATCH_ENTRIES // s)
+    for start in range(0, len(interior), block):
+        positions = interior[start : start + block]
+        for k, result in _bisect_block([ths[k] for k in positions], base, tol):
+            results[positions[k]] = result
+    return results
+
+
+def neg_entropy_minimum(
+    theta: float | Fraction, base: Base = BASE4, tol: float = 1e-10
+) -> EntropyResult:
+    """`neg_entropy_minima` of the single mean theta."""
+    return neg_entropy_minima([theta], base, tol)[0]
 
 
 @dataclass(frozen=True)
@@ -179,6 +257,32 @@ class GridMinimum:
     argmin: tuple[float, ...]
 
 
+def _xlx(a: np.ndarray) -> np.ndarray:
+    positive = a > 0.0
+    return np.where(positive, a * np.log(np.where(positive, a, 1.0)), 0.0)
+
+
+def _grid_slabs(npts: int, free: int) -> Iterator[tuple[np.ndarray, ...]]:
+    """The cells of the grid {0..npts-1}**free in C order, in slabs of at
+    most _SLAB_CELLS cells, each given as `np.ix_` index arrays.
+
+    A slab fixes the leading coordinates, takes a run of values of the
+    next one and every value of the rest.
+    """
+    if free == 0:
+        yield ()
+        return
+    lead = 0
+    while lead < free - 1 and npts ** (free - lead - 1) > _SLAB_CELLS:
+        lead += 1
+    run = _SLAB_CELLS // npts ** (free - lead - 1)
+    rest = [np.arange(npts)] * (free - lead - 1)
+    for prefix in itertools.product(range(npts), repeat=lead):
+        fixed = [[i] for i in prefix]
+        for start in range(0, npts, run):
+            yield np.ix_(*fixed, np.arange(start, min(start + run, npts)), *rest)
+
+
 def neg_entropy_minimum_grid(
     theta: float | Fraction, base: Base = BASE4, step: float = 1e-3
 ) -> GridMinimum:
@@ -188,9 +292,14 @@ def neg_entropy_minimum_grid(
     are solved from the two linear constraints (sum = 1, mean = theta), so
     every evaluated point lies exactly on the slice. The returned value is
     never below the true minimum (that holds at any step, even a very
-    coarse one) and lies within O(step * ln(1/step)) above it. Memory grows
-    like (1/step)**(s-2); a grid of more than 2**24 cells is refused with
-    ValueError before anything is allocated.
+    coarse one) and lies within O(step * ln(1/step)) above it; of equal
+    values the first cell in C order wins.
+
+    The grid is walked in slabs of about 2**16 cells, and f is evaluated
+    only on the cells where coordinates 0 and 1 are nonnegative, so memory
+    stays bounded whatever the step. Time grows like (1/step)**(s-2); a
+    grid of more than 2**24 cells is refused with ValueError before
+    anything is scanned.
     """
     s = base.s
     th = float(theta)
@@ -207,39 +316,27 @@ def neg_entropy_minimum_grid(
             f"over the limit of {_MAX_GRID_CELLS}; use a coarser step"
         )
     axis = np.linspace(0.0, 1.0, npts)
-    free: list[np.ndarray] = []
-    for j in range(s - 2):
-        shape = [1] * (s - 2)
-        shape[j] = npts
-        free.append(axis.reshape(shape))
-
-    if free:
-        t1 = th - sum((j + 2) * a for j, a in enumerate(free))
-        t0 = 1.0 - th + sum((j + 1) * a for j, a in enumerate(free))
-    else:
-        # s = 2: the slice is the single point (1-theta, theta).
-        t1 = np.asarray(th)
-        t0 = np.asarray(1.0 - th)
-
-    feasible = (t1 >= -1e-12) & (t0 >= -1e-12)
-    t0c = np.clip(t0, 0.0, 1.0)
-    t1c = np.clip(t1, 0.0, 1.0)
-
-    def xlx(a: np.ndarray) -> np.ndarray:
-        positive = a > 0.0
-        return np.where(positive, a * np.log(np.where(positive, a, 1.0)), 0.0)
-
-    total = xlx(t0c) + xlx(t1c)
-    for a in free:
-        total = total + xlx(a)
-    total = np.where(feasible, total, np.inf)
-
-    flat = int(np.argmin(total))
-    idx = np.unravel_index(flat, total.shape)
-    best = float(total[idx])
-    if not math.isfinite(best):
+    xlx_axis = _xlx(axis)
+    best, argmin = math.inf, None
+    for slab in _grid_slabs(npts, s - 2):
+        free = [axis[i] for i in slab]
+        t1 = np.atleast_1d(th - sum((j + 2) * a for j, a in enumerate(free)))
+        t0 = np.atleast_1d(1.0 - th + sum((j + 1) * a for j, a in enumerate(free)))
+        hits = np.nonzero((t1 >= -1e-12) & (t0 >= -1e-12))
+        if hits[0].size == 0:
+            continue
+        t0c = np.clip(t0[hits], 0.0, 1.0)
+        t1c = np.clip(t1[hits], 0.0, 1.0)
+        index = [i.ravel()[h] for i, h in zip(slab, hits)]
+        total = _xlx(t0c) + _xlx(t1c)
+        for i in index:
+            total = total + xlx_axis[i]
+        k = int(np.argmin(total))
+        if total[k] < best:
+            best = float(total[k])
+            argmin = (float(t0c[k]), float(t1c[k])) + tuple(float(axis[i[k]]) for i in index)
+    if argmin is None:
         raise ArithmeticError(f"no feasible grid point at step {step} for theta={th}")
-    argmin = (float(t0c[idx]), float(t1c[idx])) + tuple(float(axis[i]) for i in idx)
     return GridMinimum(theta=th, step=step, m_value=best, argmin=argmin)
 
 

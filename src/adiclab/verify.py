@@ -31,7 +31,7 @@ from .construct import (
     validate_schedule,
 )
 from .digits import BASE4, Base, DigitPrefix, dual_representation, expand, prefix_value, stream_value
-from .entropy import be_dimension, exp_family_vector, neg_entropy_minimum, neg_entropy_minimum_grid
+from .entropy import be_dimension, exp_family_vector, neg_entropy_minima, neg_entropy_minimum_grid
 from .stats import convergence_trace, freq_report
 
 __all__ = ["CHECKS", "CheckResult", "MODULES", "enumerated_prefixes", "run_checks", "report_dict"]
@@ -402,10 +402,9 @@ def _distinguish_pairs() -> tuple[bool, dict, dict]:
 def _closed_form_vs_grid() -> tuple[bool, dict, dict]:
     tol, step = 1e-4, 1e-3
     gaps = {}
-    for theta in THETA_GRID:
-        closed = neg_entropy_minimum(theta).m_value
-        grid = neg_entropy_minimum_grid(theta, step=step).m_value
-        gaps[theta] = abs(closed - grid)
+    for closed in neg_entropy_minima(THETA_GRID):
+        grid = neg_entropy_minimum_grid(closed.theta, step=step).m_value
+        gaps[closed.theta] = abs(closed.m_value - grid)
     worst = max(gaps.values())
     return (
         worst <= tol,
@@ -418,9 +417,9 @@ def _closed_form_vs_grid() -> tuple[bool, dict, dict]:
 def _reflection_symmetry() -> tuple[bool, dict, dict]:
     tol = 1e-8
     worst = 0.0
-    for theta in THETA_GRID:
-        gap = abs(neg_entropy_minimum(theta).m_value - neg_entropy_minimum(3.0 - theta).m_value)
-        worst = max(worst, gap)
+    results = neg_entropy_minima(THETA_GRID + tuple(3.0 - theta for theta in THETA_GRID))
+    for res, mirror in zip(results, results[len(THETA_GRID) :]):
+        worst = max(worst, abs(res.m_value - mirror.m_value))
     return worst <= tol, {"thetas": list(THETA_GRID), "tol": tol}, {"worst_gap": worst}
 
 
@@ -436,8 +435,7 @@ def _mean_monotone() -> tuple[bool, dict, dict]:
 def _bound_matches_argmin() -> tuple[bool, dict, dict]:
     tol = 1e-9
     worst = 0.0
-    for theta in THETA_GRID:
-        res = neg_entropy_minimum(theta)
+    for res in neg_entropy_minima(THETA_GRID):
         worst = max(worst, abs(res.dimension_bound - be_dimension(res.argmin)))
     return worst <= tol, {"thetas": list(THETA_GRID), "tol": tol}, {"worst_gap": worst}
 
@@ -445,10 +443,9 @@ def _bound_matches_argmin() -> tuple[bool, dict, dict]:
 @_check("entropy/argmin_feasible")
 def _argmin_feasible() -> tuple[bool, dict, dict]:
     failures = 0
-    for theta in THETA_GRID:
-        res = neg_entropy_minimum(theta)
+    for res in neg_entropy_minima(THETA_GRID):
         mean = sum(i * t for i, t in enumerate(res.argmin))
-        if abs(sum(res.argmin) - 1.0) > 1e-12 or abs(mean - theta) > 1e-9:
+        if abs(sum(res.argmin) - 1.0) > 1e-12 or abs(mean - res.theta) > 1e-9:
             failures += 1
         if any(t < 0 for t in res.argmin):
             failures += 1

@@ -159,8 +159,42 @@ class TestConstruct:
                 {"schedule": {"family": "polynomial", "degree": 1}, "columns": {**UNIFORM_COLUMNS, "theta": "1"}},
                 "column 1 has mean 3/2, declared mean is 1",
             ),
+            (
+                {"schedule": {"family": "polynomial"}, "columns": {"kind": "constant"}},
+                "columns kind 'constant' needs the key 'tau'",
+            ),
+            (
+                {"schedule": {"family": "geometric"}, "columns": UNIFORM_COLUMNS},
+                "schedule family 'geometric' needs the key 'ratio'",
+            ),
+            (
+                {"schedule": {"family": "polynomial"}, "columns": {"kind": "converging", "limit": ["1", "0", "0", "0"]}},
+                "columns kind 'converging' needs the key 'mix_digit'",
+            ),
+            (
+                {"schedule": {"family": "polynomial"}, "columns": {"kind": "explicit", "tail": ["1", "0", "0", "0"]}},
+                "columns kind 'explicit' needs the key 'columns'",
+            ),
+            (
+                {"schedule": {"family": "polynomial", "degree": [2]}, "columns": UNIFORM_COLUMNS},
+                "schedule family 'polynomial': 'degree' has the wrong type, got [2]",
+            ),
+            (
+                {"schedule": {"family": "polynomial"}, "columns": {"kind": "constant", "tau": 4}},
+                "columns kind 'constant': 'tau' has the wrong type, got 4",
+            ),
         ],
-        ids=["geometric", "no-columns", "wrong-theta"],
+        ids=[
+            "geometric",
+            "no-columns",
+            "wrong-theta",
+            "no-tau",
+            "no-ratio",
+            "no-mix-digit",
+            "no-columns-list",
+            "degree-type",
+            "tau-type",
+        ],
     )
     def test_block_config_errors(self, doc, message, tmp_path, capsys):
         config = tmp_path / "blocks.json"
@@ -352,6 +386,10 @@ class TestDimension:
         assert code == 2 and "3000001 points" in err
         assert time.perf_counter() - start < 1.0
 
+    def test_sweep_past_the_top_digit_is_refused(self, capsys):
+        got = run_cli(capsys, "dimension", "--sweep", "0:5:1")
+        assert got == (2, "", "error: --sweep: theta must lie in [0, 3], got 4.0\n")
+
     def test_oversized_oracle_is_usage_error(self, capsys):
         # About 1e12 and 1e9 grid cells; refused before any allocation.
         for base in ("6", "5"):
@@ -416,6 +454,35 @@ class TestConfigMerging:
         assert run_cli(capsys, "construct", "--config", str(config), "--length", "4")[0] == 2
         config.write_text(json.dumps({"levitation": True}))
         assert run_cli(capsys, "construct", "--config", str(config), "--length", "4")[0] == 2
+
+    @pytest.mark.parametrize(
+        "doc, message",
+        [
+            ({"mean": "0", "length": "5"}, "config key 'length' must be a JSON integer, got \"5\""),
+            ({"mean": 0, "length": 5}, "config key 'mean' must be a JSON string, got 0"),
+            ({"mean": "0", "length": True}, "config key 'length' must be a JSON integer, got true"),
+            ({"mean": "0", "length": 5, "oracle": 1}, "config key 'oracle' must be a JSON boolean, got 1"),
+            ({"mean": "0", "length": 5, "schedule": []}, "config key 'schedule' must be a JSON object, got []"),
+            (
+                {"mean": "0", "length": 5, "checkpoints": [1, "2"]},
+                "config key 'checkpoints' must be a list of integers, got [1, \"2\"]",
+            ),
+            (
+                {"mean": "0", "length": 5, "modules": "stats"},
+                "config key 'modules' must be a list of strings, got \"stats\"",
+            ),
+        ],
+    )
+    def test_value_types_are_checked(self, doc, message, tmp_path, capsys):
+        config = tmp_path / "c.json"
+        config.write_text(json.dumps(doc))
+        got = run_cli(capsys, "construct", "--config", str(config))
+        assert got == (2, "", f"error: {message}\n")
+
+    def test_null_leaves_a_key_unset(self, tmp_path, capsys):
+        config = tmp_path / "c.json"
+        config.write_text(json.dumps({"mean": "0", "length": 3, "format": None}))
+        assert run_cli(capsys, "construct", "--config", str(config)) == (0, "000\n", "")
 
     def test_config_round_trip(self):
         cfg = ExperimentConfig(
@@ -501,6 +568,22 @@ GOLDEN = {
     },
 }
 GOLDEN_SWEEP = "e0de43a6ac9555deb91ebe5ff3189099e9ee524f61319bb194c5814d485d8baa"
+# stdout digests written by the one-theta bisection and the whole-grid
+# oracle scan that the batched solver and the slab scan replaced.
+GOLDEN_DIMENSION = {
+    "sweep": (
+        ["--sweep", "0:3:1/1000"],
+        "e1762e92e0263288e0279dbe97b682951c94e6d782889c797bc273b8d7e4fe57",
+    ),
+    "oracle4": (
+        ["--theta", "1234/1000", "--oracle"],
+        "bf1d739aca4b4abc02733c2a9980eab9a4b24947db7f22187fe2fdb425e5aaf2",
+    ),
+    "oracle5": (
+        ["--theta", "123/100", "--base", "5", "--oracle", "--grid-step", "1/200"],
+        "9551b10e815de83d95e5a240e73eda9691f90feb0c63bba90a508720dbf12aa8",
+    ),
+}
 
 
 def _stdout_digest(*argv) -> str:
@@ -537,3 +620,8 @@ class TestGoldenArtifacts:
 
     def test_sweep_bytes(self):
         assert _stdout_digest("dimension", "--sweep", "0:3:1/20") == GOLDEN_SWEEP
+
+    @pytest.mark.parametrize("name", sorted(GOLDEN_DIMENSION))
+    def test_dimension_bytes(self, name):
+        flags, digest = GOLDEN_DIMENSION[name]
+        assert _stdout_digest("dimension", *flags) == digest

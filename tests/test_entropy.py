@@ -1,14 +1,21 @@
+import json
 import math
+import tracemalloc
 from itertools import permutations
 
+import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
-from adiclab.digits import Base
+from adiclab import entropy
+from adiclab.digits import BASE4, Base
 from adiclab.entropy import (
+    LAMBDA_BRACKET,
     EntropyResult,
+    GridMinimum,
     be_dimension,
     exp_family_vector,
+    neg_entropy_minima,
     neg_entropy_minimum,
     neg_entropy_minimum_grid,
     sweep_csv,
@@ -23,6 +30,100 @@ REFERENCE = {
     1.0: (-0.41961762499109790, -1.2839068143839269, 0.92614299703761911),
     1.5: (0.0, -1.3862943611198906, 1.0),
 }
+
+
+def left_sum(values) -> float:
+    """Left-to-right float sum, as the builtin sum adds floats before
+    Python 3.12."""
+    total = 0.0
+    for v in values:
+        total += v
+    return total
+
+
+def bisection_oracle(theta, base=BASE4, tol=1e-10) -> EntropyResult:
+    """The one-theta bisection that the batched solver replaced: one
+    `exp_family_vector` call per step."""
+    if tol <= 0:
+        raise ValueError(f"tolerance must be positive, got {tol}")
+    s = base.s
+    th = float(theta)
+    if not 0.0 <= th <= s - 1.0:
+        raise ValueError(f"theta must lie in [0, {s - 1}], got {th}")
+    if th == 0.0 or th == s - 1.0:
+        hot = 0 if th == 0.0 else s - 1
+        point = tuple(1.0 if i == hot else 0.0 for i in range(s))
+        return EntropyResult(theta=th, m_value=0.0, argmin=point, multiplier=None, dimension_bound=0.0)
+    lo, hi = -LAMBDA_BRACKET, LAMBDA_BRACKET
+    _, mean_lo = exp_family_vector(lo, base)
+    _, mean_hi = exp_family_vector(hi, base)
+    if not mean_lo <= th <= mean_hi:
+        raise ArithmeticError(
+            f"bisection bracket [{lo}, {hi}] does not contain a multiplier for theta={th}"
+        )
+    for _ in range(200):
+        mid = 0.5 * (lo + hi)
+        tau, mean = exp_family_vector(mid, base)
+        if abs(mean - th) <= tol:
+            m = left_sum(xlogx(t) for t in tau)
+            return EntropyResult(
+                theta=th, m_value=m, argmin=tau, multiplier=mid, dimension_bound=-m / math.log(s)
+            )
+        if mean < th:
+            lo = mid
+        else:
+            hi = mid
+    raise ArithmeticError(f"bisection did not reach |mean - theta| <= {tol} for theta={th}")
+
+
+def batch_oracle(thetas, base=BASE4) -> list[EntropyResult]:
+    return [bisection_oracle(t, base) for t in thetas]
+
+
+def full_grid_oracle(theta, base=BASE4, step=1e-3) -> GridMinimum:
+    """The grid scan that the slab walk replaced: every cell of the grid
+    at once, in several float64 temporaries of (1/step)**(s-2) cells."""
+    s = base.s
+    th = float(theta)
+    npts = int(round(1.0 / step)) + 1
+    axis = np.linspace(0.0, 1.0, npts)
+    free = []
+    for j in range(s - 2):
+        shape = [1] * (s - 2)
+        shape[j] = npts
+        free.append(axis.reshape(shape))
+    if free:
+        t1 = th - sum((j + 2) * a for j, a in enumerate(free))
+        t0 = 1.0 - th + sum((j + 1) * a for j, a in enumerate(free))
+    else:
+        t1 = np.asarray(th)
+        t0 = np.asarray(1.0 - th)
+    feasible = (t1 >= -1e-12) & (t0 >= -1e-12)
+    t0c = np.clip(t0, 0.0, 1.0)
+    t1c = np.clip(t1, 0.0, 1.0)
+
+    def xlx(a):
+        positive = a > 0.0
+        return np.where(positive, a * np.log(np.where(positive, a, 1.0)), 0.0)
+
+    total = xlx(t0c) + xlx(t1c)
+    for a in free:
+        total = total + xlx(a)
+    total = np.where(feasible, total, np.inf)
+    idx = np.unravel_index(int(np.argmin(total)), total.shape)
+    best = float(total[idx])
+    if not math.isfinite(best):
+        raise ArithmeticError(f"no feasible grid point at step {step} for theta={th}")
+    argmin = (float(t0c[idx]), float(t1c[idx])) + tuple(float(axis[i]) for i in idx)
+    return GridMinimum(theta=th, step=step, m_value=best, argmin=argmin)
+
+
+def outcome(fn, *args):
+    """fn(*args), or the type and message of the exception it raised."""
+    try:
+        return fn(*args)
+    except (ValueError, ArithmeticError) as exc:
+        return type(exc), str(exc)
 
 
 class TestXlogx:
@@ -243,3 +344,106 @@ class TestEntropyResultShape:
             assert res.m_value <= 0.0
             assert 0.0 <= res.dimension_bound <= 1.0
             assert isinstance(res, EntropyResult)
+
+
+SOLVER_BASES = (2, 3, 4, 5, 6, 10, 300)
+
+
+class TestBatchedSolverMatchesOracle:
+    @settings(max_examples=60, deadline=None)
+    @given(st.sampled_from(SOLVER_BASES), st.floats(min_value=0.0, max_value=1.0))
+    def test_one_theta(self, s, fraction):
+        # Below about 1e-20 * (s-1) no multiplier in the bracket fits.
+        theta = fraction * (s - 1)
+        assert outcome(neg_entropy_minimum, theta, Base(s)) == outcome(bisection_oracle, theta, Base(s))
+
+    @settings(max_examples=30, deadline=None)
+    @given(
+        st.sampled_from(SOLVER_BASES),
+        st.lists(st.floats(min_value=0.0, max_value=1.0), max_size=12),
+    )
+    def test_any_batch(self, s, fractions):
+        thetas = [f * (s - 1) for f in fractions]
+        assert outcome(neg_entropy_minima, thetas, Base(s)) == outcome(batch_oracle, thetas, Base(s))
+
+    @pytest.mark.parametrize("s", [3, 4, 10])
+    def test_thousandths_of_the_range(self, s):
+        thetas = [k / 1000 * (s - 1) for k in range(1001)]
+        assert neg_entropy_minima(thetas, Base(s)) == batch_oracle(thetas, Base(s))
+
+    @pytest.mark.parametrize("s", [2, 4, 10])
+    def test_within_1e9_of_the_endpoints(self, s):
+        top = s - 1.0
+        thetas = [1e-9, 5e-10, 1e-12, top - 1e-9, top - 5e-10, math.nextafter(top, 0.0)]
+        expected = batch_oracle(thetas, Base(s))
+        assert neg_entropy_minima(thetas, Base(s)) == expected
+        assert [neg_entropy_minimum(t, Base(s)) for t in thetas] == expected
+
+    def test_endpoints_mixed_with_interior(self):
+        thetas = [3.0, 0.0, 1.5, 0.2, 0.0, 2.9, 3.0, 1.5]
+        assert neg_entropy_minima(thetas) == batch_oracle(thetas)
+        assert neg_entropy_minima([]) == []
+
+    def test_blocks_do_not_change_results(self, monkeypatch):
+        # Nine vector entries make blocks of two base-4 thetas.
+        monkeypatch.setattr(entropy, "_BATCH_ENTRIES", 9)
+        thetas = [k / 17 for k in range(52)]
+        assert neg_entropy_minima(thetas) == batch_oracle(thetas)
+
+    def test_results_hold_python_floats(self):
+        for res in neg_entropy_minima([0.0, 0.7, 1.5, 3.0]):
+            values = [res.theta, res.m_value, res.dimension_bound, *res.argmin]
+            if res.multiplier is not None:
+                values.append(res.multiplier)
+            assert all(type(v) is float for v in values)
+            json.dumps(res.to_json_dict())
+
+    def test_every_theta_is_checked_before_solving(self, monkeypatch):
+        def unreachable(*args):
+            raise AssertionError("solved before validating")
+
+        monkeypatch.setattr(entropy, "exp_family_vector", unreachable)
+        with pytest.raises(ValueError, match=r"^theta must lie in \[0, 3\], got 4.0$"):
+            neg_entropy_minima([1.0, 4.0, -1.0])
+        with pytest.raises(ValueError, match="^tolerance must be positive, got 0.0$"):
+            neg_entropy_minima([1.0, 4.0], tol=0.0)
+
+    @pytest.mark.parametrize("thetas", [[1.0, 1e-300], [float("nan")], [3.5], [-0.0, 5e-324]])
+    def test_errors_match_the_oracle(self, thetas):
+        first_error = next(
+            r for r in (outcome(bisection_oracle, t) for t in thetas) if isinstance(r, tuple)
+        )
+        assert outcome(neg_entropy_minima, thetas) == first_error
+        assert outcome(neg_entropy_minimum, thetas[-1]) == outcome(bisection_oracle, thetas[-1])
+
+
+GRID_THETAS = (0.004, 0.37, 0.5, 0.81, 0.999)
+
+
+class TestSlabGridMatchesFullScan:
+    @pytest.mark.parametrize(
+        "s, step",
+        [(s, step) for s in (2, 3, 4, 5, 6) for step in (0.5, 1 / 7, 1 / 50)] + [(3, 1e-3), (4, 1e-3)],
+    )
+    def test_matches_full_scan(self, s, step):
+        # Fractions of the mean range; at step 0.5 some slices hold no grid
+        # point. The full scan of base 6 at step 1/50 takes 0.5 s each.
+        cells = (round(1 / step) + 1) ** (s - 2)
+        for fraction in GRID_THETAS if cells < 10**6 else GRID_THETAS[1:4:2]:
+            theta = fraction * (s - 1)
+            want = outcome(full_grid_oracle, theta, Base(s), step)
+            assert outcome(neg_entropy_minimum_grid, theta, Base(s), step) == want
+
+    def test_base5_at_the_finest_admitted_step(self):
+        want = full_grid_oracle(1.23, Base(5), 1 / 200)
+        assert neg_entropy_minimum_grid(1.23, Base(5), 1 / 200) == want
+
+    def test_memory_is_bounded_by_the_slab(self):
+        # The full scan of these 201**3 cells peaked at 449 MiB.
+        tracemalloc.start()
+        try:
+            neg_entropy_minimum_grid(1.23, Base(5), 1 / 200)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 32 * 2**20

@@ -1,10 +1,15 @@
+import contextlib
+import hashlib
+import io
+import json
 from collections import Counter
 
 import pytest
 
 from adiclab import verify
+from adiclab.cli import main
 from adiclab.digits import BASE4
-from adiclab.verify import CHECKS, MODULES, enumerated_prefixes, report_dict, run_checks
+from adiclab.verify import CHECKS, MODULES, enumerated_prefixes, run_checks
 
 # The digits checks that expand every p/q in [0, 1] up to a denominator:
 # their parameters and their expand calls, sum(q + 1 for q <= max). A
@@ -13,6 +18,9 @@ EXPAND_SWEEPS = {
     "digits/period_length_bound": ({"max_denominator": 500}, 125_750),
     "digits/expand_roundtrip": ({"max_denominator": 200, "prefix_length": 64}, 20_300),
 }
+# sha256 of the stdout of `adiclab verify`, written before the entropy
+# checks solved their theta grids in one batch each.
+GOLDEN_REPORT = "4ea1ff64dfdf46a4b461b07ddc074c67c71fcec40c36590ff69097283b3988bd"
 
 
 def test_enumerated_prefixes_are_base4_counters():
@@ -52,15 +60,19 @@ def test_full_battery_passes(monkeypatch):
     for name, run in list(CHECKS.items()):
         monkeypatch.setitem(CHECKS, name, counted(name, run))
 
-    results = run_checks()
-    assert {r.module for r in results} == set(MODULES)
-    assert [r.name for r in results] == sorted(CHECKS)
-    failing = [r.name for r in results if not r.passed]
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        assert main(["verify"]) == 0
+    assert hashlib.sha256(out.getvalue().encode()).hexdigest() == GOLDEN_REPORT
+    report = json.loads(out.getvalue())
+    results = report["checks"]
+    assert {r["module"] for r in results} == set(MODULES)
+    assert [r["name"] for r in results] == sorted(CHECKS)
+    failing = [r["name"] for r in results if not r["passed"]]
     assert failing == [], f"failing checks: {failing}"
-    report = report_dict(results)
     assert report["failed"] == 0
     assert report["passed"] == len(results)
-    by_name = {r.name: r for r in results}
+    by_name = {r["name"]: r for r in results}
     for name, (params, expand_calls) in EXPAND_SWEEPS.items():
-        assert by_name[name].params == params
+        assert by_name[name]["params"] == params
         assert calls[name] == expand_calls, name
