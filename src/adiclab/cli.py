@@ -25,6 +25,7 @@ from typing import Iterable, Iterator, Sequence
 from . import __version__
 from .construct import (
     ProbabilityVector,
+    _is_json,
     block_stream,
     columns_from_config,
     greedy_stream,
@@ -43,9 +44,10 @@ from .stats import DEFAULT_CHECKPOINTS, convergence_trace, weak_normality_verdic
 from .verify import MODULES, report_dict, run_checks
 
 MAX_CONSTRUCT_LENGTH = 10**8
-# A sweep bisects all its points in one batch, at about 0.05 ms a point in
-# base 4 (0.09 ms in base 10), so this caps a base-4 sweep at about 5 s.
-_MAX_SWEEP_POINTS = 10**5
+# A sweep bisects all its points in one batch, and a point costs about 9 to
+# 13 us per base digit, so points * max(s, 4) is capped: 10**5 points up to
+# base 4 (about 5 s with the CSV), 1333 in base 300 (about 4 s).
+_MAX_SWEEP_POINT_DIGITS = 4 * 10**5
 DEFAULT_PRECISION = 12
 PRECISION_ENV = "ADICLAB_PRECISION"
 
@@ -148,11 +150,6 @@ class ExperimentConfig:
 
 
 _JSON_NAMES = {int: "integer", str: "string", bool: "boolean", dict: "object"}
-
-
-def _is_json(value, kind: type) -> bool:
-    # bool is a subclass of int, but true is not a JSON integer
-    return isinstance(value, kind) and (kind is bool or not isinstance(value, bool))
 
 
 def _provenance_line(config_hash: str) -> str:
@@ -304,15 +301,20 @@ def cmd_analyze(cfg: ExperimentConfig) -> int:
         raise UsageError(f"analyze supports --format csv or json, got {fmt!r}")
     base = Base(cfg.base)
     if cfg.source is not None:
-        inline = [f for f in ("tau", "mean", "rational") if getattr(cfg, f) is not None]
+        inline = [f for f in ("tau", "mean", "rational", "schedule", "columns") if getattr(cfg, f) is not None]
         if inline:
-            raise UsageError(f"--in conflicts with inline constructor flag(s) {inline}")
+            raise UsageError(f"--in conflicts with inline digit source(s) {inline}")
         digits = _read_digit_file(cfg.source, base)
         stream = stream_from_digits(digits, base)
         checkpoints = cfg.checkpoints or _default_file_checkpoints(len(digits))
     else:
-        stream = _stream_from_config(cfg)
         checkpoints = cfg.checkpoints or DEFAULT_CHECKPOINTS
+        if checkpoints[-1] > MAX_CONSTRUCT_LENGTH:
+            raise UsageError(
+                f"--checkpoints: an inline source is read to at most {MAX_CONSTRUCT_LENGTH} digits, "
+                f"got {checkpoints[-1]}"
+            )
+        stream = _stream_from_config(cfg)
     trace = convergence_trace(stream, checkpoints)
 
     normality = None
@@ -348,7 +350,7 @@ def cmd_analyze(cfg: ExperimentConfig) -> int:
 # ---------------------------------------------------------------------------
 
 
-def _parse_sweep(text: str) -> list[float]:
+def _parse_sweep(text: str, base: Base) -> list[float]:
     parts = text.split(":")
     if len(parts) != 3:
         raise UsageError(f"--sweep wants start:stop:step, got {text!r}")
@@ -356,8 +358,9 @@ def _parse_sweep(text: str) -> list[float]:
     if step <= 0 or stop < start:
         raise UsageError(f"--sweep needs step > 0 and stop >= start, got {text!r}")
     count = (stop - start) // step + 1
-    if count > _MAX_SWEEP_POINTS:
-        raise UsageError(f"--sweep {text} has {count} points; at most {_MAX_SWEEP_POINTS} are allowed")
+    allowed = _MAX_SWEEP_POINT_DIGITS // max(base.s, 4)
+    if count > allowed:
+        raise UsageError(f"--sweep {text} has {count} points; at most {allowed} are allowed in base {base.s}")
     return [float(start + k * step) for k in range(count)]
 
 
@@ -375,7 +378,7 @@ def cmd_dimension(cfg: ExperimentConfig) -> int:
         raise UsageError(f"dimension --{picks[0]} writes {writes.upper()}; --format {cfg.fmt} is not applicable")
 
     if cfg.sweep is not None:
-        thetas = _parse_sweep(cfg.sweep)
+        thetas = _parse_sweep(cfg.sweep, base)
         try:
             results = neg_entropy_minima(thetas, base)
         except (ValueError, ArithmeticError) as exc:

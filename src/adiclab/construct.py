@@ -555,6 +555,18 @@ def prefix_distinguish(a: DigitStream, b: DigitStream, horizon: int) -> Distingu
 _REQUIRED = object()
 
 
+def _is_json(value, kind: type) -> bool:
+    """True when `value` is a JSON value of type `kind` as `json` loads it.
+    bool is a subclass of int, but true is not a JSON integer."""
+    return isinstance(value, kind) and (kind is bool or not isinstance(value, bool))
+
+
+def _json_int(value) -> int:
+    if not _is_json(value, int):
+        raise TypeError(f"not a JSON integer: {value!r}")
+    return value
+
+
 def _field(obj: dict, key: str, owner: str, convert, default=_REQUIRED):
     """convert(obj[key]), or `default` when the key is absent. A missing
     required key, or a value of the wrong JSON type, is a ValueError that
@@ -577,7 +589,7 @@ def schedule_from_config(obj: dict) -> ScheduleSpec:
     family = obj["family"]
     owner = f"schedule family {family!r}"
     if family == "polynomial":
-        return ScheduleSpec.polynomial(_field(obj, "degree", owner, int, 1))
+        return ScheduleSpec.polynomial(_field(obj, "degree", owner, _json_int, 1))
     if family == "affine":
         a = _field(obj, "a", owner, Fraction, Fraction(1))
         return ScheduleSpec.affine(a, _field(obj, "b", owner, Fraction, Fraction(0)))
@@ -603,7 +615,7 @@ def columns_from_config(obj: dict) -> ColumnSchedule:
         return ColumnSchedule.constant(tau, _field(obj, "theta", owner, Fraction, None))
     if kind == "converging":
         limit = _field(obj, "limit", owner, ProbabilityVector.parse)
-        mix = _field(obj, "mix_digit", owner, int)
+        mix = _field(obj, "mix_digit", owner, _json_int)
         return ColumnSchedule.converging(limit, mix, obj.get("rate", "harmonic"))
     if kind == "explicit":
         cols = _field(obj, "columns", owner, lambda vs: [ProbabilityVector.parse(v) for v in vs])

@@ -30,7 +30,7 @@ import math
 from array import array
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property, lru_cache, partial
+from functools import lru_cache, partial
 from typing import Callable, Iterable, Iterator, Sequence, Union
 
 import numpy as np
@@ -111,7 +111,7 @@ def to_chunk(digits: Iterable[int] | bytes, base: Base) -> Chunk:
     """
     s = base.s
     wide = _wide(base)
-    if wide or not isinstance(digits, bytes):
+    if not isinstance(digits, array if wide else bytes):
         digits = tuple(digits)
     try:
         chunk = array("Q", digits) if wide else bytes(digits)
@@ -168,53 +168,36 @@ class DigitPrefix:
         return len(self.digits)
 
 
-class _OwnPeriod(partial):
-    """A `find_period` that this module builds from the stream's own
-    digits, so `eventual_period` does not match its pair against them."""
-
-
-@dataclass(frozen=True)
 class DigitStream:
     """A deterministic, unbounded digit source.
 
     `make_chunks` returns an iterator over the stream's chunks (see the
     module docstring for their layout). It must be pure: every call yields
     the same digits, so independent consumers (including concurrent ones)
-    can re-read the stream safely. Streams derived from rationals carry a
-    `find_period` that returns their (preperiod, period) descriptor;
-    purely procedural streams (the constructive algorithms) leave it unset,
-    and their value is then not computable from finite data.
+    can re-read the stream safely. Streams derived from rationals
+    (`periodic_stream` and `expand`) carry their (preperiod, period)
+    descriptor; purely procedural streams (the constructive algorithms) do
+    not, and their value is then not computable from finite data.
     """
 
-    base: Base
-    make_chunks: Callable[[], Iterator[Chunk]]
-    find_period: Callable[[], Period] | None = None
+    __slots__ = ("base", "make_chunks", "_period")
 
-    @cached_property
+    def __init__(self, base: Base, make_chunks: Callable[[], Iterator[Chunk]]) -> None:
+        self.base = base
+        self.make_chunks = make_chunks
+        # The (preperiod, period) pair, the function that finds it, or None.
+        self._period: Period | Callable[[], Period] | None = None
+
+    @property
     def eventual_period(self) -> Period | None:
         """The (preperiod, period) descriptor, or None for a procedural
-        stream. Computed on first access and kept; an expand stream whose
-        period is longer than _MAX_PERIOD_DIGITS raises ValueError here.
-
-        A pair from a caller's `find_period` is checked here: its period
-        must be nonempty, its digits must lie in the base, and preperiod +
-        period must equal the stream's first len(pre) + len(per) digits.
-        Otherwise ValueError. Streams this module builds from their own
-        digits skip the match.
-        """
-        if self.find_period is None:
-            return None
-        pair = self.find_period()
-        if isinstance(self.find_period, _OwnPeriod):
-            return pair
-        pre, per = (tuple(part) for part in pair)
-        if not per:
-            raise ValueError("period must be nonempty")
-        to_chunk(pre + per, self.base)
-        n = len(pre) + len(per)
-        if tuple(itertools.chain.from_iterable(self.chunks(n))) != pre + per:
-            raise ValueError(f"the (preperiod, period) pair does not match the stream's first {n} digits")
-        return pre, per
+        stream. A long `expand` period is found on first access and kept;
+        one longer than _MAX_PERIOD_DIGITS raises ValueError here. The
+        finder is read once, so a concurrent first read never calls the
+        pair another one has stored."""
+        if callable(finder := self._period):
+            self._period = finder()
+        return self._period
 
     def chunks(self, n: int) -> Iterator[Chunk]:
         """Chunks holding the first n digits, the last one cut to fit; they
@@ -238,10 +221,9 @@ class DigitStream:
         to position k; below that the stream is read."""
         if k < 1:
             raise ValueError(f"digit positions are 1-based, got {k}")
-        # cached_property keeps a computed descriptor in the instance dict.
-        use_period = k > _MAX_PERIOD_DIGITS or "eventual_period" in vars(self)
-        if use_period and self.eventual_period is not None:
-            pre, per = self.eventual_period
+        pair = self.eventual_period if k > _MAX_PERIOD_DIGITS else self._period
+        if isinstance(pair, tuple):
+            pre, per = pair
             if k <= len(pre):
                 return pre[k - 1]
             return per[(k - len(pre) - 1) % len(per)]
@@ -266,18 +248,21 @@ def periodic_stream(
 ) -> DigitStream:
     """Stream consisting of `preperiod` followed by `period` repeated forever.
 
-    Both parts are checked in one `to_chunk` call, so a bad digit in the
-    preperiod is named before one in the period. The (preperiod, period)
-    pair is recorded on the stream as its `eventual_period`, so `digit_at`
-    and `stream_value` use it at once. After the preperiod, each chunk
-    holds whole periods, twice as many as the chunk before, until a chunk
-    reaches CHUNK_DIGITS digits.
+    An empty period is refused first; then each part is range-checked once
+    by `to_chunk`, the preperiod before the period, so the first bad digit
+    is named. The (preperiod, period) pair is recorded on the stream as its
+    `eventual_period`, so `digit_at` and `stream_value` use it at once.
+    After the preperiod, each chunk holds whole periods, twice as many as
+    the chunk before, until a chunk reaches CHUNK_DIGITS digits.
     """
-    pre = tuple(preperiod)
-    per = tuple(period)
-    if not per:
+    if not isinstance(period, bytes):
+        period = tuple(period)
+    if not period:
         raise ValueError("period must be nonempty")
-    return _tiled_stream(to_chunk(pre + per, base), len(pre), base)
+    head, tile = to_chunk(preperiod, base), to_chunk(period, base)
+    stream = DigitStream(base, partial(_tiled_chunks, head, tile))
+    stream._period = (tuple(head), tuple(tile))
+    return stream
 
 
 def _tiled_chunks(head: Chunk, tile: Chunk) -> Iterator[Chunk]:
@@ -290,38 +275,6 @@ def _tiled_chunks(head: Chunk, tile: Chunk) -> Iterator[Chunk]:
         yield chunk
         if len(chunk) < CHUNK_DIGITS:
             chunk = chunk * 2
-
-
-def _known(pair: Period) -> Period:
-    return pair
-
-
-def _tiled_stream(digits: Chunk, m: int, base: Base) -> DigitStream:
-    """The periodic stream whose preperiod is the first m of `digits` and
-    whose period is the rest.
-
-    The digits are range-checked in C, by one `translate` (or `max` above
-    base 256), and the (preperiod, period) pair read off the chunk is
-    written straight into the instance dict slot of the `eventual_period`
-    cached property, so no first read happens. The chunk source and the
-    period finder are `partial`s of module-level functions, not closures.
-    The stream has no `__post_init__` to run, so its fields are written
-    into the instance dict at once; the frozen dataclass's `__init__`
-    would set each through `object.__setattr__`.
-    """
-    s = base.s
-    if max(digits) >= s if isinstance(digits, array) else digits.translate(None, _BYTE_VALUES[:s]):
-        raise ValueError(f"digits out of range for base {s}")
-    head, tile = digits[:m], digits[m:]
-    pair = (tuple(head), tuple(tile))
-    stream = object.__new__(DigitStream)
-    vars(stream).update(
-        base=base,
-        make_chunks=partial(_tiled_chunks, head, tile),
-        find_period=_OwnPeriod(_known, pair),
-        eventual_period=pair,
-    )
-    return stream
 
 
 def constant_stream(digit: int, base: Base = BASE4) -> DigitStream:
@@ -472,7 +425,7 @@ def expand(x: Fraction | int | str, base: Base = BASE4) -> DigitStream:
     value, rem = divmod(p * s**n, q)
     head = _base_digits(value, base, n)
     if length is not None:
-        return _tiled_stream(head, m, base)
+        return periodic_stream(head[:m], head[m:], base)
     start = p * s**m % q
 
     def tail() -> Iterator[tuple[np.ndarray, Chunk]]:
@@ -485,7 +438,7 @@ def expand(x: Fraction | int | str, base: Base = BASE4) -> DigitStream:
         for _, chunk in tail():
             yield chunk
 
-    def find_period() -> Period:
+    def search_period() -> Period:
         pieces = [head]
         length = _SHORT_PERIOD
         for rems, chunk in tail():
@@ -501,7 +454,9 @@ def expand(x: Fraction | int | str, base: Base = BASE4) -> DigitStream:
                 found = tuple(itertools.chain.from_iterable(pieces))
                 return found[:m], found[m:]
 
-    return DigitStream(base=base, make_chunks=make, find_period=_OwnPeriod(find_period))
+    stream = DigitStream(base, make)
+    stream._period = search_period
+    return stream
 
 
 # Below this many digits a numeral is built whole instead of split. A leaf

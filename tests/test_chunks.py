@@ -6,7 +6,6 @@ and long division with a table of seen remainders. Prefix lengths are
 taken at the streams' own chunk edges, where an off-by-one would show.
 """
 
-import dataclasses
 import hashlib
 import itertools
 import math
@@ -30,7 +29,6 @@ from adiclab import digits
 from adiclab.digits import (
     CHUNK_DIGITS,
     Base,
-    DigitStream,
     expand,
     periodic_stream,
     prefix_value,
@@ -231,16 +229,6 @@ class TestPeriodicChunks:
         per = data.draw(st.lists(digit, min_size=1, max_size=7))
         stream = periodic_stream(pre, per, Base(s))
         assert_matches(stream, lambda n: periodic_oracle(pre, per, n))
-
-    def test_streams_built_without_init_carry_every_field(self):
-        # Periodic streams skip the dataclass __init__; they must still
-        # equal, hash and print like a stream built through it.
-        stream = periodic_stream((1,), (0, 2, 3))
-        fields = {f.name: getattr(stream, f.name) for f in dataclasses.fields(DigitStream)}
-        assert set(vars(stream)) == set(fields) | {"eventual_period"}
-        built = DigitStream(**fields)
-        assert built == stream and hash(built) == hash(stream) and repr(built) == repr(stream)
-        assert built.eventual_period == stream.eventual_period == ((1,), (0, 2, 3))
 
     def test_chunks_reach_full_size(self):
         stream = periodic_stream((1,), (0, 2, 3))
@@ -507,7 +495,7 @@ class TestValidationMessages:
         # Digits that expand computes are checked before a stream is built.
         out_of_range = array("Q", [s]) if s > 256 else bytes([s])
         monkeypatch.setattr(digits, "_base_digits", lambda n, base, count: out_of_range * count)
-        with pytest.raises(ValueError, match=f"^digits out of range for base {s}$"):
+        with pytest.raises(ValueError, match=f"^digit {s} out of range for base {s}$"):
             expand(Fraction(1, 3), Base(s))
 
     @pytest.mark.parametrize("s", [2, 3, 4, 10, 256, 300])
@@ -515,9 +503,20 @@ class TestValidationMessages:
         # s**L - 1 has period L: 256 digits is the longest short period.
         known = expand(Fraction(1, s**256 - 1), Base(s))
         lazy = expand(Fraction(1, s**257 - 1), Base(s))
-        assert "eventual_period" in vars(known) and "eventual_period" not in vars(lazy)
-        assert known.eventual_period == ((), (0,) * 255 + (1,))
+
+        def unread():
+            raise AssertionError("the stream was read")
+
+        # Without its digits, the 256-digit stream still answers from its
+        # period; the 257-digit one has none yet, so digit_at reads the stream.
+        object.__setattr__(known, "make_chunks", unread)
+        object.__setattr__(lazy, "make_chunks", unread)
+        assert known.digit_at(10**9) == 1  # 256 divides 10**9
+        with pytest.raises(AssertionError, match="the stream was read"):
+            lazy.digit_at(1)
+        # Its first read of the period finds it.
         assert lazy.eventual_period == ((), (0,) * 256 + (1,))
+        assert known.eventual_period == ((), (0,) * 255 + (1,))
 
     @pytest.mark.parametrize("x", [Fraction(1, 3), Fraction(5, 24), Fraction(22, 113), Fraction(0), Fraction(1)])
     def test_short_period_is_known_at_once(self, x):

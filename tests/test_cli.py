@@ -18,6 +18,7 @@ def run_cli(capsys, *argv):
 
 
 UNIFORM_COLUMNS = {"kind": "constant", "tau": ["1/4", "1/4", "1/4", "1/4"]}
+CONVERGING_COLUMNS = {"kind": "converging", "limit": ["1/2", "1/2", "0", "0"], "mix_digit": 2}
 
 
 class TestConstruct:
@@ -183,6 +184,22 @@ class TestConstruct:
                 {"schedule": {"family": "polynomial"}, "columns": {"kind": "constant", "tau": 4}},
                 "columns kind 'constant': 'tau' has the wrong type, got 4",
             ),
+            (
+                {"schedule": {"family": "polynomial", "degree": 1.5}, "columns": UNIFORM_COLUMNS},
+                "schedule family 'polynomial': 'degree' has the wrong type, got 1.5",
+            ),
+            (
+                {"schedule": {"family": "polynomial", "degree": "2"}, "columns": UNIFORM_COLUMNS},
+                "schedule family 'polynomial': 'degree' has the wrong type, got '2'",
+            ),
+            (
+                {"schedule": {"family": "polynomial"}, "columns": {**CONVERGING_COLUMNS, "mix_digit": 2.7}},
+                "columns kind 'converging': 'mix_digit' has the wrong type, got 2.7",
+            ),
+            (
+                {"schedule": {"family": "polynomial"}, "columns": {**CONVERGING_COLUMNS, "mix_digit": True}},
+                "columns kind 'converging': 'mix_digit' has the wrong type, got True",
+            ),
         ],
         ids=[
             "geometric",
@@ -194,6 +211,10 @@ class TestConstruct:
             "no-columns-list",
             "degree-type",
             "tau-type",
+            "degree-float",
+            "degree-string",
+            "mix-digit-float",
+            "mix-digit-bool",
         ],
     )
     def test_block_config_errors(self, doc, message, tmp_path, capsys):
@@ -265,6 +286,24 @@ class TestAnalyze:
         assert got == (2, "", "error: stream ended at 4 digits, before checkpoint 10\n")
         assert run_cli(capsys, "analyze", "--rational", "1/3", "--format", "text")[0] == 2
         assert run_cli(capsys, "analyze", "--in", str(source), "--mean", "0")[0] == 2
+
+    def test_file_conflicts_with_a_block_config(self, tmp_path, capsys):
+        source = tmp_path / "digits.txt"
+        source.write_text("0123012301\n")
+        config = tmp_path / "blocks.json"
+        config.write_text(json.dumps({"schedule": {"family": "polynomial"}, "columns": UNIFORM_COLUMNS}))
+        got = run_cli(capsys, "analyze", "--in", str(source), "--config", str(config))
+        assert got == (2, "", "error: --in conflicts with inline digit source(s) ['schedule', 'columns']\n")
+
+    def test_inline_source_is_read_to_at_most_the_construct_length(self, capsys):
+        start = time.perf_counter()
+        got = run_cli(capsys, "analyze", "--tau", "1/2,1/2,0,0", "--checkpoints", "10,1000000000000")
+        assert got == (
+            2,
+            "",
+            "error: --checkpoints: an inline source is read to at most 100000000 digits, got 1000000000000\n",
+        )
+        assert time.perf_counter() - start < 1.0
 
     @pytest.mark.parametrize("digits, bad", [("\u0660\u0661\u0662\u0663", "\u0660"), ("01\u00b23", "\u00b2")])
     def test_non_ascii_digits_are_refused(self, tmp_path, capsys, digits, bad):
@@ -384,6 +423,19 @@ class TestDimension:
         start = time.perf_counter()
         code, _, err = run_cli(capsys, "dimension", "--sweep", "0:3:1/1000000")
         assert code == 2 and "3000001 points" in err
+        assert time.perf_counter() - start < 1.0
+
+    @pytest.mark.parametrize(
+        "base, sweep, count, allowed",
+        [("300", "0:299:299/1399", 1400, 1333), ("2", "0:1:1/100000", 100001, 100000)],
+    )
+    def test_sweep_is_capped_by_points_times_base(self, capsys, base, sweep, count, allowed):
+        # A point costs about the same per base digit, so 1400 points in
+        # base 300 would bisect for about 4 s; bases 2 and 3 keep base 4's cap.
+        start = time.perf_counter()
+        got = run_cli(capsys, "dimension", "--base", base, "--sweep", sweep)
+        message = f"error: --sweep {sweep} has {count} points; at most {allowed} are allowed in base {base}\n"
+        assert got == (2, "", message)
         assert time.perf_counter() - start < 1.0
 
     def test_sweep_past_the_top_digit_is_refused(self, capsys):

@@ -7,7 +7,6 @@ from adiclab.digits import (
     BASE4,
     Base,
     DigitPrefix,
-    DigitStream,
     digit_text,
     dual_representation,
     expand,
@@ -231,40 +230,6 @@ class TestStreams:
         assert stream.prefix(3).digits == (1, 2, 3)
         with pytest.raises(ValueError):
             stream.prefix(4)
-
-    def test_caller_period_digits_must_lie_in_the_base(self):
-        # Its value would be 7/3, outside [0, 1] and unrelated to the digit 1.
-        stream = DigitStream(Base(4), lambda: iter((b"\x01",)), find_period=lambda: ((), (7,)))
-        with pytest.raises(ValueError, match="digit 7 out of range for base 4"):
-            stream.eventual_period
-        with pytest.raises(ValueError, match="out of range"):
-            stream_value(stream)
-
-    @pytest.mark.parametrize(
-        "chunks, pair, n",
-        [
-            ((b"\x01",), ((), (2,)), 1),
-            ((b"\x01\x02", b"\x03"), ((1,), (2, 2)), 3),
-            ((b"\x01\x02",), ((1,), (2, 3)), 3),
-        ],
-        ids=["other-digit", "mismatch-in-second-chunk", "stream-too-short"],
-    )
-    def test_caller_period_must_match_the_stream(self, chunks, pair, n):
-        stream = DigitStream(Base(4), lambda: iter(chunks), find_period=lambda: pair)
-        with pytest.raises(ValueError, match=f"does not match the stream's first {n} digits"):
-            stream.eventual_period
-
-    def test_caller_period_must_be_nonempty(self):
-        stream = DigitStream(Base(4), lambda: iter((b"\x01",)), find_period=lambda: ((1,), ()))
-        with pytest.raises(ValueError, match="period must be nonempty"):
-            stream.eventual_period
-
-    def test_matching_caller_period_is_kept(self):
-        digits = b"\x01\x02\x03\x02\x03\x02"
-        stream = DigitStream(Base(4), lambda: iter((digits[:2], digits[2:])), find_period=lambda: ([1], [2, 3]))
-        assert stream.eventual_period == ((1,), (2, 3))
-        assert stream_value(stream) == Fraction(13, 30) == stream_value(periodic_stream((1,), (2, 3)))
-        assert [stream.digit_at(k) for k in (10**8, 10**8 + 1)] == [2, 3]
 
     def test_library_periods_are_not_read_back(self):
         # expand finds a long period from its own remainders; the stream's
