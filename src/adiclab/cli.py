@@ -46,7 +46,9 @@ from .verify import MODULES, report_dict, run_checks
 MAX_CONSTRUCT_LENGTH = 10**8
 # A sweep bisects all its points in one batch, and a point costs about 9 to
 # 13 us per base digit, so points * max(s, 4) is capped: 10**5 points up to
-# base 4 (about 5 s with the CSV), 1333 in base 300 (about 4 s).
+# base 4 (about 5 s with the CSV), 1333 in base 300 (about 4 s). A single
+# entropy point (`dimension --theta`, `--mean`) gets the same budget, so
+# its base is at most this.
 _MAX_SWEEP_POINT_DIGITS = 4 * 10**5
 DEFAULT_PRECISION = 12
 PRECISION_ENV = "ADICLAB_PRECISION"
@@ -54,6 +56,12 @@ PRECISION_ENV = "ADICLAB_PRECISION"
 
 class UsageError(Exception):
     """Flag/config validation problem; maps to exit status 2."""
+
+
+def _check_point_base(base: Base, flag: str) -> None:
+    """Refuse a base whose single entropy point is past the sweep budget."""
+    if max(base.s, 4) > _MAX_SWEEP_POINT_DIGITS:
+        raise UsageError(f"{flag} allows bases up to {_MAX_SWEEP_POINT_DIGITS}, got {base.s}")
 
 
 @dataclass(frozen=True)
@@ -218,6 +226,7 @@ def _stream_from_config(cfg: ExperimentConfig) -> DigitStream:
             raise UsageError(f"--tau has {tau.s} entries but base is {base.s}")
         return greedy_stream(tau, base)
     if cfg.mean is not None:
+        _check_point_base(base, "--mean")
         return mean_target_stream(_parse_fraction(cfg.mean, "--mean"), base)
     if cfg.rational is not None:
         return expand(_parse_fraction(cfg.rational, "--rational"), base)
@@ -395,6 +404,7 @@ def cmd_dimension(cfg: ExperimentConfig) -> int:
             raise UsageError(f"--tau: {exc}")
         doc.update({"tau": tau.as_strings(), "dimension": value})
     else:
+        _check_point_base(base, "--theta")
         theta = _parse_fraction(cfg.theta, "--theta")
         try:
             result = neg_entropy_minimum(float(theta), base)

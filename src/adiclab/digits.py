@@ -25,6 +25,7 @@ CHUNK_DIGITS digits, so reading a short prefix stays cheap.
 
 from __future__ import annotations
 
+import codecs
 import itertools
 import math
 from array import array
@@ -72,6 +73,7 @@ BASE4 = Base(4)
 
 Chunk = Union[bytes, array]
 Period = tuple[tuple[int, ...], tuple[int, ...]]
+ChunkPair = tuple[Chunk, Chunk]
 
 # Generated streams grow their chunks up to about this many digits.
 CHUNK_DIGITS = 1 << 16
@@ -86,8 +88,9 @@ _SHORT_PERIOD = 256
 _MAX_PERIOD_DIGITS = 10**7
 
 # Digit values up to base 256, one per byte; the first s of them are the
-# alphabet that `bytes.translate` deletes to range-check a chunk.
+# alphabet that `bytes.translate` deletes to range-check a chunk in base s.
 _BYTE_VALUES = bytes(range(256))
+_ALPHABETS = [_BYTE_VALUES[:s] for s in range(257)]
 
 _ASCII_DIGITS = "0123456789"
 _VALUES_TO_ASCII = bytes.maketrans(bytes(range(10)), _ASCII_DIGITS.encode())
@@ -102,26 +105,38 @@ def _wide(base: Base) -> bool:
     return base.s > 256
 
 
-def to_chunk(digits: Iterable[int] | bytes, base: Base) -> Chunk:
+def to_chunk(digits: Iterable[int] | Chunk, base: Base) -> Chunk:
     """`digits` as one chunk, after checking that each is an int in 0..s-1.
 
-    A `bytes` argument is taken as digit values, one per byte. The check
-    runs in C; only a failing input is scanned again, to name its first bad
-    digit.
+    An exact `bytes` argument in a base up to 256 is taken as digit values,
+    one per byte, and checked by one `translate` against the base's
+    alphabet; it is returned as it is, without a copy. Anything else
+    (a `bytearray`, a `bytes` subclass, an `array`, any iterable of ints) is
+    copied into a new chunk and checked in C. Only a failing input is
+    scanned again, to name its first bad digit.
     """
     s = base.s
-    wide = _wide(base)
-    if not isinstance(digits, array if wide else bytes):
-        digits = tuple(digits)
-    try:
-        chunk = array("Q", digits) if wide else bytes(digits)
-        valid = max(chunk, default=0) < s if wide else not chunk.translate(None, _BYTE_VALUES[:s])
-    except (TypeError, ValueError, OverflowError):
-        valid = False
-    if not valid:
-        bad = next(d for d in digits if not (isinstance(d, int) and 0 <= d < s))
-        raise ValueError(f"digit {bad!r} out of range for base {s}")
-    return chunk
+    if type(digits) is bytes and s <= 256:
+        if not digits.translate(None, _ALPHABETS[s]):
+            return digits
+    else:
+        wide = _wide(base)
+        if not isinstance(digits, array if wide else bytes):
+            digits = tuple(digits)
+        try:
+            chunk = array("Q", digits) if wide else bytes(digits)
+            if max(chunk, default=0) < s if wide else not chunk.translate(None, _ALPHABETS[s]):
+                return chunk
+        except (TypeError, ValueError, OverflowError):
+            pass
+    bad = next(d for d in digits if not (isinstance(d, int) and 0 <= d < s))
+    raise ValueError(f"digit {bad!r} out of range for base {s}")
+
+
+def _join(chunks: Iterable[Chunk], base: Base) -> Chunk:
+    """The digits of `chunks`, in order, as one chunk. Not range-checked."""
+    data = b"".join(chunks)
+    return array("Q", data) if _wide(base) else data
 
 
 def chunk_from_array(values, base: Base) -> Chunk:
@@ -153,19 +168,33 @@ def parse_digit_text(text: str, s: int) -> bytes:
     raise ValueError(f"non-digit character {bad!r} for base {s}")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class DigitPrefix:
-    """A finite, materialized block of leading digits."""
+    """A finite, materialized block of leading digits.
+
+    The digits are held as one chunk (see the module docstring), checked
+    once, when the prefix is made: `DigitPrefix(base, digits)` takes the
+    same arguments as `to_chunk`. `digits` gives them as a tuple of ints,
+    built on each read; code that reads many digits should use `chunk`.
+    """
 
     base: Base
-    digits: tuple[int, ...]
+    chunk: Chunk
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "digits", tuple(self.digits))
-        to_chunk(self.digits, self.base)
+    def __init__(self, base: Base, digits: Iterable[int] | Chunk) -> None:
+        object.__setattr__(self, "base", base)
+        object.__setattr__(self, "chunk", to_chunk(digits, base))
+
+    def __hash__(self) -> int:
+        # An array("Q") chunk is unhashable; equal chunks have equal bytes.
+        return hash((self.base, bytes(self.chunk)))
+
+    @property
+    def digits(self) -> tuple[int, ...]:
+        return tuple(self.chunk)
 
     def __len__(self) -> int:
-        return len(self.digits)
+        return len(self.chunk)
 
 
 class DigitStream:
@@ -185,19 +214,27 @@ class DigitStream:
     def __init__(self, base: Base, make_chunks: Callable[[], Iterator[Chunk]]) -> None:
         self.base = base
         self.make_chunks = make_chunks
-        # The (preperiod, period) pair, the function that finds it, or None.
-        self._period: Period | Callable[[], Period] | None = None
+        # The (preperiod, period) pair as two chunks, the function that
+        # finds it, or None.
+        self._period: ChunkPair | Callable[[], ChunkPair] | None = None
 
-    @property
-    def eventual_period(self) -> Period | None:
-        """The (preperiod, period) descriptor, or None for a procedural
-        stream. A long `expand` period is found on first access and kept;
-        one longer than _MAX_PERIOD_DIGITS raises ValueError here. The
-        finder is read once, so a concurrent first read never calls the
-        pair another one has stored."""
+    def _chunk_pair(self) -> ChunkPair | None:
+        """The (preperiod, period) pair as two chunks, or None. A long
+        `expand` period is found on first call and kept; one longer than
+        _MAX_PERIOD_DIGITS raises ValueError here. The finder is read once,
+        so a concurrent first call never calls the pair another one has
+        stored."""
         if callable(finder := self._period):
             self._period = finder()
         return self._period
+
+    @property
+    def eventual_period(self) -> Period | None:
+        """The (preperiod, period) descriptor as two tuples of ints, or None
+        for a procedural stream; see `_chunk_pair` for when it is found."""
+        if (pair := self._chunk_pair()) is None:
+            return None
+        return tuple(pair[0]), tuple(pair[1])
 
     def chunks(self, n: int) -> Iterator[Chunk]:
         """Chunks holding the first n digits, the last one cut to fit; they
@@ -221,7 +258,7 @@ class DigitStream:
         to position k; below that the stream is read."""
         if k < 1:
             raise ValueError(f"digit positions are 1-based, got {k}")
-        pair = self.eventual_period if k > _MAX_PERIOD_DIGITS else self._period
+        pair = self._chunk_pair() if k > _MAX_PERIOD_DIGITS else self._period
         if isinstance(pair, tuple):
             pre, per = pair
             if k <= len(pre):
@@ -235,12 +272,20 @@ class DigitStream:
         return chunk[-1]
 
     def prefix(self, n: int) -> DigitPrefix:
+        """The first n digits as one chunk, range-checked once. Once the
+        period is known they are the preperiod and enough copies of the
+        period, cut to n; otherwise the stream's chunks are joined."""
         if n < 0:
             raise ValueError(f"prefix length must be >= 0, got {n}")
-        digits = tuple(itertools.chain.from_iterable(self.chunks(n)))
-        if len(digits) < n:
-            raise ValueError(f"stream ended after {len(digits)} digits, wanted {n}")
-        return DigitPrefix(self.base, digits)
+        if isinstance(pair := self._period, tuple):
+            pre, per = pair
+            chunk = (pre + per * -((len(pre) - n) // len(per)))[:n]
+        else:
+            chunk = _join(self.chunks(n), self.base)
+        prefix = DigitPrefix(self.base, chunk)
+        if len(prefix) < n:
+            raise ValueError(f"stream ended after {len(prefix)} digits, wanted {n}")
+        return prefix
 
 
 def periodic_stream(
@@ -250,8 +295,9 @@ def periodic_stream(
 
     An empty period is refused first; then each part is range-checked once
     by `to_chunk`, the preperiod before the period, so the first bad digit
-    is named. The (preperiod, period) pair is recorded on the stream as its
-    `eventual_period`, so `digit_at` and `stream_value` use it at once.
+    is named. The two checked chunks are recorded on the stream as its
+    (preperiod, period) pair, so `digit_at` and `stream_value` use them at
+    once, and `eventual_period` gives them as tuples.
     After the preperiod, each chunk holds whole periods, twice as many as
     the chunk before, until a chunk reaches CHUNK_DIGITS digits.
     """
@@ -261,7 +307,7 @@ def periodic_stream(
         raise ValueError("period must be nonempty")
     head, tile = to_chunk(preperiod, base), to_chunk(period, base)
     stream = DigitStream(base, partial(_tiled_chunks, head, tile))
-    stream._period = (tuple(head), tuple(tile))
+    stream._period = (head, tile)
     return stream
 
 
@@ -296,14 +342,32 @@ def stream_from_digits(digits: Sequence[int] | bytes, base: Base = BASE4) -> Dig
 def _split_denominator(q: int, s: int) -> tuple[int, int]:
     """(m, q') for a denominator q in base s.
 
-    Dividing t = q by gcd(t, s) until t is coprime to s leaves q', the part
-    of q coprime to s; the number of divisions, m, is the preperiod length
-    of every p/q in lowest terms. q' == 1 exactly when p/q terminates.
+    q' is the part of q coprime to s, and m is the number of steps
+    t -> t / gcd(t, s) that take q to q': the preperiod length of every p/q
+    in lowest terms. q' == 1 exactly when p/q terminates.
+
+    While g = gcd(t, s) stays the same, each step divides t by g, so a run
+    of such steps is the largest e with g**e dividing t. It is found by
+    dividing by g, g**2, g**4, ... while they divide, then by the same
+    powers on the way down: O(log e) big divisions instead of e gcd steps.
+    Each new g is a proper divisor of the one before, so there are at most
+    log2(s) runs.
     """
     m = 0
     while (g := math.gcd(q, s)) > 1:
-        q //= g
-        m += 1
+        powers = [g]
+        while True:
+            quotient, rest = divmod(q, powers[-1])
+            if rest:
+                break
+            q = quotient
+            m += 1 << (len(powers) - 1)
+            powers.append(powers[-1] ** 2)
+        for i in range(len(powers) - 2, -1, -1):
+            quotient, rest = divmod(q, powers[i])
+            if not rest:
+                q = quotient
+                m += 1 << i
     return m, q
 
 
@@ -329,40 +393,69 @@ def _remainder_chunks(r: int, s: int, q: int, n: int) -> Iterator[np.ndarray]:
         n = min(2 * n, CHUNK_DIGITS)
 
 
-# Bound on the (q', s) pairs whose period length `_short_order` keeps.
-_ORDER_CACHE_SIZE = 4096
+# Bound on the (q, s) pairs whose shape `_shape` keeps.
+_SHAPE_CACHE_SIZE = 4096
 
 
-@lru_cache(maxsize=_ORDER_CACHE_SIZE)
-def _short_order(q: int, s: int) -> int | None:
-    """The multiplicative order of s modulo q, for q coprime to s, or None
-    when it is above _SHORT_PERIOD. It takes at most _SHORT_PERIOD modular
-    multiplications; the order of s modulo 1 is 1."""
-    if q == 1:
-        return 1
-    t = power = s % q
+@lru_cache(maxsize=_SHAPE_CACHE_SIZE)
+def _shape(q: int, s: int) -> tuple[int, int | None]:
+    """(m, L) for a denominator q in base s: the preperiod length m from
+    `_split_denominator`, and the period length L, the multiplicative order
+    of s modulo q' (1 when q' == 1), or None when L is above _SHORT_PERIOD.
+
+    L is looked for with at most _SHORT_PERIOD modular multiplications.
+    q' divides s**L - 1, so a period of at most _SHORT_PERIOD digits needs
+    q' < s**_SHORT_PERIOD: a wider q' is not searched.
+    """
+    m, core = _split_denominator(q, s)
+    if core == 1:
+        return m, 1
+    if core.bit_length() > _SHORT_PERIOD * s.bit_length():
+        return m, None
+    t = power = s % core
     for order in range(1, _SHORT_PERIOD + 1):
         if power == 1:
-            return order
-        power = power * t % q
-    return None
+            return m, order
+        power = power * t % core
+    return m, None
 
 
 _BIT_VALUES = bytes.maketrans(b"01", b"\x00\x01")
+
+# For s = 2**k with k = 1, 2, 4: how many digits one byte holds, and the
+# table from each byte value to those 8/k digits, most significant first
+# (`product` lists the digit strings in the order of their values).
+_BYTE_DIGITS = {
+    1 << k: (8 // k, dict(enumerate(map(bytes, itertools.product(range(1 << k), repeat=8 // k)))))
+    for k in (1, 2, 4)
+}
 
 
 def _base_digits(n: int, base: Base, count: int) -> Chunk:
     """The `count` base-s digits of 0 <= n < s**count, most significant
     first, as one chunk.
 
-    For s = 2**k up to 256 they come from the bits of n in C: in the
-    k*count-character binary numeral, every k-th character from i on is the
-    i-th bit of each digit, so the k slices, read as one byte per digit by
-    `int.from_bytes` and shifted into place, add up to the digits. Every
-    other base takes exactly `count` divmod steps.
+    For s = 2, 4 and 16, whose digits tile a byte, each byte of n's
+    big-endian bytes is looked up in a 256-entry table of its digits by
+    `codecs.charmap_encode` (Latin-1 decoding turns byte b into character
+    b), and the surplus leading zeros of the first byte are cut: linear
+    time, all in C. For s = 256 the bytes are the digits. For the other
+    s = 2**k they come from the bits of n: in the k*count-character binary
+    numeral, every k-th character from i on is the i-th bit of each digit,
+    so the k slices, read as one byte per digit by `int.from_bytes` and
+    shifted into place, add up to the digits. Every other base takes
+    exactly `count` divmod steps, each on an integer of up to `count`
+    digits, so that path is quadratic in `count`.
     """
     s = base.s
-    if s <= 256 and s & (s - 1) == 0:
+    if (table := _BYTE_DIGITS.get(s)) is not None:
+        per_byte, byte_digits = table
+        raw = n.to_bytes(-(-count // per_byte), "big").decode("latin-1")
+        out = codecs.charmap_encode(raw, "strict", byte_digits)[0]
+        return out[len(out) - count :]
+    if s == 256:
+        return n.to_bytes(count, "big")
+    if s < 256 and s & (s - 1) == 0:
         k = s.bit_length() - 1
         bits = format(n, "b").encode().rjust(k * count, b"0").translate(_BIT_VALUES)
         acc = 0
@@ -387,15 +480,18 @@ def expand(x: Fraction | int | str, base: Base = BASE4) -> DigitStream:
 
     x may be a Fraction, which is used as it is, or anything `Fraction`
     accepts; the range test and the x = 1 test compare the integers p and
-    q of x = p/q. With (m, q') from `_split_denominator`, which divides q
-    by gcd(q, s) until the rest is coprime to s, the preperiod has m digits
-    and the period L = ord_q'(s) digits (L = 1, period (0), when q' = 1).
-    `_short_order` looks for L with at most _SHORT_PERIOD modular
-    multiplications, in a cache of _ORDER_CACHE_SIZE (q', s) pairs; a q'
-    too wide for such a period skips both. The first n digits of x are the
-    base-s digits of (p * s**n) // q, so one big-int division gives them
-    all, and `_base_digits` writes them out: from the integer's bits when s
-    is a power of two up to 256, by one `divmod` per digit otherwise.
+    q of x = p/q. With q' the part of q coprime to s, the preperiod has m
+    digits, the number of steps q -> q / gcd(q, s) that reach q', and the
+    period L = ord_q'(s) digits (L = 1, period (0), when q' = 1). One
+    lookup of `_shape` gives both: m from `_split_denominator` in O(log m)
+    big divisions, and L from at most _SHORT_PERIOD modular
+    multiplications. Its cache holds _SHAPE_CACHE_SIZE (q, s) pairs, only
+    for a q narrow enough to have a short period, so it stays small. The
+    first n digits of x are the base-s digits of (p * s**n) // q, so one
+    big-int division gives them all, and `_base_digits` writes them out: by
+    a byte table for s = 2, 4 and 16, from the integer's bytes or bits for
+    the other powers of two up to 256, and by one `divmod` per digit
+    otherwise, which is quadratic in n.
 
     When L <= _SHORT_PERIOD, n = m + L: those digits are the preperiod and
     one period (the period's integer is r' * (s**L - 1) / q', with r'/q'
@@ -417,10 +513,9 @@ def expand(x: Fraction | int | str, base: Base = BASE4) -> DigitStream:
     if p == q:
         # 1 has no in-range period-(0) expansion; the maximal-digit tail is it.
         return periodic_stream((), (s - 1,), base)
-    m, core = _split_denominator(q, s)
-    # q' divides s**L - 1, so a period of at most _SHORT_PERIOD digits needs
-    # q' < s**_SHORT_PERIOD: a wider q' is neither searched nor cached.
-    length = _short_order(core, s) if core.bit_length() <= _SHORT_PERIOD * s.bit_length() else None
+    # A q too wide for a short period is not cached, so the cache stays small.
+    shape = _shape if q.bit_length() <= _SHORT_PERIOD * s.bit_length() else _shape.__wrapped__
+    m, length = shape(q, s)
     n = m + (length or _SHORT_PERIOD)
     value, rem = divmod(p * s**n, q)
     head = _base_digits(value, base, n)
@@ -438,7 +533,7 @@ def expand(x: Fraction | int | str, base: Base = BASE4) -> DigitStream:
         for _, chunk in tail():
             yield chunk
 
-    def search_period() -> Period:
+    def search_period() -> ChunkPair:
         pieces = [head]
         length = _SHORT_PERIOD
         for rems, chunk in tail():
@@ -451,7 +546,7 @@ def expand(x: Fraction | int | str, base: Base = BASE4) -> DigitStream:
                     f"the period of {x} in base {s} is longer than {_MAX_PERIOD_DIGITS} digits"
                 )
             if hits.size:
-                found = tuple(itertools.chain.from_iterable(pieces))
+                found = _join(pieces, base)
                 return found[:m], found[m:]
 
     stream = DigitStream(base, make)
@@ -469,7 +564,7 @@ _NUMERAL_LEAF = 128
 _ALNUM = b"0123456789abcdefghijklmnopqrstuvwxyz".ljust(256, b"!")
 
 
-def _numeral(digits: Sequence[int], s: int, powers: dict[int, int] | None = None) -> int:
+def _numeral(digits: Chunk, s: int, powers: dict[int, int] | None = None) -> int:
     """The integer whose base-s digits, most significant first, are `digits`.
 
     Halving keeps the big-int products balanced, so the cost is that of a
@@ -482,7 +577,7 @@ def _numeral(digits: Sequence[int], s: int, powers: dict[int, int] | None = None
     n = len(digits)
     if n <= _NUMERAL_LEAF:
         if s <= 36:
-            return int(bytes(digits).translate(_ALNUM) or b"0", s)
+            return int(digits.translate(_ALNUM) or b"0", s)
         acc = 0
         for d in digits:
             acc = acc * s + d
@@ -498,7 +593,7 @@ def _numeral(digits: Sequence[int], s: int, powers: dict[int, int] | None = None
 
 def prefix_value(p: DigitPrefix) -> Fraction:
     """Exact partial sum sum_{k<=n} a_k * s**(-k) of a finite prefix."""
-    return Fraction(_numeral(p.digits, p.base.s), p.base.s ** len(p.digits))
+    return Fraction(_numeral(p.chunk, p.base.s), p.base.s ** len(p.chunk))
 
 
 def stream_value(stream: DigitStream) -> Fraction:
@@ -510,9 +605,9 @@ def stream_value(stream: DigitStream) -> Fraction:
     single fraction (N(pre) * (s**L - 1) + N(per)) / (s**m * (s**L - 1)),
     reduced once.
     """
-    if stream.eventual_period is None:
+    if (pair := stream._chunk_pair()) is None:
         raise ValueError("stream value needs a (preperiod, period) descriptor")
-    pre, per = stream.eventual_period
+    pre, per = pair
     s = stream.base.s
     cycle = s ** len(per) - 1  # one period is worth N(per) / cycle
     return Fraction(_numeral(pre, s) * cycle + _numeral(per, s), s ** len(pre) * cycle)
@@ -528,11 +623,10 @@ def dual_representation(p: DigitPrefix) -> DigitStream:
     """
     if len(p) == 0:
         raise ValueError("dual representation needs a nonempty prefix")
-    if p.digits[-1] == 0:
+    if p.chunk[-1] == 0:
         raise ValueError("dual representation needs a prefix ending in a nonzero digit")
-    s = p.base.s
-    pre = p.digits[:-1] + (p.digits[-1] - 1,)
-    return periodic_stream(pre, (s - 1,), p.base)
+    pre = (*p.chunk[:-1], p.chunk[-1] - 1)
+    return periodic_stream(pre, (p.base.s - 1,), p.base)
 
 
 def has_two_representations(x: Fraction | int | str, base: Base = BASE4) -> bool:

@@ -81,7 +81,7 @@ class FreqReport:
 def digit_counts(p: DigitPrefix) -> tuple[int, ...]:
     """counts[i] = number of positions j <= n with a_j = i."""
     counts = [0] * p.base.s
-    for d in p.digits:
+    for d in p.chunk:
         counts[d] += 1
     return tuple(counts)
 

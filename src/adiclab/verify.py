@@ -151,7 +151,7 @@ def _period_length_bound() -> tuple[bool, dict, dict]:
 
 @_check("digits/dual_value_equality")
 def _dual_value_equality() -> tuple[bool, dict, dict]:
-    batch = [p for p in enumerated_prefixes(BASE4, 160) if p.digits[-1] != 0][:100]
+    batch = [p for p in enumerated_prefixes(BASE4, 160) if p.chunk[-1] != 0][:100]
     failures = sum(1 for p in batch if stream_value(dual_representation(p)) != prefix_value(p))
     return failures == 0 and len(batch) == 100, {"prefixes": len(batch)}, {"failures": failures}
 
@@ -164,7 +164,7 @@ def _expand_determinism() -> tuple[bool, dict, dict]:
         s1, s2 = expand(x), expand(x)
         if s1.eventual_period != s2.eventual_period:
             failures += 1
-        if s1.prefix(256).digits != s2.prefix(256).digits:
+        if s1.prefix(256) != s2.prefix(256):
             failures += 1
     return (
         failures == 0,
@@ -186,7 +186,7 @@ def _frequency_identities() -> tuple[bool, dict, dict]:
         rep = freq_report(p)
         if sum(rep.counts) != rep.n or sum(rep.freqs) != 1:
             failures += 1
-        if rep.mean != Fraction(sum(p.digits), rep.n):
+        if rep.mean != Fraction(sum(p.chunk), rep.n):
             failures += 1
         if not 0 <= rep.mean <= p.base.s - 1:
             failures += 1
@@ -196,7 +196,7 @@ def _frequency_identities() -> tuple[bool, dict, dict]:
 @_check("stats/incremental_consistency")
 def _incremental_consistency() -> tuple[bool, dict, dict]:
     stream = expand(Fraction(22, 113))
-    digits = stream.prefix(300).digits
+    digits = stream.prefix(300).chunk
     failures = 0
     prev = None
     for n in range(1, len(digits) + 1):

@@ -380,27 +380,32 @@ class TestExpandChunks:
             expand(Fraction(1, 3), Base(2**64 + 1))
 
     def test_order_cache_stays_bounded(self):
-        # 10**4 distinct primes q' > 10**5, more than the cache holds; each
-        # order is looked for once, and the cache keeps at most its bound.
+        # 10**4 distinct primes q > 10**5, more than the cache holds; each
+        # shape is worked out once, and the cache keeps at most its bound.
         sieve = bytearray([1]) * 250_000
         sieve[:2] = b"\0\0"
         for i in range(2, 500):
             if sieve[i]:
                 sieve[i * i :: i] = bytes(len(range(i * i, len(sieve), i)))
         primes = [q for q in range(100_001, len(sieve)) if sieve[q]][:10_000]
-        assert len(primes) == 10_000 > digits._ORDER_CACHE_SIZE
-        info = digits._short_order.cache_info()
-        assert info.maxsize == digits._ORDER_CACHE_SIZE
+        assert len(primes) == 10_000 > digits._SHAPE_CACHE_SIZE
+        info = digits._shape.cache_info()
+        assert info.maxsize == digits._SHAPE_CACHE_SIZE
         for q in primes:
             expand(Fraction(1, q))
-        after = digits._short_order.cache_info()
+        after = digits._shape.cache_info()
         assert after.misses - info.misses == len(primes)
-        assert after.currsize <= digits._ORDER_CACHE_SIZE
-        # A q' of 3170 bits is at least 4**256, so its period is longer than
+        assert after.currsize <= digits._SHAPE_CACHE_SIZE
+        # A q of 3170 bits is at least 4**256, so its period is longer than
         # 256 digits without a search, and it never enters the cache.
         wide = expand(Fraction(1, 3**2000))
-        assert digits._short_order.cache_info() == after
+        assert digits._shape.cache_info() == after
         assert wide.prefix(300).digits == long_division(Fraction(1, 3**2000), 4, 300)
+        # A q of 100003 bits stays out too, although its part coprime to 4,
+        # q' = 7, has a three-digit period, which is still found.
+        huge = expand(Fraction(1, 7 * 2**100_000))
+        assert digits._shape.cache_info() == after
+        assert huge.eventual_period == ((0,) * 50_000, (0, 2, 1))
         # A short period that left the cache is found again.
         assert expand(Fraction(1, 3)).eventual_period == ((), (1,))
 
@@ -410,6 +415,84 @@ class TestExpandChunks:
         got = expand(x).prefix(1000).digits
         assert time.perf_counter() - start < 0.5
         assert got == long_division(x, 4, 1000)
+
+
+def divmod_digits(n: int, s: int, count: int) -> tuple[int, ...]:
+    """The count base-s digits of n, most significant first, by divmod."""
+    out = []
+    for _ in range(count):
+        n, d = divmod(n, s)
+        out.append(d)
+    return tuple(reversed(out))
+
+
+class TestFastPaths:
+    """Each fast path against the general code it stands in for."""
+
+    @pytest.mark.parametrize("s", [2, 4, 16])
+    @pytest.mark.parametrize("count", [*range(10), 255, 256, 257])
+    def test_table_digits_match_divmod(self, s, count):
+        for n in {0, s**count - 1, (s**count - 1) // 3}:
+            got = digits._base_digits(n, Base(s), count)
+            assert type(got) is bytes and tuple(got) == divmod_digits(n, s, count), n
+
+    def test_bytes_are_checked_without_a_copy(self):
+        data = bytes([0, 1, 2, 3])
+        assert digits.to_chunk(data, Base(4)) is data
+        with pytest.raises(ValueError, match=r"^digit 4 out of range for base 4$"):
+            digits.to_chunk(b"\x00\x04", Base(4))
+
+    def test_other_buffers_take_the_general_path(self):
+        class Digits(bytes):
+            pass
+
+        for source in (bytearray(b"\x01\x03"), Digits(b"\x01\x03")):
+            chunk = digits.to_chunk(source, Base(4))
+            assert type(chunk) is bytes and chunk == b"\x01\x03"
+        with pytest.raises(ValueError, match=r"^digit 4 out of range for base 4$"):
+            digits.to_chunk(bytearray(b"\x00\x04"), Base(4))
+        wide = array("Q", [299, 0, 7])
+        chunk = digits.to_chunk(wide, Base(300))
+        assert chunk == wide and chunk is not wide
+        with pytest.raises(ValueError, match=r"^digit 300 out of range for base 300$"):
+            digits.to_chunk(array("Q", [1, 300]), Base(300))
+
+    @pytest.mark.parametrize(
+        "stream",
+        [
+            periodic_stream((299, 1), (0, 298, 5), Base(300)),
+            expand(Fraction(1, 3**2000), Base(300)),
+            greedy_stream(ProbabilityVector.parse("1/2,1/3,1/6,0")),
+            expand(Fraction(1, 10**30 + 57)),
+            periodic_stream((1,), (0, 2, 3)),
+        ],
+        ids=["wide-periodic", "wide-lazy", "greedy", "lazy", "periodic"],
+    )
+    def test_prefix_matches_the_chained_chunks(self, stream):
+        chunks = list(itertools.islice(stream.make_chunks(), 6))
+        chained = tuple(itertools.chain.from_iterable(chunks))
+        for n in sorted({0, 1, *edge_lengths(stream, 6)} - {len(chained) + 1}):
+            got = stream.prefix(n)
+            assert len(got) == n and got.digits == chained[:n], n
+            assert got == digits.DigitPrefix(stream.base, chained[:n])
+
+    def test_expand_does_not_depend_on_the_shape_cache(self):
+        xs = [Fraction(p, q) for q in (1, 3, 12, 457, 1019, 4**5 * 7) for p in (0, 1, q // 2, q - 1, q)]
+        for s in (2, 4, 10, 300):
+            warm = [(expand(x, Base(s)).eventual_period, expand(x, Base(s)).prefix(40)) for x in xs]
+            digits._shape.cache_clear()
+            cold = [(expand(x, Base(s)).eventual_period, expand(x, Base(s)).prefix(40)) for x in xs]
+            assert cold == warm, s
+
+    @pytest.mark.parametrize("s", [2, 3, 16, 256, 300])
+    def test_value_round_trip_with_preperiods(self, s):
+        primes = [p for p in (2, 3, 5) if s % p == 0]
+        for core in (1, 7, 11, 1019):
+            for powers in itertools.product(range(4), repeat=len(primes)):
+                q = core * math.prod(p ** (3 * e) for p, e in zip(primes, powers))
+                for num in (0, 1, q // 3, q - 1, q):
+                    x = Fraction(num, q)
+                    assert stream_value(expand(x, Base(s))) == x, (x, s)
 
 
 SMALL_RATIONAL_BASES = (2, 3, 4, 5, 8, 10, 16, 32, 64, 128, 256, 300)

@@ -449,6 +449,33 @@ class TestDimension:
             assert code == 2 and "cells" in err
 
 
+    @pytest.mark.parametrize(
+        "argv, flag",
+        [
+            (["dimension", "--theta", "1/2"], "--theta"),
+            (["dimension", "--theta", "1/2", "--oracle"], "--theta"),
+            (["analyze", "--mean", "1/2", "--checkpoints", "10"], "--mean"),
+        ],
+        ids=["theta", "theta-oracle", "analyze-mean"],
+    )
+    def test_single_point_base_is_capped(self, capsys, argv, flag):
+        # One point costs what one sweep point does per base digit: about
+        # 1 s in base 10**5 and 9 s in base 10**6 before this cap.
+        start = time.perf_counter()
+        got = run_cli(capsys, *argv, "--base", "400001")
+        assert got == (2, "", f"error: {flag} allows bases up to 400000, got 400001\n")
+        assert time.perf_counter() - start < 1.0
+        if "--oracle" not in argv:
+            code, out, _ = run_cli(capsys, *argv, "--base", "300")
+            assert code == 0 and out
+
+    def test_construct_mean_in_a_huge_base_is_refused(self, capsys):
+        start = time.perf_counter()
+        code, _, err = run_cli(capsys, "construct", "--mean", "1/2", "--length", "10", "--base", "400001")
+        assert code == 2 and err.startswith("error: ")
+        assert time.perf_counter() - start < 1.0
+
+
 class TestVerify:
     def test_single_module_passes(self, capsys):
         code, out, _ = run_cli(capsys, "verify", "--module", "stats")
