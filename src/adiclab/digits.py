@@ -439,13 +439,13 @@ def _base_digits(n: int, base: Base, count: int) -> Chunk:
     big-endian bytes is looked up in a 256-entry table of its digits by
     `codecs.charmap_encode` (Latin-1 decoding turns byte b into character
     b), and the surplus leading zeros of the first byte are cut: linear
-    time, all in C. For s = 256 the bytes are the digits. For the other
-    s = 2**k they come from the bits of n: in the k*count-character binary
-    numeral, every k-th character from i on is the i-th bit of each digit,
-    so the k slices, read as one byte per digit by `int.from_bytes` and
-    shifted into place, add up to the digits. Every other base takes
-    exactly `count` divmod steps, each on an integer of up to `count`
-    digits, so that path is quadratic in `count`.
+    time, all in C. For the other s = 2**k up to 256 they come from the
+    bits of n: in the k*count-character binary numeral, every k-th
+    character from i on is the i-th bit of each digit, so the k slices,
+    read as one byte per digit by `int.from_bytes` and shifted into place,
+    add up to the digits. Every other base takes exactly `count` divmod
+    steps, each on an integer of up to `count` digits, so that path is
+    quadratic in `count`.
     """
     s = base.s
     if (table := _BYTE_DIGITS.get(s)) is not None:
@@ -453,9 +453,7 @@ def _base_digits(n: int, base: Base, count: int) -> Chunk:
         raw = n.to_bytes(-(-count // per_byte), "big").decode("latin-1")
         out = codecs.charmap_encode(raw, "strict", byte_digits)[0]
         return out[len(out) - count :]
-    if s == 256:
-        return n.to_bytes(count, "big")
-    if s < 256 and s & (s - 1) == 0:
+    if s <= 256 and s & (s - 1) == 0:
         k = s.bit_length() - 1
         bits = format(n, "b").encode().rjust(k * count, b"0").translate(_BIT_VALUES)
         acc = 0
@@ -489,8 +487,8 @@ def expand(x: Fraction | int | str, base: Base = BASE4) -> DigitStream:
     for a q narrow enough to have a short period, so it stays small. The
     first n digits of x are the base-s digits of (p * s**n) // q, so one
     big-int division gives them all, and `_base_digits` writes them out: by
-    a byte table for s = 2, 4 and 16, from the integer's bytes or bits for
-    the other powers of two up to 256, and by one `divmod` per digit
+    a byte table for s = 2, 4 and 16, from the integer's bits for the
+    other powers of two up to 256, and by one `divmod` per digit
     otherwise, which is quadratic in n.
 
     When L <= _SHORT_PERIOD, n = m + L: those digits are the preperiod and
