@@ -19,9 +19,12 @@ is exact: the constructions are floor-sensitive, and the exact-count
 claims are only checkable in integer arithmetic.
 
 Both streams produce whole chunks (see `digits`): the greedy stream
-computes a block of steps at once with numpy, in int64 where every
-intermediate fits and in exact Python ints otherwise, and the block stream
-emits each block as runs of one repeated digit.
+computes a block of steps at once with numpy, and the block stream emits
+each block as runs of one repeated digit. Up to the chunk's last step N,
+floor(n * tau_i) equals a floor of n * p'/q' for the last continued-fraction
+convergent p'/q' of tau_i with q' <= N (Khinchin, Continued Fractions,
+ch. I), so a greedy column of any denominator runs in int64 while
+N**2 < 2**63 (about 3.04e9 steps), and in exact Python ints only past that.
 
 Schedules come from a closed set of named families because the growth
 conditions they must satisfy are limit statements, not verifiable from
@@ -152,6 +155,64 @@ def floor_counts(tau: ProbabilityVector, n: int) -> tuple[int, ...]:
 _FIRST_STEPS = 256
 
 
+# Below this chunk end N every greedy column's arithmetic is int64: its
+# values stay under N**2 (see `_GreedyColumn.floors`).
+_INT64_STEPS = math.isqrt(2**63 - 1)
+
+
+class _GreedyColumn:
+    """One column tau_i = p/q of the greedy construction, with the
+    convergent of tau_i that serves the steps up to the current chunk end.
+
+    If p'/q' is the last convergent of tau_i with q' <= N and q'' > N the
+    next denominator, then |tau_i - p'/q'| <= 1/(q'q''), so for every
+    1 <= n <= N, floor(n*tau_i) = floor((n*p' - c)/q') with
+    c = [tau_i < p'/q'] (Khinchin, Continued Fractions, ch. I): n*p'/q' is
+    within 1/q' of n*tau_i, and it is an integer only when q' divides n,
+    where subtracting c, and nothing else, moves the floor. Once q <= N the
+    convergent is tau_i itself and c = 0. The convergents come one at a
+    time from a continued-fraction generator, so a whole stream spends
+    O(log q) big-int steps on them.
+    """
+
+    __slots__ = ("tau", "_convergents", "p", "q", "c", "_next")
+
+    def __init__(self, tau: Fraction):
+        self.tau = tau
+        self._convergents = _convergents(tau.numerator, tau.denominator)
+        self.p, self.q = next(self._convergents)  # floor(tau_i)/1 <= tau_i
+        self.c = 0
+        self._next = next(self._convergents, None)
+
+    def floors(self, k: int, steps: int) -> np.ndarray:
+        """floor(n*tau_i) - floor((k*p' - c)/q') for n = k, ..., k+steps,
+        with p'/q' the convergent for N = k+steps; k >= 1.
+
+        The values are a + p'*j // q' for j = 0..steps, with
+        a = (k*p' - c) mod q' < q' <= N and p' <= q', so they stay under
+        N*(steps+1) <= N**2: int64 up to N = _INT64_STEPS (about 3.04e9
+        steps), exact Python ints past it.
+        """
+        end = k + steps
+        while self._next is not None and self._next[1] <= end:
+            self.p, self.q = self._next
+            self._next = next(self._convergents, None)
+            self.c = int(self.tau.numerator * self.q < self.p * self.tau.denominator)
+        p, q = self.p, self.q
+        dtype = np.int64 if end <= _INT64_STEPS else object
+        return ((p * k - self.c) % q + p * np.arange(steps + 1, dtype=dtype)) // q
+
+
+def _convergents(p: int, q: int) -> Iterator[tuple[int, int]]:
+    """The convergents (p_k, q_k) of p/q >= 0, from its continued fraction."""
+    h0, k0, h1, k1 = 0, 1, 1, 0
+    while q:
+        a, (p, q) = p // q, (q, p % q)
+        h0, h1 = h1, a * h1 + h0
+        k0, k1 = k1, a * k1 + k0
+        yield h1, k1
+
+
 def greedy_stream(tau: ProbabilityVector, base: Base | None = None) -> DigitStream:
     """Digit stream whose limiting frequencies equal tau exactly.
 
@@ -160,28 +221,27 @@ def greedy_stream(tau: ProbabilityVector, base: Base | None = None) -> DigitStre
     sum(floor_counts(tau, n)) contains exactly floor(tau_i * n) copies of
     digit i. Pure integer arithmetic throughout.
 
-    A chunk covers the steps K..K+M-1 at once: with tau_i = p_i/q_i and
-    a_i = p_i*K mod q_i, digit i is emitted at step K+j exactly when
-    (a_i + p_i*j) // q_i rises at j+1. The digits are the nonzero cells of
-    that (steps x s) increment table, read row by row. A column is computed
-    in int64 when q_i * (CHUNK_DIGITS + 2) < 2**63, which bounds every
-    a_i + p_i*j, and in exact Python ints otherwise.
+    A chunk covers the steps K..K+M-1 at once: digit i is emitted at step
+    n exactly when floor(n*tau_i) rises at n+1. The digits are the nonzero
+    cells of that (steps x s) increment table, read row by row. Each
+    column's floors come from one continued-fraction convergent of tau_i,
+    chosen for the chunk end N = K+M (`_GreedyColumn`), so a column of any
+    denominator is computed in int64 while N**2 < 2**63, that is for about
+    the first 3.04e9 steps, and in exact Python ints only past that.
     """
     if base is None:
         base = Base(tau.s)
     elif base.s != tau.s:
         raise ValueError(f"vector has {tau.s} entries but base is {base.s}")
-    nums = tuple(t.numerator for t in tau.entries)
-    dens = tuple(t.denominator for t in tau.entries)
-    dtypes = tuple(np.int64 if q * (CHUNK_DIGITS + 2) < 2**63 else object for q in dens)
     s = tau.s
 
     def make() -> Iterator[Chunk]:
+        columns = [_GreedyColumn(t) for t in tau.entries]
         k, steps = 1, _FIRST_STEPS
         while True:
             rises = np.empty((steps, s), dtype=bool)
-            for i, (p, q, dtype) in enumerate(zip(nums, dens, dtypes)):
-                floors = (p * k % q + p * np.arange(steps + 1, dtype=dtype)) // q
+            for i, column in enumerate(columns):
+                floors = column.floors(k, steps)
                 rises[:, i] = floors[1:] != floors[:-1]
             yield chunk_from_array(np.flatnonzero(rises) % s, base)
             k += steps

@@ -443,9 +443,9 @@ def _base_digits(n: int, base: Base, count: int) -> Chunk:
     bits of n: in the k*count-character binary numeral, every k-th
     character from i on is the i-th bit of each digit, so the k slices,
     read as one byte per digit by `int.from_bytes` and shifted into place,
-    add up to the digits. Every other base takes exactly `count` divmod
-    steps, each on an integer of up to `count` digits, so that path is
-    quadratic in `count`.
+    add up to the digits. Every other base splits n in halves by
+    `_split_digits`, so its cost is that of a few full-size divisions
+    instead of `count` divmod steps on a `count`-digit integer.
     """
     s = base.s
     if (table := _BYTE_DIGITS.get(s)) is not None:
@@ -462,9 +462,32 @@ def _base_digits(n: int, base: Base, count: int) -> Chunk:
         return acc.to_bytes(count, "big")
     wide = _wide(base)
     out = array("Q", bytes(8 * count)) if wide else bytearray(count)
-    for i in range(count - 1, -1, -1):
-        n, out[i] = divmod(n, s)
+    _split_digits(n, s, out, 0, count, {})
     return out if wide else bytes(out)
+
+
+# At most this many digits are written by plain divmod steps; longer runs
+# are split in halves first.
+_DIGITS_LEAF = 64
+
+
+def _split_digits(n: int, s: int, out, lo: int, hi: int, powers: dict[int, int]) -> None:
+    """Write the hi - lo base-s digits of 0 <= n < s**(hi - lo) into
+    out[lo:hi], most significant first. Like `_numeral` in the other
+    direction, halving keeps the big-int divisions balanced; `powers`
+    caches s**k across the recursion.
+    """
+    count = hi - lo
+    if count <= _DIGITS_LEAF:
+        for i in range(hi - 1, lo - 1, -1):
+            n, out[i] = divmod(n, s)
+        return
+    low = count // 2
+    if low not in powers:
+        powers[low] = s**low
+    high, rest = divmod(n, powers[low])
+    _split_digits(high, s, out, lo, hi - low, powers)
+    _split_digits(rest, s, out, hi - low, hi, powers)
 
 
 def expand(x: Fraction | int | str, base: Base = BASE4) -> DigitStream:
@@ -488,8 +511,7 @@ def expand(x: Fraction | int | str, base: Base = BASE4) -> DigitStream:
     first n digits of x are the base-s digits of (p * s**n) // q, so one
     big-int division gives them all, and `_base_digits` writes them out: by
     a byte table for s = 2, 4 and 16, from the integer's bits for the
-    other powers of two up to 256, and by one `divmod` per digit
-    otherwise, which is quadratic in n.
+    other powers of two up to 256, and by halving otherwise.
 
     When L <= _SHORT_PERIOD, n = m + L: those digits are the preperiod and
     one period (the period's integer is r' * (s**L - 1) / q', with r'/q'

@@ -14,9 +14,11 @@ import time
 from array import array
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from adiclab import construct
 from adiclab.construct import (
     ColumnSchedule,
     ProbabilityVector,
@@ -26,6 +28,7 @@ from adiclab.construct import (
     greedy_stream,
 )
 from adiclab import digits
+from adiclab.cli import main
 from adiclab.digits import (
     CHUNK_DIGITS,
     Base,
@@ -42,9 +45,10 @@ BASES = st.one_of(st.integers(min_value=2, max_value=10), st.just(300))
 # one integer; these add every other bit width to the 2, 4 and 8 in BASES.
 POWER_OF_TWO_BASES = st.sampled_from([16, 32, 64, 128, 256])
 
-# greedy_stream computes a column in int64 up to this denominator and in
-# exact ints above it; numerators of about q/3 and 2q/3 push a_i + p_i*j
-# toward 2**63, and past it for 2**62 + 1 if int64 were used there.
+# Denominators around the largest q with q * (CHUNK_DIGITS + 2) < 2**63:
+# a column that took its floors from tau_i = p_i/q_i itself would overflow
+# int64 past it. greedy_stream takes them from a convergent of tau_i
+# instead, so these stay regression cases for any denominator-driven path.
 INT64_LIMIT = (2**63 - 1) // (CHUNK_DIGITS + 2)
 HUGE = 10**30 + 7
 LARGE_DENOMINATORS = (INT64_LIMIT - 1, INT64_LIMIT, INT64_LIMIT + 1, 2**62 + 1, HUGE)
@@ -154,6 +158,125 @@ class TestGreedyChunks:
         steps = sum(min(256 << k, CHUNK_DIGITS) for k in range(9))
         n = sum(math.floor(t * (steps + 1)) - math.floor(t) for t in tau.entries)
         assert stream.prefix(n).digits == greedy_oracle(tau, n)
+
+
+def convergent_denominators(x: Fraction) -> list[int]:
+    """The denominators q_k of the continued-fraction convergents of x."""
+    p, q = x.numerator, x.denominator
+    k0, k1, out = 1, 0, []
+    while q:
+        a, (p, q) = p // q, (q, p % q)
+        k0, k1 = k1, a * k1 + k0
+        out.append(k1)
+    return out
+
+
+# The greedy steps in the first four chunks: 256 + 512 + 1024 + 2048.
+FOUR_CHUNK_STEPS = 3840
+
+
+@st.composite
+def wide_vectors(draw) -> ProbabilityVector:
+    """tau over one denominator of 40 to 4200 bits, in bases 2 to 5."""
+    s = draw(st.integers(min_value=2, max_value=5))
+    bits = draw(st.integers(min_value=40, max_value=4200))
+    den = draw(st.integers(min_value=2 ** (bits - 1), max_value=2**bits - 1))
+    cuts = sorted(draw(st.lists(st.integers(min_value=0, max_value=den), min_size=s - 1, max_size=s - 1)))
+    return ProbabilityVector(tuple(Fraction(b - a, den) for a, b in zip([0, *cuts], [*cuts, den])))
+
+
+def near_rational(p_over_q: Fraction, k: int, sign: int, s: int) -> ProbabilityVector:
+    """tau_0 = p/q + sign/(q * 7**k), the rest of the mass over s - 1 digits."""
+    head = p_over_q + Fraction(sign, p_over_q.denominator * 7**k)
+    rest = [(1 - head) * w / sum(range(1, s)) for w in range(1, s)]
+    return ProbabilityVector((head, *rest))
+
+
+NEAR_RATIONALS = st.builds(
+    near_rational,
+    st.sampled_from([Fraction(1, 3), Fraction(2, 7), Fraction(5, 12)]),
+    st.one_of(st.integers(min_value=1, max_value=6), st.integers(min_value=7, max_value=1500)),
+    st.sampled_from([1, -1]),
+    st.integers(min_value=2, max_value=5),
+)
+
+
+class TestWideGreedyColumns:
+    """Greedy columns of any denominator, whose floors come from one
+    continued-fraction convergent per chunk, against the step formula."""
+
+    @settings(max_examples=40)
+    @given(st.one_of(wide_vectors(), NEAR_RATIONALS))
+    def test_matches_the_oracle_at_chunk_edges_and_convergents(self, tau):
+        stream = greedy_stream(tau)
+        # Every chunk edge, and the stream lengths after the steps around
+        # each convergent denominator the first four chunks reach, where a
+        # column moves to its next convergent.
+        steps = {
+            q + d
+            for t in tau.entries
+            for q in convergent_denominators(t)
+            if q <= FOUR_CHUNK_STEPS
+            for d in (-1, 0, 1)
+        }
+        lengths = set(edge_lengths(stream, 4)) | {
+            sum(math.floor(t * n) - math.floor(t) for t in tau.entries) for n in steps - {0}
+        }
+        want = greedy_oracle(tau, max(lengths))
+        for n in sorted(lengths):
+            assert stream.prefix(n).digits == want[:n], n
+
+    @pytest.mark.parametrize(
+        "tau",
+        [near_rational(Fraction(1, 3), 3, 1, 4), near_rational(Fraction(2, 7), 3, -1, 3)]
+        + [near_rational(Fraction(2, 7), 2, sign, 2) for sign in (1, -1)],
+        ids=["third-k3-above", "two-sevenths-k3-below", "two-sevenths-k2-above", "two-sevenths-k2-below"],
+    )
+    def test_chunks_on_both_sides_of_a_convergent_change(self, tau):
+        # 7**k * q lies past the first chunk end (step 257) and inside the
+        # first four chunks, so the first column changes convergent mid-stream.
+        assert 257 < tau.entries[0].denominator <= FOUR_CHUNK_STEPS
+        stream = greedy_stream(tau)
+        lengths = edge_lengths(stream, 4)
+        want = greedy_oracle(tau, lengths[-1])
+        for n in lengths:
+            assert stream.prefix(n).digits == want[:n], n
+
+    @pytest.mark.parametrize(
+        "start, dtype",
+        [
+            (construct._INT64_STEPS - 1000, "int64"),
+            (construct._INT64_STEPS - 999, "object"),
+            (3_100_000_000, "object"),
+        ],
+        ids=["last-int64", "first-object", "past-the-bound"],
+    )
+    @pytest.mark.parametrize(
+        "t",
+        [Fraction(1, 3), Fraction(2**4199 + 12345, 2**4200 + 1), Fraction(1, 3) - Fraction(1, 3 * 7**1500)],
+        ids=["third", "wide", "near-third"],
+    )
+    def test_column_step_past_the_int64_bound(self, start, dtype, t):
+        # Steps near 3.1e9 without iterating to them: the column at a late
+        # start against exact big-int floors, on both sides of the bound
+        # where its arithmetic leaves int64.
+        column = construct._GreedyColumn(t)
+        floors = column.floors(start, 1000)
+        assert floors.dtype == np.dtype(dtype)
+        exact = [t.numerator * n // t.denominator for n in range(start, start + 1001)]
+        assert [int(f) - int(floors[0]) for f in floors] == [e - exact[0] for e in exact]
+
+    def test_cli_construct_with_wide_tau(self, tmp_path):
+        # 4200-bit denominators through `adiclab construct`, written as
+        # exact fractions: the artifact holds the step formula's digits.
+        tiny = Fraction(1, 7**1500)
+        tau = ProbabilityVector((tiny, Fraction(1, 2), Fraction(1, 4), Fraction(1, 4) - tiny))
+        out = tmp_path / "wide.txt"
+        argv = ["construct", "--tau", ",".join(tau.as_strings()), "--length", "100000", "--out", str(out)]
+        assert main(argv) == 0
+        header, text = out.read_text().splitlines()
+        assert header.startswith("# adiclab ")
+        assert tuple(map(int, text)) == greedy_oracle(tau, 100_000)
 
 
 class TestBlockChunks:
@@ -435,6 +558,16 @@ class TestFastPaths:
         for n in {0, s**count - 1, (s**count - 1) // 3}:
             got = digits._base_digits(n, Base(s), count)
             assert type(got) is bytes and tuple(got) == divmod_digits(n, s, count), n
+
+    @pytest.mark.parametrize("s", [3, 10, 300])
+    @pytest.mark.parametrize(
+        "count", [0, 1, *(k * digits._DIGITS_LEAF + d for k in (1, 2) for d in (-1, 0, 1)), 1000]
+    )
+    def test_halving_digits_match_divmod(self, s, count):
+        for n in {0, s**count - 1, (s**count - 1) // 7, s ** max(count - 1, 0)}:
+            got = digits._base_digits(n, Base(s), count)
+            assert type(got) is (array if s > 256 else bytes), s
+            assert tuple(got) == divmod_digits(n, s, count), n
 
     def test_bytes_are_checked_without_a_copy(self):
         data = bytes([0, 1, 2, 3])

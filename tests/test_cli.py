@@ -3,6 +3,9 @@ import hashlib
 import io
 import json
 import os
+import re
+import subprocess
+import sys
 import threading
 import time
 
@@ -488,6 +491,21 @@ class TestVerify:
             "",
             "error: unknown module(s) ['numerology']; valid names: ['digits', 'stats', 'construct', 'entropy']\n",
         )
+
+    def test_module_help_names_the_battery_modules(self, capsys):
+        # The help text names the modules without importing the battery.
+        from adiclab.verify import MODULES
+
+        with pytest.raises(SystemExit):
+            main(["verify", "--help"])
+        text = " ".join(capsys.readouterr().out.split())
+        assert re.search(r"one of ((?:\w+, )*\w+)", text)[1].split(", ") == list(MODULES)
+
+    def test_other_commands_do_not_load_the_battery(self):
+        code = "import sys, adiclab.cli; print('adiclab.verify' in sys.modules)"
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}
+        done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env)
+        assert done.stdout == "False\n", done.stderr
 
     @pytest.mark.parametrize("base", ["2", "10", "300"])
     def test_other_bases_are_refused(self, base, tmp_path, capsys):
