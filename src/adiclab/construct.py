@@ -155,7 +155,7 @@ def floor_counts(tau: ProbabilityVector, n: int) -> tuple[int, ...]:
 _FIRST_STEPS = 256
 
 
-# Below this chunk end N every greedy column's arithmetic is int64: its
+# Up to this chunk end N every greedy column's arithmetic is int64: its
 # values stay under N**2 (see `_GreedyColumn.floors`).
 _INT64_STEPS = math.isqrt(2**63 - 1)
 
@@ -170,19 +170,15 @@ class _GreedyColumn:
     c = [tau_i < p'/q'] (Khinchin, Continued Fractions, ch. I): n*p'/q' is
     within 1/q' of n*tau_i, and it is an integer only when q' divides n,
     where subtracting c, and nothing else, moves the floor. Once q <= N the
-    convergent is tau_i itself and c = 0. The convergents come one at a
-    time from a continued-fraction generator, so a whole stream spends
-    O(log q) big-int steps on them.
+    convergent is tau_i itself and c = 0. The convergent is recomputed only
+    when N reaches q'', in O(log q) big-int steps.
     """
 
-    __slots__ = ("tau", "_convergents", "p", "q", "c", "_next")
+    __slots__ = ("tau", "p", "q", "c", "until")
 
     def __init__(self, tau: Fraction):
         self.tau = tau
-        self._convergents = _convergents(tau.numerator, tau.denominator)
-        self.p, self.q = next(self._convergents)  # floor(tau_i)/1 <= tau_i
-        self.c = 0
-        self._next = next(self._convergents, None)
+        self.until = 0  # the convergent serves chunk ends N < until
 
     def floors(self, k: int, steps: int) -> np.ndarray:
         """floor(n*tau_i) - floor((k*p' - c)/q') for n = k, ..., k+steps,
@@ -194,23 +190,27 @@ class _GreedyColumn:
         steps), exact Python ints past it.
         """
         end = k + steps
-        while self._next is not None and self._next[1] <= end:
-            self.p, self.q = self._next
-            self._next = next(self._convergents, None)
-            self.c = int(self.tau.numerator * self.q < self.p * self.tau.denominator)
+        if end >= self.until:
+            num, den = self.tau.numerator, self.tau.denominator
+            self.p, self.q, self.until = _convergent(num, den, end)
+            self.c = int(num * self.q < self.p * den)
         p, q = self.p, self.q
         dtype = np.int64 if end <= _INT64_STEPS else object
         return ((p * k - self.c) % q + p * np.arange(steps + 1, dtype=dtype)) // q
 
 
-def _convergents(p: int, q: int) -> Iterator[tuple[int, int]]:
-    """The convergents (p_k, q_k) of p/q >= 0, from its continued fraction."""
+def _convergent(p: int, q: int, n: int) -> tuple[int, int, int | float]:
+    """(p', q', q'') for n >= 1: the last continued-fraction convergent
+    p'/q' of the reduced fraction p/q >= 0 with q' <= n, and the next
+    denominator q'' > n, or infinity when p'/q' is p/q itself."""
+    if q <= n:
+        return p, q, math.inf
     h0, k0, h1, k1 = 0, 1, 1, 0
-    while q:
+    while True:  # the last convergent has denominator q > n, so this returns
         a, (p, q) = p // q, (q, p % q)
-        h0, h1 = h1, a * h1 + h0
-        k0, k1 = k1, a * k1 + k0
-        yield h1, k1
+        h0, k0, h1, k1 = h1, k1, a * h1 + h0, a * k1 + k0
+        if k1 > n:
+            return h0, k0, k1
 
 
 def greedy_stream(tau: ProbabilityVector, base: Base | None = None) -> DigitStream:
