@@ -229,12 +229,23 @@ class TestWideGreedyColumns:
     @pytest.mark.parametrize(
         "tau",
         [near_rational(Fraction(1, 3), 3, 1, 4), near_rational(Fraction(2, 7), 3, -1, 3)]
-        + [near_rational(Fraction(2, 7), 2, sign, 2) for sign in (1, -1)],
-        ids=["third-k3-above", "two-sevenths-k3-below", "two-sevenths-k2-above", "two-sevenths-k2-below"],
+        + [near_rational(Fraction(2, 7), 2, sign, 2) for sign in (1, -1)]
+        # 769 is the second chunk end, and the convergent before 251/769,
+        # 47/144, lies below it: kept one chunk too long, it would floor
+        # 769 * tau_0 = 251 to 250.
+        + [ProbabilityVector((Fraction(251, 769), Fraction(518, 769)))],
+        ids=[
+            "third-k3-above",
+            "two-sevenths-k3-below",
+            "two-sevenths-k2-above",
+            "two-sevenths-k2-below",
+            "at-a-chunk-end",
+        ],
     )
     def test_chunks_on_both_sides_of_a_convergent_change(self, tau):
-        # 7**k * q lies past the first chunk end (step 257) and inside the
-        # first four chunks, so the first column changes convergent mid-stream.
+        # The first column's denominator lies past the first chunk end
+        # (step 257) and inside the first four chunks, so that column
+        # changes convergent mid-stream.
         assert 257 < tau.entries[0].denominator <= FOUR_CHUNK_STEPS
         stream = greedy_stream(tau)
         lengths = edge_lengths(stream, 4)
