@@ -47,7 +47,7 @@ MAX_CONSTRUCT_LENGTH = 10**8
 # 13 us per base digit, so points * max(s, 4) is capped: 10**5 points up to
 # base 4 (about 5 s with the CSV), 1333 in base 300 (about 4 s). A single
 # entropy point (`dimension --theta`, `--mean`) gets the same budget, so
-# its base is at most this.
+# its base is at most this, and so do `analyze`'s checkpoints * max(s, 4).
 _MAX_SWEEP_POINT_DIGITS = 4 * 10**5
 DEFAULT_PRECISION = 12
 PRECISION_ENV = "ADICLAB_PRECISION"
@@ -174,25 +174,32 @@ def _parse_fraction(text: str, flag: str) -> Fraction:
         raise UsageError(f"{flag}: not a rational number: {text!r} ({exc})")
 
 
-def _write_replacing(path: Path, chunks: Iterable[str]) -> None:
-    """Write `chunks` to a temporary file beside `path`, then rename it onto
-    `path`. If producing or writing a chunk fails, the temporary file is
-    removed and whatever was at `path` before is left as it was.
+def _write_replacing(*outputs: tuple[Path, Iterable[str]]) -> None:
+    """Write each (path, chunks) pair to a temporary file beside its path,
+    then rename every temporary file onto its path. If producing or writing
+    any chunk fails (opening a directory as a file does), the temporary
+    files are removed and nothing is renamed, so whatever was at each path
+    before is left as it was.
 
     A symlink is followed, so the file it names is replaced. A device or a
     pipe (such as /dev/null) cannot be replaced and is written in place."""
-    if path.exists() and not path.is_file():
-        with open(path, "w") as handle:
-            handle.writelines(chunks)
-        return
-    path = Path(os.path.realpath(path))
-    tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
+    staged: list[tuple[Path, Path]] = []
     try:
-        with open(tmp, "w") as handle:
-            handle.writelines(chunks)
-        os.replace(tmp, path)
+        for path, chunks in outputs:
+            if path.exists() and not path.is_file():
+                with open(path, "w") as handle:
+                    handle.writelines(chunks)
+                continue
+            path = Path(os.path.realpath(path))
+            tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
+            staged.append((tmp, path))
+            with open(tmp, "w") as handle:
+                handle.writelines(chunks)
+        for tmp, path in staged:
+            os.replace(tmp, path)
     except BaseException:
-        tmp.unlink(missing_ok=True)
+        for tmp, _ in staged:
+            tmp.unlink(missing_ok=True)
         raise
 
 
@@ -201,7 +208,7 @@ def _write_artifact(cfg: ExperimentConfig, text: str, header: bool = True) -> No
     if cfg.out is None:
         sys.stdout.write(body)
     else:
-        _write_replacing(Path(cfg.out), [body])
+        _write_replacing((Path(cfg.out), [body]))
 
 
 # ---------------------------------------------------------------------------
@@ -260,12 +267,13 @@ def cmd_construct(cfg: ExperimentConfig) -> int:
         sys.stdout.write("\n")
         return 0
     path = Path(cfg.out)
-    _write_replacing(
-        path,
-        itertools.chain([_provenance_line(h) + "\n"], _digit_chunks(stream, cfg.length), ["\n"]),
-    )
     sidecar = {"provenance": _provenance_dict(h), "config": cfg.to_json_dict()}
-    _write_replacing(path.with_name(path.name + ".json"), [json.dumps(sidecar, indent=2) + "\n"])
+    # The small sidecar is staged first, so an unwritable one fails before
+    # any digit is made.
+    _write_replacing(
+        (path.with_name(path.name + ".json"), [json.dumps(sidecar, indent=2) + "\n"]),
+        (path, itertools.chain([_provenance_line(h) + "\n"], _digit_chunks(stream, cfg.length), ["\n"])),
+    )
     return 0
 
 
@@ -323,6 +331,11 @@ def cmd_analyze(cfg: ExperimentConfig) -> int:
                 f"got {checkpoints[-1]}"
             )
         stream = _stream_from_config(cfg)
+    # Each checkpoint writes a row of s + 2 cells, so the output is capped
+    # like a sweep's points.
+    allowed = _MAX_SWEEP_POINT_DIGITS // max(base.s, 4)
+    if len(checkpoints) > allowed:
+        raise UsageError(f"--checkpoints: got {len(checkpoints)}; at most {allowed} are allowed in base {base.s}")
     trace = convergence_trace(stream, checkpoints)
 
     normality = None

@@ -94,10 +94,10 @@ def be_dimension(tau: Sequence[float | Fraction], base: Base = BASE4) -> float:
     t = _entries(tau)
     if len(t) != base.s:
         raise ValueError(f"expected {base.s} entries, got {len(t)}")
-    if any(v < 0.0 for v in t) or abs(sum(t) - 1.0) > 1e-9:
+    if any(v < 0.0 for v in t) or abs(_lsum(t) - 1.0) > 1e-9:
         raise ValueError(f"not a probability vector: {t}")
     # + 0.0 normalizes the point-mass result to 0.0 rather than -0.0
-    return -sum(xlogx(v) for v in t) / math.log(base.s) + 0.0
+    return -_lsum(map(xlogx, t)) / math.log(base.s) + 0.0
 
 
 def exp_family_vector(lam: float, base: Base = BASE4) -> tuple[tuple[float, ...], float]:
@@ -109,13 +109,22 @@ def exp_family_vector(lam: float, base: Base = BASE4) -> tuple[tuple[float, ...]
     """
     if not math.isfinite(lam):
         raise ValueError(f"multiplier must be finite, got {lam}")
-    s = base.s
-    shift = max(lam * i for i in range(s))
-    weights = [math.exp(lam * i - shift) for i in range(s)]
-    z = _lsum(weights)
-    tau = tuple(w / z for w in weights)
-    mean = _lsum(i * t for i, t in enumerate(tau))
-    return tau, mean
+    tau, mean = _gibbs(np.array([float(lam)]), np.arange(base.s))
+    return tuple(tau[0].tolist()), float(mean[0])
+
+
+def _gibbs(lams: np.ndarray, digits: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Gibbs vectors (one row per multiplier in `lams`) and their means.
+
+    Each weight comes from `math.exp` (`np.exp` can differ in the last
+    bit) and each sum runs left to right (`np.cumsum`), so a row does not
+    depend on which other multipliers share the call.
+    """
+    exponents = lams[:, None] * digits
+    exponents -= exponents.max(axis=1)[:, None]
+    weights = np.array(list(map(math.exp, exponents.ravel().tolist()))).reshape(exponents.shape)
+    tau = weights / np.cumsum(weights, axis=1)[:, -1:]
+    return tau, np.cumsum(tau * digits, axis=1)[:, -1]
 
 
 @dataclass(frozen=True)
@@ -144,9 +153,8 @@ def _bisect_block(
     """Bisect the interior `thetas` together, one row each, and yield
     (position, result) as rows meet the tolerance.
 
-    Each row performs exactly the arithmetic of `exp_family_vector`
-    (weights from `math.exp`, sums taken left to right), so a result does
-    not depend on which other rows share the block.
+    Each row is the `_gibbs` vector that `exp_family_vector` gives, so a
+    result does not depend on which other rows share the block.
     """
     s = base.s
     digits = np.arange(s)
@@ -157,11 +165,7 @@ def _bisect_block(
     log_s = math.log(s)
     for _ in range(_MAX_BISECT):
         mid = 0.5 * (lo + hi)
-        exponents = mid[:, None] * digits
-        exponents -= exponents.max(axis=1)[:, None]
-        weights = np.array(list(map(math.exp, exponents.ravel().tolist()))).reshape(exponents.shape)
-        tau = weights / np.cumsum(weights, axis=1)[:, -1:]
-        mean = np.cumsum(tau * digits, axis=1)[:, -1]
+        tau, mean = _gibbs(mid, digits)
         below = mean < target
         lo, hi = np.where(below, mid, lo), np.where(below, hi, mid)
         done = np.abs(mean - target) <= tol

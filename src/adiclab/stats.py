@@ -7,13 +7,15 @@ frequencies and the asymptotic digit mean -- it never extrapolates.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from typing import Sequence
 
 import numpy as np
 
-from .digits import Base, DigitPrefix, DigitStream
+from .digits import Base, Chunk, DigitPrefix, DigitStream
 
 __all__ = [
     "DEFAULT_CHECKPOINTS",
@@ -40,56 +42,66 @@ def format_decimal(value: Fraction | float, precision: int = 12) -> str:
 
 @dataclass(frozen=True)
 class FreqReport:
-    """Statistics of one prefix: counts N_i, frequencies v_i = N_i / n, and
-    the running digit mean r_n = sum(i * v_i)."""
+    """Statistics of one prefix, held as its digit counts N_i.
 
-    n: int
+    Everything else follows from the counts, so the identities hold by
+    construction: n = sum(N_i), frequencies v_i = N_i / n and the running
+    digit mean r_n = sum(i * v_i). They are computed when first read, as
+    exact rationals; serialization formats the integer quotients directly.
+    """
+
     counts: tuple[int, ...]
-    freqs: tuple[Fraction, ...]
-    mean: Fraction
 
     def __post_init__(self) -> None:
-        # Exact bookkeeping identities; cheap relative to the tally itself.
-        if self.n < 1:
+        counts = tuple(map(operator.index, self.counts))
+        if min(counts, default=0) < 0:
+            raise ValueError(f"digit counts must be nonnegative, got {counts}")
+        if not any(counts):
             raise ValueError("a frequency report needs at least one digit")
-        if sum(self.counts) != self.n:
-            raise ValueError("digit counts do not add up to the prefix length")
-        if sum(self.freqs) != 1:
-            raise ValueError("frequencies do not sum to 1")
-        if self.mean != sum(i * f for i, f in enumerate(self.freqs)):
-            raise ValueError("mean is inconsistent with the frequencies")
+        object.__setattr__(self, "counts", counts)
 
-    @classmethod
-    def from_counts(cls, counts: Sequence[int]) -> "FreqReport":
-        counts = tuple(counts)
-        n = sum(counts)
-        if n < 1:
-            raise ValueError("a frequency report needs at least one digit")
-        freqs = tuple(Fraction(c, n) for c in counts)
-        mean = Fraction(sum(i * c for i, c in enumerate(counts)), n)
-        return cls(n=n, counts=counts, freqs=freqs, mean=mean)
+    @cached_property
+    def n(self) -> int:
+        return sum(self.counts)
+
+    @cached_property
+    def digit_sum(self) -> int:
+        """sum(i * N_i), the sum of the prefix's digits."""
+        return sum(i * c for i, c in enumerate(self.counts))
+
+    @cached_property
+    def freqs(self) -> tuple[Fraction, ...]:
+        return tuple(Fraction(c, self.n) for c in self.counts)
+
+    @cached_property
+    def mean(self) -> Fraction:
+        return Fraction(self.digit_sum, self.n)
+
+    def _decimals(self, precision: int) -> list[str]:
+        # int / int is correctly rounded, as float(Fraction(c, n)) is, so the
+        # cells equal format_decimal of the exact frequencies and mean.
+        n = self.n
+        return [format_decimal(c / n, precision) for c in (*self.counts, self.digit_sum)]
 
     def to_json_dict(self, precision: int = 12) -> dict:
-        return {
-            "n": self.n,
-            "counts": list(self.counts),
-            "freqs": [format_decimal(f, precision) for f in self.freqs],
-            "mean": format_decimal(self.mean, precision),
-        }
+        *freqs, mean = self._decimals(precision)
+        return {"n": self.n, "counts": list(self.counts), "freqs": freqs, "mean": mean}
+
+
+def _tally(chunk: Chunk, s: int) -> np.ndarray:
+    """Digit counts of one chunk, in one `numpy.bincount` pass."""
+    return np.bincount(np.asarray(memoryview(chunk)).astype(np.intp), minlength=s)
 
 
 def digit_counts(p: DigitPrefix) -> tuple[int, ...]:
     """counts[i] = number of positions j <= n with a_j = i."""
-    counts = [0] * p.base.s
-    for d in p.chunk:
-        counts[d] += 1
-    return tuple(counts)
+    return tuple(_tally(p.chunk, p.base.s).tolist())
 
 
 def freq_report(p: DigitPrefix) -> FreqReport:
     if len(p) == 0:
         raise ValueError("cannot report frequencies of an empty prefix")
-    return FreqReport.from_counts(digit_counts(p))
+    return FreqReport(digit_counts(p))
 
 
 @dataclass(frozen=True)
@@ -100,17 +112,11 @@ class ConvergenceTrace:
     checkpoints: tuple[int, ...]
     reports: tuple[FreqReport, ...]
 
-    def csv_header(self) -> str:
-        cols = ",".join(f"v{i}" for i in range(self.base.s))
-        return f"n,{cols},r_n"
-
     def to_csv(self, precision: int = 12) -> str:
-        lines = [self.csv_header()]
+        cols = ",".join(f"v{i}" for i in range(self.base.s))
+        lines = [f"n,{cols},r_n"]
         for rep in self.reports:
-            cells = [str(rep.n)]
-            cells += [format_decimal(f, precision) for f in rep.freqs]
-            cells.append(format_decimal(rep.mean, precision))
-            lines.append(",".join(cells))
+            lines.append(",".join([str(rep.n), *rep._decimals(precision)]))
         return "\n".join(lines) + "\n"
 
     def to_json_dict(self, precision: int = 12) -> dict:
@@ -127,8 +133,9 @@ def convergence_trace(stream: DigitStream, checkpoints: Sequence[int]) -> Conver
     The stream's chunks are cut at every checkpoint and each piece is
     tallied whole: digit counts with `numpy.bincount`, which costs one pass
     whatever the base. The digit sum is accumulated independently, with
-    `sum`, and cross-checked against the count-derived mean, so every
-    emitted report has passed the exact mean identity both ways.
+    `sum`, and compared in integers with sum(i * N_i) from the counts (as
+    the length is with sum(N_i)), so every emitted report has passed the
+    mean identity both ways.
     """
     points = tuple(int(n) for n in checkpoints)
     if not points:
@@ -146,14 +153,13 @@ def convergence_trace(stream: DigitStream, checkpoints: Sequence[int]) -> Conver
     for chunk in stream.chunks(points[-1]):
         while chunk:
             piece, chunk = chunk[: target - consumed], chunk[target - consumed :]
-            values = np.asarray(memoryview(piece)).astype(np.intp)
-            counts += np.bincount(values, minlength=s)
+            counts += _tally(piece, s)
             digit_sum += sum(piece)
             consumed += len(piece)
             if consumed == target:
-                report = FreqReport.from_counts(counts.tolist())
-                if report.mean != Fraction(digit_sum, target):
-                    raise AssertionError("count-derived mean disagrees with the digit-sum mean")
+                report = FreqReport(counts.tolist())
+                if report.n != consumed or report.digit_sum != digit_sum:
+                    raise AssertionError("digit counts disagree with the digit sum or the length")
                 reports.append(report)
                 target = next(targets, None)
     if len(reports) < len(points):
@@ -188,6 +194,6 @@ def weak_normality_verdict(report: FreqReport, tol: Fraction | int | str) -> Nor
     tol = Fraction(tol)
     if tol < 0:
         raise ValueError(f"tolerance must be >= 0, got {tol}")
-    target = Fraction(1, len(report.freqs))
+    target = Fraction(1, len(report.counts))
     deviation = max(abs(f - target) for f in report.freqs)
     return NormalityVerdict(consistent=deviation <= tol, max_deviation=deviation, tol=tol)

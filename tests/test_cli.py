@@ -110,6 +110,21 @@ class TestConstruct:
         assert out_path.read_bytes() == b"earlier artifact\n"
         assert sorted(p.name for p in tmp_path.iterdir()) == ["bad.json", "out.txt"]
 
+    @pytest.mark.parametrize("earlier", [None, b"earlier artifact\n"])
+    def test_unwritable_sidecar_leaves_no_artifact(self, tmp_path, capsys, earlier):
+        out_path = tmp_path / "out.txt"
+        (tmp_path / "out.txt.json").mkdir()
+        if earlier is not None:
+            out_path.write_bytes(earlier)
+        before = sorted(p.name for p in tmp_path.iterdir())
+        code, out, err = run_cli(capsys, "construct", "--mean", "3", "--length", "10", "--out", str(out_path))
+        assert code == 2 and out == ""
+        assert len(err.splitlines()) == 1 and err.startswith("error: ")
+        assert sorted(p.name for p in tmp_path.iterdir()) == before
+        assert list((tmp_path / "out.txt.json").iterdir()) == []
+        if earlier is not None:
+            assert out_path.read_bytes() == earlier
+
     def test_out_through_symlink_replaces_its_target(self, tmp_path, capsys):
         target = tmp_path / "target.txt"
         target.write_text("earlier artifact\n")
@@ -323,6 +338,30 @@ class TestAnalyze:
         code, out, _ = run_cli(capsys, "analyze", "--in", str(source))
         assert code == 0 and out.splitlines()[-1] == "4,0.25,0.25,0.25,0.25,1.5"
 
+    @pytest.mark.parametrize("base, allowed", [("2", 100000), ("4", 100000), ("300", 1333), ("400000", 1)])
+    def test_checkpoints_are_capped_by_count_times_base(self, tmp_path, capsys, base, allowed):
+        # Each checkpoint writes a row of s + 2 cells: a 4-digit file in
+        # base 10**6 took 12.5 s and 171 MB before this cap.
+        source = tmp_path / "digits.txt"
+        source.write_text("0101\n")
+        over = ",".join(map(str, range(1, allowed + 2)))
+        start = time.perf_counter()
+        got = run_cli(capsys, "analyze", "--in", str(source), "--base", base, "--checkpoints", over)
+        message = f"error: --checkpoints: got {allowed + 1}; at most {allowed} are allowed in base {base}\n"
+        assert got == (2, "", message)
+        assert time.perf_counter() - start < 1.0
+        if allowed < 2000:  # 100000 checkpoints take about 2 s to run
+            source.write_text("01" * allowed + "\n")
+            edge = ",".join(map(str, range(1, allowed + 1)))
+            code, out, _ = run_cli(capsys, "analyze", "--in", str(source), "--base", base, "--checkpoints", edge)
+            assert code == 0 and len(out.splitlines()) == allowed + 2
+
+    def test_default_checkpoints_past_the_cap_are_refused(self, tmp_path, capsys):
+        source = tmp_path / "digits.txt"
+        source.write_text("0123\n")
+        got = run_cli(capsys, "analyze", "--in", str(source), "--base", "400001")
+        assert got == (2, "", "error: --checkpoints: got 1; at most 0 are allowed in base 400001\n")
+
     def test_mean_target_trace_hits_theta(self, capsys):
         code, out, _ = run_cli(
             capsys, "analyze", "--mean", "3/2", "--checkpoints", "100000"
@@ -350,6 +389,13 @@ class TestDimension:
         code, out, _ = run_cli(capsys, "dimension", "--tau", "1,0,0,0")
         assert code == 0
         assert json.loads(out)["dimension"] == 0.0
+
+    def test_tau_sums_left_to_right(self, capsys):
+        # The builtin sum compensates its rounding from Python 3.12 on and
+        # gives 0.8962406251802889 here.
+        code, out, _ = run_cli(capsys, "dimension", "--tau", "1/6,1/6,1/6,1/2")
+        assert code == 0
+        assert '"dimension": 0.8962406251802891\n' in out
 
     def test_theta_midpoint(self, capsys):
         code, out, _ = run_cli(capsys, "dimension", "--theta", "1.5")

@@ -1,11 +1,14 @@
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from adiclab.digits import BASE4, DigitPrefix, constant_stream, expand
+from adiclab import stats
+from adiclab.digits import BASE4, Base, DigitPrefix, constant_stream, expand
 from adiclab.stats import (
     DEFAULT_CHECKPOINTS,
+    ConvergenceTrace,
     FreqReport,
     convergence_trace,
     digit_counts,
@@ -26,6 +29,15 @@ class TestDigitCounts:
 
     def test_mixed(self):
         assert digit_counts(DigitPrefix(BASE4, (0, 1, 0, 1, 2))) == (2, 2, 1, 0)
+
+    @given(st.data(), st.sampled_from([2, 4, 300]))
+    def test_matches_a_per_digit_tally(self, data, s):
+        # Base 300 holds its digits in an array("Q") chunk, the others in bytes.
+        digits = data.draw(st.lists(st.integers(0, s - 1), max_size=50))
+        expected = [0] * s
+        for d in digits:
+            expected[d] += 1
+        assert digit_counts(DigitPrefix(Base(s), digits)) == tuple(expected)
 
 
 class TestFreqReport:
@@ -48,14 +60,13 @@ class TestFreqReport:
         with pytest.raises(ValueError):
             freq_report(DigitPrefix(BASE4, ()))
 
-    def test_inconsistent_report_rejected(self):
-        with pytest.raises(ValueError):
-            FreqReport(
-                n=2,
-                counts=(1, 1, 0, 0),
-                freqs=(Fraction(1, 2), Fraction(1, 2), 0, 0),
-                mean=Fraction(3, 2),  # true mean is 1/2
-            )
+    def test_negative_count_rejected(self):
+        with pytest.raises(ValueError, match="nonnegative"):
+            FreqReport((-1, 2))
+
+    def test_all_zero_counts_rejected(self):
+        with pytest.raises(ValueError, match="at least one digit"):
+            FreqReport((0, 0, 0, 0))
 
     @given(prefix_digits)
     def test_exact_identities(self, digits):
@@ -112,6 +123,13 @@ class TestConvergenceTrace:
         with pytest.raises(ValueError, match="ended at 3"):
             convergence_trace(stream_from_digits((1, 2, 3)), (10,))
 
+    @pytest.mark.parametrize("fault", [lambda c: np.roll(c, 1), lambda c: 2 * c], ids=["digit", "length"])
+    def test_tally_is_cross_checked(self, monkeypatch, fault):
+        tally = stats._tally
+        monkeypatch.setattr(stats, "_tally", lambda chunk, s: fault(tally(chunk, s)))
+        with pytest.raises(AssertionError, match="digit counts disagree"):
+            convergence_trace(constant_stream(3), (10,))
+
     def test_default_checkpoints_shape(self):
         assert DEFAULT_CHECKPOINTS == (10, 100, 1000, 10**4, 10**5, 10**6)
 
@@ -136,6 +154,37 @@ class TestConvergenceTrace:
             "freqs": ["0", "1", "0", "0"],
             "mean": "1",
         }
+
+
+class TestSerializationFromCounts:
+    @staticmethod
+    def assert_cells_are_exact(counts, precision):
+        rep = FreqReport(counts)
+        n = sum(counts)
+        freqs = [format_decimal(Fraction(c, n), precision) for c in counts]
+        mean = format_decimal(Fraction(sum(i * c for i, c in enumerate(counts)), n), precision)
+        assert rep.to_json_dict(precision) == {"n": n, "counts": list(counts), "freqs": freqs, "mean": mean}
+        trace = ConvergenceTrace(Base(len(counts)), (n,), (rep,))
+        assert trace.to_csv(precision).splitlines()[1] == ",".join([str(n), *freqs, mean])
+
+    @given(st.data(), st.sampled_from([2, 4, 10, 300]), st.integers(1, 17))
+    def test_cells_equal_the_exact_fractions(self, data, s, precision):
+        counts = data.draw(st.lists(st.integers(0, 2**70), min_size=s, max_size=s))
+        counts[data.draw(st.integers(0, s - 1))] += 1
+        self.assert_cells_are_exact(tuple(counts), precision)
+
+    @pytest.mark.parametrize(
+        "counts",
+        [
+            (2**53 + 1, 2**53 - 1, 3, 0),
+            (1, 2**64 + 1),
+            (2**64 - 1, 2**64, 2**64 + 1, 7, 0, 0, 0, 0, 0, 10**30),
+            (3**60, 5**40, 7**30, 11**25),
+        ],
+    )
+    def test_counts_past_the_float_mantissa(self, counts):
+        for precision in (1, 12, 17):
+            self.assert_cells_are_exact(counts, precision)
 
 
 class TestWeakNormality:
