@@ -57,9 +57,15 @@ class UsageError(Exception):
     """Flag/config validation problem; maps to exit status 2."""
 
 
+def _point_budget(base: Base) -> int:
+    """Points (sweep points, a single entropy point, `analyze` checkpoints)
+    that the budget admits in this base; 0 once one point is too many."""
+    return _MAX_SWEEP_POINT_DIGITS // max(base.s, 4)
+
+
 def _check_point_base(base: Base, flag: str) -> None:
     """Refuse a base whose single entropy point is past the sweep budget."""
-    if max(base.s, 4) > _MAX_SWEEP_POINT_DIGITS:
+    if _point_budget(base) < 1:
         raise UsageError(f"{flag} allows bases up to {_MAX_SWEEP_POINT_DIGITS}, got {base.s}")
 
 
@@ -333,7 +339,7 @@ def cmd_analyze(cfg: ExperimentConfig) -> int:
         stream = _stream_from_config(cfg)
     # Each checkpoint writes a row of s + 2 cells, so the output is capped
     # like a sweep's points.
-    allowed = _MAX_SWEEP_POINT_DIGITS // max(base.s, 4)
+    allowed = _point_budget(base)
     if len(checkpoints) > allowed:
         raise UsageError(f"--checkpoints: got {len(checkpoints)}; at most {allowed} are allowed in base {base.s}")
     trace = convergence_trace(stream, checkpoints)
@@ -379,7 +385,7 @@ def _parse_sweep(text: str, base: Base) -> list[float]:
     if step <= 0 or stop < start:
         raise UsageError(f"--sweep needs step > 0 and stop >= start, got {text!r}")
     count = (stop - start) // step + 1
-    allowed = _MAX_SWEEP_POINT_DIGITS // max(base.s, 4)
+    allowed = _point_budget(base)
     if count > allowed:
         raise UsageError(f"--sweep {text} has {count} points; at most {allowed} are allowed in base {base.s}")
     return [float(start + k * step) for k in range(count)]

@@ -481,8 +481,12 @@ class ColumnSchedule:
         tail: ProbabilityVector,
         mean: Fraction | None = None,
     ) -> "ColumnSchedule":
-        """Finitely many explicit columns, then a constant tail column."""
+        """Finitely many explicit columns, then a constant tail column. Every
+        column must have as many entries as the tail."""
         head = tuple(columns)
+        for n, col in enumerate(head, start=1):
+            if col.s != tail.s:
+                raise ValueError(f"column {n} has {col.s} entries, the tail has {tail.s}")
 
         def rule(n: int) -> ProbabilityVector:
             return head[n - 1] if n <= len(head) else tail
@@ -496,25 +500,34 @@ def _block_counts(col: ProbabilityVector, sk: Fraction) -> list[int]:
     return [t.numerator * a // (t.denominator * b) for t in col.entries]
 
 
+def _base_column(columns: ColumnSchedule, n: int, base: Base) -> ProbabilityVector:
+    """Column n of the rule, refused unless it has one entry per digit."""
+    col = columns.column(n)
+    if col.s != base.s:
+        raise ValueError(f"column {n} has {col.s} entries, base is {base.s}")
+    return col
+
+
 def block_stream(columns: ColumnSchedule, spec: ScheduleSpec, base: Base = BASE4) -> DigitStream:
     """Digits laid out block by block: block k holds floor(tau_ik * s_k)
     copies of digit i, in increasing digit order.
 
     The schedule must pass `validate_schedule`. Early blocks may be empty;
     block k has length between s_k - s and s_k (floor loss under 1 per
-    digit), so the stream is unbounded for every accepted schedule.
+    digit), so the stream is unbounded for every accepted schedule. Every
+    column must have one entry per digit: column 1 is checked here, and
+    each later column when the stream reaches it.
     """
     validation = validate_schedule(spec)
     if not validation.accepted:
         raise ScheduleRejectedError(validation)
-    if columns.column(1).s != base.s:
-        raise ValueError(f"columns have {columns.column(1).s} entries, base is {base.s}")
+    _base_column(columns, 1, base)
     units = [to_chunk((i,), base) for i in range(base.s)]
 
     def make() -> Iterator[Chunk]:
         k = 1
         while True:
-            for i, reps in enumerate(_block_counts(columns.column(k), spec.term(k))):
+            for i, reps in enumerate(_block_counts(_base_column(columns, k, base), spec.term(k))):
                 # A long run goes out in pieces, so a huge block is never held at once.
                 while reps > 0:
                     piece = min(reps, CHUNK_DIGITS)

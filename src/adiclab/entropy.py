@@ -44,8 +44,10 @@ __all__ = [
     "sweep_csv",
 ]
 
-# Bisection bracket for the multiplier; with shifted-exponent evaluation it
-# covers targets within ~1e-20 of the endpoint means without overflow.
+# Bisection bracket for the multiplier; shifted exponents keep every
+# midpoint free of overflow. At the default tol of 1e-10 a theta near either
+# endpoint stops at lambda = +-25, halfway to the bracket's ends; a tol that
+# no multiplier in the bracket meets ends in the _MAX_BISECT ArithmeticError.
 LAMBDA_BRACKET = 50.0
 _MAX_BISECT = 200
 # Vector entries (thetas times digits) one block of the batched bisection
@@ -147,22 +149,20 @@ class EntropyResult:
         }
 
 
-def _bisect_block(
-    thetas: list[float], base: Base, tol: float
-) -> Iterator[tuple[int, EntropyResult]]:
-    """Bisect the interior `thetas` together, one row each, and yield
-    (position, result) as rows meet the tolerance.
+def _bisect(
+    results: list, positions: list[int], thetas: list[float], base: Base, tol: float
+) -> None:
+    """Bisect the interior means thetas[k], k in `positions`, together, one
+    row each, and write each row's result to results[k] at its first
+    midpoint with |mean - theta| <= tol.
 
     Each row is the `_gibbs` vector that `exp_family_vector` gives, so a
-    result does not depend on which other rows share the block.
+    result does not depend on which other rows share the call.
     """
-    s = base.s
-    digits = np.arange(s)
-    rows = np.arange(len(thetas))
-    target = np.array(thetas)
-    lo = np.full(len(thetas), -LAMBDA_BRACKET)
-    hi = np.full(len(thetas), LAMBDA_BRACKET)
-    log_s = math.log(s)
+    digits = np.arange(base.s)
+    rows = np.array(positions)
+    target = np.array([thetas[k] for k in positions])
+    lo, hi = np.full(len(rows), -LAMBDA_BRACKET), np.full(len(rows), LAMBDA_BRACKET)
     for _ in range(_MAX_BISECT):
         mid = 0.5 * (lo + hi)
         tau, mean = _gibbs(mid, digits)
@@ -173,20 +173,13 @@ def _bisect_block(
             continue
         for k, lam, argmin in zip(rows[done].tolist(), mid[done].tolist(), tau[done].tolist()):
             m = _lsum(map(xlogx, argmin))
-            yield k, EntropyResult(
-                theta=thetas[k],
-                m_value=m,
-                argmin=tuple(argmin),
-                multiplier=lam,
-                dimension_bound=-m / log_s,
-            )
+            results[k] = EntropyResult(thetas[k], m, tuple(argmin), lam, -m / math.log(base.s))
         keep = ~done
         if not keep.any():
             return
         rows, target, lo, hi = rows[keep], target[keep], lo[keep], hi[keep]
-    raise ArithmeticError(
-        f"bisection did not reach |mean - theta| <= {tol} for theta={thetas[rows[0]]}"
-    )
+    theta = thetas[rows[0]]
+    raise ArithmeticError(f"bisection did not reach |mean - theta| <= {tol} for theta={theta}")
 
 
 def neg_entropy_minima(
@@ -195,12 +188,15 @@ def neg_entropy_minima(
     """Minimum of f over probability vectors with digit mean theta, for
     each theta in `thetas`, in order.
 
-    Interior theta: bisection locates the multiplier with
-    |mean(lambda) - theta| <= tol; the minimizer is the Gibbs vector there
-    and the dimension bound is -m / ln s. Endpoints short-circuit to the
-    point-mass result (m = 0, bound 0). The result is symmetric under
-    theta -> s-1-theta because digit reflection preserves f and reflects
-    the mean.
+    Interior theta: bisection on [-50, 50] stops at the first multiplier
+    with |mean(lambda) - theta| <= tol; the minimizer is the Gibbs vector
+    there and the dimension bound is -m / ln s. Every theta in [0, s-1] is
+    solved: a theta within tol of 0 or of s-1 stops at a multiplier well
+    inside the bracket (at the default tol, every theta below 1e-10 stops at
+    lambda = -25), so its argmin's mean can differ from theta by up to tol,
+    however small theta is. Endpoints short-circuit to the point-mass
+    result (m = 0, bound 0). The result is symmetric under theta -> s-1-theta
+    because digit reflection preserves f and reflects the mean.
 
     `tol` and every theta are validated, in order, before anything is
     solved. The interior thetas are then bisected together as arrays, in
@@ -219,28 +215,12 @@ def neg_entropy_minima(
         if th == 0.0 or th == s - 1.0:
             hot = 0 if th == 0.0 else s - 1
             point = tuple(1.0 if i == hot else 0.0 for i in range(s))
-            results[k] = EntropyResult(
-                theta=th, m_value=0.0, argmin=point, multiplier=None, dimension_bound=0.0
-            )
+            results[k] = EntropyResult(th, 0.0, point, None, 0.0)
         else:
             interior.append(k)
-    if not interior:
-        return results
-
-    _, mean_lo = exp_family_vector(-LAMBDA_BRACKET, base)
-    _, mean_hi = exp_family_vector(LAMBDA_BRACKET, base)
-    for k in interior:
-        if not mean_lo <= ths[k] <= mean_hi:
-            # Unreachable for representable interior theta; signals a fault.
-            raise ArithmeticError(
-                f"bisection bracket [{-LAMBDA_BRACKET}, {LAMBDA_BRACKET}] does not "
-                f"contain a multiplier for theta={ths[k]}"
-            )
     block = max(1, _BATCH_ENTRIES // s)
     for start in range(0, len(interior), block):
-        positions = interior[start : start + block]
-        for k, result in _bisect_block([ths[k] for k in positions], base, tol):
-            results[positions[k]] = result
+        _bisect(results, interior[start : start + block], ths, base, tol)
     return results
 
 

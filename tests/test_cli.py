@@ -242,6 +242,24 @@ class TestConstruct:
             got = run_cli(capsys, *command, "--config", str(config))
             assert got == (2, "", f"error: {message}\n")
 
+    @pytest.mark.parametrize(
+        "base, head, tail, message",
+        [
+            # A 4-entry tail in base 3 once raised IndexError after digits
+            # went out; a 3-entry tail in base 4 never emitted digit 3.
+            (3, [["1/3", "1/3", "1/3"]] * 3, ["1/4"] * 4, "column 1 has 3 entries, the tail has 4"),
+            (4, [["1/4"] * 4], ["1/3"] * 3, "column 1 has 4 entries, the tail has 3"),
+        ],
+        ids=["long-tail", "short-tail"],
+    )
+    def test_explicit_columns_of_the_wrong_length(self, base, head, tail, message, tmp_path, capsys):
+        config = tmp_path / "blocks.json"
+        columns = {"kind": "explicit", "columns": head, "tail": tail}
+        config.write_text(json.dumps({"base": base, "schedule": {"family": "polynomial"}, "columns": columns}))
+        for command in (["construct", "--length", "20"], ["analyze"]):
+            got = run_cli(capsys, *command, "--config", str(config))
+            assert got == (2, "", f"error: {message}\n")
+
 
 class TestAnalyze:
     def test_file_trace(self, tmp_path, capsys):
@@ -507,8 +525,10 @@ class TestDimension:
         ids=["theta", "theta-oracle", "analyze-mean"],
     )
     def test_single_point_base_is_capped(self, capsys, argv, flag):
-        # One point costs what one sweep point does per base digit: about
-        # 1 s in base 10**5 and 9 s in base 10**6 before this cap.
+        # The cap bounds the entropy point, which costs what one sweep point
+        # does per base digit: about 1 s in base 10**5 and 9 s in base 10**6
+        # before it. It does not bound what `--mean` costs after that point:
+        # the greedy stream does steps * s work in any admitted base.
         start = time.perf_counter()
         got = run_cli(capsys, *argv, "--base", "400001")
         assert got == (2, "", f"error: {flag} allows bases up to 400000, got 400001\n")

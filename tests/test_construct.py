@@ -255,6 +255,31 @@ class TestBlockStream:
         assert columns.column(2) is b
         assert columns.column(100) is b
 
+    def test_explicit_columns_must_match_the_tail(self):
+        four, three = ProbabilityVector.parse("1/4,1/4,1/4,1/4"), ProbabilityVector.parse("1/3,1/3,1/3")
+        with pytest.raises(ValueError, match="^column 2 has 3 entries, the tail has 4$"):
+            ColumnSchedule.explicit([four, three], four)
+        with pytest.raises(ValueError, match="^column 1 has 4 entries, the tail has 3$"):
+            ColumnSchedule.explicit([four], three)
+
+    def test_first_column_of_the_wrong_length_is_refused_before_any_digit(self):
+        columns = ColumnSchedule.constant(ProbabilityVector.parse("1/3,1/3,1/3"))
+        with pytest.raises(ValueError, match="^column 1 has 3 entries, base is 4$"):
+            block_stream(columns, ScheduleSpec.polynomial(1))
+
+    def test_every_column_length_is_checked(self):
+        # Column 3 has one extra entry; without the check its digit 4 would
+        # index past the base-4 alphabet, and a short column would silently
+        # never emit the top digit.
+        uniform = ProbabilityVector.parse("1/4,1/4,1/4,1/4")
+        wide = ProbabilityVector.parse("1/5,1/5,1/5,1/5,1/5")
+        columns = ColumnSchedule(rule=lambda n: wide if n == 3 else uniform)
+        # Blocks 1 and 2 hold 8 and 16 digits.
+        stream = block_stream(columns, ScheduleSpec.affine(8))
+        assert stream.prefix(24).digits == (0, 0, 1, 1, 2, 2, 3, 3) + (0, 0, 0, 0, 1, 1, 1, 1, 2, 2, 2, 2, 3, 3, 3, 3)
+        with pytest.raises(ValueError, match="^column 3 has 5 entries, base is 4$"):
+            stream.prefix(25)
+
 
 class TestMeanTargetStream:
     def test_degenerate_endpoints(self):

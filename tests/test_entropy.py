@@ -55,12 +55,6 @@ def bisection_oracle(theta, base=BASE4, tol=1e-10) -> EntropyResult:
         point = tuple(1.0 if i == hot else 0.0 for i in range(s))
         return EntropyResult(theta=th, m_value=0.0, argmin=point, multiplier=None, dimension_bound=0.0)
     lo, hi = -LAMBDA_BRACKET, LAMBDA_BRACKET
-    _, mean_lo = exp_family_vector(lo, base)
-    _, mean_hi = exp_family_vector(hi, base)
-    if not mean_lo <= th <= mean_hi:
-        raise ArithmeticError(
-            f"bisection bracket [{lo}, {hi}] does not contain a multiplier for theta={th}"
-        )
     for _ in range(200):
         mid = 0.5 * (lo + hi)
         tau, mean = exp_family_vector(mid, base)
@@ -353,7 +347,7 @@ class TestBatchedSolverMatchesOracle:
     @settings(max_examples=60, deadline=None)
     @given(st.sampled_from(SOLVER_BASES), st.floats(min_value=0.0, max_value=1.0))
     def test_one_theta(self, s, fraction):
-        # Below about 1e-20 * (s-1) no multiplier in the bracket fits.
+        # Fractions below 1e-10 / (s-1) all stop at lambda = -25.
         theta = fraction * (s - 1)
         assert outcome(neg_entropy_minimum, theta, Base(s)) == outcome(bisection_oracle, theta, Base(s))
 
@@ -402,13 +396,23 @@ class TestBatchedSolverMatchesOracle:
         def unreachable(*args):
             raise AssertionError("solved before validating")
 
-        monkeypatch.setattr(entropy, "exp_family_vector", unreachable)
+        monkeypatch.setattr(entropy, "_gibbs", unreachable)
         with pytest.raises(ValueError, match=r"^theta must lie in \[0, 3\], got 4.0$"):
             neg_entropy_minima([1.0, 4.0, -1.0])
         with pytest.raises(ValueError, match="^tolerance must be positive, got 0.0$"):
             neg_entropy_minima([1.0, 4.0], tol=0.0)
 
-    @pytest.mark.parametrize("thetas", [[1.0, 1e-300], [float("nan")], [3.5], [-0.0, 5e-324]])
+    @pytest.mark.parametrize("thetas", [[1.0, 1e-300], [-0.0, 5e-324], [1.9e-22]])
+    def test_means_below_the_bracket_mean_are_solved(self, thetas):
+        # The mean at lambda = -50 is 1.93e-22 in every base; below it the
+        # bisection still stops at lambda = -25, within tol of theta.
+        results = neg_entropy_minima(thetas)
+        assert results == batch_oracle(thetas)
+        tiny = results[-1]
+        assert tiny.multiplier == -25.0
+        assert abs(left_sum(i * t for i, t in enumerate(tiny.argmin)) - tiny.theta) <= 1e-10
+
+    @pytest.mark.parametrize("thetas", [[float("nan")], [3.5]])
     def test_errors_match_the_oracle(self, thetas):
         first_error = next(
             r for r in (outcome(bisection_oracle, t) for t in thetas) if isinstance(r, tuple)
