@@ -412,7 +412,11 @@ class TestBatchedSolverMatchesOracle:
         assert tiny.multiplier == -25.0
         assert abs(left_sum(i * t for i, t in enumerate(tiny.argmin)) - tiny.theta) <= 1e-10
 
-    @pytest.mark.parametrize("thetas", [[float("nan")], [3.5]])
+    # A tiny negative mean is refused like nan and 3.5, with or without an
+    # in-range theta before it.
+    @pytest.mark.parametrize(
+        "thetas", [[1.0, -1e-300], [float("nan")], [3.5], [-0.0, -5e-324]]
+    )
     def test_errors_match_the_oracle(self, thetas):
         first_error = next(
             r for r in (outcome(bisection_oracle, t) for t in thetas) if isinstance(r, tuple)
