@@ -23,8 +23,11 @@ computes a block of steps at once with numpy, and the block stream emits
 each block as runs of one repeated digit. Up to the chunk's last step N,
 floor(n * tau_i) equals a floor of n * p'/q' for the last continued-fraction
 convergent p'/q' of tau_i with q' <= N (Khinchin, Continued Fractions,
-ch. I), so a greedy column of any denominator runs in int64 while
-N**2 < 2**63 (about 3.04e9 steps), and in exact Python ints only past that.
+ch. I). From it the greedy chunk takes each column's copies of its digit
+and the step of each copy, and merges the columns by one stable sort, so
+a chunk costs a few passes over the columns plus its digits. A column of
+any denominator runs in int64 while N**2 < 2**63 (about 3.04e9 steps),
+and in exact Python ints only past that.
 
 Schedules come from a closed set of named families because the growth
 conditions they must satisfy are limit statements, not verifiable from
@@ -155,48 +158,13 @@ def floor_counts(tau: ProbabilityVector, n: int) -> tuple[int, ...]:
 _FIRST_STEPS = 256
 
 
-# Up to this chunk end N every greedy column's arithmetic is int64: its
-# values stay under N**2 (see `_GreedyColumn.floors`).
+# Up to this chunk end N the greedy kernel's arithmetic is int64: its values
+# stay under N**2 (see `_greedy_digits`).
 _INT64_STEPS = math.isqrt(2**63 - 1)
 
-
-class _GreedyColumn:
-    """One column tau_i = p/q of the greedy construction, with the
-    convergent of tau_i that serves the steps up to the current chunk end.
-
-    If p'/q' is the last convergent of tau_i with q' <= N and q'' > N the
-    next denominator, then |tau_i - p'/q'| <= 1/(q'q''), so for every
-    1 <= n <= N, floor(n*tau_i) = floor((n*p' - c)/q') with
-    c = [tau_i < p'/q'] (Khinchin, Continued Fractions, ch. I): n*p'/q' is
-    within 1/q' of n*tau_i, and it is an integer only when q' divides n,
-    where subtracting c, and nothing else, moves the floor. Once q <= N the
-    convergent is tau_i itself and c = 0. The convergent is recomputed only
-    when N reaches q'', in O(log q) big-int steps.
-    """
-
-    __slots__ = ("tau", "p", "q", "c", "until")
-
-    def __init__(self, tau: Fraction):
-        self.tau = tau
-        self.until = 0  # the convergent serves chunk ends N < until
-
-    def floors(self, k: int, steps: int) -> np.ndarray:
-        """floor(n*tau_i) - floor((k*p' - c)/q') for n = k, ..., k+steps,
-        with p'/q' the convergent for N = k+steps; k >= 1.
-
-        The values are a + p'*j // q' for j = 0..steps, with
-        a = (k*p' - c) mod q' < q' <= N and p' <= q', so they stay under
-        N*(steps+1) <= N**2: int64 up to N = _INT64_STEPS (about 3.04e9
-        steps), exact Python ints past it.
-        """
-        end = k + steps
-        if end >= self.until:
-            num, den = self.tau.numerator, self.tau.denominator
-            self.p, self.q, self.until = _convergent(num, den, end)
-            self.c = int(num * self.q < self.p * den)
-        p, q = self.p, self.q
-        dtype = np.int64 if end <= _INT64_STEPS else object
-        return ((p * k - self.c) % q + p * np.arange(steps + 1, dtype=dtype)) // q
+# `until` of a convergent that serves every chunk end: the largest int64. A
+# clip of the next denominator to it only refreshes a column earlier.
+_NEVER = 2**63 - 1
 
 
 def _convergent(p: int, q: int, n: int) -> tuple[int, int, int | float]:
@@ -213,6 +181,41 @@ def _convergent(p: int, q: int, n: int) -> tuple[int, int, int | float]:
             return h0, k0, k1
 
 
+def _greedy_digits(p: np.ndarray, q: np.ndarray, c: np.ndarray, k: int, end: int) -> np.ndarray:
+    """The digits of greedy steps k, ..., end-1 (k >= 1), in stream order.
+
+    p'/q' = p[i]/q[i] is the last convergent of tau_i with q' <= N = end,
+    and c[i] = [tau_i < p'/q']. With q'' > N the next denominator,
+    |tau_i - p'/q'| <= 1/(q'q''), so for 1 <= n <= N, n*p'/q' is within
+    1/q' of n*tau_i, and it is an integer only when q' divides n, where
+    subtracting c, and nothing else, moves the floor (Khinchin, Continued
+    Fractions, ch. I): F(n) = (n*p' - c) // q' is floor(n*tau_i). Once
+    tau_i's own denominator is at most N, p'/q' is tau_i and c = 0.
+
+    Column i emits the copies m = F(k)+1, ..., F(end) of digit i, copy m
+    at the step n with F(n) < m <= F(n+1), that is n = (m*q' + c - 1) // p'.
+    A stable sort by step merges the columns: ties keep digit order, the
+    order of one step's increments. The work is a few passes over the s
+    columns plus O(digits).
+
+    Every value lies within N**2 of 0 (m*q' <= N*p' and p' <= q' <= N), so
+    the arithmetic is int64 up to N = _INT64_STEPS (about 3.04e9 steps) and
+    exact Python ints past it.
+    """
+    if end > _INT64_STEPS:
+        p, q, c = p.astype(object), q.astype(object), c.astype(object)
+    low = (k * p - c) // q
+    # np.repeat refuses object counts; each is at most end - k.
+    counts = ((end * p - c) // q - low).astype(np.int64)
+    column = np.repeat(np.arange(len(p), dtype=np.min_scalar_type(len(p) - 1)), counts)
+    # Copy numbers m, then the step of each copy less k, in place.
+    steps = np.repeat(low + 1 - (np.cumsum(counts) - counts), counts) + np.arange(len(column))
+    steps *= np.repeat(q, counts)
+    steps += np.repeat(c - 1 - k * p, counts)
+    steps //= np.repeat(p, counts)
+    return column[np.argsort(steps, kind="stable")]
+
+
 def greedy_stream(tau: ProbabilityVector, base: Base | None = None) -> DigitStream:
     """Digit stream whose limiting frequencies equal tau exactly.
 
@@ -221,13 +224,14 @@ def greedy_stream(tau: ProbabilityVector, base: Base | None = None) -> DigitStre
     sum(floor_counts(tau, n)) contains exactly floor(tau_i * n) copies of
     digit i. Pure integer arithmetic throughout.
 
-    A chunk covers the steps K..K+M-1 at once: digit i is emitted at step
-    n exactly when floor(n*tau_i) rises at n+1. The digits are the nonzero
-    cells of that (steps x s) increment table, read row by row. Each
-    column's floors come from one continued-fraction convergent of tau_i,
-    chosen for the chunk end N = K+M (`_GreedyColumn`), so a column of any
-    denominator is computed in int64 while N**2 < 2**63, that is for about
-    the first 3.04e9 steps, and in exact Python ints only past that.
+    A chunk covers the steps K..N-1 at once (`_greedy_digits`): each
+    column's copies and the steps they fall on come from one
+    continued-fraction convergent of tau_i, the one for the chunk end N.
+    The stream's state is four arrays over the columns: p', q', c and
+    `until`, the chunk end at which the convergent expires, and only the
+    columns with until <= N are refreshed. A column of any denominator is
+    computed in int64 while N**2 < 2**63, that is for about the first
+    3.04e9 steps, and in exact Python ints only past that.
     """
     if base is None:
         base = Base(tau.s)
@@ -236,15 +240,17 @@ def greedy_stream(tau: ProbabilityVector, base: Base | None = None) -> DigitStre
     s = tau.s
 
     def make() -> Iterator[Chunk]:
-        columns = [_GreedyColumn(t) for t in tau.entries]
+        p, q, c, until = (np.zeros(s, dtype=np.int64) for _ in range(4))
         k, steps = 1, _FIRST_STEPS
         while True:
-            rises = np.empty((steps, s), dtype=bool)
-            for i, column in enumerate(columns):
-                floors = column.floors(k, steps)
-                rises[:, i] = floors[1:] != floors[:-1]
-            yield chunk_from_array(np.flatnonzero(rises) % s, base)
-            k += steps
+            end = k + steps
+            for i in np.flatnonzero(until <= end).tolist():
+                t = tau.entries[i]
+                num, den = t.numerator, t.denominator
+                pi, qi, qnext = _convergent(num, den, end)
+                p[i], q[i], c[i], until[i] = pi, qi, num * qi < pi * den, min(qnext, _NEVER)
+            yield chunk_from_array(_greedy_digits(p, q, c, k, end), base)
+            k = end
             steps = min(2 * steps, CHUNK_DIGITS)
 
     return DigitStream(base=base, make_chunks=make)
@@ -553,8 +559,10 @@ def block_boundaries(columns: ColumnSchedule, spec: ScheduleSpec, max_digits: in
 
 
 def _rationalize_simplex(values: Sequence[float]) -> tuple[Fraction, ...]:
-    # Denominator cap keeps greedy-step integers small; the residual is
-    # absorbed into the largest coordinate so the sum is exactly 1.
+    # The greedy kernel runs any denominator in int64, so the cap of 10**12
+    # no longer bounds its cost; it fixes the vector, and so every `--mean`
+    # output. The residual is absorbed into the largest coordinate so the
+    # sum is exactly 1.
     fr = [Fraction(v).limit_denominator(10**12) for v in values]
     gap = 1 - sum(fr)
     j = max(range(len(fr)), key=lambda i: fr[i])

@@ -215,17 +215,23 @@ class DigitStream:
         self.base = base
         self.make_chunks = make_chunks
         # The (preperiod, period) pair as two chunks, the function that
-        # finds it, or None.
-        self._period: ChunkPair | Callable[[], ChunkPair] | None = None
+        # finds it, the error of a failed search, or None.
+        self._period: ChunkPair | Callable[[], ChunkPair] | ValueError | None = None
 
     def _chunk_pair(self) -> ChunkPair | None:
         """The (preperiod, period) pair as two chunks, or None. A long
         `expand` period is found on first call and kept; one longer than
-        _MAX_PERIOD_DIGITS raises ValueError here. The finder is read once,
-        so a concurrent first call never calls the pair another one has
-        stored."""
+        _MAX_PERIOD_DIGITS raises ValueError here, and that error is kept,
+        so later calls raise it again without a new search. The finder is
+        read once, so a concurrent first call never calls the pair another
+        one has stored."""
         if callable(finder := self._period):
-            self._period = finder()
+            try:
+                self._period = finder()
+            except ValueError as error:
+                self._period = error
+        if isinstance(self._period, ValueError):
+            raise self._period.with_traceback(None)
         return self._period
 
     @property
@@ -255,10 +261,16 @@ class DigitStream:
         """The k-th digit, 1-based. O(1) once the period is known, O(k)
         otherwise. A period not yet known is looked for only when k lies
         past _MAX_PERIOD_DIGITS, where the search costs less than reading
-        to position k; below that the stream is read."""
+        to position k; below that, or when the period is longer than that,
+        the stream is read."""
         if k < 1:
             raise ValueError(f"digit positions are 1-based, got {k}")
-        pair = self._chunk_pair() if k > _MAX_PERIOD_DIGITS else self._period
+        pair = self._period
+        if k > _MAX_PERIOD_DIGITS:
+            try:
+                pair = self._chunk_pair()
+            except ValueError:
+                pass  # no period within the cap
         if isinstance(pair, tuple):
             pre, per = pair
             if k <= len(pre):

@@ -137,7 +137,7 @@ def convergence_trace(stream: DigitStream, checkpoints: Sequence[int]) -> Conver
     the length is with sum(N_i)), so every emitted report has passed the
     mean identity both ways.
     """
-    points = tuple(int(n) for n in checkpoints)
+    points = tuple(map(operator.index, checkpoints))
     if not points:
         raise ValueError("need at least one checkpoint")
     if points[0] < 1 or any(b <= a for a, b in zip(points, points[1:])):

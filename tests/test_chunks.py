@@ -11,6 +11,7 @@ import itertools
 import math
 import re
 import time
+import tracemalloc
 from array import array
 from fractions import Fraction
 
@@ -159,6 +160,22 @@ class TestGreedyChunks:
         n = sum(math.floor(t * (steps + 1)) - math.floor(t) for t in tau.entries)
         assert stream.prefix(n).digits == greedy_oracle(tau, n)
 
+    def test_cost_follows_the_digits(self):
+        # Two nonzero entries in base 4096: a chunk costs a few passes over
+        # the columns plus its digits, not a (steps x s) table, which is
+        # 16 MB by the chunk of 4096 steps.
+        tau = ProbabilityVector((Fraction(1, 3), *[Fraction(0)] * 4094, Fraction(2, 3)))
+        tracemalloc.start()
+        try:
+            prefix = greedy_stream(tau).prefix(4000)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 4 * 2**20
+        # The digits are those of (1/3, 2/3), with digit 1 written as 4095.
+        pair = greedy_oracle(ProbabilityVector((Fraction(1, 3), Fraction(2, 3))), 4000)
+        assert prefix.digits == tuple(4095 * d for d in pair)
+
 
 def convergent_denominators(x: Fraction) -> list[int]:
     """The denominators q_k of the continued-fraction convergents of x."""
@@ -268,14 +285,24 @@ class TestWideGreedyColumns:
         ids=["third", "wide", "near-third"],
     )
     def test_column_step_past_the_int64_bound(self, start, dtype, t):
-        # Steps near 3.1e9 without iterating to them: the column at a late
-        # start against exact big-int floors, on both sides of the bound
-        # where its arithmetic leaves int64.
-        column = construct._GreedyColumn(t)
-        floors = column.floors(start, 1000)
-        assert floors.dtype == np.dtype(dtype)
-        exact = [t.numerator * n // t.denominator for n in range(start, start + 1001)]
-        assert [int(f) - int(floors[0]) for f in floors] == [e - exact[0] for e in exact]
+        # Steps near 3.1e9 without iterating to them: the kernel at a late
+        # start against exact big-int increments, on both sides of the
+        # bound where its arithmetic leaves int64. Column 0 is tau = 1,
+        # which emits one digit at every step, so the digits show the step
+        # of each copy of column 1, tau = t.
+        end = start + 1000
+        assert (end <= construct._INT64_STEPS) == (dtype == "int64")
+        taus = [Fraction(1), t]
+        p, q = zip(*(construct._convergent(u.numerator, u.denominator, end)[:2] for u in taus))
+        c = [int(u.numerator * qu < pu * u.denominator) for u, pu, qu in zip(taus, p, q)]
+        digits = construct._greedy_digits(np.array(p), np.array(q), np.array(c), start, end)
+        exact = [
+            i
+            for n in range(start, end)
+            for i, u in enumerate(taus)
+            for _ in range(math.floor(u * (n + 1)) - math.floor(u * n))
+        ]
+        assert digits.tolist() == exact
 
     def test_cli_construct_with_wide_tau(self, tmp_path):
         # 4200-bit denominators through `adiclab construct`, written as
@@ -524,6 +551,19 @@ class TestExpandChunks:
         assert time.perf_counter() - start < 0.5
         with pytest.raises(ValueError, match="longer than 1000 digits"):
             stream_value(over)
+
+    def test_digit_at_reads_past_a_failed_period_search(self, monkeypatch):
+        monkeypatch.setattr(digits, "_MAX_PERIOD_DIGITS", 1000)
+        over = expand(Fraction(1, 4**1001 - 1))
+        # Past the cap the search runs, fails, and the stream is read.
+        assert over.digit_at(1001) == 1
+        assert over.digit_at(1002) == 0
+        # The failed search's error is kept and raised again, not redone.
+        with pytest.raises(ValueError, match="longer than 1000 digits") as first:
+            over.eventual_period
+        with pytest.raises(ValueError, match="longer than 1000 digits") as again:
+            stream_value(over)
+        assert again.value is first.value
 
     @pytest.mark.parametrize("s", [2**16, 2**64 - 1, 2**64])
     def test_bases_of_64_bit_digits(self, s):

@@ -117,6 +117,16 @@ class TestConvergenceTrace:
         with pytest.raises(ValueError):
             convergence_trace(stream, (0, 5))
 
+    @pytest.mark.parametrize("points", [(2.7, 10.5), ("3",), (10, 20.0)])
+    def test_checkpoints_must_be_integers(self, points):
+        # A float or a string is refused, not truncated to an int.
+        with pytest.raises(TypeError):
+            convergence_trace(constant_stream(0), points)
+
+    def test_numpy_integer_checkpoints_are_accepted(self):
+        trace = convergence_trace(constant_stream(1), np.array([2, 5]))
+        assert trace.checkpoints == (2, 5)
+
     def test_finite_source_exhaustion(self):
         from adiclab.digits import stream_from_digits
 
