@@ -281,15 +281,23 @@ class TestWideGreedyColumns:
     )
     @pytest.mark.parametrize(
         "t",
-        [Fraction(1, 3), Fraction(2**4199 + 12345, 2**4200 + 1), Fraction(1, 3) - Fraction(1, 3 * 7**1500)],
-        ids=["third", "wide", "near-third"],
+        [
+            Fraction(1, 3),
+            Fraction(2**4199 + 12345, 2**4200 + 1),
+            Fraction(1, 3) - Fraction(1, 3 * 7**1500),
+            # p' = q' - 1 = 3_099_999_999 from the 3.1e9 start on, so the
+            # products k*p' and m*q' there (about 9.6e18) pass 2**63.
+            Fraction(3_099_999_999, 3_100_000_000),
+        ],
+        ids=["third", "wide", "near-third", "near-one"],
     )
     def test_column_step_past_the_int64_bound(self, start, dtype, t):
         # Steps near 3.1e9 without iterating to them: the kernel at a late
         # start against exact big-int increments, on both sides of the
         # bound where its arithmetic leaves int64. Column 0 is tau = 1,
         # which emits one digit at every step, so the digits show the step
-        # of each copy of column 1, tau = t.
+        # of each copy of column 1, tau = t. The near-one t is the case
+        # whose int64 products wrap past the bound.
         end = start + 1000
         assert (end <= construct._INT64_STEPS) == (dtype == "int64")
         taus = [Fraction(1), t]
