@@ -23,24 +23,11 @@ from pathlib import Path
 from typing import Iterable, Iterator, Sequence
 
 from . import __version__
-from .construct import (
-    ProbabilityVector,
-    _is_json,
-    block_stream,
-    columns_from_config,
-    greedy_stream,
-    mean_target_stream,
-    schedule_from_config,
-)
+
+# Only `digits` is imported here. Each command imports the other library
+# modules it runs, so a command loads only those, and numpy only where an
+# array kernel runs.
 from .digits import Base, DigitStream, digit_text, expand, parse_digit_text, stream_from_digits
-from .entropy import (
-    be_dimension,
-    neg_entropy_minima,
-    neg_entropy_minimum,
-    neg_entropy_minimum_grid,
-    sweep_csv,
-)
-from .stats import DEFAULT_CHECKPOINTS, convergence_trace, weak_normality_verdict
 
 MAX_CONSTRUCT_LENGTH = 10**8
 # A sweep bisects all its points in one batch, and a point costs about 9 to
@@ -165,6 +152,12 @@ class ExperimentConfig:
 _JSON_NAMES = {int: "integer", str: "string", bool: "boolean", dict: "object"}
 
 
+def _is_json(value, kind: type) -> bool:
+    """True when `value` is a JSON value of type `kind` as `json` loads it.
+    bool is a subclass of int, but true is not a JSON integer."""
+    return isinstance(value, kind) and (kind is bool or not isinstance(value, bool))
+
+
 def _provenance_line(config_hash: str) -> str:
     return f"# adiclab {__version__} config={config_hash}"
 
@@ -232,6 +225,17 @@ def _stream_from_config(cfg: ExperimentConfig) -> DigitStream:
             "pick exactly one digit source: --tau (greedy), --mean, --rational, "
             f"or a schedule+columns config; got {picks or 'none'}"
         )
+    if cfg.rational is not None:
+        return expand(_parse_fraction(cfg.rational, "--rational"), base)
+    from .construct import (
+        ProbabilityVector,
+        block_stream,
+        columns_from_config,
+        greedy_stream,
+        mean_target_stream,
+        schedule_from_config,
+    )
+
     if cfg.tau is not None:
         tau = ProbabilityVector.parse(cfg.tau)
         if tau.s != base.s:
@@ -240,8 +244,6 @@ def _stream_from_config(cfg: ExperimentConfig) -> DigitStream:
     if cfg.mean is not None:
         _check_point_base(base, "--mean")
         return mean_target_stream(_parse_fraction(cfg.mean, "--mean"), base)
-    if cfg.rational is not None:
-        return expand(_parse_fraction(cfg.rational, "--rational"), base)
     if cfg.schedule is None or cfg.columns is None:
         raise UsageError("block construction needs both 'schedule' and 'columns' in the config")
     return block_stream(columns_from_config(cfg.columns), schedule_from_config(cfg.schedule), base)
@@ -318,6 +320,8 @@ def _default_file_checkpoints(length: int) -> tuple[int, ...]:
 
 
 def cmd_analyze(cfg: ExperimentConfig) -> int:
+    from .stats import DEFAULT_CHECKPOINTS, convergence_trace, weak_normality_verdict
+
     fmt = cfg.fmt or "csv"
     if fmt not in ("csv", "json"):
         raise UsageError(f"analyze supports --format csv or json, got {fmt!r}")
@@ -392,6 +396,8 @@ def _parse_sweep(text: str, base: Base) -> list[float]:
 
 
 def cmd_dimension(cfg: ExperimentConfig) -> int:
+    from .entropy import be_dimension, neg_entropy_minima, neg_entropy_minimum, neg_entropy_minimum_grid, sweep_csv
+
     base = Base(cfg.base)
     picks = [flag for flag in ("tau", "theta", "sweep") if getattr(cfg, flag) is not None]
     if len(picks) != 1:
@@ -415,6 +421,8 @@ def cmd_dimension(cfg: ExperimentConfig) -> int:
 
     doc: dict = {"provenance": _provenance_dict(cfg.config_hash())}
     if cfg.tau is not None:
+        from .construct import ProbabilityVector
+
         try:
             tau = ProbabilityVector.parse(cfg.tau)
             value = be_dimension(tau.entries, base)
@@ -455,7 +463,6 @@ def cmd_verify(cfg: ExperimentConfig) -> int:
         raise UsageError(f"verify reports are JSON; --format {cfg.fmt} is not applicable")
     if cfg.base != 4:
         raise UsageError(f"the verify battery is base-4 only; --base {cfg.base} is not supported")
-    # Imported here, so that the other commands do not load the battery.
     from .verify import MODULES, report_dict, run_checks
 
     results = run_checks(cfg.modules)
@@ -509,7 +516,7 @@ def build_parser() -> argparse.ArgumentParser:
     d.add_argument("--sweep", default=None, help="theta sweep start:stop:step, emits CSV")
     d.add_argument("--oracle", action="store_true", default=None, help="also run the grid oracle")
     d.add_argument("--grid-step", default=None, help="grid oracle step (default 1/1000)")
-    d.add_argument("--precision", type=int, default=None, help="significant digits (default 12)")
+    d.add_argument("--precision", type=int, default=None, help="significant digits of --sweep values (default 12)")
 
     v = sub.add_parser("verify", help="run the cross-module invariant battery")
     common(v)
@@ -594,6 +601,9 @@ def effective_config(args: argparse.Namespace) -> ExperimentConfig:
         for item in merged["modules"]:
             names.extend(p.strip() for p in str(item).split(",") if p.strip())
         merged["modules"] = tuple(names)
+    if merged.get("precision") is not None and args.command == "dimension" and merged.get("sweep") is None:
+        # ADICLAB_PRECISION stays a default, so only a flag or a config key is refused.
+        raise UsageError("--precision needs --sweep (dimension --tau and --theta write floats in full)")
     merged["precision"] = _resolve_precision(merged.get("precision"))
     if merged.get("base") is None:
         merged.pop("base", None)

@@ -44,12 +44,12 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from typing import Callable, Iterator, Sequence
-
-import numpy as np
+from typing import TYPE_CHECKING, Callable, Iterator, Sequence
 
 from .digits import BASE4, CHUNK_DIGITS, Base, Chunk, DigitStream, chunk_from_array, constant_stream, to_chunk
-from .entropy import neg_entropy_minimum
+
+if TYPE_CHECKING:
+    import numpy as np
 
 __all__ = [
     "ProbabilityVector",
@@ -202,6 +202,8 @@ def _greedy_digits(p: np.ndarray, q: np.ndarray, c: np.ndarray, k: int, end: int
     the arithmetic is int64 up to N = _INT64_STEPS (about 3.04e9 steps) and
     exact Python ints past it.
     """
+    import numpy as np
+
     if end > _INT64_STEPS:
         p, q, c = p.astype(object), q.astype(object), c.astype(object)
     low = (k * p - c) // q
@@ -233,6 +235,8 @@ def greedy_stream(tau: ProbabilityVector, base: Base | None = None) -> DigitStre
     computed in int64 while N**2 < 2**63, that is for about the first
     3.04e9 steps, and in exact Python ints only past that.
     """
+    import numpy as np
+
     if base is None:
         base = Base(tau.s)
     elif base.s != tau.s:
@@ -595,6 +599,8 @@ def mean_target_stream(theta: Fraction | int | float | str, base: Base = BASE4) 
         return constant_stream(0, base)
     if th == s - 1:
         return constant_stream(s - 1, base)
+    from .entropy import neg_entropy_minimum
+
     optimum = neg_entropy_minimum(float(th), base)
     tau = ProbabilityVector(_rationalize_simplex(optimum.argmin))
     return greedy_stream(tau, base)
@@ -636,14 +642,9 @@ def prefix_distinguish(a: DigitStream, b: DigitStream, horizon: int) -> Distingu
 _REQUIRED = object()
 
 
-def _is_json(value, kind: type) -> bool:
-    """True when `value` is a JSON value of type `kind` as `json` loads it.
-    bool is a subclass of int, but true is not a JSON integer."""
-    return isinstance(value, kind) and (kind is bool or not isinstance(value, bool))
-
-
 def _json_int(value) -> int:
-    if not _is_json(value, int):
+    # bool is a subclass of int, but true is not a JSON integer.
+    if not isinstance(value, int) or isinstance(value, bool):
         raise TypeError(f"not a JSON integer: {value!r}")
     return value
 

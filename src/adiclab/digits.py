@@ -32,9 +32,10 @@ from array import array
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache, partial
-from typing import Callable, Iterable, Iterator, Sequence, Union
+from typing import TYPE_CHECKING, Callable, Iterable, Iterator, Sequence, Union
 
-import numpy as np
+if TYPE_CHECKING:
+    import numpy as np
 
 __all__ = [
     "Base",
@@ -391,6 +392,8 @@ def _remainder_chunks(r: int, s: int, q: int, n: int) -> Iterator[np.ndarray]:
     first half times s**len mod q. int64 holds every product when
     q * max(q, s) < 2**63; exact Python ints (`object`) are used otherwise.
     """
+    import numpy as np
+
     dtype = np.int64 if q * max(q, s) < 2**63 else object
     while True:
         rems = np.empty(n, dtype=dtype)
@@ -566,6 +569,8 @@ def expand(x: Fraction | int | str, base: Base = BASE4) -> DigitStream:
             yield chunk
 
     def search_period() -> ChunkPair:
+        import numpy as np
+
         pieces = [head]
         length = _SHORT_PERIOD
         for rems, chunk in tail():

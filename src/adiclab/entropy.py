@@ -26,11 +26,12 @@ import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Iterator, Sequence
-
-import numpy as np
+from typing import TYPE_CHECKING, Iterable, Iterator, Sequence
 
 from .digits import BASE4, Base
+
+if TYPE_CHECKING:
+    import numpy as np
 
 __all__ = [
     "xlogx",
@@ -109,6 +110,8 @@ def exp_family_vector(lam: float, base: Base = BASE4) -> tuple[tuple[float, ...]
     finite lam is safe from overflow. The mean is strictly increasing in
     lam, ranging over (0, s-1), with value (s-1)/2 at lam = 0.
     """
+    import numpy as np
+
     if not math.isfinite(lam):
         raise ValueError(f"multiplier must be finite, got {lam}")
     tau, mean = _gibbs(np.array([float(lam)]), np.arange(base.s))
@@ -122,6 +125,8 @@ def _gibbs(lams: np.ndarray, digits: np.ndarray) -> tuple[np.ndarray, np.ndarray
     bit) and each sum runs left to right (`np.cumsum`), so a row does not
     depend on which other multipliers share the call.
     """
+    import numpy as np
+
     exponents = lams[:, None] * digits
     exponents -= exponents.max(axis=1)[:, None]
     weights = np.array(list(map(math.exp, exponents.ravel().tolist()))).reshape(exponents.shape)
@@ -159,6 +164,8 @@ def _bisect(
     Each row is the `_gibbs` vector that `exp_family_vector` gives, so a
     result does not depend on which other rows share the call.
     """
+    import numpy as np
+
     digits = np.arange(base.s)
     rows = np.array(positions)
     target = np.array([thetas[k] for k in positions])
@@ -242,6 +249,8 @@ class GridMinimum:
 
 
 def _xlx(a: np.ndarray) -> np.ndarray:
+    import numpy as np
+
     positive = a > 0.0
     return np.where(positive, a * np.log(np.where(positive, a, 1.0)), 0.0)
 
@@ -253,6 +262,8 @@ def _grid_slabs(npts: int, free: int) -> Iterator[tuple[np.ndarray, ...]]:
     A slab fixes the leading coordinates, takes a run of values of the
     next one and every value of the rest.
     """
+    import numpy as np
+
     if free == 0:
         yield ()
         return
@@ -285,6 +296,8 @@ def neg_entropy_minimum_grid(
     grid of more than 2**24 cells is refused with ValueError before
     anything is scanned.
     """
+    import numpy as np
+
     s = base.s
     th = float(theta)
     if not 0.0 < th < s - 1.0:

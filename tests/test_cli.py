@@ -486,6 +486,27 @@ class TestDimension:
         code, out, _ = run_cli(capsys, "dimension", "--theta", "1/2", "--oracle", "--grid-step", "1/100")
         assert code == 0 and json.loads(out)["oracle"]["step"] == 0.01
 
+    @pytest.mark.parametrize("flags", [["--tau", "1,0,0,0"], ["--theta", "1/3"], ["--theta", "1/3", "--oracle"]])
+    def test_precision_needs_sweep(self, flags, tmp_path, capsys, monkeypatch):
+        # --tau and --theta write JSON floats in full, so a precision given
+        # by flag or config key would be ignored; ADICLAB_PRECISION is only
+        # a default and is not refused.
+        message = "error: --precision needs --sweep (dimension --tau and --theta write floats in full)\n"
+        assert run_cli(capsys, "dimension", *flags, "--precision", "3") == (2, "", message)
+        config = tmp_path / "c.json"
+        config.write_text(json.dumps({"precision": 3}))
+        assert run_cli(capsys, "dimension", *flags, "--config", str(config)) == (2, "", message)
+        code, full, _ = run_cli(capsys, "dimension", *flags)
+        assert code == 0
+        monkeypatch.setenv("ADICLAB_PRECISION", "3")
+        code, out, _ = run_cli(capsys, "dimension", *flags)
+        assert code == 0
+        full, out = json.loads(full), json.loads(out)
+        del full["provenance"], out["provenance"]
+        assert out == full
+        code, out, _ = run_cli(capsys, "dimension", "--sweep", "0:1:1/2", "--precision", "3")
+        assert code == 0 and out.splitlines()[3] == "0.5,-0.94,0.678"
+
     def test_oversized_sweep_is_refused_before_solving(self, capsys):
         start = time.perf_counter()
         code, _, err = run_cli(capsys, "dimension", "--sweep", "0:3:1/1000000")
@@ -567,11 +588,39 @@ class TestVerify:
         text = " ".join(capsys.readouterr().out.split())
         assert re.search(r"one of ((?:\w+, )*\w+)", text)[1].split(", ") == list(MODULES)
 
-    def test_other_commands_do_not_load_the_battery(self):
-        code = "import sys, adiclab.cli; print('adiclab.verify' in sys.modules)"
+    def test_other_commands_do_not_load_the_battery(self, tmp_path):
+        # Each case runs main(argv) in a fresh interpreter (an empty argv only
+        # imports the CLI) and reads sys.modules after it: a command loads
+        # the library modules it runs and no other, and numpy only where an
+        # array kernel runs. `construct --tau` runs one, so the test cannot
+        # pass by never loading numpy.
+        config = tmp_path / "blocks.json"
+        blocks = {"schedule": {"family": "polynomial", "degree": 1}, "columns": CONVERGING_COLUMNS}
+        config.write_text(json.dumps(blocks))
+        block = ["construct", "--config", str(config), "--length", "50"]
+        cases = [
+            ([], [], ["numpy", "adiclab.construct", "adiclab.entropy", "adiclab.stats"]),
+            (["dimension", "--tau", "1/3,1/3,0,1/3"], ["adiclab.entropy"], ["numpy", "adiclab.stats"]),
+            (block, ["adiclab.construct"], ["numpy", "adiclab.entropy"]),
+            (["construct", "--tau", "1/2,1/2,0,0", "--length", "50"], ["numpy"], ["adiclab.entropy", "adiclab.stats"]),
+        ]
+        code = (
+            "import contextlib, io, json, sys\n"
+            "from adiclab.cli import main\n"
+            "argv = json.loads(sys.argv[1])\n"
+            "with contextlib.redirect_stdout(io.StringIO()):\n"
+            "    status = main(argv) if argv else 0\n"
+            "print(json.dumps([status, sorted(sys.modules)]))\n"
+        )
         env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}
-        done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env)
-        assert done.stdout == "False\n", done.stderr
+        for argv, loaded, unloaded in cases:
+            argv_json = json.dumps(argv)
+            done = subprocess.run([sys.executable, "-c", code, argv_json], capture_output=True, text=True, env=env)
+            assert done.returncode == 0, done.stderr
+            status, modules = json.loads(done.stdout)
+            assert status == 0, (argv, done.stderr)
+            assert set(loaded) <= set(modules), argv
+            assert not {"adiclab.verify", *unloaded} & set(modules), argv
 
     @pytest.mark.parametrize("base", ["2", "10", "300"])
     def test_other_bases_are_refused(self, base, tmp_path, capsys):
