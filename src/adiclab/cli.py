@@ -27,7 +27,7 @@ from . import __version__
 # Only `digits` is imported here. Each command imports the other library
 # modules it runs, so a command loads only those, and numpy only where an
 # array kernel runs.
-from .digits import Base, DigitStream, digit_text, expand, parse_digit_text, stream_from_digits
+from .digits import Base, DigitStream, digit_text, expand
 
 MAX_CONSTRUCT_LENGTH = 10**8
 # A sweep bisects all its points in one batch, and a point costs about 9 to
@@ -290,63 +290,54 @@ def cmd_construct(cfg: ExperimentConfig) -> int:
 # ---------------------------------------------------------------------------
 
 
-def _read_digit_file(path: str, base: Base) -> bytes:
-    """Digit values of a digit text file, one byte per digit.
-
-    Lines starting with '#' are skipped and every other line is stripped
-    at both ends; what remains must be ASCII digits below the base."""
-    try:
-        text = Path(path).read_text()
-    except OSError as exc:
-        raise UsageError(f"cannot read digit file: {exc}")
-    lines = []
-    for line in text.splitlines():
-        if line.startswith("#"):
-            continue
-        try:
-            lines.append(parse_digit_text(line.strip(), base.s))
-        except ValueError as exc:
-            raise UsageError(f"{exc} in {path}")
-    digits = b"".join(lines)
-    if not digits:
-        raise UsageError(f"no digits found in {path}")
-    return digits
-
-
-def _default_file_checkpoints(length: int) -> tuple[int, ...]:
-    points = [10**k for k in range(1, 7) if 10**k < length]
-    points.append(length)
-    return tuple(points)
+def _check_checkpoint_count(count: int, base: Base) -> None:
+    """Refuse more checkpoints than the budget admits in this base: each
+    writes a row of s + 2 cells, so the output is capped like a sweep's
+    points."""
+    allowed = _point_budget(base)
+    if count > allowed:
+        raise UsageError(f"--checkpoints: got {count}; at most {allowed} are allowed in base {base.s}")
 
 
 def cmd_analyze(cfg: ExperimentConfig) -> int:
-    from .stats import DEFAULT_CHECKPOINTS, convergence_trace, weak_normality_verdict
+    from ._digitfile import digit_file
+    from .stats import DEFAULT_CHECKPOINTS, _trace, convergence_trace, weak_normality_verdict
 
     fmt = cfg.fmt or "csv"
     if fmt not in ("csv", "json"):
         raise UsageError(f"analyze supports --format csv or json, got {fmt!r}")
     base = Base(cfg.base)
+    allowed = _point_budget(base)
+    checkpoints = cfg.checkpoints
     if cfg.source is not None:
         inline = [f for f in ("tau", "mean", "rational", "schedule", "columns") if getattr(cfg, f) is not None]
         if inline:
             raise UsageError(f"--in conflicts with inline digit source(s) {inline}")
-        digits = _read_digit_file(cfg.source, base)
-        stream = stream_from_digits(digits, base)
-        checkpoints = cfg.checkpoints or _default_file_checkpoints(len(digits))
+        stream = digit_file(cfg.source, base)
+        if allowed < 1 or checkpoints and len(checkpoints) > allowed:
+            # Refused below. The file is read first, so that its own errors
+            # come first, and nothing is tallied.
+            length = sum(map(len, stream.make_chunks()))
+            checkpoints = checkpoints or (*(p for p in DEFAULT_CHECKPOINTS if p < length), length)
     else:
-        checkpoints = cfg.checkpoints or DEFAULT_CHECKPOINTS
+        checkpoints = checkpoints or DEFAULT_CHECKPOINTS
         if checkpoints[-1] > MAX_CONSTRUCT_LENGTH:
             raise UsageError(
                 f"--checkpoints: an inline source is read to at most {MAX_CONSTRUCT_LENGTH} digits, "
                 f"got {checkpoints[-1]}"
             )
         stream = _stream_from_config(cfg)
-    # Each checkpoint writes a row of s + 2 cells, so the output is capped
-    # like a sweep's points.
-    allowed = _point_budget(base)
-    if len(checkpoints) > allowed:
-        raise UsageError(f"--checkpoints: got {len(checkpoints)}; at most {allowed} are allowed in base {base.s}")
-    trace = convergence_trace(stream, checkpoints)
+    if checkpoints is not None:
+        _check_checkpoint_count(len(checkpoints), base)
+    if cfg.source is None:
+        trace = convergence_trace(stream, checkpoints)
+    else:
+        # One pass that reads the whole file, past the last checkpoint;
+        # without a list, the end of the file is the last checkpoint.
+        trace = _trace(base, stream.make_chunks(), checkpoints or DEFAULT_CHECKPOINTS, to_end=checkpoints is None)
+        # A default list is known only now: a point per power of ten below
+        # the file's length, and its end. Above base 57142 it may be over.
+        _check_checkpoint_count(len(trace.checkpoints), base)
 
     normality = None
     if cfg.normality_tol is not None:

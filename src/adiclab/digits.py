@@ -345,8 +345,7 @@ def stream_from_digits(digits: Sequence[int] | bytes, base: Base = BASE4) -> Dig
     one chunk.
 
     `digits` is a sequence of ints or a `bytes` object of digit values.
-    Consumers that read past the end see the stream simply stop; this is
-    intended for analyzing digit files of known length.
+    Consumers that read past the end see the stream simply stop.
     """
     data = to_chunk(digits, base)
     return DigitStream(base=base, make_chunks=lambda: iter((data,)))

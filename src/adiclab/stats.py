@@ -11,11 +11,11 @@ import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from typing import Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
-from .digits import Base, Chunk, DigitPrefix, DigitStream
+from .digits import CHUNK_DIGITS, Base, Chunk, DigitPrefix, DigitStream
 
 __all__ = [
     "DEFAULT_CHECKPOINTS",
@@ -89,8 +89,16 @@ class FreqReport:
 
 
 def _tally(chunk: Chunk, s: int) -> np.ndarray:
-    """Digit counts of one chunk, in one `numpy.bincount` pass."""
-    return np.bincount(np.asarray(memoryview(chunk)).astype(np.intp), minlength=s)
+    """Digit counts of one chunk, in `numpy.bincount` passes.
+
+    `bincount` needs an `intp` copy of the digits, 8 bytes each, so it runs
+    once per CHUNK_DIGITS digits: a long chunk never costs a copy of its
+    whole length."""
+    values = np.asarray(memoryview(chunk))
+    counts = np.bincount(values[:CHUNK_DIGITS].astype(np.intp), minlength=s)
+    for start in range(CHUNK_DIGITS, len(values), CHUNK_DIGITS):
+        counts += np.bincount(values[start : start + CHUNK_DIGITS].astype(np.intp), minlength=s)
+    return counts
 
 
 def digit_counts(p: DigitPrefix) -> tuple[int, ...]:
@@ -130,41 +138,64 @@ class ConvergenceTrace:
 def convergence_trace(stream: DigitStream, checkpoints: Sequence[int]) -> ConvergenceTrace:
     """Reports at each checkpoint, computed in one pass over the stream.
 
-    The stream's chunks are cut at every checkpoint and each piece is
-    tallied whole: digit counts with `numpy.bincount`, which costs one pass
-    whatever the base. The digit sum is accumulated independently, with
-    `sum`, and compared in integers with sum(i * N_i) from the counts (as
-    the length is with sum(N_i)), so every emitted report has passed the
-    mean identity both ways.
+    The stream's chunks are cut at every checkpoint, and into pieces of at
+    most CHUNK_DIGITS digits, so memory stays bounded by that whatever the
+    chunks' length. Each piece is tallied whole: digit counts with
+    `numpy.bincount`, which costs one pass whatever the base. The digit sum
+    is accumulated independently, with `sum`, and compared in integers
+    with sum(i * N_i) from the counts (as the length is with sum(N_i)), so
+    every emitted report has passed the mean identity both ways.
     """
     points = tuple(map(operator.index, checkpoints))
     if not points:
         raise ValueError("need at least one checkpoint")
     if points[0] < 1 or any(b <= a for a, b in zip(points, points[1:])):
         raise ValueError(f"checkpoints must be >= 1 and strictly increasing, got {points}")
+    return _trace(stream.base, stream.chunks(points[-1]), points)
 
-    s = stream.base.s
+
+def _trace(base: Base, chunks: Iterable[Chunk], points: Sequence[int], to_end: bool = False) -> ConvergenceTrace:
+    """`convergence_trace` of the digits in `chunks`, which are read to
+    their end; chunks past the last checkpoint are read and not tallied.
+
+    With `to_end`, the end of `chunks` is the last checkpoint and points
+    past it are dropped: `analyze --in` traces a file of unknown length to
+    its end this way, in one pass. Otherwise a point past the end is an
+    error. `points` must be >= 1 and strictly increasing."""
+    s = base.s
     counts = np.zeros(s, dtype=np.int64)
     digit_sum = 0
     consumed = 0
     reports = []
     targets = iter(points)
     target = next(targets)
-    for chunk in stream.chunks(points[-1]):
-        while chunk:
-            piece, chunk = chunk[: target - consumed], chunk[target - consumed :]
+    for chunk in chunks:
+        start = 0
+        while start < len(chunk) and (target is not None or to_end):
+            size = CHUNK_DIGITS if target is None else min(CHUNK_DIGITS, target - consumed)
+            piece = chunk[start : start + size]
             counts += _tally(piece, s)
             digit_sum += sum(piece)
             consumed += len(piece)
+            start += len(piece)
             if consumed == target:
-                report = FreqReport(counts.tolist())
-                if report.n != consumed or report.digit_sum != digit_sum:
-                    raise AssertionError("digit counts disagree with the digit sum or the length")
-                reports.append(report)
+                reports.append(_report(counts, consumed, digit_sum))
                 target = next(targets, None)
-    if len(reports) < len(points):
+    if to_end:
+        if not reports or reports[-1].n < consumed:
+            reports.append(_report(counts, consumed, digit_sum))
+    elif target is not None:
         raise ValueError(f"stream ended at {consumed} digits, before checkpoint {target}")
-    return ConvergenceTrace(stream.base, points, tuple(reports))
+    return ConvergenceTrace(base, tuple(r.n for r in reports), tuple(reports))
+
+
+def _report(counts: np.ndarray, n: int, digit_sum: int) -> FreqReport:
+    """The report of the counts, once they agree with the length and the
+    digit sum that were accumulated beside them."""
+    report = FreqReport(counts.tolist())
+    if report.n != n or report.digit_sum != digit_sum:
+        raise AssertionError("digit counts disagree with the digit sum or the length")
+    return report
 
 
 @dataclass(frozen=True)

@@ -8,10 +8,15 @@ import subprocess
 import sys
 import threading
 import time
+import tracemalloc
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from adiclab.cli import ExperimentConfig, main
+from adiclab import _digitfile
+from adiclab.cli import ExperimentConfig, UsageError, main
+from adiclab.digits import CHUNK_DIGITS, Base, parse_digit_text
 
 
 def run_cli(capsys, *argv):
@@ -400,6 +405,234 @@ class TestAnalyze:
         assert out_env.splitlines()[-1] == "3,0.333,0.333,0.333,0,1"
         monkeypatch.setenv("ADICLAB_PRECISION", "nope")
         assert run_cli(capsys, "analyze", "--in", str(source))[0] == 2
+
+
+def whole_file_digits(path: str, s: int) -> bytes:
+    """The reader that the block reader replaced, kept as its oracle: the
+    whole file as one string, cut by `str.splitlines`."""
+    try:
+        text = Path(path).read_text()
+    except OSError as exc:
+        raise UsageError(f"cannot read digit file: {exc}")
+    lines = []
+    for line in text.splitlines():
+        if line.startswith("#"):
+            continue
+        try:
+            lines.append(parse_digit_text(line.strip(), s))
+        except ValueError as exc:
+            raise UsageError(f"{exc} in {path}")
+    digits = b"".join(lines)
+    if not digits:
+        raise UsageError(f"no digits found in {path}")
+    return digits
+
+
+def block_digits(path: str, s: int) -> bytes:
+    return b"".join(_digitfile.digit_file(path, Base(s)).make_chunks())
+
+
+def outcome(read, path, s):
+    """The digits `read` finds in the file, or the message it refuses it with."""
+    try:
+        return read(str(path), s)
+    except (UsageError, ValueError) as exc:
+        return str(exc)
+
+
+# Units of a digit file: digits, a non-ASCII digit, a non-digit, whitespace
+# that is no line break, '#', every line break of `str.splitlines` and a
+# comment holding multi-byte UTF-8.
+FILE_UNITS = [
+    *"0123456789", "0123", "\u0663", "x", " ", "\t", "\x1f", "\xa0",
+    "#", "\n", "\r", "\r\n", "\v", "\f", "\x1c", "\x1d", "\x1e", "\x85", "\u2028", "\u2029",
+    "# caf\u00e9 \u0663\n",
+]
+# Bytes of a file whose only possible faults are undecodable bytes: digits,
+# line breaks, a valid UTF-8 comment and invalid or cut UTF-8 sequences.
+BYTE_UNITS = [b"0", b"1", b"01", b"\n", b"\r\n", b"\n#\xc3\xa9\n", b"\xff", b"\xc3", b"\xe2\x82", b"\xed\xa0\x80", b"\xf0\x9f"]
+
+
+class TestDigitFile:
+    @pytest.fixture
+    def block(self, monkeypatch):
+        def set_block(size):
+            monkeypatch.setattr(_digitfile, "BLOCK_BYTES", size)
+
+        return set_block
+
+    @settings(max_examples=300)
+    @given(
+        st.lists(st.sampled_from(FILE_UNITS), max_size=40).map("".join),
+        st.integers(min_value=1, max_value=9),
+        st.sampled_from([2, 4, 10]),
+    )
+    def test_blocks_agree_with_the_whole_file_reader(self, tmp_path_factory, text, size, s):
+        path = tmp_path_factory.mktemp("blocks") / "digits.txt"
+        path.write_bytes(text.encode("utf-8"))
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(_digitfile, "BLOCK_BYTES", size)
+            assert outcome(block_digits, path, s) == outcome(whole_file_digits, path, s)
+
+    @settings(max_examples=200)
+    @given(st.lists(st.sampled_from(BYTE_UNITS), max_size=30).map(b"".join), st.integers(min_value=1, max_value=9))
+    def test_decode_errors_name_their_byte_in_the_file(self, tmp_path_factory, data, size):
+        path = tmp_path_factory.mktemp("bytes") / "digits.txt"
+        path.write_bytes(data)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(_digitfile, "BLOCK_BYTES", size)
+            assert outcome(block_digits, path, 4) == outcome(whole_file_digits, path, 4)
+
+    @pytest.mark.parametrize("size", [1, 2, 3, 5, 8, 13, CHUNK_DIGITS])
+    def test_undecodable_byte_is_placed_in_the_file(self, tmp_path, capsys, block, size):
+        block(size)
+        source = tmp_path / "digits.txt"
+        source.write_bytes(b"# h\n0123\xff0\n")
+        got = run_cli(capsys, "analyze", "--in", str(source))
+        assert got == (2, "", "error: 'utf-8' codec can't decode byte 0xff in position 8: invalid start byte\n")
+
+    def test_unreadable_paths_are_refused_as_before(self, tmp_path):
+        for path in (tmp_path / "nope.txt", tmp_path):
+            got = outcome(block_digits, path, 4)
+            assert got == outcome(whole_file_digits, path, 4)
+            assert got.startswith("cannot read digit file: [Errno ")
+
+    def test_bad_character_past_the_first_block(self, tmp_path, capsys, block):
+        block(4)
+        source = tmp_path / "digits.txt"
+        source.write_text("0123\n0123012x01\n")
+        got = run_cli(capsys, "analyze", "--in", str(source))
+        assert got == (2, "", f"error: non-digit character 'x' for base 4 in {source}\n")
+
+    @pytest.mark.parametrize("line, bad", [("01 23", " "), ("012\t 3", "\t"), ("0123\xa0 \n", None), ("  0123  ", None)])
+    @pytest.mark.parametrize("size", [1, 2, 3, 4, 5])
+    def test_whitespace_at_a_block_edge(self, tmp_path, capsys, block, line, bad, size):
+        # Whitespace inside a digit line is refused, naming its first
+        # character, wherever a block edge falls; at either end it is stripped.
+        block(size)
+        source = tmp_path / "digits.txt"
+        source.write_text(f"# header\n{line}\n")
+        code, out, err = run_cli(capsys, "analyze", "--in", str(source))
+        if bad is None:
+            assert code == 0 and out.splitlines()[-1] == "4,0.25,0.25,0.25,0.25,1.5"
+        else:
+            assert (code, err) == (2, f"error: non-digit character {bad!r} for base 4 in {source}\n")
+
+    @pytest.mark.parametrize("size", range(1, 9))
+    def test_comment_with_utf8_across_a_block_edge(self, tmp_path, capsys, block, size):
+        block(size)
+        source = tmp_path / "digits.txt"
+        source.write_text("# caf\u00e9 \u0663 \u2603\n0123\n# \u00e9\n", encoding="utf-8")
+        code, out, _ = run_cli(capsys, "analyze", "--in", str(source))
+        assert code == 0 and out.splitlines()[-1] == "4,0.25,0.25,0.25,0.25,1.5"
+
+    @pytest.mark.parametrize("size", range(1, 6))
+    def test_every_line_break_is_accepted(self, tmp_path, capsys, block, size):
+        block(size)
+        source = tmp_path / "digits.txt"
+        source.write_bytes("01\r\n23\r#c\r\n01\v23\u202801\u202923\x1c\n".encode("utf-8"))
+        code, out, _ = run_cli(capsys, "analyze", "--in", str(source), "--format", "json")
+        assert code == 0 and json.loads(out)["reports"][-1]["counts"] == [3, 3, 3, 3]
+
+    def test_chunks_are_bounded_and_the_stream_rereads_the_file(self, tmp_path):
+        source = tmp_path / "digits.txt"
+        source.write_text("# h\n" + "0123" * 40000 + "\n" + "3" * 100 + "\n")
+        stream = _digitfile.digit_file(str(source), Base(4))
+        first, again = list(stream.make_chunks()), list(stream.make_chunks())
+        assert first == again
+        assert max(map(len, first)) <= CHUNK_DIGITS
+        assert b"".join(first) == whole_file_digits(str(source), 4)
+
+    @pytest.mark.skipif(not os.path.exists("/dev/stdin"), reason="needs /dev/stdin")
+    @pytest.mark.parametrize("base", ["4", "100000"])
+    def test_a_pipe_is_read_once(self, base):
+        # A pipe cannot be read twice: the file is read in one pass in every
+        # base, the default list's cap (4 points in base 10**5) included.
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}
+        argv = [sys.executable, "-m", "adiclab", "analyze", "--in", "/dev/stdin", "--base", base]
+        done = subprocess.run(argv, input="# h\n0123\n", capture_output=True, text=True, env=env, timeout=60)
+        assert (done.returncode, done.stderr) == (0, "")
+        assert done.stdout.splitlines()[-1].endswith(",1.5")
+
+    def test_a_bad_line_comes_before_a_decode_error_in_a_later_block(self, tmp_path, capsys, block):
+        # The whole-file reader decoded everything before parsing, so it
+        # named the 0xff; the block reader stops at the first bad block.
+        block(4)
+        source = tmp_path / "digits.txt"
+        source.write_bytes(b"01x\n" + b"0" * 10 + b"\xff\n")
+        got = run_cli(capsys, "analyze", "--in", str(source))
+        assert got == (2, "", f"error: non-digit character 'x' for base 4 in {source}\n")
+
+    @pytest.mark.parametrize("length", [1, 9, 10, 11, 99, 100, 101, 10**5, 10**5 + 1])
+    def test_default_checkpoints_end_at_the_end_of_the_file(self, tmp_path, capsys, length):
+        source = tmp_path / "digits.txt"
+        source.write_text("0" * length + "\n")
+        code, out, _ = run_cli(capsys, "analyze", "--in", str(source), "--format", "json")
+        expected = [p for p in (10, 100, 1000, 10**4, 10**5) if p < length] + [length]
+        assert code == 0 and json.loads(out)["checkpoints"] == expected
+
+    @pytest.mark.parametrize("length, points", [(1000, 3), (10**4 + 1, 5)])
+    def test_default_checkpoints_in_a_base_near_the_cap(self, tmp_path, capsys, length, points):
+        # Base 10**5 allows 4 checkpoints, so a default list is refused
+        # once the file is read and found to pass 10**4 digits.
+        source = tmp_path / "digits.txt"
+        source.write_text("01" * (length // 2) + "1" * (length % 2) + "\n")
+        code, out, err = run_cli(capsys, "analyze", "--in", str(source), "--base", "100000", "--format", "json")
+        if points <= 4:
+            assert code == 0 and json.loads(out)["checkpoints"] == [10, 100, 1000]
+        else:
+            assert (code, err) == (2, "error: --checkpoints: got 5; at most 4 are allowed in base 100000\n")
+
+    def test_comments_only_file_has_no_digits(self, tmp_path, capsys):
+        source = tmp_path / "digits.txt"
+        source.write_text("# one\n#two\n\n")
+        for extra in ([], ["--checkpoints", "5"]):
+            got = run_cli(capsys, "analyze", "--in", str(source), *extra)
+            assert got == (2, "", f"error: no digits found in {source}\n")
+
+    def test_bad_character_past_the_last_checkpoint(self, tmp_path, capsys, block):
+        source = tmp_path / "digits.txt"
+        source.write_text("0123x\n")
+        for size in (2, CHUNK_DIGITS):
+            block(size)
+            got = run_cli(capsys, "analyze", "--in", str(source), "--checkpoints", "2")
+            assert got == (2, "", f"error: non-digit character 'x' for base 4 in {source}\n")
+
+    def test_file_errors_come_before_the_checkpoint_cap(self, tmp_path, capsys, monkeypatch):
+        from adiclab import stats
+
+        def no_tally(chunk, s):
+            raise AssertionError("tallied")
+
+        monkeypatch.setattr(stats, "_tally", no_tally)
+        over = ",".join(map(str, range(1, 1336)))
+        source = tmp_path / "digits.txt"
+        source.write_text("0101\n01x\n")
+        got = run_cli(capsys, "analyze", "--in", str(source), "--base", "300", "--checkpoints", over)
+        assert got == (2, "", f"error: non-digit character 'x' for base 300 in {source}\n")
+        source.write_text("0101\n")
+        got = run_cli(capsys, "analyze", "--in", str(source), "--base", "300", "--checkpoints", over)
+        assert got == (2, "", "error: --checkpoints: got 1335; at most 1333 are allowed in base 300\n")
+        got = run_cli(capsys, "analyze", "--in", str(tmp_path / "nope.txt"), "--base", "300", "--checkpoints", over)
+        assert got[0] == 2 and got[2].startswith("error: cannot read digit file: [Errno 2]")
+
+    def test_memory_is_bounded_by_the_block(self, tmp_path, capsys):
+        # The whole-file reader held the text, its digits and an 8-byte
+        # intp copy of them: about 30 MB for these 3 * 10**6 digits.
+        source = tmp_path / "digits.txt"
+        source.write_text("# h\n" + "0123" * 750000 + "\n")
+        argv = ["analyze", "--in", str(source), "--format", "json"]
+        assert main(argv) == 0  # loads numpy and the stats module first
+        first = capsys.readouterr().out
+        tracemalloc.start()
+        try:
+            assert main(argv) == 0
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert capsys.readouterr().out == first
+        assert json.loads(first)["reports"][-1]["counts"] == [750000] * 4
+        assert peak < 2 * 2**20
 
 
 class TestDimension:

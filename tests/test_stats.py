@@ -1,3 +1,4 @@
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -139,6 +140,36 @@ class TestConvergenceTrace:
         monkeypatch.setattr(stats, "_tally", lambda chunk, s: fault(tally(chunk, s)))
         with pytest.raises(AssertionError, match="digit counts disagree"):
             convergence_trace(constant_stream(3), (10,))
+
+    def test_long_chunks_are_tallied_in_bounded_pieces(self):
+        # One 4 * 10**6-digit chunk: an intp copy of it alone is 30.5 MiB.
+        from adiclab.digits import stream_from_digits
+
+        digits = bytes(range(4)) * 10**6
+        stream, prefix = stream_from_digits(digits), DigitPrefix(BASE4, digits)
+        points = (10, 1001, 10**6, 4 * 10**6)
+        tracemalloc.start()
+        try:
+            trace = convergence_trace(stream, points)
+            counts = digit_counts(prefix)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 * 2**20
+        assert [r.counts for r in trace.reports] == [
+            (3, 3, 2, 2), (251, 250, 250, 250), (250000,) * 4, (10**6,) * 4
+        ]
+        assert counts == (10**6,) * 4
+
+    def test_to_end_takes_the_end_as_the_last_checkpoint(self):
+        chunks = [bytes(7), bytes(3), bytes(95)]
+        trace = stats._trace(BASE4, chunks, DEFAULT_CHECKPOINTS, to_end=True)
+        assert trace.checkpoints == (10, 100, 105)
+        assert stats._trace(BASE4, chunks[:2], DEFAULT_CHECKPOINTS, to_end=True).checkpoints == (10,)
+        # Without to_end, chunks past the last checkpoint are read, not tallied.
+        read = []
+        trace = stats._trace(BASE4, (read.append(c) or c for c in chunks), (5,))
+        assert trace.checkpoints == (5,) and len(read) == 3
 
     def test_default_checkpoints_shape(self):
         assert DEFAULT_CHECKPOINTS == (10, 100, 1000, 10**4, 10**5, 10**6)
