@@ -17,10 +17,10 @@ import itertools
 import json
 import os
 import sys
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, field, fields
 from fractions import Fraction
 from pathlib import Path
-from typing import Iterable, Iterator, Sequence
+from typing import Callable, Iterable, Iterator, Sequence
 
 from . import __version__
 
@@ -56,6 +56,13 @@ def _check_point_base(base: Base, flag: str) -> None:
         raise UsageError(f"{flag} allows bases up to {_MAX_SWEEP_POINT_DIGITS}, got {base.s}")
 
 
+def _field(flag: str | None, text: str | None = None, kind=str, default=None, key: str | None = None):
+    """A field of `ExperimentConfig` with its flag (None: config file only),
+    its help text, its JSON type ((list, t) is a list of t) and its config
+    key (None: the field's name)."""
+    return field(default=default, metadata={"flag": flag, "help": text, "kind": kind, "key": key})
+
+
 @dataclass(frozen=True)
 class ExperimentConfig:
     """Normalized parameters of one command invocation.
@@ -63,41 +70,33 @@ class ExperimentConfig:
     Built by merging an optional JSON config file with command-line flags
     (flags win, with a warning on conflicts). Round-trips through
     `to_json_dict`/`from_json_dict`; the config hash in output headers is
-    computed from the canonical JSON form.
+    computed from the canonical JSON form. `COMMANDS` says which fields
+    each command and mode reads.
     """
 
     command: str
-    base: int = 4
-    out: str | None = None
-    fmt: str | None = None
-    tau: str | None = None
-    mean: str | None = None
-    rational: str | None = None
-    length: int | None = None
-    schedule: dict | None = None
-    columns: dict | None = None
-    source: str | None = None
-    checkpoints: tuple[int, ...] | None = None
-    normality_tol: str | None = None
-    theta: str | None = None
-    sweep: str | None = None
-    oracle: bool = False
-    grid_step: str | None = None
-    precision: int = DEFAULT_PRECISION
-    modules: tuple[str, ...] | None = None
-
-    _KEYMAP = {"fmt": "format", "source": "in"}
-    # JSON type of each field that is not a string; (list, t) is a list of t.
-    _TYPES = {
-        "base": int,
-        "length": int,
-        "precision": int,
-        "oracle": bool,
-        "schedule": dict,
-        "columns": dict,
-        "checkpoints": (list, int),
-        "modules": (list, str),
-    }
+    base: int = _field("--base", "radix (default 4)", int, 4)
+    out: str | None = _field("--out", "output path (default stdout)")
+    fmt: str | None = _field("--format", "csv, json or text (default: the mode's first)", key="format")
+    tau: str | None = _field("--tau", "frequency vector, e.g. 1/4,1/4,1/4,1/4: greedy stream, or its dimension")
+    mean: str | None = _field("--mean", "target asymptotic digit mean, e.g. 3/2")
+    rational: str | None = _field("--rational", "expand this rational, e.g. 1/3")
+    length: int | None = _field("--length", f"digits to emit (<= {MAX_CONSTRUCT_LENGTH})", int)
+    schedule: dict | None = _field(None, kind=dict)
+    columns: dict | None = _field(None, kind=dict)
+    source: str | None = _field("--in", "digit text file to analyze", key="in")
+    checkpoints: tuple[int, ...] | None = _field("--checkpoints", "comma list of prefix lengths", (list, int))
+    normality_tol: str | None = _field("--normality-tol", "also report the uniformity verdict")
+    theta: str | None = _field("--theta", "digit mean in [0, s-1]")
+    sweep: str | None = _field("--sweep", "theta sweep start:stop:step, emits CSV")
+    oracle: bool = _field("--oracle", "also run the grid oracle", bool, False)
+    grid_step: str | None = _field("--grid-step", "grid oracle step (default 1/1000)")
+    precision: int = _field(
+        "--precision", f"significant digits (default {DEFAULT_PRECISION}, or ${PRECISION_ENV})", int, DEFAULT_PRECISION
+    )
+    modules: tuple[str, ...] | None = _field(
+        "--module", "restrict to a module (repeatable); one of digits, stats, construct, entropy", (list, str)
+    )
 
     def to_json_dict(self) -> dict:
         out = {}
@@ -105,8 +104,7 @@ class ExperimentConfig:
             value = getattr(self, f.name)
             if value is None or value == f.default:
                 continue
-            key = self._KEYMAP.get(f.name, f.name)
-            out[key] = list(value) if isinstance(value, tuple) else value
+            out[_key(f)] = list(value) if isinstance(value, tuple) else value
         out["command"] = self.command
         return out
 
@@ -114,15 +112,12 @@ class ExperimentConfig:
     def check_json(cls, doc: dict) -> None:
         """Refuse a key that names no field, or a value of the wrong JSON
         type for its field (null stands for an unset field)."""
-        inverse = {v: k for k, v in cls._KEYMAP.items()}
-        names = {f.name for f in fields(cls)}
         for key, value in doc.items():
-            name = inverse.get(key, key)
-            if name not in names:
+            if key not in _BY_KEY:
                 raise UsageError(f"unknown config key {key!r}")
             if value is None:
                 continue
-            kind = cls._TYPES.get(name, str)
+            kind = _BY_KEY[key].metadata.get("kind", str)
             if isinstance(kind, tuple):
                 ok = isinstance(value, (list, tuple)) and all(_is_json(v, kind[1]) for v in value)
                 wanted = f"a list of {_JSON_NAMES[kind[1]]}s"
@@ -135,18 +130,19 @@ class ExperimentConfig:
     @classmethod
     def from_json_dict(cls, doc: dict) -> "ExperimentConfig":
         cls.check_json(doc)
-        inverse = {v: k for k, v in cls._KEYMAP.items()}
-        kwargs = {}
-        for key, value in doc.items():
-            name = inverse.get(key, key)
-            if name in ("checkpoints", "modules") and value is not None:
-                value = tuple(value)
-            kwargs[name] = value
-        return cls(**kwargs)
+        return cls(**{_BY_KEY[key].name: tuple(v) if isinstance(v, list) else v for key, v in doc.items()})
 
     def config_hash(self) -> str:
         canon = json.dumps(self.to_json_dict(), sort_keys=True, separators=(",", ":"))
         return hashlib.sha256(canon.encode()).hexdigest()[:12]
+
+
+def _key(f) -> str:
+    """The config key of an `ExperimentConfig` field."""
+    return f.metadata.get("key") or f.name
+
+
+_BY_KEY = {_key(f): f for f in fields(ExperimentConfig)}
 
 
 _JSON_NAMES = {int: "integer", str: "string", bool: "boolean", dict: "object"}
@@ -217,14 +213,6 @@ def _write_artifact(cfg: ExperimentConfig, text: str, header: bool = True) -> No
 
 def _stream_from_config(cfg: ExperimentConfig) -> DigitStream:
     base = Base(cfg.base)
-    picks = [flag for flag in ("tau", "mean", "rational") if getattr(cfg, flag) is not None]
-    if cfg.schedule is not None or cfg.columns is not None:
-        picks.append("blocks")
-    if len(picks) != 1:
-        raise UsageError(
-            "pick exactly one digit source: --tau (greedy), --mean, --rational, "
-            f"or a schedule+columns config; got {picks or 'none'}"
-        )
     if cfg.rational is not None:
         return expand(_parse_fraction(cfg.rational, "--rational"), base)
     from .construct import (
@@ -244,8 +232,6 @@ def _stream_from_config(cfg: ExperimentConfig) -> DigitStream:
     if cfg.mean is not None:
         _check_point_base(base, "--mean")
         return mean_target_stream(_parse_fraction(cfg.mean, "--mean"), base)
-    if cfg.schedule is None or cfg.columns is None:
-        raise UsageError("block construction needs both 'schedule' and 'columns' in the config")
     return block_stream(columns_from_config(cfg.columns), schedule_from_config(cfg.schedule), base)
 
 
@@ -258,15 +244,13 @@ def _digit_chunks(stream: DigitStream, length: int) -> Iterator[str]:
         raise UsageError(f"digit source ended after {produced} digits, wanted {length}")
 
 
-def cmd_construct(cfg: ExperimentConfig) -> int:
+def cmd_construct(cfg: ExperimentConfig, fmt: str) -> int:
     if cfg.length is None:
         raise UsageError("construct needs --length")
     if not 1 <= cfg.length <= MAX_CONSTRUCT_LENGTH:
         raise UsageError(f"--length must lie in [1, {MAX_CONSTRUCT_LENGTH}], got {cfg.length}")
     if cfg.base > 10:
         raise UsageError("digit text output is defined for bases <= 10 only")
-    if cfg.fmt not in (None, "text"):
-        raise UsageError(f"construct emits digit text; --format {cfg.fmt} is not applicable")
     stream = _stream_from_config(cfg)
     h = cfg.config_hash()
     if cfg.out is None:
@@ -299,20 +283,14 @@ def _check_checkpoint_count(count: int, base: Base) -> None:
         raise UsageError(f"--checkpoints: got {count}; at most {allowed} are allowed in base {base.s}")
 
 
-def cmd_analyze(cfg: ExperimentConfig) -> int:
+def cmd_analyze(cfg: ExperimentConfig, fmt: str) -> int:
     from ._digitfile import digit_file
     from .stats import DEFAULT_CHECKPOINTS, _trace, convergence_trace, weak_normality_verdict
 
-    fmt = cfg.fmt or "csv"
-    if fmt not in ("csv", "json"):
-        raise UsageError(f"analyze supports --format csv or json, got {fmt!r}")
     base = Base(cfg.base)
     allowed = _point_budget(base)
     checkpoints = cfg.checkpoints
     if cfg.source is not None:
-        inline = [f for f in ("tau", "mean", "rational", "schedule", "columns") if getattr(cfg, f) is not None]
-        if inline:
-            raise UsageError(f"--in conflicts with inline digit source(s) {inline}")
         stream = digit_file(cfg.source, base)
         if allowed < 1 or checkpoints and len(checkpoints) > allowed:
             # Refused below. The file is read first, so that its own errors
@@ -386,21 +364,10 @@ def _parse_sweep(text: str, base: Base) -> list[float]:
     return [float(start + k * step) for k in range(count)]
 
 
-def cmd_dimension(cfg: ExperimentConfig) -> int:
+def cmd_dimension(cfg: ExperimentConfig, fmt: str) -> int:
     from .entropy import be_dimension, neg_entropy_minima, neg_entropy_minimum, neg_entropy_minimum_grid, sweep_csv
 
     base = Base(cfg.base)
-    picks = [flag for flag in ("tau", "theta", "sweep") if getattr(cfg, flag) is not None]
-    if len(picks) != 1:
-        raise UsageError(f"pick exactly one of --tau, --theta, --sweep; got {picks or 'none'}")
-    if cfg.oracle and cfg.theta is None:
-        raise UsageError("--oracle needs --theta (the grid oracle scans one mean slice)")
-    if cfg.grid_step is not None and not cfg.oracle:
-        raise UsageError("--grid-step needs --oracle")
-    writes = "csv" if cfg.sweep is not None else "json"
-    if cfg.fmt not in (None, writes):
-        raise UsageError(f"dimension --{picks[0]} writes {writes.upper()}; --format {cfg.fmt} is not applicable")
-
     if cfg.sweep is not None:
         thetas = _parse_sweep(cfg.sweep, base)
         try:
@@ -449,9 +416,7 @@ def cmd_dimension(cfg: ExperimentConfig) -> int:
 # ---------------------------------------------------------------------------
 
 
-def cmd_verify(cfg: ExperimentConfig) -> int:
-    if cfg.fmt not in (None, "json"):
-        raise UsageError(f"verify reports are JSON; --format {cfg.fmt} is not applicable")
+def cmd_verify(cfg: ExperimentConfig, fmt: str) -> int:
     if cfg.base != 4:
         raise UsageError(f"the verify battery is base-4 only; --base {cfg.base} is not supported")
     from .verify import MODULES, report_dict, run_checks
@@ -465,8 +430,76 @@ def cmd_verify(cfg: ExperimentConfig) -> int:
 
 
 # ---------------------------------------------------------------------------
-# argument parsing and config merging
+# what each command and mode reads, argument parsing and config merging
 # ---------------------------------------------------------------------------
+
+
+class Mode:
+    """One way to run a command, named by `label` in refusals. Any key in
+    `requires` picks the mode; `reads` holds every config key it reads (its
+    `requires`, `extra`, base, out and format), and a set key outside it is
+    refused; `formats` are the formats it writes, the first by default."""
+
+    def __init__(self, label: str, requires: tuple[str, ...], extra: tuple[str, ...], formats: tuple[str, ...]):
+        self.label, self.requires, self.formats = label, requires, formats
+        self.reads = frozenset(("base", "out", "format", *requires, *extra))
+
+
+class Command:
+    """A command: its help, the function that runs it, its modes, the
+    refusal when not exactly one mode is picked, and `needs`: a set key ->
+    (the key it needs, the refusal when that key is unset)."""
+
+    def __init__(self, help: str, run: Callable[[ExperimentConfig, str], int], modes: dict, pick: str, needs: dict):
+        self.help, self.run, self.modes, self.pick, self.needs = help, run, modes, pick, needs
+
+
+def _sources(extra: tuple[str, ...], formats: tuple[str, ...]) -> dict[str, Mode]:
+    """The inline digit sources of `construct` and `analyze`."""
+    return {
+        "tau": Mode("--tau", ("tau",), extra, formats),
+        "mean": Mode("--mean", ("mean",), extra, formats),
+        "rational": Mode("--rational", ("rational",), extra, formats),
+        "blocks": Mode("with a block config", ("schedule", "columns"), extra, formats),
+    }
+
+
+_PICK_SOURCE = "pick exactly one digit source: --tau (greedy), --mean, --rational, or a schedule+columns config"
+_BLOCKS = "block construction needs both 'schedule' and 'columns' in the config"
+_BLOCK_NEEDS = {"schedule": ("columns", _BLOCKS), "columns": ("schedule", _BLOCKS)}
+_TRACE = ("checkpoints", "normality_tol", "precision")
+
+COMMANDS = {
+    "construct": Command(
+        "write a digit prefix from a named constructor", cmd_construct,
+        _sources(("length",), ("text",)), _PICK_SOURCE, _BLOCK_NEEDS,
+    ),
+    "analyze": Command(
+        "frequency/mean trace of a digit source", cmd_analyze,
+        {**_sources(_TRACE, ("csv", "json")), "in": Mode("--in", ("in",), _TRACE, ("csv", "json"))},
+        _PICK_SOURCE, _BLOCK_NEEDS,
+    ),
+    "dimension": Command(
+        "dimension of a frequency vector or a mean level set", cmd_dimension,
+        {
+            "tau": Mode("--tau", ("tau",), (), ("json",)),
+            "theta": Mode("--theta", ("theta",), ("oracle", "grid_step"), ("json",)),
+            "sweep": Mode("--sweep", ("sweep",), ("precision",), ("csv",)),
+        },
+        "pick exactly one of --tau, --theta, --sweep",
+        {
+            "precision": ("sweep", "--precision needs --sweep (dimension --tau and --theta write floats in full)"),
+            "oracle": ("theta", "--oracle needs --theta (the grid oracle scans one mean slice)"),
+            "grid_step": ("oracle", "--grid-step needs --oracle"),
+        },
+    ),
+    "verify": Command(
+        "run the cross-module invariant battery", cmd_verify, {"": Mode("", (), ("modules",), ("json",))}, "", {}
+    ),
+}
+
+# The argparse options of a JSON type other than a string.
+_ARGUMENT_KINDS = {int: {"type": int}, bool: {"action": "store_true"}, (list, str): {"action": "append"}}
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -476,48 +509,15 @@ def build_parser() -> argparse.ArgumentParser:
         "entropy-based dimension bounds for base-s expansions.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def common(p: argparse.ArgumentParser) -> None:
-        p.add_argument("--base", type=int, default=None, help="radix (default 4)")
-        p.add_argument("--out", default=None, help="output path (default stdout)")
-        p.add_argument("--format", dest="fmt", choices=("csv", "json", "text"), default=None)
+    for name, command in COMMANDS.items():
+        p = sub.add_parser(name, help=command.help)
+        reads = frozenset().union(*(mode.reads for mode in command.modes.values()))
+        for f in fields(ExperimentConfig):
+            spec = f.metadata
+            if spec.get("flag") and _key(f) in reads:
+                kind = _ARGUMENT_KINDS.get(spec["kind"], {})
+                p.add_argument(spec["flag"], dest=f.name, default=None, help=spec["help"], **kind)
         p.add_argument("--config", default=None, help="JSON config file; flags win on conflict")
-
-    c = sub.add_parser("construct", help="write a digit prefix from a named constructor")
-    common(c)
-    c.add_argument("--tau", default=None, help="greedy construction, e.g. 1/4,1/4,1/4,1/4")
-    c.add_argument("--mean", default=None, help="target asymptotic digit mean, e.g. 3/2")
-    c.add_argument("--rational", default=None, help="expand this rational, e.g. 1/3")
-    c.add_argument("--length", type=int, default=None, help=f"digits to emit (<= {MAX_CONSTRUCT_LENGTH})")
-
-    a = sub.add_parser("analyze", help="frequency/mean trace of a digit source")
-    common(a)
-    a.add_argument("--in", dest="source", default=None, help="digit text file to analyze")
-    a.add_argument("--tau", default=None, help="inline greedy constructor")
-    a.add_argument("--mean", default=None, help="inline mean-target constructor")
-    a.add_argument("--rational", default=None, help="inline rational expansion")
-    a.add_argument("--checkpoints", default=None, help="comma list of prefix lengths")
-    a.add_argument("--normality-tol", default=None, help="also report the uniformity verdict")
-    a.add_argument("--precision", type=int, default=None, help="significant digits (default 12)")
-
-    d = sub.add_parser("dimension", help="dimension of a frequency vector or a mean level set")
-    common(d)
-    d.add_argument("--tau", default=None, help="frequency vector, e.g. 1,0,0,0")
-    d.add_argument("--theta", default=None, help="digit mean in [0, s-1]")
-    d.add_argument("--sweep", default=None, help="theta sweep start:stop:step, emits CSV")
-    d.add_argument("--oracle", action="store_true", default=None, help="also run the grid oracle")
-    d.add_argument("--grid-step", default=None, help="grid oracle step (default 1/1000)")
-    d.add_argument("--precision", type=int, default=None, help="significant digits of --sweep values (default 12)")
-
-    v = sub.add_parser("verify", help="run the cross-module invariant battery")
-    common(v)
-    v.add_argument(
-        "--module",
-        dest="modules",
-        action="append",
-        default=None,
-        help="restrict to a module (repeatable); one of digits, stats, construct, entropy",
-    )
     return parser
 
 
@@ -561,63 +561,71 @@ def _parse_checkpoints(value) -> tuple[int, ...]:
     return points
 
 
-def effective_config(args: argparse.Namespace) -> ExperimentConfig:
-    """Merge the config file (if any) with explicit flags; flags win."""
-    file_doc = _load_config_file(args.config) if getattr(args, "config", None) else {}
-    file_doc.pop("command", None)
-    ExperimentConfig.check_json(file_doc)
+def _pick(command: Command, given: list[str]) -> Mode:
+    """The one mode of `command` that the given keys pick."""
+    if len(command.modes) == 1:
+        return next(iter(command.modes.values()))
+    picks = [name for name, mode in command.modes.items() if set(given) & set(mode.requires)]
+    if "in" in picks and len(picks) > 1:
+        inline = [key for name in picks if name != "in" for key in command.modes[name].requires if key in given]
+        raise UsageError(f"--in conflicts with inline digit source(s) {inline}")
+    if len(picks) != 1:
+        raise UsageError(f"{command.pick}; got {picks or 'none'}")
+    return command.modes[picks[0]]
 
-    merged: dict = dict(file_doc)
-    keymap = ExperimentConfig._KEYMAP
+
+def effective_config(args: argparse.Namespace) -> tuple[ExperimentConfig, str]:
+    """Merge the config file (if any) with explicit flags (flags win), check
+    the merged keys against the mode that they pick in `COMMANDS`, and
+    return the config and the format to write."""
+    merged = _load_config_file(args.config) if args.config else {}
+    merged.pop("command", None)
+    ExperimentConfig.check_json(merged)
     for f in fields(ExperimentConfig):
-        if f.name == "command" or not hasattr(args, f.name):
-            continue
-        flag_value = getattr(args, f.name)
+        flag_value = getattr(args, f.name, None) if f.metadata.get("flag") else None
         if flag_value is None:
             continue
-        key = keymap.get(f.name, f.name)
+        key = _key(f)
         if key in merged and merged[key] != flag_value:
-            print(
-                f"warning: flag --{key.replace('_', '-')}={flag_value!r} overrides "
-                f"config file value {merged[key]!r}",
-                file=sys.stderr,
-            )
+            warning = f"flag --{key.replace('_', '-')}={flag_value!r} overrides config file value {merged[key]!r}"
+            print(f"warning: {warning}", file=sys.stderr)
         merged[key] = flag_value
 
-    merged["command"] = args.command
-    if "checkpoints" in merged and merged["checkpoints"] is not None:
+    command = COMMANDS[args.command]
+    # false, oracle's default, leaves a key unset as null does.
+    given = [key for key, value in merged.items() if value is not None and value is not False]
+    mode = _pick(command, given)
+    for key, (needed, refusal) in command.needs.items():
+        if key in given and needed not in given:
+            raise UsageError(refusal)
+    what = f"{args.command} {mode.label}".rstrip()
+    for key in given:
+        if key not in mode.reads:
+            raise UsageError(f"{what} does not read {key!r}")
+    fmt = mode.formats[0] if merged.get("format") is None else merged["format"]
+    if fmt not in mode.formats:
+        writes = " or ".join(f.upper() for f in mode.formats)
+        raise UsageError(f"{what} writes {writes}; --format {fmt} is not applicable")
+
+    if "checkpoints" in given:
         merged["checkpoints"] = _parse_checkpoints(merged["checkpoints"])
-    if "modules" in merged and merged["modules"] is not None:
-        names: list[str] = []
-        for item in merged["modules"]:
-            names.extend(p.strip() for p in str(item).split(",") if p.strip())
-        merged["modules"] = tuple(names)
-    if merged.get("precision") is not None and args.command == "dimension" and merged.get("sweep") is None:
-        # ADICLAB_PRECISION stays a default, so only a flag or a config key is refused.
-        raise UsageError("--precision needs --sweep (dimension --tau and --theta write floats in full)")
-    merged["precision"] = _resolve_precision(merged.get("precision"))
-    if merged.get("base") is None:
-        merged.pop("base", None)
-    cfg = ExperimentConfig.from_json_dict(merged)
+    if "modules" in given:
+        merged["modules"] = tuple(p.strip() for item in merged["modules"] for p in str(item).split(",") if p.strip())
+    if "precision" in mode.reads:
+        merged["precision"] = _resolve_precision(merged.get("precision"))
+    cfg = ExperimentConfig.from_json_dict(
+        {"command": args.command, **{key: value for key, value in merged.items() if value is not None}}
+    )
     if cfg.base < 2:
         raise UsageError(f"--base must be >= 2, got {cfg.base}")
-    return cfg
-
-
-_COMMANDS = {
-    "construct": cmd_construct,
-    "analyze": cmd_analyze,
-    "dimension": cmd_dimension,
-    "verify": cmd_verify,
-}
+    return cfg, fmt
 
 
 def main(argv: Sequence[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
-        cfg = effective_config(args)
-        return _COMMANDS[cfg.command](cfg)
+        cfg, fmt = effective_config(args)
+        return COMMANDS[cfg.command].run(cfg, fmt)
     except (UsageError, ValueError, ArithmeticError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -101,6 +101,14 @@ def _tally(chunk: Chunk, s: int) -> np.ndarray:
     return counts
 
 
+def _digit_sum(piece: Chunk) -> int:
+    """Sum of the digits of a piece of at most CHUNK_DIGITS digits, by an
+    int64 numpy sum: an algorithm apart from `_tally`'s counts, so that the
+    two check each other. Exact while (s - 1) * CHUNK_DIGITS < 2**63, which
+    every base whose count array `_tally` can hold meets."""
+    return int(np.asarray(memoryview(piece)).sum(dtype=np.int64))
+
+
 def digit_counts(p: DigitPrefix) -> tuple[int, ...]:
     """counts[i] = number of positions j <= n with a_j = i."""
     return tuple(_tally(p.chunk, p.base.s).tolist())
@@ -142,7 +150,7 @@ def convergence_trace(stream: DigitStream, checkpoints: Sequence[int]) -> Conver
     most CHUNK_DIGITS digits, so memory stays bounded by that whatever the
     chunks' length. Each piece is tallied whole: digit counts with
     `numpy.bincount`, which costs one pass whatever the base. The digit sum
-    is accumulated independently, with `sum`, and compared in integers
+    is accumulated independently, by `_digit_sum`, and compared in integers
     with sum(i * N_i) from the counts (as the length is with sum(N_i)), so
     every emitted report has passed the mean identity both ways.
     """
@@ -175,7 +183,7 @@ def _trace(base: Base, chunks: Iterable[Chunk], points: Sequence[int], to_end: b
             size = CHUNK_DIGITS if target is None else min(CHUNK_DIGITS, target - consumed)
             piece = chunk[start : start + size]
             counts += _tally(piece, s)
-            digit_sum += sum(piece)
+            digit_sum += _digit_sum(piece)
             consumed += len(piece)
             start += len(piece)
             if consumed == target:

@@ -9,13 +9,14 @@ import sys
 import threading
 import time
 import tracemalloc
+from dataclasses import fields
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import event, given, settings, strategies as st
 
 from adiclab import _digitfile
-from adiclab.cli import ExperimentConfig, UsageError, main
+from adiclab.cli import COMMANDS, ExperimentConfig, UsageError, build_parser, effective_config, main
 from adiclab.digits import CHUNK_DIGITS, Base, parse_digit_text
 
 
@@ -938,6 +939,170 @@ class TestConfigMerging:
         a = ExperimentConfig(command="construct", mean="0", length=10)
         b = ExperimentConfig(command="construct", mean="0", length=11)
         assert a.config_hash() != b.config_hash()
+
+
+# A config that sets keys the commands below do not read.
+UNREAD = {"precision": 3, "theta": "1/2", "oracle": True}
+
+
+class TestModeTable:
+    @pytest.mark.parametrize(
+        "argv, doc, message",
+        [
+            (["construct", "--tau", "1/2,1/2,0,0", "--length", "6"], UNREAD, "construct --tau does not read 'precision'"),
+            (["analyze", "--rational", "1/3", "--checkpoints", "3"], UNREAD, "analyze --rational does not read 'theta'"),
+            (["verify", "--module", "stats"], UNREAD, "verify does not read 'precision'"),
+            (["analyze", "--rational", "1/3", "--checkpoints", "3"], {"length": 5}, "analyze --rational does not read 'length'"),
+            (["dimension", "--tau", "1,0,0,0"], {"checkpoints": [1]}, "dimension --tau does not read 'checkpoints'"),
+            (["construct", "--mean", "0", "--length", "3"], {"in": "digits.txt"}, "construct --mean does not read 'in'"),
+            (["dimension", "--sweep", "0:1:1/2"], {"modules": ["stats"]}, "dimension --sweep does not read 'modules'"),
+            (
+                ["construct", "--length", "6"],
+                {"schedule": {"family": "polynomial"}, "columns": UNIFORM_COLUMNS, "normality_tol": "1/10"},
+                "construct with a block config does not read 'normality_tol'",
+            ),
+        ],
+        ids=["construct", "analyze", "verify", "length", "checkpoints", "in", "modules", "blocks"],
+    )
+    def test_a_key_the_mode_does_not_read_is_refused(self, argv, doc, message, tmp_path, capsys):
+        config = tmp_path / "c.json"
+        config.write_text(json.dumps(doc))
+        out = tmp_path / "out.txt"
+        got = run_cli(capsys, *argv, "--config", str(config), "--out", str(out))
+        assert got == (2, "", f"error: {message}\n")
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["c.json"]
+        # Without the keys that it names, the same run succeeds.
+        config.write_text(json.dumps({k: v for k, v in doc.items() if k in ("schedule", "columns")}))
+        assert run_cli(capsys, *argv, "--config", str(config))[0] == 0
+
+    def test_precision_env_applies_only_where_precision_is_read(self, tmp_path, capsys, monkeypatch):
+        construct = ["construct", "--mean", "0", "--length", "3"]
+        out = tmp_path / "digits.txt"
+        assert run_cli(capsys, *construct, "--out", str(out))[0] == 0
+        plain = out.read_text()
+        monkeypatch.setenv("ADICLAB_PRECISION", "99")
+        assert run_cli(capsys, *construct) == (0, "000\n", "")
+        assert run_cli(capsys, "verify", "--module", "stats")[0] == 0
+        assert run_cli(capsys, "dimension", "--tau", "1,0,0,0")[0] == 0
+        message = "error: precision must lie in [1, 17], got 99\n"
+        assert run_cli(capsys, "analyze", "--mean", "0", "--checkpoints", "3") == (2, "", message)
+        assert run_cli(capsys, "dimension", "--sweep", "0:1:1/2") == (2, "", message)
+        monkeypatch.setenv("ADICLAB_PRECISION", "5")
+        out.unlink()
+        assert run_cli(capsys, *construct, "--out", str(out))[0] == 0
+        assert out.read_text() == plain  # the header hash included
+        assert "precision" not in json.loads((tmp_path / "digits.txt.json").read_text())["config"]
+
+    def test_readme_lists_what_each_mode_reads(self):
+        # The README's table of modes, row by row, against COMMANDS.
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+        section = readme.split("<!-- modes -->")[1].strip()
+        rows = set()
+        for line in section.splitlines()[2:]:
+            if not line.startswith("|"):
+                break
+            command, picked, reads, writes = (cell.strip() for cell in line.strip("|").split("|"))
+            keys = lambda cell: tuple(re.findall(r"`([a-z_]+)`", cell))
+            rows.add((keys(command)[0], keys(picked), frozenset(keys(reads)), tuple(re.findall(r"\w+", writes))))
+        expected = {
+            (name, mode.requires, mode.reads - {"base", "out", "format", *mode.requires}, mode.formats)
+            for name, command in COMMANDS.items()
+            for mode in command.modes.values()
+        }
+        assert rows == expected
+
+
+FIELDS = {f.metadata.get("key") or f.name: f for f in fields(ExperimentConfig)}
+# Small valid config values of each key; "digits.txt" holds 10 digits.
+KEY_VALUES = {
+    "base": [4, 2],
+    "format": ["csv", "json", "text"],
+    "tau": ["1/2,1/2,0,0", "1/4,1/4,1/4,1/4"],
+    "mean": ["0", "1/3", "3/2"],
+    "rational": ["1/3", "2/7"],
+    "length": [1, 7, 20],
+    "schedule": [{"family": "polynomial", "degree": 1}],
+    "columns": [UNIFORM_COLUMNS],
+    "in": ["digits.txt"],
+    "checkpoints": [[1, 5], [10], [3]],
+    "normality_tol": ["1/10"],
+    "theta": ["1/2", "3/2"],
+    "sweep": ["0:1:1/2"],
+    "oracle": [True],
+    "grid_step": ["1/10"],
+    "precision": [3, 12],
+    "modules": [["stats"]],
+}
+
+
+def _provenance_hash(text: str) -> str:
+    if text.startswith("#"):
+        return text.split("config=")[1].split()[0]
+    return json.loads(text)["provenance"]["config_hash"]
+
+
+class TestModeTableProperties:
+    @settings(max_examples=150)
+    @given(data=st.data())
+    def test_runs_drawn_from_the_table(self, tmp_path_factory, data):
+        # An argv and a config file drawn from COMMANDS: the keys that pick a
+        # mode, some keys it reads and at most one key from anywhere, each
+        # given by flag or by config key. verify runs --module stats only.
+        tmp = tmp_path_factory.mktemp("modes")
+        (tmp / "digits.txt").write_text("0123012301\n")
+        name = data.draw(st.sampled_from(sorted(COMMANDS)), label="command")
+        command = COMMANDS[name]
+        mode = data.draw(st.sampled_from(list(command.modes.values())), label="mode")
+        optional = sorted(mode.reads - {"out", *mode.requires})
+        keys = [*mode.requires, *data.draw(st.lists(st.sampled_from(optional), unique=True, max_size=3))]
+        keys += data.draw(st.lists(st.sampled_from(sorted(KEY_VALUES)), max_size=1), label="extra")
+        if name == "verify":
+            keys.append("modules")
+        parsed = {key for m in command.modes.values() for key in m.reads}
+        argv, doc = [name], {}
+        for key in dict.fromkeys(keys):
+            value = data.draw(st.sampled_from(KEY_VALUES[key]), label=key)
+            value = str(tmp / value) if key == "in" else value
+            flag = FIELDS[key].metadata["flag"]
+            if flag and key in parsed and data.draw(st.booleans(), label=f"{key} by flag"):
+                text = ",".join(map(str, value)) if isinstance(value, list) else str(value)
+                argv += [flag] if value is True else [flag, text]
+            else:
+                doc[key] = value
+        out = tmp / "out.txt"
+        if data.draw(st.booleans(), label="--out"):
+            argv += ["--out", str(out)]
+        if doc:
+            (tmp / "c.json").write_text(json.dumps(doc))
+            argv += ["--config", str(tmp / "c.json")]
+        env = data.draw(st.sampled_from([None, "5", "99"]), label="ADICLAB_PRECISION")
+
+        stdout, stderr = io.StringIO(), io.StringIO()
+        with pytest.MonkeyPatch.context() as mp:
+            if env is None:
+                mp.delenv("ADICLAB_PRECISION", raising=False)
+            else:
+                mp.setenv("ADICLAB_PRECISION", env)
+            with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
+                code = main(argv)
+            if code == 0:
+                cfg, _ = effective_config(build_parser().parse_args(argv))
+        assert code in (0, 1, 2)
+        event(f"exit {code}")
+        if code == 2:
+            lines = stderr.getvalue().splitlines()
+            assert len(lines) == 1 and lines[0].startswith("error: ")
+            assert not out.exists() and not out.with_name("out.txt.json").exists()
+        if code == 0:
+            # Every field that the mode does not read keeps its default, so
+            # the hash depends only on the fields that it reads.
+            for key, f in FIELDS.items():
+                if key not in ("command", *mode.reads):
+                    assert getattr(cfg, f.name) == f.default, key
+            if "--out" in argv:
+                assert _provenance_hash(out.read_text()) == cfg.config_hash()
+            elif name != "construct":  # construct writes bare digits to stdout
+                assert _provenance_hash(stdout.getvalue()) == cfg.config_hash()
 
 
 # sha256 digests of artifacts written by the per-digit implementation that

@@ -141,6 +141,25 @@ class TestConvergenceTrace:
         with pytest.raises(AssertionError, match="digit counts disagree"):
             convergence_trace(constant_stream(3), (10,))
 
+    @pytest.mark.parametrize("s", [2, 4, 10, 256, 257, 300, 2**40])
+    def test_digit_sum_matches_the_builtin_sum(self, s):
+        # Up to base 256 a piece is bytes, above it an array("Q").
+        from array import array
+
+        from adiclab.digits import CHUNK_DIGITS, to_chunk
+
+        top = [s - 1] * CHUNK_DIGITS
+        for digits in ([], [0], top, [d % s for d in range(CHUNK_DIGITS)], top[:-1] + [0]):
+            piece = to_chunk(digits, Base(s))
+            assert isinstance(piece, bytes if s <= 256 else array)
+            assert stats._digit_sum(piece) == sum(piece) == sum(digits)
+
+    def test_digit_sum_is_cross_checked(self, monkeypatch):
+        digit_sum = stats._digit_sum
+        monkeypatch.setattr(stats, "_digit_sum", lambda piece: digit_sum(piece) + 1)
+        with pytest.raises(AssertionError, match="digit counts disagree"):
+            convergence_trace(constant_stream(3), (10,))
+
     def test_long_chunks_are_tallied_in_bounded_pieces(self):
         # One 4 * 10**6-digit chunk: an intp copy of it alone is 30.5 MiB.
         from adiclab.digits import stream_from_digits
