@@ -561,6 +561,25 @@ def _parse_checkpoints(value) -> tuple[int, ...]:
     return points
 
 
+def _parse_modules(value) -> tuple[str, ...]:
+    return tuple(p.strip() for item in value for p in str(item).split(",") if p.strip())
+
+
+# The list keys whose flag and config values are normalized to one tuple.
+_NORMALIZERS = {"checkpoints": _parse_checkpoints, "modules": _parse_modules}
+
+
+def _normalized(key: str, value):
+    """`value` as the config holds it once normalized, or `value` itself when
+    it does not normalize (the refusal comes later)."""
+    if (normalize := _NORMALIZERS.get(key)) is None:
+        return value
+    try:
+        return normalize(value)
+    except UsageError:
+        return value
+
+
 def _pick(command: Command, given: list[str]) -> Mode:
     """The one mode of `command` that the given keys pick."""
     if len(command.modes) == 1:
@@ -586,7 +605,7 @@ def effective_config(args: argparse.Namespace) -> tuple[ExperimentConfig, str]:
         if flag_value is None:
             continue
         key = _key(f)
-        if key in merged and merged[key] != flag_value:
+        if key in merged and _normalized(key, merged[key]) != _normalized(key, flag_value):
             warning = f"flag --{key.replace('_', '-')}={flag_value!r} overrides config file value {merged[key]!r}"
             print(f"warning: {warning}", file=sys.stderr)
         merged[key] = flag_value
@@ -607,10 +626,9 @@ def effective_config(args: argparse.Namespace) -> tuple[ExperimentConfig, str]:
         writes = " or ".join(f.upper() for f in mode.formats)
         raise UsageError(f"{what} writes {writes}; --format {fmt} is not applicable")
 
-    if "checkpoints" in given:
-        merged["checkpoints"] = _parse_checkpoints(merged["checkpoints"])
-    if "modules" in given:
-        merged["modules"] = tuple(p.strip() for item in merged["modules"] for p in str(item).split(",") if p.strip())
+    for key, normalize in _NORMALIZERS.items():
+        if key in given:
+            merged[key] = normalize(merged[key])
     if "precision" in mode.reads:
         merged["precision"] = _resolve_precision(merged.get("precision"))
     cfg = ExperimentConfig.from_json_dict(

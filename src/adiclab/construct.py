@@ -18,16 +18,20 @@ Column vectors and schedule parameters are exact rationals and every floor
 is exact: the constructions are floor-sensitive, and the exact-count
 claims are only checkable in integer arithmetic.
 
-Both streams produce whole chunks (see `digits`): the greedy stream
-computes a block of steps at once with numpy, and the block stream emits
-each block as runs of one repeated digit. Up to the chunk's last step N,
-floor(n * tau_i) equals a floor of n * p'/q' for the last continued-fraction
-convergent p'/q' of tau_i with q' <= N (Khinchin, Continued Fractions,
-ch. I). From it the greedy chunk takes each column's copies of its digit
-and the step of each copy, and merges the columns by one stable sort, so
-a chunk costs a few passes over the columns plus its digits. A column of
-any denominator runs in int64 while N**2 < 2**63 (about 3.04e9 steps),
-and in exact Python ints only past that.
+Both streams produce whole chunks (see `digits`). A greedy stream is
+purely periodic, with period L = lcm of tau's denominators. When L is at
+most CHUNK_DIGITS it is a `periodic_stream` of one period, built in
+exact Python ints without numpy, so its value is exact and `digit_at` is
+O(1). Otherwise the greedy stream computes a block of steps at once with
+numpy. Up to the chunk's last step N, floor(n * tau_i) equals a floor of
+n * p'/q' for the last continued-fraction convergent p'/q' of tau_i with
+q' <= N (Khinchin, Continued Fractions, ch. I). From it the greedy chunk
+takes each column's copies of its digit and the step of each copy, and
+merges the columns by one stable sort, so a chunk costs a few passes
+over the columns plus its digits. A column of any denominator runs in
+int64 while N**2 < 2**63 (about 3.04e9 steps), and in exact Python ints
+only past that. The block stream emits each block as runs of one
+repeated digit.
 
 Schedules come from a closed set of named families because the growth
 conditions they must satisfy are limit statements, not verifiable from
@@ -43,10 +47,12 @@ import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
+from functools import cached_property, partial
 from typing import TYPE_CHECKING, Callable, Iterator, Sequence
 
-from .digits import BASE4, CHUNK_DIGITS, Base, Chunk, DigitStream, chunk_from_array, constant_stream, to_chunk
+from .digits import (
+    BASE4, CHUNK_DIGITS, Base, Chunk, DigitStream, chunk_from_array, constant_stream, periodic_stream, to_chunk,
+)
 
 if TYPE_CHECKING:
     import numpy as np
@@ -218,6 +224,55 @@ def _greedy_digits(p: np.ndarray, q: np.ndarray, c: np.ndarray, k: int, end: int
     return column[np.argsort(steps, kind="stable")]
 
 
+def _greedy_period(tau: ProbabilityVector, period: int, base: Base) -> Chunk:
+    """One period of the greedy stream of tau, whose denominators divide
+    `period` = L: the digits of steps 1, ..., L, which hold L*tau_i copies
+    of digit i.
+
+    With tau_i = p/q reduced and F(n) = floor(n*p/q), copy m of digit i
+    falls on the step n with F(n) < m <= F(n+1), that is n = (m*q - 1) // p.
+    For tau_i < 1 the copies m = 1, ..., L*p/q fall on steps 1..L-1, so
+    they are the period's. (tau_i = 1 puts them on steps 0..L-1; it is then
+    the only nonzero column, and the period is constant.) One sort of the
+    keys step*s + i merges the columns: by step, and within a step in
+    increasing digit order. Exact Python ints throughout, O(L log L).
+    """
+    s = base.s
+    keys: list[int] = []
+    for i, t in enumerate(tau.entries):
+        if p := t.numerator:
+            q = t.denominator
+            keys += [x // p * s + i for x in range(q - 1, p * period, q)]
+    keys.sort()
+    return to_chunk([key % s for key in keys], base)
+
+
+def _greedy_chunks(tau: ProbabilityVector, base: Base) -> Iterator[Chunk]:
+    """The greedy stream's chunks from the array kernel: each chunk covers
+    the steps K..N-1 at once (`_greedy_digits`). Each column's copies and
+    the steps they fall on come from one continued-fraction convergent of
+    tau_i, the one for the chunk end N. The state is four arrays over the
+    columns: p', q', c and `until`, the chunk end at which the convergent
+    expires, and only the columns with until <= N are refreshed. A column
+    of any denominator is computed in int64 while N**2 < 2**63, that is
+    for about the first 3.04e9 steps, and in exact Python ints only past
+    that."""
+    import numpy as np
+
+    p, q, c, until = (np.zeros(tau.s, dtype=np.int64) for _ in range(4))
+    k, steps = 1, _FIRST_STEPS
+    while True:
+        end = k + steps
+        for i in np.flatnonzero(until <= end).tolist():
+            t = tau.entries[i]
+            num, den = t.numerator, t.denominator
+            pi, qi, qnext = _convergent(num, den, end)
+            p[i], q[i], c[i], until[i] = pi, qi, num * qi < pi * den, min(qnext, _NEVER)
+        yield chunk_from_array(_greedy_digits(p, q, c, k, end), base)
+        k = end
+        steps = min(2 * steps, CHUNK_DIGITS)
+
+
 def greedy_stream(tau: ProbabilityVector, base: Base | None = None) -> DigitStream:
     """Digit stream whose limiting frequencies equal tau exactly.
 
@@ -226,38 +281,27 @@ def greedy_stream(tau: ProbabilityVector, base: Base | None = None) -> DigitStre
     sum(floor_counts(tau, n)) contains exactly floor(tau_i * n) copies of
     digit i. Pure integer arithmetic throughout.
 
-    A chunk covers the steps K..N-1 at once (`_greedy_digits`): each
-    column's copies and the steps they fall on come from one
-    continued-fraction convergent of tau_i, the one for the chunk end N.
-    The stream's state is four arrays over the columns: p', q', c and
-    `until`, the chunk end at which the convergent expires, and only the
-    columns with until <= N are refreshed. A column of any denominator is
-    computed in int64 while N**2 < 2**63, that is for about the first
-    3.04e9 steps, and in exact Python ints only past that.
+    With tau = (n_i / L) over the lcm L of its denominators, the increments
+    of step k depend only on k mod L, so the stream is purely periodic: one
+    period is steps 1..L, L digits with n_i copies of digit i. When L is at
+    most CHUNK_DIGITS the stream is `periodic_stream((), period)`, the
+    period built in exact ints without numpy (`_greedy_period`), so
+    `stream_value` is exact and `digit_at` is O(1). A longer period is
+    never built: the stream is then procedural and its chunks come from
+    the array kernel (`_greedy_chunks`). Both give the same digits.
     """
-    import numpy as np
-
     if base is None:
         base = Base(tau.s)
     elif base.s != tau.s:
         raise ValueError(f"vector has {tau.s} entries but base is {base.s}")
-    s = tau.s
-
-    def make() -> Iterator[Chunk]:
-        p, q, c, until = (np.zeros(s, dtype=np.int64) for _ in range(4))
-        k, steps = 1, _FIRST_STEPS
-        while True:
-            end = k + steps
-            for i in np.flatnonzero(until <= end).tolist():
-                t = tau.entries[i]
-                num, den = t.numerator, t.denominator
-                pi, qi, qnext = _convergent(num, den, end)
-                p[i], q[i], c[i], until[i] = pi, qi, num * qi < pi * den, min(qnext, _NEVER)
-            yield chunk_from_array(_greedy_digits(p, q, c, k, end), base)
-            k = end
-            steps = min(2 * steps, CHUNK_DIGITS)
-
-    return DigitStream(base=base, make_chunks=make)
+    # L is built up one denominator at a time and given up once it passes
+    # CHUNK_DIGITS, so wide denominators cost no big lcm.
+    period = 1
+    for t in tau.entries:
+        period = math.lcm(period, t.denominator)
+        if period > CHUNK_DIGITS:
+            return DigitStream(base, partial(_greedy_chunks, tau, base))
+    return periodic_stream((), _greedy_period(tau, period, base), base)
 
 
 # ---------------------------------------------------------------------------

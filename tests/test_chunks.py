@@ -14,6 +14,7 @@ import time
 import tracemalloc
 from array import array
 from fractions import Fraction
+from functools import partial
 
 import numpy as np
 import pytest
@@ -33,6 +34,7 @@ from adiclab.cli import main
 from adiclab.digits import (
     CHUNK_DIGITS,
     Base,
+    DigitStream,
     expand,
     periodic_stream,
     prefix_value,
@@ -131,6 +133,13 @@ def vectors(draw, s: int, max_den: int = 30) -> ProbabilityVector:
     return ProbabilityVector(tuple(Fraction(w, total) for w in weights))
 
 
+def kernel_stream(tau: ProbabilityVector) -> DigitStream:
+    """The greedy stream of tau from the chunk kernel, whatever its period:
+    `greedy_stream` tiles one period instead when it is short."""
+    base = Base(tau.s)
+    return DigitStream(base, partial(construct._greedy_chunks, tau, base))
+
+
 def assert_matches(stream, oracle):
     lengths = edge_lengths(stream)
     want = oracle(lengths[-1])
@@ -145,7 +154,7 @@ class TestGreedyChunks:
     @given(st.data(), BASES)
     def test_prefix_matches_step_formula(self, data, s):
         tau = data.draw(vectors(s))
-        assert_matches(greedy_stream(tau), lambda n: greedy_oracle(tau, n))
+        assert_matches(kernel_stream(tau), lambda n: greedy_oracle(tau, n))
 
     @pytest.mark.parametrize(
         "tau",
@@ -154,7 +163,7 @@ class TestGreedyChunks:
         ids=["below", "at", "above", "far-above", "huge", "mixed"],
     )
     def test_large_denominators_on_both_sides_of_int64(self, tau):
-        stream = greedy_stream(tau)
+        stream = kernel_stream(tau)
         # Steps through the first chunk of full size (256 doubling to CHUNK_DIGITS).
         steps = sum(min(256 << k, CHUNK_DIGITS) for k in range(9))
         n = sum(math.floor(t * (steps + 1)) - math.floor(t) for t in tau.entries)
@@ -167,7 +176,7 @@ class TestGreedyChunks:
         tau = ProbabilityVector((Fraction(1, 3), *[Fraction(0)] * 4094, Fraction(2, 3)))
         tracemalloc.start()
         try:
-            prefix = greedy_stream(tau).prefix(4000)
+            prefix = kernel_stream(tau).prefix(4000)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
@@ -225,7 +234,7 @@ class TestWideGreedyColumns:
     @settings(max_examples=40)
     @given(st.one_of(wide_vectors(), NEAR_RATIONALS))
     def test_matches_the_oracle_at_chunk_edges_and_convergents(self, tau):
-        stream = greedy_stream(tau)
+        stream = kernel_stream(tau)
         # Every chunk edge, and the stream lengths after the steps around
         # each convergent denominator the first four chunks reach, where a
         # column moves to its next convergent.
@@ -264,7 +273,7 @@ class TestWideGreedyColumns:
         # (step 257) and inside the first four chunks, so that column
         # changes convergent mid-stream.
         assert 257 < tau.entries[0].denominator <= FOUR_CHUNK_STEPS
-        stream = greedy_stream(tau)
+        stream = kernel_stream(tau)
         lengths = edge_lengths(stream, 4)
         want = greedy_oracle(tau, lengths[-1])
         for n in lengths:
@@ -323,6 +332,72 @@ class TestWideGreedyColumns:
         header, text = out.read_text().splitlines()
         assert header.startswith("# adiclab ")
         assert tuple(map(int, text)) == greedy_oracle(tau, 100_000)
+
+
+@st.composite
+def short_period_vectors(draw) -> ProbabilityVector:
+    """tau over one denominator D, so that its period L divides D, in bases
+    2, 3, 4, 10 and 300. The oracle costs s per step, so D shrinks as s
+    grows."""
+    s = draw(st.sampled_from([2, 3, 4, 10, 300]))
+    den = draw(st.integers(min_value=1, max_value=3000 if s <= 4 else 600 if s == 10 else 40))
+    cuts = sorted(draw(st.lists(st.integers(min_value=0, max_value=den), min_size=s - 1, max_size=s - 1)))
+    return ProbabilityVector(tuple(Fraction(b - a, den) for a, b in zip([0, *cuts], [*cuts, den])))
+
+
+def period_of(tau: ProbabilityVector) -> int:
+    """L, the lcm of the denominators of tau."""
+    return math.lcm(*(t.denominator for t in tau.entries))
+
+
+class TestGreedyPeriod:
+    """A greedy stream whose period L is at most CHUNK_DIGITS tiles one
+    period, built without the kernel; a longer one runs the kernel."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(short_period_vectors())
+    def test_period_kernel_and_oracle_agree(self, tau):
+        stream, kernel = greedy_stream(tau), kernel_stream(tau)
+        length = period_of(tau)
+        assert stream.eventual_period is not None
+        assert len(stream.eventual_period[1]) == length
+        lengths = {2 * length + 1, *edge_lengths(stream), *edge_lengths(kernel)}
+        want = greedy_oracle(tau, max(lengths))
+        for n in sorted(lengths):
+            assert stream.prefix(n).digits == want[:n], n
+            assert kernel.prefix(n).digits == want[:n], n
+        assert stream.digit_at(max(lengths)) == want[-1]
+
+    @pytest.mark.parametrize(
+        "tau, periodic",
+        [
+            (ProbabilityVector((Fraction(1, 65536), Fraction(65535, 65536))), True),
+            (ProbabilityVector((Fraction(1, 65537), Fraction(65536, 65537))), False),
+            (ProbabilityVector.parse(f"1/4,1/3,{Fraction(5, 12) - Fraction(1, 2**14)},1/{2**14}"), True),
+            (ProbabilityVector.parse(f"1/4,1/3,{Fraction(5, 12) - Fraction(1, 2**15)},1/{2**15}"), False),
+        ],
+        ids=["65536-base-2", "65537-base-2", "49152-base-4", "98304-base-4"],
+    )
+    def test_both_sides_of_the_chunk_length(self, tau, periodic):
+        length = period_of(tau)
+        assert (length <= CHUNK_DIGITS) == periodic
+        stream = greedy_stream(tau)
+        assert (stream.eventual_period is not None) == periodic
+        n = 2 * length + 1
+        want = greedy_oracle(tau, n)
+        assert stream.prefix(n).digits == want
+        assert kernel_stream(tau).prefix(n).digits == want
+
+    def test_value_and_far_digits(self):
+        tau = ProbabilityVector.parse("1/2,1/3,1/6,0")
+        stream = greedy_stream(tau)
+        assert stream.eventual_period == ((), (0, 1, 0, 0, 1, 2))
+        assert stream_value(stream) == Fraction(262, 4095)
+        for tau in (tau, ProbabilityVector.parse("1/7,3/8,27/56"), ProbabilityVector.parse("1/65536,65535/65536")):
+            period = greedy_oracle(tau, period_of(tau))
+            stream = greedy_stream(tau)
+            for k in (1, 10**12, 10**12 + 1, 3**40):
+                assert stream.digit_at(k) == period[(k - 1) % len(period)], (tau, k)
 
 
 def count_column_work(monkeypatch) -> dict:
@@ -469,7 +544,7 @@ class TestChunkedTally:
 
     def test_checkpoints_across_chunk_edges(self):
         tau = ProbabilityVector.parse("1/2,1/3,1/6,0")
-        stream = greedy_stream(tau)
+        stream = kernel_stream(tau)
         points = edge_lengths(stream, 4)
         digits = greedy_oracle(tau, points[-1])
         trace = convergence_trace(stream, points)
@@ -679,7 +754,7 @@ class TestFastPaths:
         [
             periodic_stream((299, 1), (0, 298, 5), Base(300)),
             expand(Fraction(1, 3**2000), Base(300)),
-            greedy_stream(ProbabilityVector.parse("1/2,1/3,1/6,0")),
+            kernel_stream(ProbabilityVector.parse("1/2,1/3,1/6,0")),
             expand(Fraction(1, 10**30 + 57)),
             periodic_stream((1,), (0, 2, 3)),
         ],

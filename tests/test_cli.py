@@ -826,17 +826,21 @@ class TestVerify:
         # Each case runs main(argv) in a fresh interpreter (an empty argv only
         # imports the CLI) and reads sys.modules after it: a command loads
         # the library modules it runs and no other, and numpy only where an
-        # array kernel runs. `construct --tau` runs one, so the test cannot
-        # pass by never loading numpy.
+        # array kernel runs. A greedy `construct --tau` builds a period of at
+        # most 65536 digits without numpy; one whose period is longer runs
+        # the kernel, so the test cannot pass by never loading numpy.
         config = tmp_path / "blocks.json"
         blocks = {"schedule": {"family": "polynomial", "degree": 1}, "columns": CONVERGING_COLUMNS}
         config.write_text(json.dumps(blocks))
         block = ["construct", "--config", str(config), "--length", "50"]
+        short_period = ["construct", "--tau", "1/10,2/10,3/10,4/10", "--length", "1000000"]
+        long_period = ["construct", "--tau", "1/65537,65536/65537", "--base", "2", "--length", "50"]
         cases = [
             ([], [], ["numpy", "adiclab.construct", "adiclab.entropy", "adiclab.stats"]),
             (["dimension", "--tau", "1/3,1/3,0,1/3"], ["adiclab.entropy"], ["numpy", "adiclab.stats"]),
             (block, ["adiclab.construct"], ["numpy", "adiclab.entropy"]),
-            (["construct", "--tau", "1/2,1/2,0,0", "--length", "50"], ["numpy"], ["adiclab.entropy", "adiclab.stats"]),
+            (short_period, ["adiclab.construct"], ["numpy", "adiclab.entropy", "adiclab.stats"]),
+            (long_period, ["numpy"], ["adiclab.entropy", "adiclab.stats"]),
         ]
         code = (
             "import contextlib, io, json, sys\n"
@@ -886,6 +890,29 @@ class TestConfigMerging:
         )
         assert code == 0 and out.strip() == "000000"
         assert "overrides" in err
+
+    @pytest.mark.parametrize(
+        "command, key, file_value, flag, warns",
+        [
+            (("analyze", "--rational", "1/3"), "checkpoints", [1, 5], ("--checkpoints", "1,5"), False),
+            (("analyze", "--rational", "1/3"), "checkpoints", [1, 5], ("--checkpoints", " 1, 5,"), False),
+            (("analyze", "--rational", "1/3"), "checkpoints", [1, 6], ("--checkpoints", "1,5"), True),
+            (("verify",), "modules", ["stats"], ("--module", " stats"), False),
+            (("verify",), "modules", ["stats,entropy"], ("--module", "stats", "--module", "entropy"), False),
+            (("verify",), "modules", ["entropy"], ("--module", "stats"), True),
+        ],
+        ids=["same-checkpoints", "spaced-checkpoints", "other-checkpoints", "same-module", "split-modules", "other-module"],
+    )
+    def test_warns_only_when_the_normalized_values_differ(
+        self, command, key, file_value, flag, warns, tmp_path, capsys
+    ):
+        # A flag is compared with the file's value after both are normalized,
+        # so the same list written as a flag and as JSON draws no warning.
+        config = tmp_path / "c.json"
+        config.write_text(json.dumps({key: file_value}))
+        code, _, err = run_cli(capsys, *command, *flag, "--config", str(config))
+        assert code == 0, err
+        assert ("overrides" in err) == warns, err
 
     def test_invalid_config_file(self, tmp_path, capsys):
         config = tmp_path / "c.json"

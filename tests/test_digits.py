@@ -253,9 +253,11 @@ class TestStreams:
             periodic_stream((1,), ())
 
     def test_stream_value_needs_descriptor(self):
-        from adiclab.construct import ProbabilityVector, greedy_stream
+        from adiclab.construct import ColumnSchedule, ProbabilityVector, ScheduleSpec, block_stream
 
-        stream = greedy_stream(ProbabilityVector.parse("1/4,1/4,1/4,1/4"))
+        # A block stream is procedural: it carries no (preperiod, period) pair.
+        columns = ColumnSchedule.constant(ProbabilityVector.parse("1/4,1/4,1/4,1/4"))
+        stream = block_stream(columns, ScheduleSpec.polynomial(1))
         with pytest.raises(ValueError):
             stream_value(stream)
 
