@@ -8,6 +8,8 @@ whatever the file's length.
 from __future__ import annotations
 
 import codecs
+import os
+import stat
 from functools import partial
 from typing import Iterator
 
@@ -34,6 +36,18 @@ def digit_file(path: str, base: Base) -> DigitStream:
     its block is read, so it is found before a decode error in a later
     block."""
     return DigitStream(base, partial(_file_chunks, path, base))
+
+
+def byte_size(path: str) -> int | None:
+    """The byte size of the regular file at `path`, which bounds its digits:
+    a digit is at least one byte in any encoding. None for a pipe or a
+    device, whose length is not known before it is read, and for a path
+    that cannot be read (reading it names the error)."""
+    try:
+        info = os.stat(path)
+    except OSError:
+        return None
+    return info.st_size if stat.S_ISREG(info.st_mode) else None
 
 
 def _file_chunks(path: str, base: Base) -> Iterator[Chunk]:

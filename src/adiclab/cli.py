@@ -177,24 +177,29 @@ def _write_replacing(*outputs: tuple[Path, Iterable[str]]) -> None:
     before is left as it was.
 
     A symlink is followed, so the file it names is replaced. A device or a
-    pipe (such as /dev/null) cannot be replaced and is written in place."""
-    staged: list[tuple[Path, Path]] = []
+    pipe (such as /dev/null) cannot be replaced and is written in place.
+    An OSError on a temporary file is raised naming the path it stands for,
+    as it was given."""
+    staged: list[tuple[Path, Path, Path]] = []  # (temporary file, target, path as given)
     try:
-        for path, chunks in outputs:
-            if path.exists() and not path.is_file():
-                with open(path, "w") as handle:
+        for given, chunks in outputs:
+            if given.exists() and not given.is_file():
+                with open(given, "w") as handle:
                     handle.writelines(chunks)
                 continue
-            path = Path(os.path.realpath(path))
+            path = Path(os.path.realpath(given))
             tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
-            staged.append((tmp, path))
+            staged.append((tmp, path, given))
             with open(tmp, "w") as handle:
                 handle.writelines(chunks)
-        for tmp, path in staged:
+        for tmp, path, _ in staged:
             os.replace(tmp, path)
-    except BaseException:
-        for tmp, _ in staged:
+    except BaseException as exc:
+        for tmp, _, _ in staged:
             tmp.unlink(missing_ok=True)
+        names = {str(tmp): str(given) for tmp, _, given in staged}
+        if isinstance(exc, OSError) and exc.filename in names:
+            raise OSError(exc.errno, exc.strerror, names[exc.filename]) from None
         raise
 
 
@@ -284,7 +289,7 @@ def _check_checkpoint_count(count: int, base: Base) -> None:
 
 
 def cmd_analyze(cfg: ExperimentConfig, fmt: str) -> int:
-    from ._digitfile import digit_file
+    from ._digitfile import byte_size, digit_file
     from .stats import DEFAULT_CHECKPOINTS, _trace, convergence_trace, weak_normality_verdict
 
     base = Base(cfg.base)
@@ -311,8 +316,13 @@ def cmd_analyze(cfg: ExperimentConfig, fmt: str) -> int:
         trace = convergence_trace(stream, checkpoints)
     else:
         # One pass that reads the whole file, past the last checkpoint;
-        # without a list, the end of the file is the last checkpoint.
-        trace = _trace(base, stream.make_chunks(), checkpoints or DEFAULT_CHECKPOINTS, to_end=checkpoints is None)
+        # without a list, the end of the file is the last checkpoint. The
+        # file's size bounds the tally, so a short file is counted without
+        # numpy; a pipe has no size.
+        trace = _trace(
+            base, stream.make_chunks(), checkpoints or DEFAULT_CHECKPOINTS,
+            to_end=checkpoints is None, size=byte_size(cfg.source),
+        )
         # A default list is known only now: a point per power of ten below
         # the file's length, and its end. Above base 57142 it may be over.
         _check_checkpoint_count(len(trace.checkpoints), base)

@@ -3,19 +3,27 @@
 All statistics are exact rationals; floating point appears only at
 serialization. A convergence trace is finite-n evidence for the limiting
 frequencies and the asymptotic digit mean -- it never extrapolates.
+
+Digits are tallied in one of two ways. A tally known before its first
+piece to cover at most _COUNT_DIGITS digits, in a base up to 10, is
+counted with `bytes.count` while numpy is not loaded, so a short input
+never pays for importing numpy. Every other tally uses `numpy.bincount`,
+and numpy is imported only then.
 """
 
 from __future__ import annotations
 
 import operator
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from typing import Iterable, Sequence
-
-import numpy as np
+from typing import TYPE_CHECKING, Iterable, Sequence
 
 from .digits import CHUNK_DIGITS, Base, Chunk, DigitPrefix, DigitStream
+
+if TYPE_CHECKING:
+    import numpy as np
 
 __all__ = [
     "DEFAULT_CHECKPOINTS",
@@ -31,6 +39,11 @@ __all__ = [
 
 # Log-spaced desk-scale evidence of convergence.
 DEFAULT_CHECKPOINTS: tuple[int, ...] = tuple(10**k for k in range(1, 7))
+
+# Most digits a tally counts without numpy. DEFAULT_CHECKPOINTS ends below
+# it; at this length the count passes cost at most about 30 ms (uniform
+# base-10 digits), less than importing numpy does.
+_COUNT_DIGITS = 2**20
 
 
 def format_decimal(value: Fraction | float, precision: int = 12) -> str:
@@ -88,12 +101,26 @@ class FreqReport:
         return {"n": self.n, "counts": list(self.counts), "freqs": freqs, "mean": mean}
 
 
-def _tally(chunk: Chunk, s: int) -> np.ndarray:
-    """Digit counts of one chunk, in `numpy.bincount` passes.
+def _without_numpy(bound: int | None, s: int) -> bool:
+    """True when a tally of at most `bound` digits (None: no bound is known)
+    in base s is counted without numpy: the bound is at most _COUNT_DIGITS,
+    s is at most 10 (a count pass per digit value), and numpy is not
+    loaded. Once numpy is loaded, `bincount` costs less than the passes."""
+    return bound is not None and bound <= _COUNT_DIGITS and s <= 10 and "numpy" not in sys.modules
 
-    `bincount` needs an `intp` copy of the digits, 8 bytes each, so it runs
-    once per CHUNK_DIGITS digits: a long chunk never costs a copy of its
-    whole length."""
+
+def _tally(chunk: Chunk, s: int, count: bool) -> list[int] | np.ndarray:
+    """Digit counts of one chunk.
+
+    With `count`, the chunk is bytes, and its counts are a list made by one
+    `bytes.count` pass per digit value. Otherwise they are an int64 array
+    made by `numpy.bincount`, which needs an `intp` copy of the digits, 8
+    bytes each, so it runs once per CHUNK_DIGITS digits: a long chunk never
+    costs a copy of its whole length."""
+    if count:
+        return [chunk.count(d) for d in range(s)]
+    import numpy as np
+
     values = np.asarray(memoryview(chunk))
     counts = np.bincount(values[:CHUNK_DIGITS].astype(np.intp), minlength=s)
     for start in range(CHUNK_DIGITS, len(values), CHUNK_DIGITS):
@@ -101,17 +128,24 @@ def _tally(chunk: Chunk, s: int) -> np.ndarray:
     return counts
 
 
-def _digit_sum(piece: Chunk) -> int:
+def _digit_sum(piece: Chunk, count: bool) -> int:
     """Sum of the digits of a piece of at most CHUNK_DIGITS digits, by an
-    int64 numpy sum: an algorithm apart from `_tally`'s counts, so that the
-    two check each other. Exact while (s - 1) * CHUNK_DIGITS < 2**63, which
+    algorithm apart from `_tally`'s counts on the same path, so that the two
+    check each other. With `count` it is the builtin `sum`; otherwise an
+    int64 numpy sum, exact while (s - 1) * CHUNK_DIGITS < 2**63, which
     every base whose count array `_tally` can hold meets."""
+    if count:
+        return sum(piece)
+    import numpy as np
+
     return int(np.asarray(memoryview(piece)).sum(dtype=np.int64))
 
 
 def digit_counts(p: DigitPrefix) -> tuple[int, ...]:
     """counts[i] = number of positions j <= n with a_j = i."""
-    return tuple(_tally(p.chunk, p.base.s).tolist())
+    count = _without_numpy(len(p), p.base.s)
+    counts = _tally(p.chunk, p.base.s, count)
+    return tuple(counts if count else counts.tolist())
 
 
 def freq_report(p: DigitPrefix) -> FreqReport:
@@ -148,11 +182,14 @@ def convergence_trace(stream: DigitStream, checkpoints: Sequence[int]) -> Conver
 
     The stream's chunks are cut at every checkpoint, and into pieces of at
     most CHUNK_DIGITS digits, so memory stays bounded by that whatever the
-    chunks' length. Each piece is tallied whole: digit counts with
+    chunks' length. Each piece is tallied whole, by `_tally`: with
+    `bytes.count` passes when the last checkpoint is at most _COUNT_DIGITS
+    in a base up to 10 and numpy is not loaded, and otherwise with
     `numpy.bincount`, which costs one pass whatever the base. The digit sum
     is accumulated independently, by `_digit_sum`, and compared in integers
     with sum(i * N_i) from the counts (as the length is with sum(N_i)), so
-    every emitted report has passed the mean identity both ways.
+    every emitted report has passed the mean identity both ways, on either
+    path.
     """
     points = tuple(map(operator.index, checkpoints))
     if not points:
@@ -162,16 +199,26 @@ def convergence_trace(stream: DigitStream, checkpoints: Sequence[int]) -> Conver
     return _trace(stream.base, stream.chunks(points[-1]), points)
 
 
-def _trace(base: Base, chunks: Iterable[Chunk], points: Sequence[int], to_end: bool = False) -> ConvergenceTrace:
+def _trace(
+    base: Base, chunks: Iterable[Chunk], points: Sequence[int], to_end: bool = False, size: int | None = None
+) -> ConvergenceTrace:
     """`convergence_trace` of the digits in `chunks`, which are read to
     their end; chunks past the last checkpoint are read and not tallied.
 
     With `to_end`, the end of `chunks` is the last checkpoint and points
     past it are dropped: `analyze --in` traces a file of unknown length to
     its end this way, in one pass. Otherwise a point past the end is an
-    error. `points` must be >= 1 and strictly increasing."""
+    error. `points` must be >= 1 and strictly increasing.
+
+    `size`, when known, bounds the digits in `chunks`. With the last
+    checkpoint (unless `to_end`) it bounds the tally, which picks its path
+    by `_without_numpy` before the first piece. A stream that loads numpy
+    as it is read (a long-period `expand` does at its second chunk) moves
+    the tally to `bincount` from the next piece on."""
     s = base.s
-    counts = np.zeros(s, dtype=np.int64)
+    bound = size if to_end else points[-1] if size is None else min(size, points[-1])
+    count = _without_numpy(bound, s)
+    counts = _tally(b"", s, count)  # the counts of no digits, on the tally's path
     digit_sum = 0
     consumed = 0
     reports = []
@@ -180,10 +227,13 @@ def _trace(base: Base, chunks: Iterable[Chunk], points: Sequence[int], to_end: b
     for chunk in chunks:
         start = 0
         while start < len(chunk) and (target is not None or to_end):
-            size = CHUNK_DIGITS if target is None else min(CHUNK_DIGITS, target - consumed)
-            piece = chunk[start : start + size]
-            counts += _tally(piece, s)
-            digit_sum += _digit_sum(piece)
+            take = CHUNK_DIGITS if target is None else min(CHUNK_DIGITS, target - consumed)
+            piece = chunk[start : start + take]
+            count = count and _without_numpy(bound, s)
+            tally = _tally(piece, s, count)
+            # An array plus the counts so far, a list or an array, is an array.
+            counts = list(map(operator.add, counts, tally)) if count else tally + counts
+            digit_sum += _digit_sum(piece, count)
             consumed += len(piece)
             start += len(piece)
             if consumed == target:
@@ -197,10 +247,10 @@ def _trace(base: Base, chunks: Iterable[Chunk], points: Sequence[int], to_end: b
     return ConvergenceTrace(base, tuple(r.n for r in reports), tuple(reports))
 
 
-def _report(counts: np.ndarray, n: int, digit_sum: int) -> FreqReport:
+def _report(counts: list[int] | np.ndarray, n: int, digit_sum: int) -> FreqReport:
     """The report of the counts, once they agree with the length and the
     digit sum that were accumulated beside them."""
-    report = FreqReport(counts.tolist())
+    report = FreqReport(counts if isinstance(counts, list) else counts.tolist())
     if report.n != n or report.digit_sum != digit_sum:
         raise AssertionError("digit counts disagree with the digit sum or the length")
     return report

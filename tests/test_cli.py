@@ -131,6 +131,21 @@ class TestConstruct:
         if earlier is not None:
             assert out_path.read_bytes() == earlier
 
+    @pytest.mark.parametrize("command", ["analyze", "construct"])
+    def test_an_out_in_a_missing_directory_is_named_as_given(self, tmp_path, capsys, command):
+        # The refusal names the --out path (construct stages its sidecar
+        # first, so it names that), not the temporary file staged beside it.
+        source = tmp_path / "s.txt"
+        source.write_text("0123\n")
+        out_path = tmp_path / "missing" / "x.csv"
+        if command == "analyze":
+            flags, named = ["--in", str(source)], out_path
+        else:
+            flags, named = ["--mean", "3", "--length", "4"], tmp_path / "missing" / "x.csv.json"
+        got = run_cli(capsys, command, *flags, "--out", str(out_path))
+        assert got == (2, "", f"error: [Errno 2] No such file or directory: '{named}'\n")
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["s.txt"]
+
     def test_out_through_symlink_replaces_its_target(self, tmp_path, capsys):
         target = tmp_path / "target.txt"
         target.write_text("earlier artifact\n")
@@ -314,6 +329,56 @@ class TestAnalyze:
         )
         assert code == 0
         assert "inconsistent" in out
+
+    # Runs main(argv) in a fresh interpreter, numpy first loaded or not, and
+    # prints the tally paths that ran (True: counted without numpy).
+    PATH_PROBE = (
+        "import json, sys\n"
+        "from adiclab import stats\n"
+        "from adiclab.cli import main\n"
+        "argv, preload = json.loads(sys.argv[1])\n"
+        "if preload:\n"
+        "    import numpy\n"
+        "paths, tally = [], stats._tally\n"
+        "stats._tally = lambda chunk, s, count: paths.append(count) or tally(chunk, s, count)\n"
+        "status = main(argv)\n"
+        "print(json.dumps([status, sorted(set(paths)), 'numpy' in sys.modules]))\n"
+    )
+
+    @pytest.mark.parametrize(
+        "size, pipe, preload, checkpoints, counted",
+        [
+            (2**20, False, False, None, True),
+            (2**20 + 1, False, False, None, False),
+            (2**20 + 1, False, False, "10,1048576", True),
+            (2**20, True, False, None, False),
+            (2**20, False, True, None, False),
+        ],
+        ids=["2^20-bytes", "2^20+1-bytes", "2^20+1-bytes-checkpoint-2^20", "pipe", "numpy-loaded"],
+    )
+    def test_which_tally_path_runs(self, tmp_path, size, pipe, preload, checkpoints, counted):
+        # A file's byte size bounds its digits: at most 2**20 (or a last
+        # checkpoint of at most 2**20) is counted without numpy, and every
+        # other tally is bincounted from its first piece.
+        if pipe and not os.path.exists("/dev/stdin"):
+            pytest.skip("needs /dev/stdin")
+        digits = (b"0123" * (size // 4 + 1))[:size]
+        source = tmp_path / "digits.txt"
+        source.write_bytes(digits)
+        argv = ["analyze", "--in", "/dev/stdin" if pipe else str(source), "--out", str(tmp_path / "a.csv")]
+        if checkpoints:
+            argv += ["--checkpoints", checkpoints]
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}
+        done = subprocess.run(
+            [sys.executable, "-c", self.PATH_PROBE, json.dumps([argv, preload])],
+            input=digits if pipe else None, capture_output=True, env=env,
+        )
+        assert done.returncode == 0, done.stderr
+        status, paths, numpy_loaded = json.loads(done.stdout)
+        assert (status, paths) == (0, [counted])
+        assert numpy_loaded == (preload or not counted)
+        n = int(checkpoints.split(",")[-1]) if checkpoints else size
+        assert (tmp_path / "a.csv").read_text().splitlines()[-1].startswith(f"{n},")
 
     def test_errors(self, tmp_path, capsys):
         bad = tmp_path / "bad.txt"
@@ -602,7 +667,7 @@ class TestDigitFile:
     def test_file_errors_come_before_the_checkpoint_cap(self, tmp_path, capsys, monkeypatch):
         from adiclab import stats
 
-        def no_tally(chunk, s):
+        def no_tally(chunk, s, count):
             raise AssertionError("tallied")
 
         monkeypatch.setattr(stats, "_tally", no_tally)
@@ -828,19 +893,34 @@ class TestVerify:
         # the library modules it runs and no other, and numpy only where an
         # array kernel runs. A greedy `construct --tau` builds a period of at
         # most 65536 digits without numpy; one whose period is longer runs
-        # the kernel, so the test cannot pass by never loading numpy.
+        # the kernel. `analyze` counts a tally of at most 2**20 digits
+        # without numpy; a longer file, or a long-period rational, whose
+        # expansion loads numpy, is bincounted. So the test cannot pass by
+        # never loading numpy.
         config = tmp_path / "blocks.json"
         blocks = {"schedule": {"family": "polynomial", "degree": 1}, "columns": CONVERGING_COLUMNS}
         config.write_text(json.dumps(blocks))
         block = ["construct", "--config", str(config), "--length", "50"]
         short_period = ["construct", "--tau", "1/10,2/10,3/10,4/10", "--length", "1000000"]
         long_period = ["construct", "--tau", "1/65537,65536/65537", "--base", "2", "--length", "50"]
+        short_file, long_file = tmp_path / "short.txt", tmp_path / "long.txt"
+        assert main([*short_period, "--out", str(short_file)]) == 0
+        long_file.write_bytes(b"0123" * (2**18 + 1))
+        unrun = ["adiclab.construct", "adiclab.entropy"]  # by analyze --in and --rational
         cases = [
             ([], [], ["numpy", "adiclab.construct", "adiclab.entropy", "adiclab.stats"]),
             (["dimension", "--tau", "1/3,1/3,0,1/3"], ["adiclab.entropy"], ["numpy", "adiclab.stats"]),
             (block, ["adiclab.construct"], ["numpy", "adiclab.entropy"]),
             (short_period, ["adiclab.construct"], ["numpy", "adiclab.entropy", "adiclab.stats"]),
             (long_period, ["numpy"], ["adiclab.entropy", "adiclab.stats"]),
+            (["analyze", "--in", str(short_file)], ["adiclab.stats"], ["numpy", *unrun]),
+            (
+                ["analyze", "--tau", "1/10,2/10,3/10,4/10"],
+                ["adiclab.stats", "adiclab.construct"], ["numpy", "adiclab.entropy"],
+            ),
+            (["analyze", "--rational", "1/7"], ["adiclab.stats"], ["numpy", *unrun]),
+            (["analyze", "--in", str(long_file)], ["adiclab.stats", "numpy"], unrun),
+            (["analyze", "--rational", "1/999983", "--checkpoints", "1000"], ["adiclab.stats", "numpy"], unrun),
         ]
         code = (
             "import contextlib, io, json, sys\n"

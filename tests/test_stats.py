@@ -1,12 +1,14 @@
+import random
+import sys
 import tracemalloc
 from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from adiclab import stats
-from adiclab.digits import BASE4, Base, DigitPrefix, constant_stream, expand
+from adiclab.digits import BASE4, CHUNK_DIGITS, Base, DigitPrefix, constant_stream, expand, stream_from_digits
 from adiclab.stats import (
     DEFAULT_CHECKPOINTS,
     ConvergenceTrace,
@@ -39,6 +41,78 @@ class TestDigitCounts:
         for d in digits:
             expected[d] += 1
         assert digit_counts(DigitPrefix(Base(s), digits)) == tuple(expected)
+
+
+# Digit values mod s, byte by byte, to draw a random piece in base s.
+MOD_TABLES = {s: bytes(b % s for b in range(256)) for s in range(2, 11)}
+
+
+class TestTallyPaths:
+    @given(
+        st.integers(2, 10),
+        st.integers(0, CHUNK_DIGITS),
+        st.sampled_from(["random", "top"]),
+        st.randoms(use_true_random=False),
+    )
+    @example(2, 0, "random", random.Random(0))
+    @example(10, CHUNK_DIGITS, "top", random.Random(0))
+    @example(7, CHUNK_DIGITS, "random", random.Random(1))
+    @settings(deadline=None)
+    def test_count_and_bincount_agree(self, s, length, fill, rng):
+        # Empty pieces, pieces of all s - 1 digits and random pieces up to
+        # CHUNK_DIGITS digits, in every base the count path takes.
+        if fill == "top":
+            piece = bytes([s - 1]) * length
+        else:
+            piece = rng.randbytes(length).translate(MOD_TABLES[s])
+        counted = stats._tally(piece, s, True)
+        binned = stats._tally(piece, s, False)
+        assert isinstance(counted, list) and counted == binned.tolist()
+        assert counted == [piece.count(d) for d in range(s)] and sum(counted) == length
+        assert stats._digit_sum(piece, True) == stats._digit_sum(piece, False) == sum(piece)
+
+    def test_the_rule(self, monkeypatch):
+        # Counting needs a known bound of at most 2**20 digits, a base up to
+        # 10 and an unloaded numpy. The rule itself imports nothing.
+        assert stats._COUNT_DIGITS == 2**20
+        assert "numpy" in sys.modules and not stats._without_numpy(10, 4)
+        monkeypatch.delitem(sys.modules, "numpy")
+        assert stats._without_numpy(2**20, 4) and stats._without_numpy(0, 10)
+        assert not stats._without_numpy(2**20 + 1, 4)
+        assert not stats._without_numpy(None, 4)
+        assert not stats._without_numpy(10, 11)
+
+    @pytest.mark.parametrize("count", [True, False], ids=["count", "bincount"])
+    def test_both_paths_give_one_trace(self, monkeypatch, count):
+        digits = bytes(d % 7 for d in range(3 * CHUNK_DIGITS + 5))
+        points = (1, 10, CHUNK_DIGITS + 1, len(digits))
+        want = convergence_trace(stream_from_digits(digits, Base(7)), points)
+        monkeypatch.setattr(stats, "_without_numpy", lambda bound, s: count)
+        got = convergence_trace(stream_from_digits(digits, Base(7)), points)
+        assert got == want
+        assert digit_counts(DigitPrefix(Base(7), digits)) == want.reports[-1].counts
+
+    def test_a_stream_that_loads_numpy_moves_the_tally_to_bincount(self, monkeypatch):
+        # Once numpy is loaded mid-stream, as a long-period expand loads it
+        # at its second chunk, the later pieces are bincounted.
+        loaded, paths = [False], []
+        tally = stats._tally
+
+        def recorded(chunk, s, count):
+            paths.append(count)
+            return tally(chunk, s, count)
+
+        def chunks():
+            yield bytes(range(4)) * 5
+            loaded[0] = True
+            yield bytes(range(4)) * 5
+
+        monkeypatch.setattr(stats, "_without_numpy", lambda bound, s: not loaded[0])
+        monkeypatch.setattr(stats, "_tally", recorded)
+        trace = stats._trace(BASE4, chunks(), (10, 20, 40))
+        assert [r.counts for r in trace.reports] == [(3, 3, 2, 2), (5,) * 4, (10,) * 4]
+        # The counts of no digits and two pieces counted, then one bincounted.
+        assert paths == [True, True, True, False]
 
 
 class TestFreqReport:
@@ -134,31 +208,54 @@ class TestConvergenceTrace:
         with pytest.raises(ValueError, match="ended at 3"):
             convergence_trace(stream_from_digits((1, 2, 3)), (10,))
 
-    @pytest.mark.parametrize("fault", [lambda c: np.roll(c, 1), lambda c: 2 * c], ids=["digit", "length"])
+    @pytest.mark.parametrize("fault", [lambda c: c[1:] + c[:1], lambda c: [2 * x for x in c]], ids=["digit", "length"])
     def test_tally_is_cross_checked(self, monkeypatch, fault):
+        # On each path: a permuted count breaks the digit sum, a doubled one the length.
         tally = stats._tally
-        monkeypatch.setattr(stats, "_tally", lambda chunk, s: fault(tally(chunk, s)))
-        with pytest.raises(AssertionError, match="digit counts disagree"):
-            convergence_trace(constant_stream(3), (10,))
+        for count in (True, False):
+            paths = []
+
+            def faulty(chunk, s, on_count_path):
+                paths.append(on_count_path)
+                counts = fault(list(tally(chunk, s, on_count_path)))
+                return counts if on_count_path else np.array(counts)
+
+            monkeypatch.setattr(stats, "_without_numpy", lambda bound, s: count)
+            monkeypatch.setattr(stats, "_tally", faulty)
+            with pytest.raises(AssertionError, match="digit counts disagree"):
+                convergence_trace(constant_stream(3), (10,))
+            assert paths and set(paths) == {count}
 
     @pytest.mark.parametrize("s", [2, 4, 10, 256, 257, 300, 2**40])
     def test_digit_sum_matches_the_builtin_sum(self, s):
-        # Up to base 256 a piece is bytes, above it an array("Q").
+        # Up to base 256 a piece is bytes, above it an array("Q"). Bytes in
+        # a base up to 10 may take the count path, whose sum is the builtin.
         from array import array
 
-        from adiclab.digits import CHUNK_DIGITS, to_chunk
+        from adiclab.digits import to_chunk
 
         top = [s - 1] * CHUNK_DIGITS
         for digits in ([], [0], top, [d % s for d in range(CHUNK_DIGITS)], top[:-1] + [0]):
             piece = to_chunk(digits, Base(s))
             assert isinstance(piece, bytes if s <= 256 else array)
-            assert stats._digit_sum(piece) == sum(piece) == sum(digits)
+            assert stats._digit_sum(piece, False) == sum(piece) == sum(digits)
+            if s <= 10:
+                assert stats._digit_sum(piece, True) == sum(digits)
 
     def test_digit_sum_is_cross_checked(self, monkeypatch):
         digit_sum = stats._digit_sum
-        monkeypatch.setattr(stats, "_digit_sum", lambda piece: digit_sum(piece) + 1)
-        with pytest.raises(AssertionError, match="digit counts disagree"):
-            convergence_trace(constant_stream(3), (10,))
+        for count in (True, False):
+            paths = []
+
+            def off_by_one(piece, on_count_path):
+                paths.append(on_count_path)
+                return digit_sum(piece, on_count_path) + 1
+
+            monkeypatch.setattr(stats, "_without_numpy", lambda bound, s: count)
+            monkeypatch.setattr(stats, "_digit_sum", off_by_one)
+            with pytest.raises(AssertionError, match="digit counts disagree"):
+                convergence_trace(constant_stream(3), (10,))
+            assert paths and set(paths) == {count}
 
     def test_long_chunks_are_tallied_in_bounded_pieces(self):
         # One 4 * 10**6-digit chunk: an intp copy of it alone is 30.5 MiB.
