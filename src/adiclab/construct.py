@@ -79,15 +79,27 @@ __all__ = [
 ]
 
 
+def _over_lcm(entries: Sequence[Fraction]) -> tuple[list[int], int]:
+    """(n_i, D): the fractions as n_i / D over the lcm D of their denominators."""
+    den = math.lcm(*(e.denominator for e in entries))
+    return [e.numerator * (den // e.denominator) for e in entries], den
+
+
 @dataclass(frozen=True)
 class ProbabilityVector:
-    """Exact probability vector over the digit alphabet (tau_i >= 0, sum 1)."""
+    """Exact probability vector over the digit alphabet (tau_i >= 0, sum 1).
+
+    A vector the library computes is built by `from_numerators` and checked
+    once, in its own integers. Only outside input takes the plain
+    constructor, which converts each entry and finds their lcm first:
+    `parse`, config vectors, and a column rule that returns a tuple.
+    """
 
     entries: tuple[Fraction, ...]
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "entries", tuple(Fraction(e) for e in self.entries))
-        self._check(*self._over_lcm())
+        self._check(*_over_lcm(self.entries))
 
     @classmethod
     def from_numerators(cls, numerators: Sequence[int], denominator: int) -> "ProbabilityVector":
@@ -100,11 +112,6 @@ class ProbabilityVector:
         object.__setattr__(vec, "entries", tuple(map(reduced.__getitem__, numerators)))
         vec._check(numerators, denominator)
         return vec
-
-    def _over_lcm(self) -> tuple[list[int], int]:
-        """(n_i, D): the entries as n_i / D over the lcm D of their denominators."""
-        den = math.lcm(*(e.denominator for e in self.entries))
-        return [e.numerator * (den // e.denominator) for e in self.entries], den
 
     def _check(self, numerators: Sequence[int], denominator: int) -> None:
         """The simplex conditions on the entries n_i / denominator, exactly,
@@ -518,7 +525,7 @@ class ColumnSchedule:
         # With limit = (a_i / D) and eps_n = 1/E, column n is
         # (a_i * (E - 1) + D * [i == mix]) / (D * E): integer numerators over
         # one denominator, checked in integers.
-        scaled, den = limit._over_lcm()
+        scaled, den = _over_lcm(limit.entries)
 
         def rule(n: int) -> ProbabilityVector:
             e = inverse_eps(n)
@@ -606,18 +613,15 @@ def block_boundaries(columns: ColumnSchedule, spec: ScheduleSpec, max_digits: in
         k += 1
 
 
-def _rationalize_simplex(values: Sequence[float]) -> tuple[Fraction, ...]:
+def _rationalize_simplex(values: Sequence[float]) -> ProbabilityVector:
     # The greedy kernel runs any denominator in int64, so the cap of 10**12
     # no longer bounds its cost; it fixes the vector, and so every `--mean`
-    # output. The residual is absorbed into the largest coordinate so the
-    # sum is exactly 1.
-    fr = [Fraction(v).limit_denominator(10**12) for v in values]
-    gap = 1 - sum(fr)
-    j = max(range(len(fr)), key=lambda i: fr[i])
-    fr[j] += gap
-    if fr[j] < 0:
-        raise ArithmeticError(f"rationalization failed for {values}")
-    return tuple(fr)
+    # output. Over the lcm of the denominators, the residual is absorbed into
+    # the first largest numerator so the sum is exactly 1; `from_numerators`
+    # refuses an entry that this leaves negative.
+    nums, den = _over_lcm([Fraction(v).limit_denominator(10**12) for v in values])
+    nums[nums.index(max(nums))] += den - sum(nums)
+    return ProbabilityVector.from_numerators(nums, den)
 
 
 def mean_target_stream(theta: Fraction | int | float | str, base: Base = BASE4) -> DigitStream:
@@ -631,9 +635,12 @@ def mean_target_stream(theta: Fraction | int | float | str, base: Base = BASE4) 
     the mean level set. The realized mean is not exactly theta: the
     bisection in `neg_entropy_minimum` stops once the float mean is within
     1e-10 of theta, and rationalizing that optimum (denominators capped at
-    10**12) before the greedy construction shifts it by about 1e-12 more.
-    So the realized mean can miss theta by up to about 1e-10; over theta =
-    k/100 in base 4 the largest miss is 9.97e-11, at theta = 49/50.
+    10**12) before the greedy construction moves it again. Measured misses:
+    over theta = k/100 in base 4 the largest is 9.97e-11, at theta = 49/50
+    and at its mirror 101/50; over theta = 10, 20, ..., 290 in base 300
+    they reach 9.46e-10 at theta = 290 and 6.80e-10 at theta = 10, mostly
+    from the rationalization. No bound is stated for other bases or means.
+    An exact mean is planned (ROADMAP.md, item 2).
     """
     s = base.s
     th = Fraction(theta)
@@ -646,8 +653,7 @@ def mean_target_stream(theta: Fraction | int | float | str, base: Base = BASE4) 
     from .entropy import neg_entropy_minimum
 
     optimum = neg_entropy_minimum(float(th), base)
-    tau = ProbabilityVector(_rationalize_simplex(optimum.argmin))
-    return greedy_stream(tau, base)
+    return greedy_stream(_rationalize_simplex(optimum.argmin), base)
 
 
 @dataclass(frozen=True)
@@ -664,15 +670,20 @@ def prefix_distinguish(a: DigitStream, b: DigitStream, horizon: int) -> Distingu
 
     "Undetermined" is evidence of agreement on the prefix only; equality of
     streams is never claimed. Symmetric in the two streams, and a "differs"
-    verdict is stable under enlarging the horizon.
+    verdict is stable under enlarging the horizon. A stream that ends before
+    the horizon, with no difference found by then, is a ValueError: its
+    missing digits are neither agreement nor difference.
     """
     if horizon < 1:
         raise ValueError(f"horizon must be >= 1, got {horizon}")
+    # Each stream is followed by one None, which marks where it ended.
     pairs = zip(
-        itertools.islice(a.iter_digits(), horizon),
-        itertools.islice(b.iter_digits(), horizon),
+        itertools.islice(itertools.chain(a.iter_digits(), (None,)), horizon),
+        itertools.islice(itertools.chain(b.iter_digits(), (None,)), horizon),
     )
     for k, (da, db) in enumerate(pairs, start=1):
+        if da is None or db is None:
+            raise ValueError(f"stream ended after {k - 1} digits, before horizon {horizon}")
         if da != db:
             return DistinguishResult(differs=True, index=k, horizon=horizon)
     return DistinguishResult(differs=False, index=None, horizon=horizon)

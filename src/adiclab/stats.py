@@ -149,9 +149,11 @@ def digit_counts(p: DigitPrefix) -> tuple[int, ...]:
 
 
 def freq_report(p: DigitPrefix) -> FreqReport:
+    """The report of a nonempty prefix: its trace at its own length, so its
+    counts pass the same cross-check as every trace report."""
     if len(p) == 0:
         raise ValueError("cannot report frequencies of an empty prefix")
-    return FreqReport(digit_counts(p))
+    return _trace(p.base, (p.chunk,), (len(p),)).reports[0]
 
 
 @dataclass(frozen=True)

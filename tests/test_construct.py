@@ -11,9 +11,11 @@ from adiclab.construct import (
     CONDITION_NEXT_TERM,
     ColumnConstraintError,
     ColumnSchedule,
+    DistinguishResult,
     ProbabilityVector,
     ScheduleRejectedError,
     ScheduleSpec,
+    _rationalize_simplex,
     block_boundaries,
     block_stream,
     columns_from_config,
@@ -25,7 +27,8 @@ from adiclab.construct import (
     schedule_from_config,
     validate_schedule,
 )
-from adiclab.digits import BASE4, Base, expand
+from adiclab.digits import BASE4, Base, expand, stream_from_digits
+from adiclab.entropy import neg_entropy_minimum
 from adiclab.stats import convergence_trace, digit_counts
 
 
@@ -306,6 +309,60 @@ class TestMeanTargetStream:
         with pytest.raises(ValueError):
             mean_target_stream(-1)
 
+    @staticmethod
+    def _argmin(theta, base):
+        return neg_entropy_minimum(float(theta), base).argmin
+
+    @staticmethod
+    def _oracle(values):
+        # The vector as the plain constructor checks it: each entry's
+        # Fraction, with the residual added to the first largest entry.
+        fr = [Fraction(v).limit_denominator(10**12) for v in values]
+        j = max(range(len(fr)), key=lambda i: fr[i])
+        fr[j] += 1 - sum(fr)
+        return ProbabilityVector(tuple(fr))
+
+    @pytest.mark.parametrize(
+        "s, thetas",
+        [
+            (4, [Fraction(k, 100) for k in range(1, 300)]),
+            (2, [Fraction(k, 100) for k in range(1, 100, 7)]),
+            (3, [Fraction(k, 50) for k in range(1, 100, 9)]),
+            (10, [Fraction(k, 10) for k in range(1, 90, 11)]),
+            (300, [Fraction(1, 2), Fraction(10), Fraction(299, 2), Fraction(290)]),
+        ],
+    )
+    def test_vector_is_the_plain_rationalization(self, s, thetas):
+        for theta in thetas:
+            values = self._argmin(theta, Base(s))
+            assert _rationalize_simplex(values) == self._oracle(values), theta
+
+    @pytest.mark.parametrize(
+        "theta, s", [(Fraction(1, 3), 4), (Fraction(13, 10), 4), (Fraction(23, 25), 4), (Fraction(37, 10), 10)]
+    )
+    def test_stream_is_the_greedy_stream_of_the_plain_rationalization(self, theta, s):
+        tau = self._oracle(self._argmin(theta, Base(s)))
+        n = 2**17
+        assert mean_target_stream(theta, Base(s)).prefix(n) == greedy_stream(tau, Base(s)).prefix(n)
+
+    def test_documented_mean_misses(self):
+        # The figures that the docstring and the README state.
+        def miss(theta, s):
+            return float(abs(_rationalize_simplex(self._argmin(theta, Base(s))).mean() - theta))
+
+        base4 = {Fraction(k, 100): miss(Fraction(k, 100), 4) for k in range(1, 300)}
+        worst = max(base4.values())
+        assert f"{worst:.3g}" == "9.97e-11"
+        assert {t for t, m in base4.items() if m == worst} == {Fraction(49, 50), Fraction(101, 50)}
+        base300 = {t: miss(t, 300) for t in range(10, 300, 10)}
+        assert f"{base300[290]:.3g}" == "9.46e-10" and f"{base300[10]:.3g}" == "6.8e-10"
+        assert max(base300.values()) == base300[290]
+
+    def test_negative_patched_entry_is_refused_by_from_numerators(self):
+        # Four halves: the residual -1 leaves the first entry at -1/2.
+        with pytest.raises(ValueError, match="negative entry"):
+            _rationalize_simplex([0.5] * 4)
+
 
 class TestPrefixDistinguish:
     def test_immediate_difference(self):
@@ -338,6 +395,16 @@ class TestPrefixDistinguish:
         a = expand(Fraction(1, 3))
         with pytest.raises(ValueError):
             prefix_distinguish(a, a, 0)
+
+    def test_stream_ending_before_the_horizon_is_refused(self):
+        # Position 3 exists in only one stream: neither agreement nor difference.
+        short, long = stream_from_digits((0, 1)), stream_from_digits((0, 1, 2))
+        for a, b in ((short, long), (long, short), (short, short)):
+            with pytest.raises(ValueError, match="stream ended after 2 digits"):
+                prefix_distinguish(a, b, 3)
+        assert prefix_distinguish(short, long, 2) == DistinguishResult(False, None, 2)
+        # A difference before the end is still a difference.
+        assert prefix_distinguish(short, stream_from_digits((1, 1, 2)), 3).index == 1
 
 
 class TestConfigParsing:

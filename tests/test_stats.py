@@ -135,6 +135,35 @@ class TestFreqReport:
         with pytest.raises(ValueError):
             freq_report(DigitPrefix(BASE4, ()))
 
+    @pytest.mark.parametrize("count", [True, False], ids=["count", "bincount"])
+    def test_tally_is_cross_checked(self, monkeypatch, count):
+        # One count moved from digit 1 to digit 0 keeps the length and breaks
+        # the digit sum; the report must be refused, as a trace report is.
+        tally = stats._tally
+
+        def faulty(chunk, s, on_count_path):
+            counts = list(tally(chunk, s, on_count_path))
+            if counts[1]:
+                counts[0], counts[1] = counts[0] + 1, counts[1] - 1
+            return counts if on_count_path else np.array(counts)
+
+        monkeypatch.setattr(stats, "_without_numpy", lambda bound, s: count)
+        monkeypatch.setattr(stats, "_tally", faulty)
+        with pytest.raises(AssertionError, match="digit counts disagree"):
+            freq_report(DigitPrefix(BASE4, (1, 2, 3)))
+
+    def test_long_prefix_is_summed_in_bounded_pieces(self, monkeypatch):
+        digit_sum, pieces = stats._digit_sum, []
+
+        def recorded(piece, count):
+            pieces.append(len(piece))
+            return digit_sum(piece, count)
+
+        monkeypatch.setattr(stats, "_digit_sum", recorded)
+        rep = freq_report(DigitPrefix(BASE4, bytes(range(4)) * CHUNK_DIGITS))
+        assert rep.counts == (CHUNK_DIGITS,) * 4
+        assert pieces == [CHUNK_DIGITS] * 4
+
     def test_negative_count_rejected(self):
         with pytest.raises(ValueError, match="nonnegative"):
             FreqReport((-1, 2))
