@@ -293,16 +293,8 @@ def cmd_analyze(cfg: ExperimentConfig, fmt: str) -> int:
     from .stats import DEFAULT_CHECKPOINTS, _trace, convergence_trace, weak_normality_verdict
 
     base = Base(cfg.base)
-    allowed = _point_budget(base)
     checkpoints = cfg.checkpoints
-    if cfg.source is not None:
-        stream = digit_file(cfg.source, base)
-        if allowed < 1 or checkpoints and len(checkpoints) > allowed:
-            # Refused below. The file is read first, so that its own errors
-            # come first, and nothing is tallied.
-            length = sum(map(len, stream.make_chunks()))
-            checkpoints = checkpoints or (*(p for p in DEFAULT_CHECKPOINTS if p < length), length)
-    else:
+    if cfg.source is None:
         checkpoints = checkpoints or DEFAULT_CHECKPOINTS
         if checkpoints[-1] > MAX_CONSTRUCT_LENGTH:
             raise UsageError(
@@ -310,19 +302,22 @@ def cmd_analyze(cfg: ExperimentConfig, fmt: str) -> int:
                 f"got {checkpoints[-1]}"
             )
         stream = _stream_from_config(cfg)
-    if checkpoints is not None:
         _check_checkpoint_count(len(checkpoints), base)
-    if cfg.source is None:
         trace = convergence_trace(stream, checkpoints)
     else:
+        stream = digit_file(cfg.source, base)
+        allowed = _point_budget(base)
+        if allowed < 1 or checkpoints and len(checkpoints) > allowed:
+            # Refused here. The file is read first, so that its own errors
+            # come first, and nothing is tallied.
+            length = sum(map(len, stream.make_chunks()))
+            checkpoints = checkpoints or (*(p for p in DEFAULT_CHECKPOINTS if p < length), length)
+            _check_checkpoint_count(len(checkpoints), base)
         # One pass that reads the whole file, past the last checkpoint;
         # without a list, the end of the file is the last checkpoint. The
         # file's size bounds the tally, so a short file is counted without
         # numpy; a pipe has no size.
-        trace = _trace(
-            base, stream.make_chunks(), checkpoints or DEFAULT_CHECKPOINTS,
-            to_end=checkpoints is None, size=byte_size(cfg.source),
-        )
+        trace = _trace(base, stream.make_chunks(), checkpoints, byte_size(cfg.source))
         # A default list is known only now: a point per power of ten below
         # the file's length, and its end. Above base 57142 it may be over.
         _check_checkpoint_count(len(trace.checkpoints), base)
@@ -572,7 +567,10 @@ def _parse_checkpoints(value) -> tuple[int, ...]:
 
 
 def _parse_modules(value) -> tuple[str, ...]:
-    return tuple(p.strip() for item in value for p in str(item).split(",") if p.strip())
+    modules = tuple(p.strip() for item in value for p in str(item).split(",") if p.strip())
+    if not modules:
+        raise UsageError(f"modules must name at least one battery module, got {value!r}")
+    return modules
 
 
 # The list keys whose flag and config values are normalized to one tuple.

@@ -704,6 +704,31 @@ def _json_int(value) -> int:
     return value
 
 
+def _json_rational(value) -> Fraction:
+    """A rational given as a JSON string or integer; a float or a boolean
+    is a TypeError."""
+    return Fraction(value if isinstance(value, str) else _json_int(value))
+
+
+def _json_list(value, convert) -> list:
+    """convert of each entry of a JSON list; anything else is a TypeError."""
+    if not isinstance(value, list):
+        raise TypeError(f"not a JSON list: {value!r}")
+    return [convert(v) for v in value]
+
+
+def _json_vector(value) -> ProbabilityVector:
+    """A vector given as a comma string or a JSON list of rationals."""
+    return ProbabilityVector.parse(value if isinstance(value, str) else _json_list(value, _json_rational))
+
+
+def _only(obj: dict, owner: str, *keys: str) -> None:
+    """Refuse a key of `obj` other than `keys`, the keys that `owner` reads."""
+    for key in obj:
+        if key not in keys:
+            raise ValueError(f"{owner} does not read {key!r}")
+
+
 def _field(obj: dict, key: str, owner: str, convert, default=_REQUIRED):
     """convert(obj[key]), or `default` when the key is absent. A missing
     required key, or a value of the wrong JSON type, is a ValueError that
@@ -720,18 +745,22 @@ def _field(obj: dict, key: str, owner: str, convert, default=_REQUIRED):
 
 def schedule_from_config(obj: dict) -> ScheduleSpec:
     """Build a ScheduleSpec from its JSON form, e.g.
-    {"family": "polynomial", "degree": 2}."""
+    {"family": "polynomial", "degree": 2}. A key that the family does not
+    read is refused."""
     if not isinstance(obj, dict) or "family" not in obj:
         raise ValueError(f"schedule config must be an object with a 'family' key, got {obj!r}")
     family = obj["family"]
     owner = f"schedule family {family!r}"
     if family == "polynomial":
+        _only(obj, owner, "family", "degree")
         return ScheduleSpec.polynomial(_field(obj, "degree", owner, _json_int, 1))
     if family == "affine":
-        a = _field(obj, "a", owner, Fraction, Fraction(1))
-        return ScheduleSpec.affine(a, _field(obj, "b", owner, Fraction, Fraction(0)))
+        _only(obj, owner, "family", "a", "b")
+        a = _field(obj, "a", owner, _json_rational, Fraction(1))
+        return ScheduleSpec.affine(a, _field(obj, "b", owner, _json_rational, Fraction(0)))
     if family == "geometric":
-        return ScheduleSpec.geometric(_field(obj, "ratio", owner, Fraction))
+        _only(obj, owner, "family", "ratio")
+        return ScheduleSpec.geometric(_field(obj, "ratio", owner, _json_rational))
     raise ValueError(f"unknown schedule family {family!r}")
 
 
@@ -741,21 +770,25 @@ def columns_from_config(obj: dict) -> ColumnSchedule:
     Kinds: {"kind": "constant", "tau": [...], "theta"?: "p/q"},
     {"kind": "converging", "limit": [...], "mix_digit": j, "rate"?: ...},
     {"kind": "explicit", "columns": [[...], ...], "tail": [...],
-     "theta"?: "p/q"}. Vector entries are rational strings.
+     "theta"?: "p/q"}. Vector entries and theta are rational strings or
+    integers. A key that the kind does not read is refused.
     """
     if not isinstance(obj, dict) or "kind" not in obj:
         raise ValueError(f"columns config must be an object with a 'kind' key, got {obj!r}")
     kind = obj["kind"]
     owner = f"columns kind {kind!r}"
     if kind == "constant":
-        tau = _field(obj, "tau", owner, ProbabilityVector.parse)
-        return ColumnSchedule.constant(tau, _field(obj, "theta", owner, Fraction, None))
+        _only(obj, owner, "kind", "tau", "theta")
+        tau = _field(obj, "tau", owner, _json_vector)
+        return ColumnSchedule.constant(tau, _field(obj, "theta", owner, _json_rational, None))
     if kind == "converging":
-        limit = _field(obj, "limit", owner, ProbabilityVector.parse)
+        _only(obj, owner, "kind", "limit", "mix_digit", "rate")
+        limit = _field(obj, "limit", owner, _json_vector)
         mix = _field(obj, "mix_digit", owner, _json_int)
         return ColumnSchedule.converging(limit, mix, obj.get("rate", "harmonic"))
     if kind == "explicit":
-        cols = _field(obj, "columns", owner, lambda vs: [ProbabilityVector.parse(v) for v in vs])
-        tail = _field(obj, "tail", owner, ProbabilityVector.parse)
-        return ColumnSchedule.explicit(cols, tail, _field(obj, "theta", owner, Fraction, None))
+        _only(obj, owner, "kind", "columns", "tail", "theta")
+        cols = _field(obj, "columns", owner, lambda vs: _json_list(vs, _json_vector))
+        tail = _field(obj, "tail", owner, _json_vector)
+        return ColumnSchedule.explicit(cols, tail, _field(obj, "theta", owner, _json_rational, None))
     raise ValueError(f"unknown columns kind {kind!r}")

@@ -109,23 +109,19 @@ def _without_numpy(bound: int | None, s: int) -> bool:
     return bound is not None and bound <= _COUNT_DIGITS and s <= 10 and "numpy" not in sys.modules
 
 
-def _tally(chunk: Chunk, s: int, count: bool) -> list[int] | np.ndarray:
-    """Digit counts of one chunk.
+def _tally(piece: Chunk, s: int, count: bool) -> list[int] | np.ndarray:
+    """Digit counts of one piece of at most CHUNK_DIGITS digits.
 
-    With `count`, the chunk is bytes, and its counts are a list made by one
+    With `count`, the piece is bytes, and its counts are a list made by one
     `bytes.count` pass per digit value. Otherwise they are an int64 array
     made by `numpy.bincount`, which needs an `intp` copy of the digits, 8
-    bytes each, so it runs once per CHUNK_DIGITS digits: a long chunk never
-    costs a copy of its whole length."""
+    bytes each: `_trace` cuts every chunk into such pieces, so a long chunk
+    never costs a copy of its whole length."""
     if count:
-        return [chunk.count(d) for d in range(s)]
+        return [piece.count(d) for d in range(s)]
     import numpy as np
 
-    values = np.asarray(memoryview(chunk))
-    counts = np.bincount(values[:CHUNK_DIGITS].astype(np.intp), minlength=s)
-    for start in range(CHUNK_DIGITS, len(values), CHUNK_DIGITS):
-        counts += np.bincount(values[start : start + CHUNK_DIGITS].astype(np.intp), minlength=s)
-    return counts
+    return np.bincount(np.asarray(memoryview(piece)).astype(np.intp), minlength=s)
 
 
 def _digit_sum(piece: Chunk, count: bool) -> int:
@@ -142,10 +138,10 @@ def _digit_sum(piece: Chunk, count: bool) -> int:
 
 
 def digit_counts(p: DigitPrefix) -> tuple[int, ...]:
-    """counts[i] = number of positions j <= n with a_j = i."""
-    count = _without_numpy(len(p), p.base.s)
-    counts = _tally(p.chunk, p.base.s, count)
-    return tuple(counts if count else counts.tolist())
+    """counts[i] = number of positions j <= n with a_j = i: the counts of
+    `freq_report`, cross-checked as every trace report is, or zeros for an
+    empty prefix."""
+    return freq_report(p).counts if len(p) else (0,) * p.base.s
 
 
 def freq_report(p: DigitPrefix) -> FreqReport:
@@ -202,33 +198,33 @@ def convergence_trace(stream: DigitStream, checkpoints: Sequence[int]) -> Conver
 
 
 def _trace(
-    base: Base, chunks: Iterable[Chunk], points: Sequence[int], to_end: bool = False, size: int | None = None
+    base: Base, chunks: Iterable[Chunk], points: Sequence[int] | None = None, size: int | None = None
 ) -> ConvergenceTrace:
     """`convergence_trace` of the digits in `chunks`, which are read to
     their end; chunks past the last checkpoint are read and not tallied.
 
-    With `to_end`, the end of `chunks` is the last checkpoint and points
-    past it are dropped: `analyze --in` traces a file of unknown length to
-    its end this way, in one pass. Otherwise a point past the end is an
+    With `points` None, the points are DEFAULT_CHECKPOINTS below the end of
+    `chunks`, then the end: `analyze --in` traces a file of unknown length
+    to its end this way, in one pass. Otherwise a point past the end is an
     error. `points` must be >= 1 and strictly increasing.
 
-    `size`, when known, bounds the digits in `chunks`. With the last
-    checkpoint (unless `to_end`) it bounds the tally, which picks its path
-    by `_without_numpy` before the first piece. A stream that loads numpy
-    as it is read (a long-period `expand` does at its second chunk) moves
-    the tally to `bincount` from the next piece on."""
+    `size`, when known, bounds the digits in `chunks`. With the last of
+    `points` it bounds the tally, which picks its path by `_without_numpy`
+    before the first piece. A stream that loads numpy as it is read (a
+    long-period `expand` does at its second chunk) moves the tally to
+    `bincount` from the next piece on."""
     s = base.s
-    bound = size if to_end else points[-1] if size is None else min(size, points[-1])
+    bound = size if points is None else points[-1] if size is None else min(size, points[-1])
     count = _without_numpy(bound, s)
     counts = _tally(b"", s, count)  # the counts of no digits, on the tally's path
     digit_sum = 0
     consumed = 0
     reports = []
-    targets = iter(points)
+    targets = iter(DEFAULT_CHECKPOINTS if points is None else points)
     target = next(targets)
     for chunk in chunks:
         start = 0
-        while start < len(chunk) and (target is not None or to_end):
+        while start < len(chunk) and (target is not None or points is None):
             take = CHUNK_DIGITS if target is None else min(CHUNK_DIGITS, target - consumed)
             piece = chunk[start : start + take]
             count = count and _without_numpy(bound, s)
@@ -241,7 +237,7 @@ def _trace(
             if consumed == target:
                 reports.append(_report(counts, consumed, digit_sum))
                 target = next(targets, None)
-    if to_end:
+    if points is None:
         if not reports or reports[-1].n < consumed:
             reports.append(_report(counts, consumed, digit_sum))
     elif target is not None:

@@ -711,7 +711,7 @@ def divmod_digits(n: int, s: int, count: int) -> tuple[int, ...]:
 class TestFastPaths:
     """Each fast path against the general code it stands in for."""
 
-    @pytest.mark.parametrize("s", [2, 4, 16])
+    @pytest.mark.parametrize("s", [2, 4, 16, 8, 32, 64, 128, 256])
     @pytest.mark.parametrize("count", [*range(10), 255, 256, 257])
     def test_table_digits_match_divmod(self, s, count):
         for n in {0, s**count - 1, (s**count - 1) // 3}:

@@ -239,6 +239,51 @@ class TestConstruct:
                 {"schedule": {"family": "polynomial"}, "columns": {**CONVERGING_COLUMNS, "mix_digit": True}},
                 "columns kind 'converging': 'mix_digit' has the wrong type, got True",
             ),
+            (
+                {"schedule": {"family": "polynomial", "degre": 2}, "columns": UNIFORM_COLUMNS},
+                "schedule family 'polynomial' does not read 'degre'",
+            ),
+            (
+                {"schedule": {"family": "polynomial"}, "columns": {**UNIFORM_COLUMNS, "thta": "3/2"}},
+                "columns kind 'constant' does not read 'thta'",
+            ),
+            (
+                {"schedule": {"family": "polynomial"}, "columns": {**CONVERGING_COLUMNS, "theta": "1"}},
+                "columns kind 'converging' does not read 'theta'",
+            ),
+            (
+                {
+                    "schedule": {"family": "polynomial"},
+                    "columns": {**UNIFORM_COLUMNS, "tau": [True, False, False, False]},
+                },
+                "columns kind 'constant': 'tau' has the wrong type, got [True, False, False, False]",
+            ),
+            (
+                {"schedule": {"family": "affine", "a": 1.1}, "columns": UNIFORM_COLUMNS},
+                "schedule family 'affine': 'a' has the wrong type, got 1.1",
+            ),
+            (
+                {"schedule": {"family": "geometric", "ratio": True}, "columns": UNIFORM_COLUMNS},
+                "schedule family 'geometric': 'ratio' has the wrong type, got True",
+            ),
+            (
+                {"schedule": {"family": "polynomial"}, "columns": {**UNIFORM_COLUMNS, "theta": 1.5}},
+                "columns kind 'constant': 'theta' has the wrong type, got 1.5",
+            ),
+            (
+                {
+                    "schedule": {"family": "polynomial"},
+                    "columns": {"kind": "explicit", "columns": [[0.5, 0.5, 0, 0]], "tail": ["1", "0", "0", "0"]},
+                },
+                "columns kind 'explicit': 'columns' has the wrong type, got [[0.5, 0.5, 0, 0]]",
+            ),
+            (
+                {
+                    "schedule": {"family": "polynomial"},
+                    "columns": {"kind": "explicit", "columns": {"1,0,0,0": 5}, "tail": ["1", "0", "0", "0"]},
+                },
+                "columns kind 'explicit': 'columns' has the wrong type, got {'1,0,0,0': 5}",
+            ),
         ],
         ids=[
             "geometric",
@@ -254,6 +299,15 @@ class TestConstruct:
             "degree-string",
             "mix-digit-float",
             "mix-digit-bool",
+            "unread-degre",
+            "unread-thta",
+            "unread-theta",
+            "tau-bools",
+            "a-float",
+            "ratio-bool",
+            "theta-float",
+            "columns-floats",
+            "columns-object",
         ],
     )
     def test_block_config_errors(self, doc, message, tmp_path, capsys):
@@ -877,6 +931,20 @@ class TestVerify:
             "",
             "error: unknown module(s) ['numerology']; valid names: ['digits', 'stats', 'construct', 'entropy']\n",
         )
+
+    @pytest.mark.parametrize(
+        "argv, doc, given",
+        [(["--module", ""], None, "['']"), (["--module", " , "], None, "[' , ']"), ([], {"modules": []}, "[]")],
+        ids=["empty-flag", "blank-flag", "empty-config"],
+    )
+    def test_empty_module_list_is_refused(self, argv, doc, given, tmp_path, capsys):
+        # An empty selection would run no check and pass.
+        if doc is not None:
+            config = tmp_path / "verify.json"
+            config.write_text(json.dumps(doc))
+            argv = ["--config", str(config)]
+        got = run_cli(capsys, "verify", *argv)
+        assert got == (2, "", f"error: modules must name at least one battery module, got {given}\n")
 
     def test_module_help_names_the_battery_modules(self, capsys):
         # The help text names the modules without importing the battery.

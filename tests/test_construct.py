@@ -412,6 +412,7 @@ class TestConfigParsing:
         docs = {
             '{"family": "polynomial", "degree": 2}': ScheduleSpec.polynomial(2),
             '{"family": "affine", "a": "2", "b": "1"}': ScheduleSpec.affine(2, 1),
+            '{"family": "affine", "a": 2, "b": 1}': ScheduleSpec.affine(2, 1),
             '{"family": "geometric", "ratio": "3"}': ScheduleSpec.geometric(3),
         }
         for doc, spec in docs.items():
@@ -427,6 +428,8 @@ class TestConfigParsing:
             {"kind": "constant", "tau": ["1/6", "1/3", "1/3", "1/6"], "theta": "3/2"}
         )
         assert columns.mean == Fraction(3, 2)
+        # Rationals may be JSON integers too.
+        assert columns_from_config({"kind": "constant", "tau": [0, 1, 0, 0], "theta": 1}).mean == 1
 
     def test_converging_columns_config(self):
         columns = columns_from_config(

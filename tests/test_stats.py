@@ -42,6 +42,28 @@ class TestDigitCounts:
             expected[d] += 1
         assert digit_counts(DigitPrefix(Base(s), digits)) == tuple(expected)
 
+    @pytest.mark.parametrize("count", [True, False], ids=["count", "bincount"])
+    def test_tally_is_cross_checked(self, monkeypatch, count):
+        # The counts are refused as a report's are; an empty prefix has none to check.
+        monkeypatch.setattr(stats, "_without_numpy", lambda bound, s: count)
+        monkeypatch.setattr(stats, "_tally", one_count_moved(stats._tally))
+        with pytest.raises(AssertionError, match="digit counts disagree with the digit sum or the length"):
+            digit_counts(DigitPrefix(BASE4, (1, 2, 3)))
+        assert digit_counts(DigitPrefix(BASE4, ())) == (0, 0, 0, 0)
+
+
+def one_count_moved(tally):
+    """`tally` with one count moved from digit 1 to digit 0: the length
+    holds and the digit sum breaks."""
+
+    def faulty(chunk, s, count):
+        counts = list(tally(chunk, s, count))
+        if counts[1]:
+            counts[0], counts[1] = counts[0] + 1, counts[1] - 1
+        return counts if count else np.array(counts)
+
+    return faulty
+
 
 # Digit values mod s, byte by byte, to draw a random piece in base s.
 MOD_TABLES = {s: bytes(b % s for b in range(256)) for s in range(2, 11)}
@@ -92,6 +114,33 @@ class TestTallyPaths:
         assert got == want
         assert digit_counts(DigitPrefix(Base(7), digits)) == want.reports[-1].counts
 
+    def test_every_tally_is_at_most_one_chunk(self, monkeypatch, tmp_path):
+        # Four chunks' digits, held in one chunk or read from a file: every
+        # entry point cuts them into pieces of at most CHUNK_DIGITS digits.
+        from adiclab.cli import main
+        from adiclab.digits import digit_text
+
+        tally, lengths = stats._tally, []
+
+        def recorded(chunk, s, count):
+            lengths.append(len(chunk))
+            return tally(chunk, s, count)
+
+        monkeypatch.setattr(stats, "_tally", recorded)
+        digits = bytes(range(4)) * CHUNK_DIGITS
+        source = tmp_path / "digits.txt"
+        source.write_text(digit_text(digits) + "\n")
+        runs = {
+            "digit_counts": lambda: digit_counts(DigitPrefix(BASE4, digits)),
+            "freq_report": lambda: freq_report(DigitPrefix(BASE4, digits)),
+            "convergence_trace": lambda: convergence_trace(stream_from_digits(digits), (10, len(digits))),
+            "analyze --in": lambda: main(["analyze", "--in", str(source), "--out", str(tmp_path / "a.csv")]),
+        }
+        for name, run in runs.items():
+            lengths.clear()
+            run()
+            assert sum(lengths) == len(digits) and max(lengths) <= CHUNK_DIGITS, name
+
     def test_a_stream_that_loads_numpy_moves_the_tally_to_bincount(self, monkeypatch):
         # Once numpy is loaded mid-stream, as a long-period expand loads it
         # at its second chunk, the later pieces are bincounted.
@@ -137,18 +186,9 @@ class TestFreqReport:
 
     @pytest.mark.parametrize("count", [True, False], ids=["count", "bincount"])
     def test_tally_is_cross_checked(self, monkeypatch, count):
-        # One count moved from digit 1 to digit 0 keeps the length and breaks
-        # the digit sum; the report must be refused, as a trace report is.
-        tally = stats._tally
-
-        def faulty(chunk, s, on_count_path):
-            counts = list(tally(chunk, s, on_count_path))
-            if counts[1]:
-                counts[0], counts[1] = counts[0] + 1, counts[1] - 1
-            return counts if on_count_path else np.array(counts)
-
+        # The report must be refused, as a trace report is.
         monkeypatch.setattr(stats, "_without_numpy", lambda bound, s: count)
-        monkeypatch.setattr(stats, "_tally", faulty)
+        monkeypatch.setattr(stats, "_tally", one_count_moved(stats._tally))
         with pytest.raises(AssertionError, match="digit counts disagree"):
             freq_report(DigitPrefix(BASE4, (1, 2, 3)))
 
@@ -307,11 +347,12 @@ class TestConvergenceTrace:
         assert counts == (10**6,) * 4
 
     def test_to_end_takes_the_end_as_the_last_checkpoint(self):
+        # Without points, a trace takes DEFAULT_CHECKPOINTS below the end, then the end.
         chunks = [bytes(7), bytes(3), bytes(95)]
-        trace = stats._trace(BASE4, chunks, DEFAULT_CHECKPOINTS, to_end=True)
+        trace = stats._trace(BASE4, chunks)
         assert trace.checkpoints == (10, 100, 105)
-        assert stats._trace(BASE4, chunks[:2], DEFAULT_CHECKPOINTS, to_end=True).checkpoints == (10,)
-        # Without to_end, chunks past the last checkpoint are read, not tallied.
+        assert stats._trace(BASE4, chunks[:2]).checkpoints == (10,)
+        # With points, chunks past the last checkpoint are read, not tallied.
         read = []
         trace = stats._trace(BASE4, (read.append(c) or c for c in chunks), (5,))
         assert trace.checkpoints == (5,) and len(read) == 3
