@@ -567,7 +567,8 @@ def _parse_checkpoints(value) -> tuple[int, ...]:
 
 
 def _parse_modules(value) -> tuple[str, ...]:
-    modules = tuple(p.strip() for item in value for p in str(item).split(",") if p.strip())
+    """The named modules, each once, in the order they first appear."""
+    modules = tuple(dict.fromkeys(p.strip() for item in value for p in str(item).split(",") if p.strip()))
     if not modules:
         raise UsageError(f"modules must name at least one battery module, got {value!r}")
     return modules

@@ -22,16 +22,21 @@ Both streams produce whole chunks (see `digits`). A greedy stream is
 purely periodic, with period L = lcm of tau's denominators. When L is at
 most CHUNK_DIGITS it is a `periodic_stream` of one period, built in
 exact Python ints without numpy, so its value is exact and `digit_at` is
-O(1). Otherwise the greedy stream computes a block of steps at once with
-numpy. Up to the chunk's last step N, floor(n * tau_i) equals a floor of
-n * p'/q' for the last continued-fraction convergent p'/q' of tau_i with
-q' <= N (Khinchin, Continued Fractions, ch. I). From it the greedy chunk
-takes each column's copies of its digit and the step of each copy, and
-merges the columns by one stable sort, so a chunk costs a few passes
-over the columns plus its digits. A column of any denominator runs in
-int64 while N**2 < 2**63 (about 3.04e9 steps), and in exact Python ints
-only past that. The block stream emits each block as runs of one
-repeated digit.
+O(1). Otherwise its digits come from an array kernel, and while L is at
+most 10**7 (`digits._MAX_PERIOD_DIGITS`) the stream carries a finder,
+which reads the kernel's first L digits as the period only when the
+period is first needed; a longer L leaves the stream without one.
+
+The greedy kernel computes a block of steps at once with numpy. Up to
+the chunk's last step N, floor(n * tau_i) equals a floor of n * p'/q'
+for the last continued-fraction convergent p'/q' of tau_i with q' <= N
+(Khinchin, Continued Fractions, ch. I). From it the greedy chunk takes
+each column's copies of its digit and the step of each copy, and merges
+the columns by one stable sort, so a chunk costs a few passes over the
+columns plus its digits. A column of any denominator runs in int64
+while N**2 < 2**63 (about 3.04e9 steps), and in exact Python ints only
+past that. The block stream emits each block as runs of one repeated
+digit.
 
 Schedules come from a closed set of named families because the growth
 conditions they must satisfy are limit statements, not verifiable from
@@ -51,7 +56,8 @@ from functools import cached_property, partial
 from typing import TYPE_CHECKING, Callable, Iterator, Sequence
 
 from .digits import (
-    BASE4, CHUNK_DIGITS, Base, Chunk, DigitStream, chunk_from_array, constant_stream, periodic_stream, to_chunk,
+    _MAX_PERIOD_DIGITS, BASE4, CHUNK_DIGITS, Base, Chunk, DigitStream, _read_period, chunk_from_array,
+    constant_stream, periodic_stream, to_chunk,
 )
 
 if TYPE_CHECKING:
@@ -293,22 +299,27 @@ def greedy_stream(tau: ProbabilityVector, base: Base | None = None) -> DigitStre
     period is steps 1..L, L digits with n_i copies of digit i. When L is at
     most CHUNK_DIGITS the stream is `periodic_stream((), period)`, the
     period built in exact ints without numpy (`_greedy_period`), so
-    `stream_value` is exact and `digit_at` is O(1). A longer period is
-    never built: the stream is then procedural and its chunks come from
-    the array kernel (`_greedy_chunks`). Both give the same digits.
+    `stream_value` is exact and `digit_at` is O(1). Otherwise its chunks
+    come from the array kernel (`_greedy_chunks`), and up to L =
+    _MAX_PERIOD_DIGITS the stream's finder (see `DigitStream`) reads its
+    period, the kernel's first L digits, when it is first needed. A longer
+    period is never built, and the stream has none. Both paths give the
+    same digits.
     """
     if base is None:
         base = Base(tau.s)
     elif base.s != tau.s:
         raise ValueError(f"vector has {tau.s} entries but base is {base.s}")
+    make = partial(_greedy_chunks, tau, base)
     # L is built up one denominator at a time and given up once it passes
-    # CHUNK_DIGITS, so wide denominators cost no big lcm.
+    # _MAX_PERIOD_DIGITS, so wide denominators cost no big lcm.
     period = 1
     for t in tau.entries:
-        period = math.lcm(period, t.denominator)
-        if period > CHUNK_DIGITS:
-            return DigitStream(base, partial(_greedy_chunks, tau, base))
-    return periodic_stream((), _greedy_period(tau, period, base), base)
+        if (period := math.lcm(period, t.denominator)) > _MAX_PERIOD_DIGITS:
+            return DigitStream(base, make)
+    if period <= CHUNK_DIGITS:
+        return periodic_stream((), _greedy_period(tau, period, base), base)
+    return DigitStream(base, make, _period=partial(_read_period, make, base, 0, period))
 
 
 # ---------------------------------------------------------------------------

@@ -84,8 +84,9 @@ CHUNK_DIGITS = 1 << 16
 # the preperiod and this many digits after it.
 _SHORT_PERIOD = 256
 
-# Longest period `eventual_period` looks for on an expand stream before it
-# gives up, so that reading it takes bounded time and memory on any input.
+# Longest period a stream's finder looks for before it gives up (`expand`)
+# or that it is given (`greedy_stream`), so that reading it takes bounded
+# time and memory on any input.
 _MAX_PERIOD_DIGITS = 10**7
 
 # Digit values up to base 256, one per byte; the first s of them are the
@@ -204,41 +205,43 @@ class DigitStream:
     `make_chunks` returns an iterator over the stream's chunks (see the
     module docstring for their layout). It must be pure: every call yields
     the same digits, so independent consumers (including concurrent ones)
-    can re-read the stream safely. Streams derived from rationals
-    (`periodic_stream` and `expand`) carry their (preperiod, period)
-    descriptor; purely procedural streams (the constructive algorithms) do
-    not, and their value is then not computable from finite data.
+    can re-read the stream safely.
+
+    A stream whose digits are eventually periodic may carry its
+    (preperiod, period) pair, given once, when it is made, through the
+    private `_period` input: `periodic_stream` passes the pair itself;
+    `expand` with a period over _SHORT_PERIOD digits, and `greedy_stream`
+    with one over CHUNK_DIGITS, pass a finder, a function of no arguments
+    that returns the pair or raises ValueError when the period is longer
+    than _MAX_PERIOD_DIGITS digits. A finder runs only when one of these
+    needs the pair: `eventual_period`, `stream_value`, and `digit_at` past
+    _MAX_PERIOD_DIGITS. Its pair is kept; a failed search is not, and
+    costs no digit when repeated. A stream without a pair (a block stream,
+    a greedy stream whose period is over _MAX_PERIOD_DIGITS digits, a
+    stream built from `make_chunks` alone) has no value computable from
+    finite data.
     """
 
     __slots__ = ("base", "make_chunks", "_period")
 
-    def __init__(self, base: Base, make_chunks: Callable[[], Iterator[Chunk]]) -> None:
+    def __init__(self, base: Base, make_chunks: Callable[[], Iterator[Chunk]], *, _period=None) -> None:
         self.base = base
         self.make_chunks = make_chunks
-        # The (preperiod, period) pair as two chunks, the function that
-        # finds it, the error of a failed search, or None.
-        self._period: ChunkPair | Callable[[], ChunkPair] | ValueError | None = None
+        # The (preperiod, period) pair as two chunks, its finder, or None.
+        self._period: ChunkPair | Callable[[], ChunkPair] | None = _period
 
     def _chunk_pair(self) -> ChunkPair | None:
-        """The (preperiod, period) pair as two chunks, or None. A long
-        `expand` period is found on first call and kept; one longer than
-        _MAX_PERIOD_DIGITS raises ValueError here, and that error is kept,
-        so later calls raise it again without a new search. The finder is
-        read once, so a concurrent first call never calls the pair another
-        one has stored."""
+        """The (preperiod, period) pair as two chunks, or None; a finder
+        runs here, and its pair is kept. The finder is read once, so a
+        concurrent first call never calls the pair another one has stored."""
         if callable(finder := self._period):
-            try:
-                self._period = finder()
-            except ValueError as error:
-                self._period = error
-        if isinstance(self._period, ValueError):
-            raise self._period.with_traceback(None)
+            self._period = finder()
         return self._period
 
     @property
     def eventual_period(self) -> Period | None:
         """The (preperiod, period) descriptor as two tuples of ints, or None
-        for a procedural stream; see `_chunk_pair` for when it is found."""
+        for a stream without one."""
         if (pair := self._chunk_pair()) is None:
             return None
         return tuple(pair[0]), tuple(pair[1])
@@ -246,24 +249,16 @@ class DigitStream:
     def chunks(self, n: int) -> Iterator[Chunk]:
         """Chunks holding the first n digits, the last one cut to fit; they
         hold fewer digits if the stream ends first."""
-        if n <= 0:
-            return
-        for chunk in self.make_chunks():
-            if len(chunk) >= n:
-                yield chunk[:n]
-                return
-            n -= len(chunk)
-            yield chunk
+        return _leading_chunks(self.make_chunks, n)
 
     def iter_digits(self) -> Iterator[int]:
         return itertools.chain.from_iterable(self.make_chunks())
 
     def digit_at(self, k: int) -> int:
         """The k-th digit, 1-based. O(1) once the period is known, O(k)
-        otherwise. A period not yet known is looked for only when k lies
-        past _MAX_PERIOD_DIGITS, where the search costs less than reading
-        to position k; below that, or when the period is longer than that,
-        the stream is read."""
+        otherwise. A finder runs only when k lies past _MAX_PERIOD_DIGITS,
+        where it costs less than reading to position k; below that, or
+        when the period is longer than that, the stream is read."""
         if k < 1:
             raise ValueError(f"digit positions are 1-based, got {k}")
         pair = self._period
@@ -301,6 +296,28 @@ class DigitStream:
         return prefix
 
 
+def _leading_chunks(make_chunks: Callable[[], Iterator[Chunk]], n: int) -> Iterator[Chunk]:
+    """The chunks of `make_chunks()` that hold its first n digits, the last
+    one cut to fit."""
+    if n <= 0:
+        return
+    for chunk in make_chunks():
+        if len(chunk) >= n:
+            yield chunk[:n]
+            return
+        n -= len(chunk)
+        yield chunk
+
+
+def _read_period(make_chunks: Callable[[], Iterator[Chunk]], base: Base, m: int, length: int) -> ChunkPair:
+    """The (preperiod, period) pair of a stream whose chunks `make_chunks`
+    makes, given m and L = `length`: its first m digits and the L after
+    them. A finder reads its own factory here, not the stream's
+    `make_chunks` attribute."""
+    digits = _join(_leading_chunks(make_chunks, m + length), base)
+    return digits[:m], digits[m:]
+
+
 def periodic_stream(
     preperiod: Iterable[int], period: Iterable[int], base: Base = BASE4
 ) -> DigitStream:
@@ -319,9 +336,7 @@ def periodic_stream(
     if not period:
         raise ValueError("period must be nonempty")
     head, tile = to_chunk(preperiod, base), to_chunk(period, base)
-    stream = DigitStream(base, partial(_tiled_chunks, head, tile))
-    stream._period = (head, tile)
-    return stream
+    return DigitStream(base, partial(_tiled_chunks, head, tile), _period=(head, tile))
 
 
 def _tiled_chunks(head: Chunk, tile: Chunk) -> Iterator[Chunk]:
@@ -411,27 +426,50 @@ def _remainder_chunks(r: int, s: int, q: int, n: int) -> Iterator[np.ndarray]:
 _SHAPE_CACHE_SIZE = 4096
 
 
+def _order(s: int, core: int, bound: int) -> int | None:
+    """The multiplicative order of s modulo `core`, the least L >= 1 with
+    s**L == 1 (mod core), when it is at most `bound`, else None. s and
+    `core` must be coprime; the order of anything modulo 1 is 1.
+
+    This is the only period-length search: L is the period of every p/q'
+    in lowest terms. core divides s**L - 1 < s**L, so a core wider than
+    `bound * s.bit_length()` bits has no order within the bound and is
+    not searched. Otherwise L divides phi(core) < core, so L <= B =
+    min(bound, core - 1) is looked for by baby-step giant-step (Shanks,
+    1971) with width w = isqrt(B) + 1: the baby steps s**j, j < w, give
+    L at once if it is below w, and are otherwise distinct; the giant
+    steps s**(i*w), i = 1..w, then first meet a baby step s**j at the
+    least i with a multiple of L in ((i-1)*w, i*w], which for L >= w is L
+    itself, i*w - j. At most 2w multiplications, O(sqrt(B)).
+    """
+    if core.bit_length() > bound * s.bit_length():
+        return None
+    if core == 1:
+        return 1
+    width = math.isqrt(min(bound, core - 1)) + 1
+    t = power = s % core
+    baby = {1: 0}
+    for j in range(1, width):
+        if power == 1:
+            return j  # j < width, so j <= B <= bound
+        baby[power] = j
+        power = power * t % core
+    giant = power  # s**width
+    for i in range(1, width + 1):
+        if (j := baby.get(power)) is not None:
+            return i * width - j if i * width - j <= bound else None
+        power = power * giant % core
+    return None
+
+
 @lru_cache(maxsize=_SHAPE_CACHE_SIZE)
 def _shape(q: int, s: int) -> tuple[int, int | None]:
     """(m, L) for a denominator q in base s: the preperiod length m from
-    `_split_denominator`, and the period length L, the multiplicative order
-    of s modulo q' (1 when q' == 1), or None when L is above _SHORT_PERIOD.
-
-    L is looked for with at most _SHORT_PERIOD modular multiplications.
-    q' divides s**L - 1, so a period of at most _SHORT_PERIOD digits needs
-    q' < s**_SHORT_PERIOD: a wider q' is not searched.
+    `_split_denominator`, and the period length L, the order of s modulo
+    q' (`_order`), or None when L is above _SHORT_PERIOD.
     """
     m, core = _split_denominator(q, s)
-    if core == 1:
-        return m, 1
-    if core.bit_length() > _SHORT_PERIOD * s.bit_length():
-        return m, None
-    t = power = s % core
-    for order in range(1, _SHORT_PERIOD + 1):
-        if power == 1:
-            return m, order
-        power = power * t % core
-    return m, None
+    return m, _order(s, core, _SHORT_PERIOD)
 
 
 _BIT_VALUES = bytes.maketrans(b"01", b"\x00\x01")
@@ -519,13 +557,14 @@ def expand(x: Fraction | int | str, base: Base = BASE4) -> DigitStream:
     digits, the number of steps q -> q / gcd(q, s) that reach q', and the
     period L = ord_q'(s) digits (L = 1, period (0), when q' = 1). One
     lookup of `_shape` gives both: m from `_split_denominator` in O(log m)
-    big divisions, and L from at most _SHORT_PERIOD modular
-    multiplications. Its cache holds _SHAPE_CACHE_SIZE (q, s) pairs, only
-    for a q narrow enough to have a short period, so it stays small. The
-    first n digits of x are the base-s digits of (p * s**n) // q, so one
-    big-int division gives them all, and `_base_digits` writes them out: by
-    a byte table for s = 2, 4 and 16, from the integer's bits for the
-    other powers of two up to 256, and by halving otherwise.
+    big divisions, and L, when it is at most _SHORT_PERIOD, from `_order`
+    in at most 34 modular multiplications. Its cache holds
+    _SHAPE_CACHE_SIZE (q, s) pairs, only for a q narrow enough to have a
+    short period, so it stays small. The first n digits of x are the base-s
+    digits of (p * s**n) // q, so one big-int division gives them all, and
+    `_base_digits` writes them out: by a byte table for s = 2, 4 and 16,
+    from the integer's bits for the other powers of two up to 256, and by
+    halving otherwise.
 
     When L <= _SHORT_PERIOD, n = m + L: those digits are the preperiod and
     one period (the period's integer is r' * (s**L - 1) / q', with r'/q'
@@ -534,9 +573,11 @@ def expand(x: Fraction | int | str, base: Base = BASE4) -> DigitStream:
     digits are its first chunk, and later digits are computed a chunk at a
     time: the k-th remainder after r_m is r_m * s**k mod q and its digit
     is that remainder times s, floor-divided by q (see `_remainder_chunks`
-    for the int64/object choice). The period is then searched for only
-    when `eventual_period` is first read, chunk by chunk, up to
-    _MAX_PERIOD_DIGITS digits; past that the read raises ValueError.
+    for the int64/object choice). Its finder (see `DigitStream`) looks for
+    L by `_order` up to _MAX_PERIOD_DIGITS, in O(sqrt(_MAX_PERIOD_DIGITS))
+    modular multiplications and without reading a digit, and raises
+    ValueError past it; a period it finds is the m + L digits that the
+    stream's own chunks begin with.
     """
     if not isinstance(x, Fraction):
         x = Fraction(x)
@@ -555,39 +596,19 @@ def expand(x: Fraction | int | str, base: Base = BASE4) -> DigitStream:
     head = _base_digits(value, base, n)
     if length is not None:
         return periodic_stream(head[:m], head[m:], base)
-    start = p * s**m % q
-
-    def tail() -> Iterator[tuple[np.ndarray, Chunk]]:
-        # Remainders and digits after the head, from r_(m + _SHORT_PERIOD) on.
-        for rems in _remainder_chunks(rem, s, q, 2 * _SHORT_PERIOD):
-            yield rems, chunk_from_array(rems * s // q, base)
 
     def make() -> Iterator[Chunk]:
         yield head
-        for _, chunk in tail():
-            yield chunk
+        # The remainders after the head, from r_(m + _SHORT_PERIOD) on.
+        for rems in _remainder_chunks(rem, s, q, 2 * _SHORT_PERIOD):
+            yield chunk_from_array(rems * s // q, base)
 
-    def search_period() -> ChunkPair:
-        import numpy as np
+    def find() -> ChunkPair:
+        if (length := _order(s, _split_denominator(q, s)[1], _MAX_PERIOD_DIGITS)) is None:
+            raise ValueError(f"the period of {x} in base {s} is longer than {_MAX_PERIOD_DIGITS} digits")
+        return _read_period(make, base, m, length)
 
-        pieces = [head]
-        length = _SHORT_PERIOD
-        for rems, chunk in tail():
-            hits = np.flatnonzero(rems == start)
-            cut = int(hits[0]) if hits.size else len(rems)
-            pieces.append(chunk[:cut])
-            length += cut
-            if length > _MAX_PERIOD_DIGITS:
-                raise ValueError(
-                    f"the period of {x} in base {s} is longer than {_MAX_PERIOD_DIGITS} digits"
-                )
-            if hits.size:
-                found = _join(pieces, base)
-                return found[:m], found[m:]
-
-    stream = DigitStream(base, make)
-    stream._period = search_period
-    return stream
+    return DigitStream(base, make, _period=find)
 
 
 # Below this many digits a numeral is built whole instead of split. A leaf

@@ -352,7 +352,8 @@ def period_of(tau: ProbabilityVector) -> int:
 
 class TestGreedyPeriod:
     """A greedy stream whose period L is at most CHUNK_DIGITS tiles one
-    period, built without the kernel; a longer one runs the kernel."""
+    period, built without the kernel; a longer one runs the kernel, and
+    finds its period, the kernel's first L digits, when it is first read."""
 
     @settings(max_examples=40, deadline=None)
     @given(short_period_vectors())
@@ -382,22 +383,46 @@ class TestGreedyPeriod:
         length = period_of(tau)
         assert (length <= CHUNK_DIGITS) == periodic
         stream = greedy_stream(tau)
-        assert (stream.eventual_period is not None) == periodic
+        # The short side holds its period from the start, the long side a
+        # finder, so its first prefix is read from the kernel.
+        assert isinstance(stream._period, tuple) == periodic
         n = 2 * length + 1
         want = greedy_oracle(tau, n)
         assert stream.prefix(n).digits == want
         assert kernel_stream(tau).prefix(n).digits == want
+        assert stream.eventual_period == ((), want[:length])
+        assert stream.prefix(n).digits == want
+
+    def test_no_period_past_the_cap(self, monkeypatch):
+        # L is the lcm of the denominators; one past the cap gives no finder.
+        monkeypatch.setattr(construct, "_MAX_PERIOD_DIGITS", 65537)
+        at_cap = greedy_stream(ProbabilityVector((Fraction(1, 65537), Fraction(65536, 65537))))
+        assert len(at_cap.eventual_period[1]) == 65537
+        for over in ("1/65538,65537/65538", "1/2,1/65537,65535/131074"):
+            stream = greedy_stream(ProbabilityVector.parse(over))
+            assert stream.eventual_period is None
+            with pytest.raises(ValueError, match="needs a \\(preperiod, period\\) descriptor"):
+                stream_value(stream)
 
     def test_value_and_far_digits(self):
         tau = ProbabilityVector.parse("1/2,1/3,1/6,0")
         stream = greedy_stream(tau)
         assert stream.eventual_period == ((), (0, 1, 0, 0, 1, 2))
         assert stream_value(stream) == Fraction(262, 4095)
-        for tau in (tau, ProbabilityVector.parse("1/7,3/8,27/56"), ProbabilityVector.parse("1/65536,65535/65536")):
+        for tau in (
+            tau,
+            ProbabilityVector.parse("1/7,3/8,27/56"),
+            ProbabilityVector.parse("1/65536,65535/65536"),
+            ProbabilityVector.parse("1/65537,65536/65537"),
+        ):
             period = greedy_oracle(tau, period_of(tau))
             stream = greedy_stream(tau)
             for k in (1, 10**12, 10**12 + 1, 3**40):
                 assert stream.digit_at(k) == period[(k - 1) % len(period)], (tau, k)
+            assert stream.eventual_period == ((), period)
+            s = tau.s
+            numeral = int("".join(map(str, period)), s)
+            assert stream_value(stream) == Fraction(numeral, s ** len(period) - 1), tau
 
 
 def count_column_work(monkeypatch) -> dict:
@@ -579,6 +604,21 @@ def expand_cases(draw):
     return Fraction(draw(st.integers(min_value=0, max_value=q)), q), s
 
 
+def count_remainder_arrays(monkeypatch) -> list[int]:
+    """A one-entry list that counts, from now on, the remainder arrays that
+    lazy `expand` streams compute: their long division, a chunk at a time."""
+    count = [0]
+    remainder_chunks = digits._remainder_chunks
+
+    def counted(*args):
+        for rems in remainder_chunks(*args):
+            count[0] += 1
+            yield rems
+
+    monkeypatch.setattr(digits, "_remainder_chunks", counted)
+    return count
+
+
 class TestExpandChunks:
     @settings(max_examples=60, deadline=None)
     @given(expand_cases(), st.sampled_from(EXPAND_EDGES))
@@ -628,12 +668,24 @@ class TestExpandChunks:
         over = expand(Fraction(1, 4**1001 - 1))
         # Below the cap, digit_at reads the stream and needs no period.
         assert [over.digit_at(k) for k in (1, 1000)] == [0, 0]
-        start = time.perf_counter()
+        arrays = count_remainder_arrays(monkeypatch)
         with pytest.raises(ValueError, match="longer than 1000 digits"):
             over.eventual_period
-        assert time.perf_counter() - start < 0.5
         with pytest.raises(ValueError, match="longer than 1000 digits"):
             stream_value(over)
+        assert arrays == [0]
+
+    def test_a_failed_search_reads_no_digit(self, monkeypatch):
+        # 10**30 + 57 has a period of far more than 10**7 digits in base 4,
+        # which the order search settles without long division.
+        x = Fraction(1, 10**30 + 57)
+        arrays = count_remainder_arrays(monkeypatch)
+        message = re.escape(f"the period of {x} in base 4 is longer than {10**7} digits")
+        stream = expand(x)
+        for read in (lambda: stream.eventual_period, lambda: stream_value(stream)):
+            with pytest.raises(ValueError, match=f"^{message}$"):
+                read()
+        assert arrays == [0]
 
     def test_digit_at_reads_past_a_failed_period_search(self, monkeypatch):
         monkeypatch.setattr(digits, "_MAX_PERIOD_DIGITS", 1000)
@@ -641,12 +693,12 @@ class TestExpandChunks:
         # Past the cap the search runs, fails, and the stream is read.
         assert over.digit_at(1001) == 1
         assert over.digit_at(1002) == 0
-        # The failed search's error is kept and raised again, not redone.
-        with pytest.raises(ValueError, match="longer than 1000 digits") as first:
-            over.eventual_period
-        with pytest.raises(ValueError, match="longer than 1000 digits") as again:
-            stream_value(over)
-        assert again.value is first.value
+        # No error is kept: each read searches again, with no digit read.
+        arrays = count_remainder_arrays(monkeypatch)
+        for read in (lambda: over.eventual_period, lambda: stream_value(over)):
+            with pytest.raises(ValueError, match="longer than 1000 digits"):
+                read()
+        assert arrays == [0]
 
     @pytest.mark.parametrize("s", [2**16, 2**64 - 1, 2**64])
     def test_bases_of_64_bit_digits(self, s):
@@ -697,6 +749,29 @@ class TestExpandChunks:
         got = expand(x).prefix(1000).digits
         assert time.perf_counter() - start < 0.5
         assert got == long_division(x, 4, 1000)
+
+
+def brute_orders(s: int, top: int) -> dict[int, int]:
+    """The order of s modulo every core in 2..top coprime to s, by stepping
+    through the powers of s, all cores at once."""
+    cores = np.array([c for c in range(2, top + 1) if math.gcd(c, s) == 1], dtype=np.int64)
+    orders = np.zeros_like(cores)
+    power = s % cores
+    for k in range(1, top):
+        orders[(power == 1) & (orders == 0)] = k
+        power = power * s % cores
+    assert orders.all()
+    return dict(zip(cores.tolist(), orders.tolist()))
+
+
+class TestOrder:
+    @pytest.mark.parametrize("s", [2, 3, 4, 10, 300])
+    def test_matches_brute_force(self, s):
+        cap = digits._MAX_PERIOD_DIGITS
+        assert [digits._order(s, 1, bound) for bound in (0, 1, cap)] == [None, 1, 1]
+        for core, order in brute_orders(s, 3000).items():
+            got = [digits._order(s, core, bound) for bound in (order - 1, order, cap)]
+            assert got == [None, order, order], (core, order)
 
 
 def divmod_digits(n: int, s: int, count: int) -> tuple[int, ...]:
@@ -892,6 +967,11 @@ class TestValidationMessages:
         # Its first read of the period finds it.
         assert lazy.eventual_period == ((), (0,) * 256 + (1,))
         assert known.eventual_period == ((), (0,) * 255 + (1,))
+        # The order search on both sides of the short bound.
+        short = digits._SHORT_PERIOD
+        assert digits._order(s, s**256 - 1, short) == 256
+        assert digits._order(s, s**257 - 1, short) is None
+        assert digits._order(s, s**257 - 1, short + 1) == 257
 
     @pytest.mark.parametrize("x", [Fraction(1, 3), Fraction(5, 24), Fraction(22, 113), Fraction(0), Fraction(1)])
     def test_short_period_is_known_at_once(self, x):

@@ -10,6 +10,7 @@ import threading
 import time
 import tracemalloc
 from dataclasses import fields
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -17,7 +18,7 @@ from hypothesis import event, given, settings, strategies as st
 
 from adiclab import _digitfile
 from adiclab.cli import COMMANDS, ExperimentConfig, UsageError, build_parser, effective_config, main
-from adiclab.digits import CHUNK_DIGITS, Base, parse_digit_text
+from adiclab.digits import CHUNK_DIGITS, Base, DigitStream, expand, parse_digit_text
 
 
 def run_cli(capsys, *argv):
@@ -933,6 +934,26 @@ class TestVerify:
         )
 
     @pytest.mark.parametrize(
+        "argv, once",
+        [
+            (["--module", "stats,stats"], "stats"),
+            (["--module", "stats", "--module", " stats"], "stats"),
+            (["--config", "stats.json"], "stats"),
+            (["--module", "stats,entropy,stats"], "stats,entropy"),
+        ],
+        ids=["one-flag", "two-flags", "config", "first-order"],
+    )
+    def test_repeated_modules_run_and_report_once(self, argv, once, tmp_path, monkeypatch, capsys):
+        # A module named twice is the same selection as naming it once, in
+        # the order of first mention, so the report, its module list and its
+        # config hash are the same bytes.
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "stats.json").write_text(json.dumps({"modules": ["stats", "stats,stats"]}))
+        want = run_cli(capsys, "verify", "--module", once)
+        assert want[0] == 0 and json.loads(want[1])["modules"] == once.split(",")
+        assert run_cli(capsys, "verify", *argv) == want
+
+    @pytest.mark.parametrize(
         "argv, doc, given",
         [(["--module", ""], None, "['']"), (["--module", " , "], None, "[' , ']"), ([], {"modules": []}, "[]")],
         ids=["empty-flag", "blank-flag", "empty-config"],
@@ -1007,6 +1028,46 @@ class TestVerify:
             assert status == 0, (argv, done.stderr)
             assert set(loaded) <= set(modules), argv
             assert not {"adiclab.verify", *unloaded} & set(modules), argv
+
+    def test_no_command_runs_a_period_finder(self, tmp_path, monkeypatch):
+        # A stream with a long period carries a finder, which runs only when
+        # the period is needed (see DigitStream). Each command runs in process
+        # and counts the finders that run: none may, in any construct or
+        # analyze mode, in verify, or for a greedy period between 65537 and
+        # 10**7 digits.
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "block.json").write_text(json.dumps(GOLDEN_BLOCK))
+        found = []
+        chunk_pair = DigitStream._chunk_pair
+
+        def counted(stream):
+            if callable(stream._period):
+                found.append(stream)
+            return chunk_pair(stream)
+
+        monkeypatch.setattr(DigitStream, "_chunk_pair", counted)
+        sources = [
+            *GOLDEN_SOURCES.values(),
+            ["--rational", "1/1000003"],
+            ["--tau", "1/65537,65536/65537", "--base", "2"],
+            ["--tau", "1/999983,999982/999983", "--base", "2"],
+            ["--mean", "13/10"],
+        ]
+        runs = [["verify"]]
+        for flags in sources:
+            base = flags[flags.index("--base") + 1] if "--base" in flags else "4"
+            runs += [
+                ["construct", *flags, "--length", "70000", "--out", "d.txt"],
+                ["analyze", "--in", "d.txt", "--base", base],
+                ["analyze", *flags, "--checkpoints", "1,65536,70000"],
+            ]
+        for argv in runs:
+            with contextlib.redirect_stdout(io.StringIO()):
+                assert main(argv) == 0, argv
+            assert found == [], argv
+        # The count sees a finder that does run.
+        assert expand(Fraction(1, 1000003)).eventual_period is not None
+        assert len(found) == 1
 
     @pytest.mark.parametrize("base", ["2", "10", "300"])
     def test_other_bases_are_refused(self, base, tmp_path, capsys):
