@@ -20,7 +20,10 @@ digit (values 0..s-1, not ASCII) up to base 256, and `array("Q")` of
 64-bit words above it. Consumers count, sum, slice and encode whole chunks
 in C; `iter_digits`, `prefix` and `digit_at` are thin per-digit views.
 Generated streams start with short chunks and grow them toward
-CHUNK_DIGITS digits, so reading a short prefix stays cheap.
+CHUNK_DIGITS digits, so reading a short prefix stays cheap. One cap is
+lower: a long division whose digits are split by halving (a base that is
+not a power of two up to 256) grows its chunks only to
+_SPLIT_CHUNK_DIGITS, 1024 digits, which keeps that split near-linear.
 """
 
 from __future__ import annotations
@@ -399,18 +402,18 @@ def _split_denominator(q: int, s: int) -> tuple[int, int]:
 
 
 def _remainder_chunks(r: int, s: int, q: int, n: int) -> Iterator[np.ndarray]:
-    """The long-division remainders r*s**k mod q, k = 0, 1, ..., as arrays
-    of n, 2n, ... up to CHUNK_DIGITS values.
+    """The long-division remainders r*s**k mod q, k = 0, 1, ..., as int64
+    arrays of n, 2n, ... up to CHUNK_DIGITS values, for a q with
+    q * max(q, s) < 2**63, so that int64 holds every product; `expand`
+    uses `_division_chunks` for any other q.
 
     Each array is filled by doubling: the second half of a prefix is its
-    first half times s**len mod q. int64 holds every product when
-    q * max(q, s) < 2**63; exact Python ints (`object`) are used otherwise.
+    first half times s**len mod q.
     """
     import numpy as np
 
-    dtype = np.int64 if q * max(q, s) < 2**63 else object
     while True:
-        rems = np.empty(n, dtype=dtype)
+        rems = np.empty(n, dtype=np.int64)
         rems[0] = r
         have = 1
         while have < n:
@@ -542,6 +545,46 @@ def _split_digits(n: int, s: int, out, lo: int, hi: int, powers: dict[int, int])
     _split_digits(rest, s, out, hi - low, hi, powers)
 
 
+# Longest chunk that `_division_chunks` makes in a base whose digits
+# `_split_digits` writes (not a power of two up to 256). It halves a chunk
+# by big-int divisions, which are quadratic in CPython, so a long chunk
+# costs more per digit: per 10**6 base-10 digits, 0.9-1.1 s at 65536-digit
+# chunks against 0.14-0.27 s at 1024. Chunks of 256 to 1024 digits gave
+# the same trace times, within noise.
+_SPLIT_CHUNK_DIGITS = 1024
+
+
+def _division_chunks(r: int, base: Base, q: int, n: int) -> Iterator[Chunk]:
+    """The digits of the long division r/q, 0 <= r < q, in base s, as
+    chunks of n, 2n, ... digits, up to CHUNK_DIGITS, or up to
+    _SPLIT_CHUNK_DIGITS where `_split_digits` writes them.
+
+    Each chunk is one big-int division, value, r = divmod(r * s**n, q),
+    whose quotient `_base_digits` writes out; s**n is computed only when n
+    changes. `expand` uses it in the byte-table bases 2, 4 and 16 at every
+    q, and in every base when q * max(q, s) >= 2**63, where int64
+    remainders would overflow; elsewhere the numpy arrays of
+    `_remainder_chunks` are faster. Best of 3 per 10**7 digits at q ~ 2**20
+    (Intel Xeon, Python 3.11, numpy 2.4), numpy arrays against this
+    division: base 2, 69 against 27 ms; base 4, 70 against 52 ms; base 16,
+    71 against 105 ms, which the numpy import (about 0.1 s) outweighs up to
+    3 * 10**7 digits; base 8, 72 against 163 ms; base 32, 69 against
+    238 ms; base 256, 70 against 374 ms; base 10, 71 against 1283 ms.
+    Above the int64 bound the `object` arrays that this division replaced
+    were slower: per 3 * 10**5 base-10 digits (one run each), 89 against
+    56 ms at q = 3037000501, and 5.8 s against 0.04 s at q ~ 2**3170.
+    """
+    s = base.s
+    cap = CHUNK_DIGITS if s <= 256 and s & (s - 1) == 0 else _SPLIT_CHUNK_DIGITS
+    power_n = power = None
+    while True:
+        if n != power_n:
+            power_n, power = n, s**n
+        value, r = divmod(r * power, q)
+        yield _base_digits(value, base, n)
+        n = min(2 * n, cap)
+
+
 def expand(x: Fraction | int | str, base: Base = BASE4) -> DigitStream:
     """Canonical digit expansion of x in [0, 1].
 
@@ -571,13 +614,16 @@ def expand(x: Fraction | int | str, base: Base = BASE4) -> DigitStream:
     the fractional part of x * s**m), and the stream records the pair at
     once. Otherwise n = m + _SHORT_PERIOD and the stream is lazy: those
     digits are its first chunk, and later digits are computed a chunk at a
-    time: the k-th remainder after r_m is r_m * s**k mod q and its digit
-    is that remainder times s, floor-divided by q (see `_remainder_chunks`
-    for the int64/object choice). Its finder (see `DigitStream`) looks for
-    L by `_order` up to _MAX_PERIOD_DIGITS, in O(sqrt(_MAX_PERIOD_DIGITS))
-    modular multiplications and without reading a digit, and raises
-    ValueError past it; a period it finds is the m + L digits that the
-    stream's own chunks begin with.
+    time from the remainder r after them. In bases 2, 4 and 16, and in
+    every base when q * max(q, s) >= 2**63, each chunk is one big-int
+    division of r * s**len by q (`_division_chunks`), so these streams
+    load no numpy. In the other bases the k-th remainder r * s**k mod q
+    comes from an int64 numpy array (`_remainder_chunks`), and its digit
+    is that remainder times s, floor-divided by q. The stream's finder
+    (see `DigitStream`) looks for L by `_order` up to _MAX_PERIOD_DIGITS,
+    in O(sqrt(_MAX_PERIOD_DIGITS)) modular multiplications and without
+    reading a digit, and raises ValueError past it; a period it finds is
+    the m + L digits that the stream's own chunks begin with.
     """
     if not isinstance(x, Fraction):
         x = Fraction(x)
@@ -599,9 +645,12 @@ def expand(x: Fraction | int | str, base: Base = BASE4) -> DigitStream:
 
     def make() -> Iterator[Chunk]:
         yield head
-        # The remainders after the head, from r_(m + _SHORT_PERIOD) on.
-        for rems in _remainder_chunks(rem, s, q, 2 * _SHORT_PERIOD):
-            yield chunk_from_array(rems * s // q, base)
+        # The digits after the head, from remainder r_(m + _SHORT_PERIOD) on.
+        if s in _BYTE_DIGITS or q * max(q, s) >= 2**63:
+            yield from _division_chunks(rem, base, q, 2 * _SHORT_PERIOD)
+        else:
+            for rems in _remainder_chunks(rem, s, q, 2 * _SHORT_PERIOD):
+                yield chunk_from_array(rems * s // q, base)
 
     def find() -> ChunkPair:
         if (length := _order(s, _split_denominator(q, s)[1], _MAX_PERIOD_DIGITS)) is None:

@@ -211,8 +211,9 @@ def _trace(
     `size`, when known, bounds the digits in `chunks`. With the last of
     `points` it bounds the tally, which picks its path by `_without_numpy`
     before the first piece. A stream that loads numpy as it is read (a
-    long-period `expand` does at its second chunk) moves the tally to
-    `bincount` from the next piece on."""
+    long-period `expand` whose digits come from int64 remainder arrays
+    does at its second chunk) moves the tally to `bincount` from the next
+    piece on."""
     s = base.s
     bound = size if points is None else points[-1] if size is None else min(size, points[-1])
     count = _without_numpy(bound, s)

@@ -577,10 +577,13 @@ class TestChunkedTally:
             assert report.counts == tuple(digits[:n].count(i) for i in range(4))
 
 
-# The largest q for which expand's remainder arithmetic runs in int64
-# (q * max(q, s) < 2**63, with s <= q); above it, exact Python ints.
+# The largest q for which expand's remainder arithmetic can run in int64
+# (q * max(q, s) < 2**63, with s <= q), as it does in bases other than 2,
+# 4 and 16; above it, every base divides big ints.
 INT64_REMAINDERS = math.isqrt(2**63 - 1)
 EXPAND_EDGES = (1, 255, 256, 257, CHUNK_DIGITS - 1, CHUNK_DIGITS, CHUNK_DIGITS + 1)
+# 3001 bits: every long division by it is a big-int division.
+WIDE_DENOMINATOR = 3**1893 + 2
 
 
 def smallest_prime_factor(s: int) -> int:
@@ -604,18 +607,23 @@ def expand_cases(draw):
     return Fraction(draw(st.integers(min_value=0, max_value=q)), q), s
 
 
-def count_remainder_arrays(monkeypatch) -> list[int]:
-    """A one-entry list that counts, from now on, the remainder arrays that
-    lazy `expand` streams compute: their long division, a chunk at a time."""
+def count_tail_chunks(monkeypatch) -> list[int]:
+    """A one-entry list that counts, from now on, the chunks that lazy
+    `expand` streams compute past their head, from either producer: big-int
+    long divisions (`_division_chunks`) or int64 remainder arrays
+    (`_remainder_chunks`)."""
     count = [0]
-    remainder_chunks = digits._remainder_chunks
 
-    def counted(*args):
-        for rems in remainder_chunks(*args):
-            count[0] += 1
-            yield rems
+    def counted(producer):
+        def chunks(*args):
+            for chunk in producer(*args):
+                count[0] += 1
+                yield chunk
 
-    monkeypatch.setattr(digits, "_remainder_chunks", counted)
+        return chunks
+
+    for name in ("_division_chunks", "_remainder_chunks"):
+        monkeypatch.setattr(digits, name, counted(getattr(digits, name)))
     return count
 
 
@@ -652,14 +660,46 @@ class TestExpandChunks:
         assert stream.eventual_period == (pre, per)
         assert stream.prefix(CHUNK_DIGITS + 1).digits == periodic_oracle(pre, per, CHUNK_DIGITS + 1)
 
-    @pytest.mark.parametrize("q", [INT64_REMAINDERS - 1, INT64_REMAINDERS, INT64_REMAINDERS + 1, 2**64 - 59])
-    @pytest.mark.parametrize("s", [3, 10, 300])
+    @pytest.mark.parametrize(
+        "q", [INT64_REMAINDERS - 1, INT64_REMAINDERS, INT64_REMAINDERS + 1, 2**64 - 59, WIDE_DENOMINATOR]
+    )
+    @pytest.mark.parametrize("s", [2, 3, 4, 10, 16, 300])
     def test_large_denominators_at_the_int64_limit(self, q, s):
         x = Fraction(2 * q // 3, q)
         stream = expand(x, Base(s))
         want = long_division(x, s, CHUNK_DIGITS + 1)
         for n in EXPAND_EDGES:
             assert stream.prefix(n).digits == want[:n], n
+
+    def test_wide_denominators_divide_in_short_chunks(self, monkeypatch):
+        # In base 10 each chunk after the head is one big-int division, and
+        # halving writes out its digits, so chunks stop growing at
+        # _SPLIT_CHUNK_DIGITS: the quadratic halving stays near-linear.
+        written = []
+        base_digits = digits._base_digits
+
+        def counted(n, base, count):
+            written.append(count)
+            return base_digits(n, base, count)
+
+        monkeypatch.setattr(digits, "_base_digits", counted)
+        computed = count_tail_chunks(monkeypatch)
+        stream = expand(Fraction(1, 3**2000 + 2), Base(10))
+        assert len(stream.prefix(CHUNK_DIGITS + 1)) == CHUNK_DIGITS + 1
+        cap = digits._SPLIT_CHUNK_DIGITS
+        assert cap == 1024
+        full = -(-(CHUNK_DIGITS + 1 - 256 - 512) // cap)
+        assert written == [256, 512] + [cap] * full
+        assert computed == [1 + full]
+
+    @pytest.mark.parametrize("s", [4, 10])
+    def test_the_chunk_counter_sees_each_producer(self, s, monkeypatch):
+        # Base 4 divides big ints, base 10 fills int64 remainder arrays.
+        computed = count_tail_chunks(monkeypatch)
+        stream = expand(Fraction(1, 999983), Base(s))
+        assert computed == [0]
+        stream.prefix(1000)
+        assert computed[0] > 0
 
     def test_period_search_stops_at_the_cap(self, monkeypatch):
         monkeypatch.setattr(digits, "_MAX_PERIOD_DIGITS", 1000)
@@ -668,24 +708,24 @@ class TestExpandChunks:
         over = expand(Fraction(1, 4**1001 - 1))
         # Below the cap, digit_at reads the stream and needs no period.
         assert [over.digit_at(k) for k in (1, 1000)] == [0, 0]
-        arrays = count_remainder_arrays(monkeypatch)
+        computed = count_tail_chunks(monkeypatch)
         with pytest.raises(ValueError, match="longer than 1000 digits"):
             over.eventual_period
         with pytest.raises(ValueError, match="longer than 1000 digits"):
             stream_value(over)
-        assert arrays == [0]
+        assert computed == [0]
 
     def test_a_failed_search_reads_no_digit(self, monkeypatch):
         # 10**30 + 57 has a period of far more than 10**7 digits in base 4,
         # which the order search settles without long division.
         x = Fraction(1, 10**30 + 57)
-        arrays = count_remainder_arrays(monkeypatch)
+        computed = count_tail_chunks(monkeypatch)
         message = re.escape(f"the period of {x} in base 4 is longer than {10**7} digits")
         stream = expand(x)
         for read in (lambda: stream.eventual_period, lambda: stream_value(stream)):
             with pytest.raises(ValueError, match=f"^{message}$"):
                 read()
-        assert arrays == [0]
+        assert computed == [0]
 
     def test_digit_at_reads_past_a_failed_period_search(self, monkeypatch):
         monkeypatch.setattr(digits, "_MAX_PERIOD_DIGITS", 1000)
@@ -694,11 +734,11 @@ class TestExpandChunks:
         assert over.digit_at(1001) == 1
         assert over.digit_at(1002) == 0
         # No error is kept: each read searches again, with no digit read.
-        arrays = count_remainder_arrays(monkeypatch)
+        computed = count_tail_chunks(monkeypatch)
         for read in (lambda: over.eventual_period, lambda: stream_value(over)):
             with pytest.raises(ValueError, match="longer than 1000 digits"):
                 read()
-        assert arrays == [0]
+        assert computed == [0]
 
     @pytest.mark.parametrize("s", [2**16, 2**64 - 1, 2**64])
     def test_bases_of_64_bit_digits(self, s):

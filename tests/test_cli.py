@@ -982,10 +982,10 @@ class TestVerify:
         # the library modules it runs and no other, and numpy only where an
         # array kernel runs. A greedy `construct --tau` builds a period of at
         # most 65536 digits without numpy; one whose period is longer runs
-        # the kernel. `analyze` counts a tally of at most 2**20 digits
-        # without numpy; a longer file, or a long-period rational, whose
-        # expansion loads numpy, is bincounted. So the test cannot pass by
-        # never loading numpy.
+        # the kernel. A long-period rational divides big ints in base 4 and
+        # fills numpy remainder arrays in base 10. `analyze` counts a tally
+        # of at most 2**20 digits without numpy; a longer file is
+        # bincounted. So the test cannot pass by never loading numpy.
         config = tmp_path / "blocks.json"
         blocks = {"schedule": {"family": "polynomial", "degree": 1}, "columns": CONVERGING_COLUMNS}
         config.write_text(json.dumps(blocks))
@@ -1008,8 +1008,17 @@ class TestVerify:
                 ["adiclab.stats", "adiclab.construct"], ["numpy", "adiclab.entropy"],
             ),
             (["analyze", "--rational", "1/7"], ["adiclab.stats"], ["numpy", *unrun]),
+            (["analyze", "--rational", "1/999983", "--checkpoints", "1000"], ["adiclab.stats"], ["numpy", *unrun]),
+            (["construct", "--rational", "1/999983", "--length", "1000000"], [], ["numpy", "adiclab.stats", *unrun]),
+            (
+                ["analyze", "--rational", "1/999983", "--base", "2", "--checkpoints", str(2**20)],
+                ["adiclab.stats"], ["numpy", *unrun],
+            ),
             (["analyze", "--in", str(long_file)], ["adiclab.stats", "numpy"], unrun),
-            (["analyze", "--rational", "1/999983", "--checkpoints", "1000"], ["adiclab.stats", "numpy"], unrun),
+            (
+                ["analyze", "--rational", "1/999983", "--base", "10", "--checkpoints", "1000"],
+                ["adiclab.stats", "numpy"], unrun,
+            ),
         ]
         code = (
             "import contextlib, io, json, sys\n"
