@@ -561,15 +561,14 @@ def _division_chunks(r: int, base: Base, q: int, n: int) -> Iterator[Chunk]:
 
     Each chunk is one big-int division, value, r = divmod(r * s**n, q),
     whose quotient `_base_digits` writes out; s**n is computed only when n
-    changes. `expand` uses it in the byte-table bases 2, 4 and 16 at every
-    q, and in every base when q * max(q, s) >= 2**63, where int64
-    remainders would overflow; elsewhere the numpy arrays of
-    `_remainder_chunks` are faster. Best of 3 per 10**7 digits at q ~ 2**20
-    (Intel Xeon, Python 3.11, numpy 2.4), numpy arrays against this
-    division: base 2, 69 against 27 ms; base 4, 70 against 52 ms; base 16,
-    71 against 105 ms, which the numpy import (about 0.1 s) outweighs up to
-    3 * 10**7 digits; base 8, 72 against 163 ms; base 32, 69 against
-    238 ms; base 256, 70 against 374 ms; base 10, 71 against 1283 ms.
+    changes. `expand` uses it in bases 2 and 4 at every q, where it is
+    faster than the numpy arrays of `_remainder_chunks`, and in every base
+    when q * max(q, s) >= 2**63, where int64 remainders would overflow.
+    Best of 3 per 10**7 digits at q ~ 2**20 (Intel Xeon, Python 3.11,
+    numpy 2.4), numpy arrays against this division: base 2, 69 against
+    27 ms; base 4, 70 against 52 ms; base 16, 71 against 105 ms; base 8,
+    72 against 163 ms; base 32, 69 against 238 ms; base 256, 70 against
+    374 ms; base 10, 71 against 1283 ms.
     Above the int64 bound the `object` arrays that this division replaced
     were slower: per 3 * 10**5 base-10 digits (one run each), 89 against
     56 ms at q = 3037000501, and 5.8 s against 0.04 s at q ~ 2**3170.
@@ -614,10 +613,10 @@ def expand(x: Fraction | int | str, base: Base = BASE4) -> DigitStream:
     the fractional part of x * s**m), and the stream records the pair at
     once. Otherwise n = m + _SHORT_PERIOD and the stream is lazy: those
     digits are its first chunk, and later digits are computed a chunk at a
-    time from the remainder r after them. In bases 2, 4 and 16, and in
-    every base when q * max(q, s) >= 2**63, each chunk is one big-int
-    division of r * s**len by q (`_division_chunks`), so these streams
-    load no numpy. In the other bases the k-th remainder r * s**k mod q
+    time from the remainder r after them. In bases 2 and 4, and in every
+    base when q * max(q, s) >= 2**63, each chunk is one big-int division
+    of r * s**len by q (`_division_chunks`), so these streams load no
+    numpy. In the other bases the k-th remainder r * s**k mod q
     comes from an int64 numpy array (`_remainder_chunks`), and its digit
     is that remainder times s, floor-divided by q. The stream's finder
     (see `DigitStream`) looks for L by `_order` up to _MAX_PERIOD_DIGITS,
@@ -646,7 +645,7 @@ def expand(x: Fraction | int | str, base: Base = BASE4) -> DigitStream:
     def make() -> Iterator[Chunk]:
         yield head
         # The digits after the head, from remainder r_(m + _SHORT_PERIOD) on.
-        if s in _BYTE_DIGITS or q * max(q, s) >= 2**63:
+        if s in (2, 4) or q * max(q, s) >= 2**63:
             yield from _division_chunks(rem, base, q, 2 * _SHORT_PERIOD)
         else:
             for rems in _remainder_chunks(rem, s, q, 2 * _SHORT_PERIOD):

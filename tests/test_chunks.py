@@ -578,8 +578,8 @@ class TestChunkedTally:
 
 
 # The largest q for which expand's remainder arithmetic can run in int64
-# (q * max(q, s) < 2**63, with s <= q), as it does in bases other than 2,
-# 4 and 16; above it, every base divides big ints.
+# (q * max(q, s) < 2**63, with s <= q), as it does in bases other than 2
+# and 4; above it, every base divides big ints.
 INT64_REMAINDERS = math.isqrt(2**63 - 1)
 EXPAND_EDGES = (1, 255, 256, 257, CHUNK_DIGITS - 1, CHUNK_DIGITS, CHUNK_DIGITS + 1)
 # 3001 bits: every long division by it is a big-int division.
@@ -663,7 +663,7 @@ class TestExpandChunks:
     @pytest.mark.parametrize(
         "q", [INT64_REMAINDERS - 1, INT64_REMAINDERS, INT64_REMAINDERS + 1, 2**64 - 59, WIDE_DENOMINATOR]
     )
-    @pytest.mark.parametrize("s", [2, 3, 4, 10, 16, 300])
+    @pytest.mark.parametrize("s", [2, 3, 4, 10, 16, 300, 2**16, 2**64])
     def test_large_denominators_at_the_int64_limit(self, q, s):
         x = Fraction(2 * q // 3, q)
         stream = expand(x, Base(s))
