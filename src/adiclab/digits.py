@@ -20,10 +20,9 @@ digit (values 0..s-1, not ASCII) up to base 256, and `array("Q")` of
 64-bit words above it. Consumers count, sum, slice and encode whole chunks
 in C; `iter_digits`, `prefix` and `digit_at` are thin per-digit views.
 Generated streams start with short chunks and grow them toward
-CHUNK_DIGITS digits, so reading a short prefix stays cheap. One cap is
-lower: a long division whose digits are split by halving (a base that is
-not a power of two up to 256) grows its chunks only to
-_SPLIT_CHUNK_DIGITS, 1024 digits, which keeps that split near-linear.
+CHUNK_DIGITS digits, so reading a short prefix stays cheap;
+`_long_division` states how a rational's chunks are computed and how
+long they grow.
 """
 
 from __future__ import annotations
@@ -35,10 +34,7 @@ from array import array
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache, partial
-from typing import TYPE_CHECKING, Callable, Iterable, Iterator, Sequence, Union
-
-if TYPE_CHECKING:
-    import numpy as np
+from typing import Callable, Iterable, Iterator, Sequence, Union
 
 __all__ = [
     "Base",
@@ -401,30 +397,6 @@ def _split_denominator(q: int, s: int) -> tuple[int, int]:
     return m, q
 
 
-def _remainder_chunks(r: int, s: int, q: int, n: int) -> Iterator[np.ndarray]:
-    """The long-division remainders r*s**k mod q, k = 0, 1, ..., as int64
-    arrays of n, 2n, ... up to CHUNK_DIGITS values, for a q with
-    q * max(q, s) < 2**63, so that int64 holds every product; `expand`
-    uses `_division_chunks` for any other q.
-
-    Each array is filled by doubling: the second half of a prefix is its
-    first half times s**len mod q.
-    """
-    import numpy as np
-
-    while True:
-        rems = np.empty(n, dtype=np.int64)
-        rems[0] = r
-        have = 1
-        while have < n:
-            step = min(have, n - have)
-            rems[have : have + step] = rems[:step] * pow(s, have, q) % q
-            have += step
-        yield rems
-        r = int(rems[-1]) * s % q
-        n = min(2 * n, CHUNK_DIGITS)
-
-
 # Bound on the (q, s) pairs whose shape `_shape` keeps.
 _SHAPE_CACHE_SIZE = 4096
 
@@ -466,16 +438,15 @@ def _order(s: int, core: int, bound: int) -> int | None:
 
 
 @lru_cache(maxsize=_SHAPE_CACHE_SIZE)
-def _shape(q: int, s: int) -> tuple[int, int | None]:
-    """(m, L) for a denominator q in base s: the preperiod length m from
-    `_split_denominator`, and the period length L, the order of s modulo
-    q' (`_order`), or None when L is above _SHORT_PERIOD.
+def _shape(q: int, s: int) -> tuple[int, int, int | None]:
+    """(m, q', L) for a denominator q in base s: the preperiod length m and
+    the part q' of q coprime to s from `_split_denominator`, and the period
+    length L, the order of s modulo q' (`_order`), or None when L is above
+    _SHORT_PERIOD.
     """
     m, core = _split_denominator(q, s)
-    return m, _order(s, core, _SHORT_PERIOD)
+    return m, core, _order(s, core, _SHORT_PERIOD)
 
-
-_BIT_VALUES = bytes.maketrans(b"01", b"\x00\x01")
 
 # For s = 2**k with k = 1, 2, 4: how many digits one byte holds, and the
 # table from each byte value to those 8/k digits, most significant first
@@ -494,13 +465,9 @@ def _base_digits(n: int, base: Base, count: int) -> Chunk:
     big-endian bytes is looked up in a 256-entry table of its digits by
     `codecs.charmap_encode` (Latin-1 decoding turns byte b into character
     b), and the surplus leading zeros of the first byte are cut: linear
-    time, all in C. For the other s = 2**k up to 256 they come from the
-    bits of n: in the k*count-character binary numeral, every k-th
-    character from i on is the i-th bit of each digit, so the k slices,
-    read as one byte per digit by `int.from_bytes` and shifted into place,
-    add up to the digits. Every other base splits n in halves by
-    `_split_digits`, so its cost is that of a few full-size divisions
-    instead of `count` divmod steps on a `count`-digit integer.
+    time, all in C. Every other base splits n in halves by `_split_digits`,
+    so its cost is that of a few full-size divisions instead of `count`
+    divmod steps on a `count`-digit integer.
     """
     s = base.s
     if (table := _BYTE_DIGITS.get(s)) is not None:
@@ -508,13 +475,6 @@ def _base_digits(n: int, base: Base, count: int) -> Chunk:
         raw = n.to_bytes(-(-count // per_byte), "big").decode("latin-1")
         out = codecs.charmap_encode(raw, "strict", byte_digits)[0]
         return out[len(out) - count :]
-    if s <= 256 and s & (s - 1) == 0:
-        k = s.bit_length() - 1
-        bits = format(n, "b").encode().rjust(k * count, b"0").translate(_BIT_VALUES)
-        acc = 0
-        for i in range(k):
-            acc = acc << 1 | int.from_bytes(bits[i::k], "big")
-        return acc.to_bytes(count, "big")
     wide = _wide(base)
     out = array("Q", bytes(8 * count)) if wide else bytearray(count)
     _split_digits(n, s, out, 0, count, {})
@@ -545,42 +505,53 @@ def _split_digits(n: int, s: int, out, lo: int, hi: int, powers: dict[int, int])
     _split_digits(rest, s, out, hi - low, hi, powers)
 
 
-# Longest chunk that `_division_chunks` makes in a base whose digits
-# `_split_digits` writes (not a power of two up to 256). It halves a chunk
-# by big-int divisions, which are quadratic in CPython, so a long chunk
-# costs more per digit: per 10**6 base-10 digits, 0.9-1.1 s at 65536-digit
-# chunks against 0.14-0.27 s at 1024. Chunks of 256 to 1024 digits gave
-# the same trace times, within noise.
+# Longest chunk that `_long_division` divides out in a base whose digits
+# `_split_digits` writes. It halves a chunk by big-int divisions, which are
+# quadratic in CPython, so a long chunk costs more per digit: per 10**6
+# base-10 digits, 0.9-1.1 s at 65536-digit chunks against 0.14-0.27 s at
+# 1024. Chunks of 256 to 1024 digits gave the same trace times, within
+# noise.
 _SPLIT_CHUNK_DIGITS = 1024
 
 
-def _division_chunks(r: int, base: Base, q: int, n: int) -> Iterator[Chunk]:
-    """The digits of the long division r/q, 0 <= r < q, in base s, as
-    chunks of n, 2n, ... digits, up to CHUNK_DIGITS, or up to
-    _SPLIT_CHUNK_DIGITS where `_split_digits` writes them.
+def _long_division(r: int, base: Base, q: int, n: int) -> Iterator[Chunk]:
+    """The base-s digits of r/q, 0 <= r < q, as chunks of n, 2n, ...
+    digits: how every long-period `expand` stream computes its digits.
 
-    Each chunk is one big-int division, value, r = divmod(r * s**n, q),
-    whose quotient `_base_digits` writes out; s**n is computed only when n
-    changes. `expand` uses it in bases 2 and 4 at every q, where it is
-    faster than the numpy arrays of `_remainder_chunks`, and in every base
-    when q * max(q, s) >= 2**63, where int64 remainders would overflow.
-    Best of 3 per 10**7 digits at q ~ 2**20 (Intel Xeon, Python 3.11,
-    numpy 2.4), numpy arrays against this division: base 2, 69 against
-    27 ms; base 4, 70 against 52 ms; base 16, 71 against 105 ms; base 8,
-    72 against 163 ms; base 32, 69 against 238 ms; base 256, 70 against
-    374 ms; base 10, 71 against 1283 ms.
-    Above the int64 bound the `object` arrays that this division replaced
-    were slower: per 3 * 10**5 base-10 digits (one run each), 89 against
-    56 ms at q = 3037000501, and 5.8 s against 0.04 s at q ~ 2**3170.
+    The first chunk is one big-int division, value, r = divmod(r * s**n, q),
+    whose quotient `_base_digits` writes out, so reading no further than it
+    loads no numpy. Later chunks are such divisions too when s is 2 or 4,
+    where they are faster than numpy, or when int64 cannot hold
+    q * max(q, s), which bounds every product of int64 remainders; s**n is
+    then computed only when n changes. Otherwise the k-th remainder
+    r * s**k mod q comes from an int64 numpy array, filled by doubling (the
+    second half of a prefix is its first half times s**len mod q), and its
+    digit is that remainder times s, floor-divided by q. Chunks grow to
+    CHUNK_DIGITS digits, or to _SPLIT_CHUNK_DIGITS for divisions that
+    `_split_digits` writes out (every base but 2, 4 and 16).
     """
     s = base.s
-    cap = CHUNK_DIGITS if s <= 256 and s & (s - 1) == 0 else _SPLIT_CHUNK_DIGITS
+    divide = s in (2, 4) or q * max(q, s) >= 2**63
+    cap = CHUNK_DIGITS if s in _BYTE_DIGITS or not divide else _SPLIT_CHUNK_DIGITS
     power_n = power = None
     while True:
-        if n != power_n:
-            power_n, power = n, s**n
-        value, r = divmod(r * power, q)
-        yield _base_digits(value, base, n)
+        if divide or power_n is None:  # the first chunk always divides
+            if n != power_n:
+                power_n, power = n, s**n
+            value, r = divmod(r * power, q)
+            yield _base_digits(value, base, n)
+        else:
+            import numpy as np
+
+            rems = np.empty(n, dtype=np.int64)
+            rems[0] = r
+            have = 1
+            while have < n:
+                step = min(have, n - have)
+                rems[have : have + step] = rems[:step] * pow(s, have, q) % q
+                have += step
+            yield chunk_from_array(rems * s // q, base)
+            r = int(rems[-1]) * s % q
         n = min(2 * n, cap)
 
 
@@ -598,31 +569,23 @@ def expand(x: Fraction | int | str, base: Base = BASE4) -> DigitStream:
     q of x = p/q. With q' the part of q coprime to s, the preperiod has m
     digits, the number of steps q -> q / gcd(q, s) that reach q', and the
     period L = ord_q'(s) digits (L = 1, period (0), when q' = 1). One
-    lookup of `_shape` gives both: m from `_split_denominator` in O(log m)
+    lookup of `_shape` gives m and q' from `_split_denominator` in O(log m)
     big divisions, and L, when it is at most _SHORT_PERIOD, from `_order`
     in at most 34 modular multiplications. Its cache holds
     _SHAPE_CACHE_SIZE (q, s) pairs, only for a q narrow enough to have a
-    short period, so it stays small. The first n digits of x are the base-s
-    digits of (p * s**n) // q, so one big-int division gives them all, and
-    `_base_digits` writes them out: by a byte table for s = 2, 4 and 16,
-    from the integer's bits for the other powers of two up to 256, and by
-    halving otherwise.
+    short period, so it stays small.
 
-    When L <= _SHORT_PERIOD, n = m + L: those digits are the preperiod and
-    one period (the period's integer is r' * (s**L - 1) / q', with r'/q'
-    the fractional part of x * s**m), and the stream records the pair at
-    once. Otherwise n = m + _SHORT_PERIOD and the stream is lazy: those
-    digits are its first chunk, and later digits are computed a chunk at a
-    time from the remainder r after them. In bases 2 and 4, and in every
-    base when q * max(q, s) >= 2**63, each chunk is one big-int division
-    of r * s**len by q (`_division_chunks`), so these streams load no
-    numpy. In the other bases the k-th remainder r * s**k mod q
-    comes from an int64 numpy array (`_remainder_chunks`), and its digit
-    is that remainder times s, floor-divided by q. The stream's finder
-    (see `DigitStream`) looks for L by `_order` up to _MAX_PERIOD_DIGITS,
-    in O(sqrt(_MAX_PERIOD_DIGITS)) modular multiplications and without
-    reading a digit, and raises ValueError past it; a period it finds is
-    the m + L digits that the stream's own chunks begin with.
+    When L <= _SHORT_PERIOD, the first m + L digits of x, the base-s
+    digits of (p * s**(m + L)) // q that `_base_digits` writes out, are the
+    preperiod and one period (the period's integer is r' * (s**L - 1) / q',
+    with r'/q' the fractional part of x * s**m), and the stream records the
+    pair at once. Otherwise the stream is lazy: `_long_division` computes
+    its digits, a first chunk of m + _SHORT_PERIOD and then longer ones.
+    The stream's finder (see `DigitStream`) looks for L by `_order` in q'
+    up to _MAX_PERIOD_DIGITS, in O(sqrt(_MAX_PERIOD_DIGITS)) modular
+    multiplications and without reading a digit, and raises ValueError
+    past it; a period it finds is the m + L digits that the stream's own
+    chunks begin with.
     """
     if not isinstance(x, Fraction):
         x = Fraction(x)
@@ -635,24 +598,15 @@ def expand(x: Fraction | int | str, base: Base = BASE4) -> DigitStream:
         return periodic_stream((), (s - 1,), base)
     # A q too wide for a short period is not cached, so the cache stays small.
     shape = _shape if q.bit_length() <= _SHORT_PERIOD * s.bit_length() else _shape.__wrapped__
-    m, length = shape(q, s)
-    n = m + (length or _SHORT_PERIOD)
-    value, rem = divmod(p * s**n, q)
-    head = _base_digits(value, base, n)
+    m, core, length = shape(q, s)
     if length is not None:
+        head = _base_digits(p * s ** (m + length) // q, base, m + length)
         return periodic_stream(head[:m], head[m:], base)
-
-    def make() -> Iterator[Chunk]:
-        yield head
-        # The digits after the head, from remainder r_(m + _SHORT_PERIOD) on.
-        if s in (2, 4) or q * max(q, s) >= 2**63:
-            yield from _division_chunks(rem, base, q, 2 * _SHORT_PERIOD)
-        else:
-            for rems in _remainder_chunks(rem, s, q, 2 * _SHORT_PERIOD):
-                yield chunk_from_array(rems * s // q, base)
+    _wide(base)  # refuses a base above 2**64 before any digit is computed
+    make = partial(_long_division, p, base, q, m + _SHORT_PERIOD)
 
     def find() -> ChunkPair:
-        if (length := _order(s, _split_denominator(q, s)[1], _MAX_PERIOD_DIGITS)) is None:
+        if (length := _order(s, core, _MAX_PERIOD_DIGITS)) is None:
             raise ValueError(f"the period of {x} in base {s} is longer than {_MAX_PERIOD_DIGITS} digits")
         return _read_period(make, base, m, length)
 

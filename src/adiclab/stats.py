@@ -5,7 +5,7 @@ serialization. A convergence trace is finite-n evidence for the limiting
 frequencies and the asymptotic digit mean -- it never extrapolates.
 
 Digits are tallied in one of two ways. A tally known before its first
-piece to cover at most _COUNT_DIGITS digits, in a base up to 10, is
+piece to cover at most _COUNT_DIGITS digits, in a base up to 16, is
 counted with `bytes.count` while numpy is not loaded, so a short input
 never pays for importing numpy. Every other tally uses `numpy.bincount`,
 and numpy is imported only then.
@@ -42,7 +42,8 @@ DEFAULT_CHECKPOINTS: tuple[int, ...] = tuple(10**k for k in range(1, 7))
 
 # Most digits a tally counts without numpy. DEFAULT_CHECKPOINTS ends below
 # it; at this length the count passes cost at most about 30 ms (uniform
-# base-10 digits), less than importing numpy does.
+# base-16 digits, one pass per digit value), less than importing numpy
+# does (about 0.1 s).
 _COUNT_DIGITS = 2**20
 
 
@@ -104,9 +105,9 @@ class FreqReport:
 def _without_numpy(bound: int | None, s: int) -> bool:
     """True when a tally of at most `bound` digits (None: no bound is known)
     in base s is counted without numpy: the bound is at most _COUNT_DIGITS,
-    s is at most 10 (a count pass per digit value), and numpy is not
+    s is at most 16 (a count pass per digit value), and numpy is not
     loaded. Once numpy is loaded, `bincount` costs less than the passes."""
-    return bound is not None and bound <= _COUNT_DIGITS and s <= 10 and "numpy" not in sys.modules
+    return bound is not None and bound <= _COUNT_DIGITS and s <= 16 and "numpy" not in sys.modules
 
 
 def _tally(piece: Chunk, s: int, count: bool) -> list[int] | np.ndarray:
@@ -182,7 +183,7 @@ def convergence_trace(stream: DigitStream, checkpoints: Sequence[int]) -> Conver
     most CHUNK_DIGITS digits, so memory stays bounded by that whatever the
     chunks' length. Each piece is tallied whole, by `_tally`: with
     `bytes.count` passes when the last checkpoint is at most _COUNT_DIGITS
-    in a base up to 10 and numpy is not loaded, and otherwise with
+    in a base up to 16 and numpy is not loaded, and otherwise with
     `numpy.bincount`, which costs one pass whatever the base. The digit sum
     is accumulated independently, by `_digit_sum`, and compared in integers
     with sum(i * N_i) from the counts (as the length is with sum(N_i)), so
@@ -211,9 +212,8 @@ def _trace(
     `size`, when known, bounds the digits in `chunks`. With the last of
     `points` it bounds the tally, which picks its path by `_without_numpy`
     before the first piece. A stream that loads numpy as it is read (a
-    long-period `expand` whose digits come from int64 remainder arrays
-    does at its second chunk) moves the tally to `bincount` from the next
-    piece on."""
+    long-period `expand` may, see `digits._long_division`) moves the tally
+    to `bincount` from the next piece on."""
     s = base.s
     bound = size if points is None else points[-1] if size is None else min(size, points[-1])
     count = _without_numpy(bound, s)

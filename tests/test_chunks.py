@@ -44,8 +44,9 @@ from adiclab.digits import (
 from adiclab.stats import convergence_trace
 
 BASES = st.one_of(st.integers(min_value=2, max_value=10), st.just(300))
-# expand reads the digits of a power-of-two base up to 256 off the bits of
-# one integer; these add every other bit width to the 2, 4 and 8 in BASES.
+# expand writes the digits of bases 2, 4 and 16 by a byte table and of every
+# other base by halving; these add the other powers of two up to 256 to the
+# 2, 4 and 8 in BASES.
 POWER_OF_TWO_BASES = st.sampled_from([16, 32, 64, 128, 256])
 
 # Denominators around the largest q with q * (CHUNK_DIGITS + 2) < 2**63:
@@ -608,22 +609,19 @@ def expand_cases(draw):
 
 
 def count_tail_chunks(monkeypatch) -> list[int]:
-    """A one-entry list that counts, from now on, the chunks that lazy
-    `expand` streams compute past their head, from either producer: big-int
-    long divisions (`_division_chunks`) or int64 remainder arrays
-    (`_remainder_chunks`)."""
+    """A one-entry list that counts the chunks, the first one included,
+    that lazy `expand` streams made from now on compute: every chunk comes
+    from `_long_division`, whether by a big-int division or from an int64
+    remainder array."""
     count = [0]
+    long_division = digits._long_division
 
-    def counted(producer):
-        def chunks(*args):
-            for chunk in producer(*args):
-                count[0] += 1
-                yield chunk
+    def counted(*args):
+        for chunk in long_division(*args):
+            count[0] += 1
+            yield chunk
 
-        return chunks
-
-    for name in ("_division_chunks", "_remainder_chunks"):
-        monkeypatch.setattr(digits, name, counted(getattr(digits, name)))
+    monkeypatch.setattr(digits, "_long_division", counted)
     return count
 
 
@@ -663,7 +661,7 @@ class TestExpandChunks:
     @pytest.mark.parametrize(
         "q", [INT64_REMAINDERS - 1, INT64_REMAINDERS, INT64_REMAINDERS + 1, 2**64 - 59, WIDE_DENOMINATOR]
     )
-    @pytest.mark.parametrize("s", [2, 3, 4, 10, 16, 300, 2**16, 2**64])
+    @pytest.mark.parametrize("s", [2, 3, 4, 8, 10, 16, 256, 300, 2**16, 2**64])
     def test_large_denominators_at_the_int64_limit(self, q, s):
         x = Fraction(2 * q // 3, q)
         stream = expand(x, Base(s))
@@ -672,9 +670,10 @@ class TestExpandChunks:
             assert stream.prefix(n).digits == want[:n], n
 
     def test_wide_denominators_divide_in_short_chunks(self, monkeypatch):
-        # In base 10 each chunk after the head is one big-int division, and
-        # halving writes out its digits, so chunks stop growing at
-        # _SPLIT_CHUNK_DIGITS: the quadratic halving stays near-linear.
+        # In base 10 each chunk is one big-int division, and halving writes
+        # out its digits, so chunks stop growing at _SPLIT_CHUNK_DIGITS: the
+        # quadratic halving stays near-linear. The counter sees every chunk,
+        # the 256-digit first one included.
         written = []
         base_digits = digits._base_digits
 
@@ -690,7 +689,7 @@ class TestExpandChunks:
         assert cap == 1024
         full = -(-(CHUNK_DIGITS + 1 - 256 - 512) // cap)
         assert written == [256, 512] + [cap] * full
-        assert computed == [1 + full]
+        assert computed == [2 + full]
 
     @pytest.mark.parametrize("s", [4, 10])
     def test_the_chunk_counter_sees_each_producer(self, s, monkeypatch):
@@ -703,17 +702,19 @@ class TestExpandChunks:
 
     def test_period_search_stops_at_the_cap(self, monkeypatch):
         monkeypatch.setattr(digits, "_MAX_PERIOD_DIGITS", 1000)
+        computed = count_tail_chunks(monkeypatch)
         at_cap = expand(Fraction(1, 4**1000 - 1))
         assert at_cap.eventual_period == ((), (0,) * 999 + (1,))
         over = expand(Fraction(1, 4**1001 - 1))
         # Below the cap, digit_at reads the stream and needs no period.
         assert [over.digit_at(k) for k in (1, 1000)] == [0, 0]
-        computed = count_tail_chunks(monkeypatch)
+        read = computed[0]
+        assert read > 0
         with pytest.raises(ValueError, match="longer than 1000 digits"):
             over.eventual_period
         with pytest.raises(ValueError, match="longer than 1000 digits"):
             stream_value(over)
-        assert computed == [0]
+        assert computed == [read]
 
     def test_a_failed_search_reads_no_digit(self, monkeypatch):
         # 10**30 + 57 has a period of far more than 10**7 digits in base 4,
@@ -729,16 +730,35 @@ class TestExpandChunks:
 
     def test_digit_at_reads_past_a_failed_period_search(self, monkeypatch):
         monkeypatch.setattr(digits, "_MAX_PERIOD_DIGITS", 1000)
+        computed = count_tail_chunks(monkeypatch)
         over = expand(Fraction(1, 4**1001 - 1))
         # Past the cap the search runs, fails, and the stream is read.
         assert over.digit_at(1001) == 1
         assert over.digit_at(1002) == 0
+        read = computed[0]
+        assert read > 0
         # No error is kept: each read searches again, with no digit read.
-        computed = count_tail_chunks(monkeypatch)
-        for read in (lambda: over.eventual_period, lambda: stream_value(over)):
+        for search in (lambda: over.eventual_period, lambda: stream_value(over)):
             with pytest.raises(ValueError, match="longer than 1000 digits"):
-                read()
-        assert computed == [0]
+                search()
+        assert computed == [read]
+
+    def test_the_denominator_is_split_once(self, monkeypatch):
+        # expand's shape gives the finder q', so finding the period of a
+        # long-period stream splits q no second time. 4**1001 - 1 is too
+        # wide for the shape cache, so every expand of it splits q.
+        calls = []
+        split = digits._split_denominator
+
+        def counted(q, s):
+            calls.append(q)
+            return split(q, s)
+
+        monkeypatch.setattr(digits, "_split_denominator", counted)
+        q = 4**1001 - 1
+        stream = expand(Fraction(1, q))
+        assert stream.eventual_period == ((), (0,) * 1000 + (1,))
+        assert calls == [q]
 
     @pytest.mark.parametrize("s", [2**16, 2**64 - 1, 2**64])
     def test_bases_of_64_bit_digits(self, s):
@@ -750,8 +770,10 @@ class TestExpandChunks:
             assert stream_value(stream) == x
 
     def test_bases_beyond_64_bits_are_refused(self):
-        with pytest.raises(ValueError, match="2\\*\\*64"):
-            expand(Fraction(1, 3), Base(2**64 + 1))
+        # A short period and a lazy stream are both refused when made.
+        for x in (Fraction(1, 3), Fraction(1, 999983)):
+            with pytest.raises(ValueError, match="2\\*\\*64"):
+                expand(x, Base(2**64 + 1))
 
     def test_order_cache_stays_bounded(self):
         # 10**4 distinct primes q > 10**5, more than the cache holds; each
@@ -907,7 +929,8 @@ SMALL_RATIONAL_BASES = (2, 3, 4, 5, 8, 10, 16, 32, 64, 128, 256, 300)
 
 class TestSmallRationals:
     """Every p/q in [0, 1] with q <= 60: in every power-of-two base up to
-    256, whose digits expand reads off bits, and in bases it divides by."""
+    256, whose digits expand writes by a byte table or by halving, and in
+    bases that are not powers of two."""
 
     @pytest.mark.parametrize("s", SMALL_RATIONAL_BASES)
     def test_descriptor_value_and_prefix(self, s):

@@ -982,9 +982,10 @@ class TestVerify:
         # the library modules it runs and no other, and numpy only where an
         # array kernel runs. A greedy `construct --tau` builds a period of at
         # most 65536 digits without numpy; one whose period is longer runs
-        # the kernel. A long-period rational divides big ints in base 4 and
-        # fills numpy remainder arrays in base 10. `analyze` counts a tally
-        # of at most 2**20 digits without numpy; a longer file is
+        # the kernel. A long-period rational divides big ints in base 4; in
+        # base 10 its first chunk is one big-int division, and later ones
+        # fill numpy remainder arrays. `analyze` counts a tally of at most
+        # 2**20 digits in a base up to 16 without numpy; a longer file is
         # bincounted. So the test cannot pass by never loading numpy.
         config = tmp_path / "blocks.json"
         blocks = {"schedule": {"family": "polynomial", "degree": 1}, "columns": CONVERGING_COLUMNS}
@@ -1010,6 +1011,14 @@ class TestVerify:
             (["analyze", "--rational", "1/7"], ["adiclab.stats"], ["numpy", *unrun]),
             (["analyze", "--rational", "1/999983", "--checkpoints", "1000"], ["adiclab.stats"], ["numpy", *unrun]),
             (["construct", "--rational", "1/999983", "--length", "1000000"], [], ["numpy", "adiclab.stats", *unrun]),
+            (
+                ["construct", "--rational", "1/999983", "--base", "10", "--length", "256"],
+                [], ["numpy", "adiclab.stats", *unrun],
+            ),
+            (
+                ["analyze", "--tau", ",".join(["1/16"] * 16), "--base", "16", "--checkpoints", "1000"],
+                ["adiclab.stats", "adiclab.construct"], ["numpy", "adiclab.entropy"],
+            ),
             (
                 ["analyze", "--rational", "1/999983", "--base", "2", "--checkpoints", str(2**20)],
                 ["adiclab.stats"], ["numpy", *unrun],

@@ -95,14 +95,15 @@ class TestTallyPaths:
 
     def test_the_rule(self, monkeypatch):
         # Counting needs a known bound of at most 2**20 digits, a base up to
-        # 10 and an unloaded numpy. The rule itself imports nothing.
+        # 16 and an unloaded numpy. The rule itself imports nothing.
         assert stats._COUNT_DIGITS == 2**20
         assert "numpy" in sys.modules and not stats._without_numpy(10, 4)
         monkeypatch.delitem(sys.modules, "numpy")
         assert stats._without_numpy(2**20, 4) and stats._without_numpy(0, 10)
         assert not stats._without_numpy(2**20 + 1, 4)
         assert not stats._without_numpy(None, 4)
-        assert not stats._without_numpy(10, 11)
+        assert stats._without_numpy(10, 16)
+        assert not stats._without_numpy(10, 17)
 
     @pytest.mark.parametrize("count", [True, False], ids=["count", "bincount"])
     def test_both_paths_give_one_trace(self, monkeypatch, count):
@@ -298,7 +299,7 @@ class TestConvergenceTrace:
     @pytest.mark.parametrize("s", [2, 4, 10, 256, 257, 300, 2**40])
     def test_digit_sum_matches_the_builtin_sum(self, s):
         # Up to base 256 a piece is bytes, above it an array("Q"). Bytes in
-        # a base up to 10 may take the count path, whose sum is the builtin.
+        # a base up to 16 may take the count path, whose sum is the builtin.
         from array import array
 
         from adiclab.digits import to_chunk
