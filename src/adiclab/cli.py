@@ -30,11 +30,15 @@ from . import __version__
 from .digits import Base, DigitStream, digit_text, expand
 
 MAX_CONSTRUCT_LENGTH = 10**8
-# A sweep bisects all its points in one batch, and a point costs about 9 to
-# 13 us per base digit, so points * max(s, 4) is capped: 10**5 points up to
-# base 4 (about 5 s with the CSV), 1333 in base 300 (about 4 s). A single
-# entropy point (`dimension --theta`, `--mean`) gets the same budget, so
-# its base is at most this, and so do `analyze`'s checkpoints * max(s, 4).
+# A sweep bisects all its points in one batch: numpy decides each step, and
+# math.exp recomputes only the rows near a decision and each point's answer.
+# A point costs about 1.5 (base 300) to 5 (base 4) us per base digit, so
+# points * max(s, 4) is capped: 10**5 points up to base 4 (about 2 s with
+# the CSV), 1333 in base 300 (about 0.6 s). A single entropy point
+# (`dimension --theta`, `--mean`) gets the same budget, so its base is at
+# most this (in base 400000, theta = 1/2 takes about 0.5 s, and a mid-range
+# theta, whose last steps all fall within the margin, 3 to 4 s), and so do
+# `analyze`'s checkpoints * max(s, 4).
 _MAX_SWEEP_POINT_DIGITS = 4 * 10**5
 DEFAULT_PRECISION = 12
 PRECISION_ENV = "ADICLAB_PRECISION"
@@ -366,7 +370,11 @@ def _parse_sweep(text: str, base: Base) -> list[float]:
     allowed = _point_budget(base)
     if count > allowed:
         raise UsageError(f"--sweep {text} has {count} points; at most {allowed} are allowed in base {base.s}")
-    return [float(start + k * step) for k in range(count)]
+    # start + k*step over the common denominator d, in ints: int true
+    # division rounds correctly, as float(Fraction) does.
+    a, b = start.numerator * step.denominator, step.numerator * start.denominator
+    d = start.denominator * step.denominator
+    return [(a + k * b) / d for k in range(count)]
 
 
 def cmd_dimension(cfg: ExperimentConfig, fmt: str) -> int:

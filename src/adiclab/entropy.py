@@ -9,11 +9,15 @@ lower bound for the level set of the asymptotic-mean function.
 f is strictly convex on the constraint slice, so its unique stationary
 point is the exponential-family (Gibbs) vector tau_i ~ exp(lambda * i);
 the multiplier is found by bisection on the strictly increasing mean.
-`neg_entropy_minima` bisects a whole list of means at once, as numpy
-arrays, yet each weight still comes from `math.exp` and each sum runs
-left to right, so every result is bit for bit what a bisection of that
-mean alone gives. An exhaustive grid scan over the slice, walked in slabs
-of bounded size, serves as an independent oracle.
+`neg_entropy_minima` bisects a whole list of means at once: numpy decides
+and `math.exp` answers. Each step's means come from `np.exp` as arrays,
+and only a row whose mean lies within a derived margin of a decision is
+recomputed as the exact row, whose weights come from `math.exp` and whose
+sums run left to right; each result comes from the exact row too. So
+every result is bit for bit what a bisection of that mean alone gives. A
+small batch, such as one mean in a small base, bisects on exact rows
+alone and loads no numpy. An exhaustive grid scan over the slice, walked
+in slabs of bounded size, serves as an independent oracle.
 
 This module works in binary64, unlike the exact-rational digit modules:
 logarithms are transcendental, so exactness is impossible, and the oracle
@@ -24,8 +28,10 @@ from __future__ import annotations
 
 import itertools
 import math
+from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import mul
 from typing import TYPE_CHECKING, Iterable, Iterator, Sequence
 
 from .digits import BASE4, Base
@@ -54,6 +60,14 @@ _MAX_BISECT = 200
 # Vector entries (thetas times digits) one block of the batched bisection
 # holds at once.
 _BATCH_ENTRIES = 2**16
+# A block of at most this many entries (one theta up to base 64, 16 in base
+# 4) bisects on exact rows alone: below about 50 entries that beats numpy's
+# fixed cost per step, and it loads no numpy.
+_EXACT_ENTRIES = 2**6
+# Error of one exp, in ulps, that the decision margin allows (see _bisect).
+_EXP_ULPS = 2
+# math.exp of anything below this is 0.0: exp(-746) < 2**-1076.
+_UNDERFLOW = -746.0
 
 # Largest grid the oracle scans: npts**(s-2) cells (npts for s <= 3). Every
 # cell is formed and tested, so this bounds the scan's time; its memory is
@@ -107,31 +121,59 @@ def exp_family_vector(lam: float, base: Base = BASE4) -> tuple[tuple[float, ...]
     """Gibbs vector tau_i = exp(lam*i) / Z and its mean sum(i * tau_i).
 
     Exponents are shifted by their maximum before exponentiation, so any
-    finite lam is safe from overflow. The mean is strictly increasing in
-    lam, ranging over (0, s-1), with value (s-1)/2 at lam = 0.
+    lam with lam * (s-1) finite is safe from overflow. The mean is strictly
+    increasing in lam, ranging over (0, s-1), with value (s-1)/2 at
+    lam = 0.
     """
-    import numpy as np
-
     if not math.isfinite(lam):
         raise ValueError(f"multiplier must be finite, got {lam}")
-    tau, mean = _gibbs(np.array([float(lam)]), np.arange(base.s))
-    return tuple(tau[0].tolist()), float(mean[0])
+    if not math.isfinite(lam * (base.s - 1)):
+        raise ValueError(f"multiplier {lam} overflows lam * {base.s - 1}")
+    return _gibbs_row(float(lam), base.s)
 
 
-def _gibbs(lams: np.ndarray, digits: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Gibbs vectors (one row per multiplier in `lams`) and their means.
+def _gibbs_row(lam: float, s: int) -> tuple[tuple[float, ...], float]:
+    """The Gibbs vector of multiplier `lam` in base s and its mean, in pure
+    Python: exponents lam*i shifted by their maximum, `math.exp`, and sums
+    that run left to right.
 
-    Each weight comes from `math.exp` (`np.exp` can differ in the last
-    bit) and each sum runs left to right (`np.cumsum`), so a row does not
-    depend on which other multipliers share the call.
+    `math.exp` runs only where the shifted exponent is at least -746. lam*i
+    is monotone in i, so that is one window, and every weight outside it is
+    exactly 0.0 (exp(-746) is below half the least subnormal); adding 0.0
+    changes no partial sum, and 0.0 / Z and 0.0 * i are 0.0.
     """
+    if lam > 0.0:
+        top = lam * (s - 1)
+        lo, hi = 0, s
+        if top > -_UNDERFLOW:
+            lo = bisect_left(range(s), True, key=lambda i: lam * i - top >= _UNDERFLOW)
+    else:
+        top, lo, hi = 0.0, 0, s
+        if lam * (s - 1) < _UNDERFLOW:
+            hi = bisect_left(range(s), True, key=lambda i: lam * i < _UNDERFLOW)
+    exp = math.exp
+    weights = [exp(lam * i - top) for i in range(lo, hi)]
+    z = _lsum(weights)
+    tau = [w / z for w in weights]
+    mean = _lsum(map(mul, tau, range(lo, hi)))
+    return (0.0,) * lo + tuple(tau) + (0.0,) * (s - hi), mean
+
+
+def _numpy_means(lams: np.ndarray, digits: np.ndarray) -> np.ndarray:
+    """The means of the Gibbs rows of `lams`, from `np.exp` and numpy's
+    sums: each within `_margin(s)` of the `_gibbs_row` mean (see `_bisect`)."""
     import numpy as np
 
-    exponents = lams[:, None] * digits
-    exponents -= exponents.max(axis=1)[:, None]
-    weights = np.array(list(map(math.exp, exponents.ravel().tolist()))).reshape(exponents.shape)
-    tau = weights / np.cumsum(weights, axis=1)[:, -1:]
-    return tau, np.cumsum(tau * digits, axis=1)[:, -1]
+    exponents = np.multiply.outer(lams, digits)
+    exponents -= np.where(lams > 0.0, exponents[:, -1], 0.0)[:, None]
+    weights = np.exp(exponents, out=exponents)
+    return (weights * digits).sum(axis=1) / weights.sum(axis=1)
+
+
+def _margin(s: int) -> float:
+    """Bound on |d_np - d| in base s, where d = mean - theta is computed from
+    the `_gibbs_row` mean and d_np from the `_numpy_means` one (see `_bisect`)."""
+    return (s - 1) * (2 * s + 4 * _EXP_ULPS + 1) * 2.0**-52 * (1.0 + 2.0**-20)
 
 
 @dataclass(frozen=True)
@@ -157,36 +199,110 @@ class EntropyResult:
 def _bisect(
     results: list, positions: list[int], thetas: list[float], base: Base, tol: float
 ) -> None:
-    """Bisect the interior means thetas[k], k in `positions`, together, one
-    row each, and write each row's result to results[k] at its first
-    midpoint with |mean - theta| <= tol.
+    """Bisect the interior means thetas[k], k in `positions`, one row each,
+    and write each row's result to results[k] at its first midpoint with
+    |mean - theta| <= tol.
 
-    Each row is the `_gibbs` vector that `exp_family_vector` gives, so a
-    result does not depend on which other rows share the call.
+    Every decision (`mean < theta` and the stop test) and every result is
+    the one that the exact row, `_gibbs_row`, gives, so a result does not
+    depend on which other rows share the call. A block of at most
+    _EXACT_ENTRIES entries bisects on exact rows alone and loads no numpy.
+    A larger block takes each step's means from `_numpy_means` and
+    recomputes with `_gibbs_row` only the rows whose d_np = mean_np - theta
+    lies within M = _margin(s) of the stop test: ||d_np| - tol| <= M. Where
+    |d_np - d| <= M, with d from the exact row, no other row can decide
+    differently. If |d_np| > tol + M, then |d| > tol and d has the sign of
+    d_np, so both paths step the same way; if |d_np| < tol - M, both stop.
+    (So the `mean < theta` test needs no margin of its own.) Rounding is
+    monotone, so the computed test flags every row where the exact one
+    holds.
+
+    The bound. Let u = 2**-53, e_i the true exp of the shifted exponents
+    (both paths form them with the same IEEE operations), and
+    R = sum(i e_i) / sum(e_i) <= s - 1. Assume each exp, `math.exp` or
+    `np.exp`, is within K = _EXP_ULPS = 2 ulps of e_i, so within a factor
+    1 +- 2Ku while e_i is normal. numpy's own accuracy tests hold float64
+    `np.exp` to 1 ulp, and tests/test_entropy.py holds both to 1 ulp on
+    [-746, 0], so one ulp is headroom. Every term is nonnegative, so on
+    each path:
+    - the exp errors move sum(i w_i) / sum(w_i) from R by a factor
+      1 +- 4Ku;
+    - the mean is that quotient of two sums of at most s terms, in any
+      order, with at most s + 1 roundings per term above the line and
+      s - 1 below, so it is the quotient times 1 + phi with
+      |phi| <= gamma(2s) = 2su / (1 - 2su);
+    - computing d = mean - theta rounds by at most u(s - 1).
+    Summed over both paths, |d_np - d| <= (s - 1)(2s + 4K + 1) 2**-52 to
+    first order. The factor 1 + 2**-20 in M covers the second-order terms
+    for every s up to 2**30 (a row of 8 GiB), and the weights and quotients
+    below the normal range (at most s**2 2**-1021 in all). So
+    M = (s - 1)(2s + 9) 2**-52 (1 + 2**-20): 1.1e-14 in base 4, 5.8e-14 in
+    base 10, 4.0e-11 in base 300 and 7.1e-5 in base 400000.
+
+    If a row has not stopped after _MAX_BISECT steps, raise ArithmeticError
+    for the first such theta.
     """
+    s = base.s
+    bisect = _bisect_rows if len(positions) * s <= _EXACT_ENTRIES else _bisect_batch
+    unsolved = bisect(results, positions, thetas, s, tol)
+    if unsolved is not None:
+        theta = thetas[unsolved]
+        raise ArithmeticError(f"bisection did not reach |mean - theta| <= {tol} for theta={theta}")
+
+
+def _bisect_rows(results: list, positions: list[int], thetas: list[float], s: int, tol: float) -> int | None:
+    """`_bisect` on exact rows, one theta at a time; the position of the
+    first theta that did not stop, or None."""
+    for k in positions:
+        theta, lo, hi = thetas[k], -LAMBDA_BRACKET, LAMBDA_BRACKET
+        for _ in range(_MAX_BISECT):
+            mid = 0.5 * (lo + hi)
+            tau, mean = _gibbs_row(mid, s)
+            if abs(mean - theta) <= tol:
+                results[k] = _solution(theta, mid, tau, s)
+                break
+            if mean < theta:
+                lo = mid
+            else:
+                hi = mid
+        else:
+            return k
+    return None
+
+
+def _bisect_batch(results: list, positions: list[int], thetas: list[float], s: int, tol: float) -> int | None:
+    """`_bisect` on numpy means, all rows together; the position of the
+    first row that did not stop, or None."""
     import numpy as np
 
-    digits = np.arange(base.s)
+    margin = _margin(s)
+    digits = np.arange(float(s))
     rows = np.array(positions)
     target = np.array([thetas[k] for k in positions])
     lo, hi = np.full(len(rows), -LAMBDA_BRACKET), np.full(len(rows), LAMBDA_BRACKET)
     for _ in range(_MAX_BISECT):
         mid = 0.5 * (lo + hi)
-        tau, mean = _gibbs(mid, digits)
-        below = mean < target
+        gap = _numpy_means(mid, digits) - target
+        near = np.abs(np.abs(gap) - tol) <= margin
+        for j in np.flatnonzero(near).tolist():
+            gap[j] = _gibbs_row(float(mid[j]), s)[1] - target[j]
+        below = gap < 0.0
         lo, hi = np.where(below, mid, lo), np.where(below, hi, mid)
-        done = np.abs(mean - target) <= tol
+        done = np.abs(gap) <= tol
         if not done.any():
             continue
-        for k, lam, argmin in zip(rows[done].tolist(), mid[done].tolist(), tau[done].tolist()):
-            m = _lsum(map(xlogx, argmin))
-            results[k] = EntropyResult(thetas[k], m, tuple(argmin), lam, -m / math.log(base.s))
+        for k, lam in zip(rows[done].tolist(), mid[done].tolist()):
+            results[k] = _solution(thetas[k], lam, _gibbs_row(lam, s)[0], s)
         keep = ~done
         if not keep.any():
-            return
+            return None
         rows, target, lo, hi = rows[keep], target[keep], lo[keep], hi[keep]
-    theta = thetas[rows[0]]
-    raise ArithmeticError(f"bisection did not reach |mean - theta| <= {tol} for theta={theta}")
+    return int(rows[0])
+
+
+def _solution(theta: float, lam: float, argmin: tuple[float, ...], s: int) -> EntropyResult:
+    m = _lsum(map(xlogx, filter(None, argmin)))  # zero entries add 0.0
+    return EntropyResult(theta, m, argmin, lam, -m / math.log(s))
 
 
 def neg_entropy_minima(
@@ -206,8 +322,8 @@ def neg_entropy_minima(
     because digit reflection preserves f and reflects the mean.
 
     `tol` and every theta are validated, in order, before anything is
-    solved. The interior thetas are then bisected together as arrays, in
-    blocks of about 2**16 vector entries so that memory stays bounded.
+    solved. The interior thetas are then bisected together, in blocks of
+    about 2**16 vector entries so that memory stays bounded.
     """
     if tol <= 0:
         raise ValueError(f"tolerance must be positive, got {tol}")

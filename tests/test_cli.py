@@ -17,7 +17,7 @@ import pytest
 from hypothesis import event, given, settings, strategies as st
 
 from adiclab import _digitfile
-from adiclab.cli import COMMANDS, ExperimentConfig, UsageError, build_parser, effective_config, main
+from adiclab.cli import COMMANDS, ExperimentConfig, UsageError, _parse_sweep, build_parser, effective_config, main
 from adiclab.digits import CHUNK_DIGITS, Base, DigitStream, expand, parse_digit_text
 
 
@@ -861,6 +861,18 @@ class TestDimension:
         code, out, _ = run_cli(capsys, "dimension", "--sweep", "0:1:1/2", "--precision", "3")
         assert code == 0 and out.splitlines()[3] == "0.5,-0.94,0.678"
 
+    @settings(max_examples=200, deadline=None)
+    @given(
+        st.integers(-(10**40), 10**40), st.integers(1, 10**30),
+        st.integers(1, 10**40), st.integers(1, 10**30), st.integers(1, 50),
+    )
+    def test_sweep_grid_is_float_of_each_fraction(self, p, q, a, b, count):
+        # The grid is built over ints; each point must be float(start + k*step).
+        start, step = Fraction(p, q), Fraction(a, b)
+        stop = start + (count - 1) * step
+        grid = _parse_sweep(f"{start}:{stop}:{step}", Base(4))
+        assert [x.hex() for x in grid] == [float(start + k * step).hex() for k in range(count)]
+
     def test_oversized_sweep_is_refused_before_solving(self, capsys):
         start = time.perf_counter()
         code, _, err = run_cli(capsys, "dimension", "--sweep", "0:3:1/1000000")
@@ -872,8 +884,9 @@ class TestDimension:
         [("300", "0:299:299/1399", 1400, 1333), ("2", "0:1:1/100000", 100001, 100000)],
     )
     def test_sweep_is_capped_by_points_times_base(self, capsys, base, sweep, count, allowed):
-        # A point costs about the same per base digit, so 1400 points in
-        # base 300 would bisect for about 4 s; bases 2 and 3 keep base 4's cap.
+        # The cap is on points times base: 1400 points in base 300 are
+        # refused (they would bisect for about 0.6 s); bases 2 and 3 keep
+        # base 4's cap.
         start = time.perf_counter()
         got = run_cli(capsys, "dimension", "--base", base, "--sweep", sweep)
         message = f"error: --sweep {sweep} has {count} points; at most {allowed} are allowed in base {base}\n"
@@ -901,8 +914,9 @@ class TestDimension:
     )
     def test_single_point_base_is_capped(self, capsys, argv, flag):
         # The cap bounds the entropy point, which costs what one sweep point
-        # does per base digit: about 1 s in base 10**5 and 9 s in base 10**6
-        # before it. It does not bound what `--mean` costs after that point:
+        # does per base digit: at theta = 1/2 about 0.1 s in base 10**5 and
+        # 1 s in base 10**6, and more at a mid-range theta, before it. It
+        # does not bound what `--mean` costs after that point:
         # the greedy stream does steps * s work in any admitted base.
         start = time.perf_counter()
         got = run_cli(capsys, *argv, "--base", "400001")
@@ -986,7 +1000,9 @@ class TestVerify:
         # base 10 its first chunk is one big-int division, and later ones
         # fill numpy remainder arrays. `analyze` counts a tally of at most
         # 2**20 digits in a base up to 16 without numpy; a longer file is
-        # bincounted. So the test cannot pass by never loading numpy.
+        # bincounted. One entropy point in base 4 bisects on exact rows; the
+        # grid oracle and a sweep's batch load numpy. So the test cannot
+        # pass by never loading numpy.
         config = tmp_path / "blocks.json"
         blocks = {"schedule": {"family": "polynomial", "degree": 1}, "columns": CONVERGING_COLUMNS}
         config.write_text(json.dumps(blocks))
@@ -1000,6 +1016,9 @@ class TestVerify:
         cases = [
             ([], [], ["numpy", "adiclab.construct", "adiclab.entropy", "adiclab.stats"]),
             (["dimension", "--tau", "1/3,1/3,0,1/3"], ["adiclab.entropy"], ["numpy", "adiclab.stats"]),
+            (["dimension", "--theta", "1/2"], ["adiclab.entropy"], ["numpy", "adiclab.stats"]),
+            (["dimension", "--theta", "1/2", "--oracle"], ["adiclab.entropy", "numpy"], ["adiclab.stats"]),
+            (["dimension", "--sweep", "0:3:1/10"], ["adiclab.entropy", "numpy"], ["adiclab.stats"]),
             (block, ["adiclab.construct"], ["numpy", "adiclab.entropy"]),
             (short_period, ["adiclab.construct"], ["numpy", "adiclab.entropy", "adiclab.stats"]),
             (long_period, ["numpy"], ["adiclab.entropy", "adiclab.stats"]),

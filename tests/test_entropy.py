@@ -1,7 +1,10 @@
 import json
 import math
+import random
 import tracemalloc
+from decimal import Decimal, localcontext
 from itertools import permutations
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -41,9 +44,21 @@ def left_sum(values) -> float:
     return total
 
 
+def oracle_row(lam, base=BASE4):
+    """The Gibbs row as the solver once computed it, sharing no code with
+    it: a numpy row shifted by its maximum, `math.exp` on every entry, and
+    `np.cumsum` sums."""
+    digits = np.arange(base.s)
+    exponents = lam * digits
+    exponents -= exponents.max()
+    weights = np.array([math.exp(x) for x in exponents.tolist()])
+    tau = weights / np.cumsum(weights)[-1]
+    return tuple(tau.tolist()), float(np.cumsum(tau * digits)[-1])
+
+
 def bisection_oracle(theta, base=BASE4, tol=1e-10) -> EntropyResult:
     """The one-theta bisection that the batched solver replaced: one
-    `exp_family_vector` call per step."""
+    `oracle_row` per step."""
     if tol <= 0:
         raise ValueError(f"tolerance must be positive, got {tol}")
     s = base.s
@@ -57,7 +72,7 @@ def bisection_oracle(theta, base=BASE4, tol=1e-10) -> EntropyResult:
     lo, hi = -LAMBDA_BRACKET, LAMBDA_BRACKET
     for _ in range(200):
         mid = 0.5 * (lo + hi)
-        tau, mean = exp_family_vector(mid, base)
+        tau, mean = oracle_row(mid, base)
         if abs(mean - th) <= tol:
             m = left_sum(xlogx(t) for t in tau)
             return EntropyResult(
@@ -208,6 +223,21 @@ class TestExpFamilyVector:
     def test_rejects_non_finite(self):
         with pytest.raises(ValueError):
             exp_family_vector(math.inf)
+
+    def test_rejects_a_multiplier_whose_exponents_overflow(self):
+        with pytest.raises(ValueError, match=r"^multiplier 1e\+308 overflows lam \* 3$"):
+            exp_family_vector(1e308)
+        assert exp_family_vector(1e308, Base(2))[0] == (0.0, 1.0)
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        st.sampled_from((2, 3, 4, 10, 300, 5000)),
+        st.one_of(st.floats(min_value=-60.0, max_value=60.0), st.floats(min_value=-1e4, max_value=1e4)),
+    )
+    def test_matches_the_oracle_row(self, s, lam):
+        # Past |lam| * (s - 1) = 746 the row skips math.exp where it
+        # underflows; the oracle row calls it on every entry.
+        assert repr(exp_family_vector(lam, Base(s))) == repr(oracle_row(lam, Base(s)))
 
     @given(st.floats(min_value=-20, max_value=19), st.floats(min_value=1e-4, max_value=1.0))
     def test_mean_strictly_increasing(self, lam, gap):
@@ -379,10 +409,14 @@ class TestBatchedSolverMatchesOracle:
         assert neg_entropy_minima([]) == []
 
     def test_blocks_do_not_change_results(self, monkeypatch):
-        # Nine vector entries make blocks of two base-4 thetas.
+        # Nine vector entries make blocks of two base-4 thetas, which bisect
+        # on exact rows unless _EXACT_ENTRIES is 0.
         monkeypatch.setattr(entropy, "_BATCH_ENTRIES", 9)
         thetas = [k / 17 for k in range(52)]
-        assert neg_entropy_minima(thetas) == batch_oracle(thetas)
+        expected = batch_oracle(thetas)
+        assert neg_entropy_minima(thetas) == expected
+        monkeypatch.setattr(entropy, "_EXACT_ENTRIES", 0)
+        assert neg_entropy_minima(thetas) == expected
 
     def test_results_hold_python_floats(self):
         for res in neg_entropy_minima([0.0, 0.7, 1.5, 3.0]):
@@ -396,7 +430,8 @@ class TestBatchedSolverMatchesOracle:
         def unreachable(*args):
             raise AssertionError("solved before validating")
 
-        monkeypatch.setattr(entropy, "_gibbs", unreachable)
+        monkeypatch.setattr(entropy, "_gibbs_row", unreachable)
+        monkeypatch.setattr(entropy, "_numpy_means", unreachable)
         with pytest.raises(ValueError, match=r"^theta must lie in \[0, 3\], got 4.0$"):
             neg_entropy_minima([1.0, 4.0, -1.0])
         with pytest.raises(ValueError, match="^tolerance must be positive, got 0.0$"):
@@ -423,6 +458,130 @@ class TestBatchedSolverMatchesOracle:
         )
         assert outcome(neg_entropy_minima, thetas) == first_error
         assert outcome(neg_entropy_minimum, thetas[-1]) == outcome(bisection_oracle, thetas[-1])
+
+
+def forced(path):
+    """Send every block of the solver down one path: "exact" rows alone, or
+    "numpy" means with exact rows where they are near a decision."""
+    return mock.patch.object(entropy, "_EXACT_ENTRIES", 0 if path == "numpy" else 2**62)
+
+
+def thetas_of(s):
+    """Thetas in base s: fractions of the range and values within 1e-9 of
+    either end."""
+    return st.one_of(
+        st.floats(min_value=0.0, max_value=1.0).map(lambda f: f * (s - 1)),
+        st.floats(min_value=0.0, max_value=1e-9),
+        st.floats(min_value=0.0, max_value=1e-9).map(lambda x: (s - 1) - x),
+    )
+
+
+def reprs(results):
+    return [repr(r) for r in results]
+
+
+class TestNumpyDecidesExactAnswers:
+    @settings(max_examples=40, deadline=None)
+    @given(
+        st.sampled_from((*range(2, 11), 300)).flatmap(
+            lambda s: st.tuples(st.just(s), st.lists(thetas_of(s), min_size=1, max_size=12))
+        )
+    )
+    def test_both_paths_match_the_oracle(self, case):
+        s, thetas = case
+        base = Base(s)
+        expected = reprs(batch_oracle(thetas, base))
+        assert reprs(neg_entropy_minima(thetas, base)) == expected
+        assert [repr(neg_entropy_minimum(t, base)) for t in thetas] == expected
+        for path in ("exact", "numpy"):
+            with forced(path):
+                assert reprs(neg_entropy_minima(thetas, base)) == expected
+
+    # In base 10 at tol = 1e-14 and base 300 at 1e-11, tol < M, so a mean
+    # within M of theta is flagged by the stop test alone. Each theta is
+    # solved alone, so that one that ended in the _MAX_BISECT error would be
+    # compared too.
+    @pytest.mark.parametrize("s, tol", [(2, 1e-10), (4, 1e-10), (10, 1e-14), (300, 1e-10), (300, 1e-11)])
+    @pytest.mark.parametrize("sign", [1, -1, 0])
+    def test_numpy_means_off_by_the_margin(self, monkeypatch, s, tol, sign):
+        # Every numpy mean is the exact one moved by the margin M less four
+        # roundings of size u(s - 1): the rounding of the moved mean and of
+        # mean - theta on both paths still leave |d_np - d| <= M, the bound
+        # that _bisect states. Sign 0 alternates the direction by row.
+        shift = entropy._margin(s) - 4 * (s - 1) * 2.0**-53
+
+        def means(lams, digits):
+            signs = [sign or (-1) ** j for j in range(len(lams))]
+            return np.array([entropy._gibbs_row(lam, s)[1] + sg * shift for lam, sg in zip(lams.tolist(), signs)])
+
+        monkeypatch.setattr(entropy, "_numpy_means", means)
+        thetas = [k / 40 * (s - 1) for k in range(41)] + [1e-9, (s - 1) - 1e-9]
+        expected = [repr(outcome(bisection_oracle, t, Base(s), tol)) for t in thetas]
+        with forced("numpy"):
+            got = [outcome(neg_entropy_minima, [t], Base(s), tol) for t in thetas]
+        assert [repr(r[0] if isinstance(r, list) else r) for r in got] == expected
+
+    @pytest.mark.parametrize("s", [3, 4, 10, 300])
+    @pytest.mark.parametrize("direction", [math.inf, -math.inf])
+    def test_np_exp_one_ulp_off(self, monkeypatch, s, direction):
+        # The margin allows _EXP_ULPS = 2 ulps per exp, and
+        # test_exp_is_within_one_ulp holds np.exp to 1, so moving every
+        # np.exp result by one more ulp must change no result.
+        exact_exp = np.exp
+
+        def exp(x, out=None):
+            return np.nextafter(exact_exp(x, out=out), direction, out=out)
+
+        monkeypatch.setattr(np, "exp", exp)
+        thetas = [k / 50 * (s - 1) for k in range(51)] + [1e-9, (s - 1) - 1e-9]
+        with forced("numpy"):
+            assert reprs(neg_entropy_minima(thetas, Base(s))) == reprs(batch_oracle(thetas, Base(s)))
+
+    def test_exp_is_within_one_ulp(self):
+        # _margin assumes each exp within _EXP_ULPS = 2 ulps. Hold math.exp
+        # and np.exp to 1 ulp on the shifted exponents the solver feeds them,
+        # and math.exp to 0.0 where _gibbs_row skips it.
+        rng = random.Random(25)
+        xs = [rng.uniform(-746.0, 0.0) for _ in range(4000)]
+        xs += [rng.uniform(-40.0, 0.0) for _ in range(2000)] + [-745.1, -708.5, -1e-300, -0.0]
+        with localcontext() as ctx:
+            ctx.prec = 40
+            exact = [Decimal(x).exp() for x in xs]
+        for got in ([math.exp(x) for x in xs], np.exp(np.array(xs)).tolist()):
+            for x, want, value in zip(xs, exact, got):
+                assert abs(Decimal(value) - want) <= Decimal(math.ulp(float(want))), x
+        assert math.exp(entropy._UNDERFLOW) == 0.0
+        assert math.exp(-1e300) == 0.0
+
+    def test_base_400000_skips_underflowed_weights(self, monkeypatch):
+        # The window of lambda at theta = 1/2 holds about 746 / |lambda| of
+        # the 400000 entries; calling math.exp on every entry at each of the
+        # 39 steps took 15.6 million calls.
+        arguments = []
+        exact_exp = math.exp
+
+        def counting_exp(x):
+            arguments.append(x)
+            return exact_exp(x)
+
+        monkeypatch.setattr(math, "exp", counting_exp)
+        result = neg_entropy_minimum(0.5, Base(400000))
+        monkeypatch.setattr(math, "exp", exact_exp)
+        window = int(746 / abs(result.multiplier)) + 1
+        assert min(arguments) >= entropy._UNDERFLOW
+        assert len(arguments) <= 40 * window
+        assert sum(1 for t in result.argmin if t) <= window
+        assert repr(result.argmin) == repr(oracle_row(result.multiplier, Base(400000))[0])
+
+    @pytest.mark.parametrize("path", ["exact", "numpy"])
+    def test_max_bisect_error_text_is_unchanged(self, path):
+        # No multiplier brings the mean within 1e-300 of 0.7; 1.5 stops at
+        # lambda = 0 with the mean exactly 1.5, and 2.2 is never reached.
+        with forced(path), pytest.raises(ArithmeticError) as info:
+            neg_entropy_minima([1.5, 0.7, 2.2], tol=1e-300)
+        message = "bisection did not reach |mean - theta| <= 1e-300 for theta=0.7"
+        assert str(info.value) == message
+        assert outcome(bisection_oracle, 0.7, BASE4, 1e-300) == (ArithmeticError, message)
 
 
 GRID_THETAS = (0.004, 0.37, 0.5, 0.81, 0.999)
