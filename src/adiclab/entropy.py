@@ -161,7 +161,7 @@ def _gibbs_row(lam: float, s: int) -> tuple[tuple[float, ...], float]:
 
 def _numpy_means(lams: np.ndarray, digits: np.ndarray) -> np.ndarray:
     """The means of the Gibbs rows of `lams`, from `np.exp` and numpy's
-    sums: each within `_margin(s)` of the `_gibbs_row` mean (see `_bisect`)."""
+    sums; `_bisect` bounds how far each lies from the `_gibbs_row` mean."""
     import numpy as np
 
     exponents = np.multiply.outer(lams, digits)
