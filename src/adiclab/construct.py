@@ -53,6 +53,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, partial
+from operator import mul
 from typing import TYPE_CHECKING, Callable, Iterator, Sequence
 
 from .digits import (
@@ -624,34 +625,119 @@ def block_boundaries(columns: ColumnSchedule, spec: ScheduleSpec, max_digits: in
         k += 1
 
 
-def _rationalize_simplex(values: Sequence[float]) -> ProbabilityVector:
-    # The greedy kernel runs any denominator in int64, so the cap of 10**12
-    # no longer bounds its cost; it fixes the vector, and so every `--mean`
-    # output. Over the lcm of the denominators, the residual is absorbed into
-    # the first largest numerator so the sum is exactly 1; `from_numerators`
-    # refuses an entry that this leaves negative.
-    nums, den = _over_lcm([Fraction(v).limit_denominator(10**12) for v in values])
-    nums[nums.index(max(nums))] += den - sum(nums)
-    return ProbabilityVector.from_numerators(nums, den)
+# Largest dimension deficit that `mean_target_stream` allows its vector:
+# the entropy bound at theta less the vector's dimension.
+MEAN_DEFICIT = 2.0**-25
+# Doublings of the denominator D that `mean_target_stream` may make before
+# it refuses theta.
+_MAX_DOUBLINGS = 64
+
+
+def _mean_numerators(weights: Sequence[float], first: int, th: Fraction, d: int) -> list[int] | None:
+    """Integers n_i >= 0, for the digits i = first, first+1, ..., with sum d
+    and sum i*n_i = th*d, near d times the float `weights` (d is a multiple
+    of th's denominator); None where the spread rule leaves an entry
+    negative. O(len(weights)) int operations.
+
+    Each n_i is weight_i*d rounded half up, exactly. The sum's residual
+    goes to a = floor(th), or to the last digit but one if floor(th) is the
+    last. The mean's residual, delta units, then moves in two parts. Its
+    bulk, delta // w units, moves between two digits lo < hi = lo + w that
+    carry mass: the receiver, the outermost one on the side the mean must
+    move to, and the donor, the outermost one on the other side. A donor
+    that holds too few units gives all it holds, and the next one inward
+    is tried. The rest, delta mod w units, moves from a to a+1.
+    """
+    # weight = p / 2**k exactly, so its nearest integer is a shift.
+    nums = [(p * d + (q >> 1)) >> (q.bit_length() - 1) for p, q in map(float.as_integer_ratio, weights)]
+    a = min(th.numerator // th.denominator - first, len(nums) - 2)
+    nums[a] += d - sum(nums)
+    delta = th.numerator * (d // th.denominator) - first * d - sum(map(mul, range(len(nums)), nums))
+    if delta:
+        support = [i for i, n in enumerate(nums) if n > 0]
+        receiver, donors = (support[-1], support) if delta > 0 else (support[0], reversed(support))
+        for donor in donors:
+            if donor == receiver:
+                return None
+            lo, hi = sorted((donor, receiver))
+            q, r = divmod(delta, hi - lo)
+            if nums[donor] >= abs(q):
+                nums[lo] -= q
+                nums[hi] += q
+                nums[a] -= r
+                nums[a + 1] += r
+                break
+            delta -= nums[donor] * (receiver - donor)
+            nums[receiver] += nums[donor]
+            nums[donor] = 0
+    return nums if min(nums) >= 0 else None
+
+
+def _mean_vector(th: Fraction, base: Base) -> tuple[ProbabilityVector, float]:
+    """The vector behind `mean_target_stream` at an interior theta, and its
+    dimension deficit (see there)."""
+    from .entropy import neg_entropy_minimum
+
+    s = base.s
+    # A theta within half an ulp of an end is that end as a float; the
+    # nearest float inside (0, s-1) stands for it.
+    optimum = neg_entropy_minimum(min(max(float(th), math.ulp(0.0)), math.nextafter(s - 1.0, 0.0)), base)
+    # The argmin is 0.0 outside one window of digits (where its weights
+    # underflow); only the window, widened to hold floor(th) and the digit
+    # after it, is rounded.
+    weights = optimum.argmin
+    a = min(th.numerator // th.denominator, s - 2)
+    first = min(a, next(i for i, t in enumerate(weights) if t))
+    last = max(a + 2, s - next(i for i, t in enumerate(reversed(weights)) if t))
+    weights = weights[first:last]
+    den = th.denominator
+    d = d0 = den * max(1, CHUNK_DIGITS // den)
+    doublings = 0
+    while doublings <= _MAX_DOUBLINGS:
+        grow = 1
+        if (nums := _mean_numerators(weights, first, th, d)) is not None:
+            entropy = -math.fsum(x * math.log(x) for x in (n / d for n in nums) if x)
+            deficit = optimum.dimension_bound - entropy / math.log(s)
+            if deficit <= MEAN_DEFICIT:
+                vector = ProbabilityVector.from_numerators([0] * first + nums + [0] * (s - last), d)
+                return vector, deficit
+            # The deficit falls about as 1/D**2.
+            grow = max(1, math.ceil(math.log2(deficit / MEAN_DEFICIT) / 2))
+        d <<= grow
+        doublings += grow
+    raise ValueError(f"no vector over D = {d0} * 2**k, k <= {_MAX_DOUBLINGS}, has mean exactly {th} in base {s}")
 
 
 def mean_target_stream(theta: Fraction | int | float | str, base: Base = BASE4) -> DigitStream:
-    """A stream whose asymptotic digit mean is theta.
+    """A stream whose asymptotic digit mean is exactly theta.
 
     theta = 0 and theta = s-1 are degenerate: every digit frequency is then
     forced, so the streams are the all-zeros and all-maximal-digit
-    constants. Interior theta runs the greedy construction on the
-    entropy-optimal frequency vector at mean theta, so the limit
-    frequencies all exist and the stream witnesses the dimension bound of
-    the mean level set. The realized mean is not exactly theta: the
-    bisection in `neg_entropy_minimum` stops once the float mean is within
-    1e-10 of theta, and rationalizing that optimum (denominators capped at
-    10**12) before the greedy construction moves it again. Measured misses:
-    over theta = k/100 in base 4 the largest is 9.97e-11, at theta = 49/50
-    and at its mirror 101/50; over theta = 10, 20, ..., 290 in base 300
-    they reach 9.46e-10 at theta = 290 and 6.80e-10 at theta = 10, mostly
-    from the rationalization. No bound is stated for other bases or means.
-    An exact mean is planned (ROADMAP.md, item 2).
+    constants. Interior theta runs the greedy construction on a vector
+    tau = (n_i / D) of mean exactly theta, near the entropy-optimal vector
+    that `neg_entropy_minimum` finds, so the limit frequencies all exist
+    and the stream witnesses the dimension bound of the mean level set up
+    to the dimension deficit: that bound less the dimension of tau.
+
+    D is a multiple of theta's denominator. The first D tried is the
+    largest such multiple up to CHUNK_DIGITS = 2**16, or the denominator
+    itself if it is larger. `_mean_numerators` rounds the optimum over D
+    and spreads the residuals of the sum and the mean. D doubles while
+    that leaves an entry negative, and grows by 2**k while the deficit d
+    is over MEAN_DEFICIT = 2**-25 (about 3.0e-8), with k the least
+    positive integer such that 4**k >= d / MEAN_DEFICIT, since d falls
+    about as 1/D**2. Once D has doubled more than 64 times in all, theta
+    is refused with a ValueError. The deficit is computed in floats
+    against the solver's bound, so it can be a little below 0, where the
+    solver's argmin misses theta by up to 1e-10.
+
+    A D of at most 2**16 makes the greedy stream a tiled period of at
+    most D digits, built without numpy. In base 4 that holds for every
+    theta in [1/4, 11/4] with denominator up to 1000; their deficits stay
+    below 2.0e-8 (the largest is 1.94e-8, at 253/992). A larger D runs
+    the array kernel. It is needed near theta = 0 and theta = s-1, in
+    large bases, and for a denominator over 2**16. Setting up costs O(s)
+    integer operations per D tried, and takes no lcm.
     """
     s = base.s
     th = Fraction(theta)
@@ -661,10 +747,7 @@ def mean_target_stream(theta: Fraction | int | float | str, base: Base = BASE4) 
         return constant_stream(0, base)
     if th == s - 1:
         return constant_stream(s - 1, base)
-    from .entropy import neg_entropy_minimum
-
-    optimum = neg_entropy_minimum(float(th), base)
-    return greedy_stream(_rationalize_simplex(optimum.argmin), base)
+    return greedy_stream(_mean_vector(th, base)[0], base)
 
 
 @dataclass(frozen=True)

@@ -399,6 +399,8 @@ def _split_denominator(q: int, s: int) -> tuple[int, int]:
 
 # Bound on the (q, s) pairs whose shape `_shape` keeps.
 _SHAPE_CACHE_SIZE = 4096
+# Widest power s**(m + L), in bits, that `_shape` keeps with a shape.
+_SHAPE_POWER_BITS = 2**13
 
 
 def _order(s: int, core: int, bound: int) -> int | None:
@@ -438,14 +440,25 @@ def _order(s: int, core: int, bound: int) -> int | None:
 
 
 @lru_cache(maxsize=_SHAPE_CACHE_SIZE)
-def _shape(q: int, s: int) -> tuple[int, int, int | None]:
-    """(m, q', L) for a denominator q in base s: the preperiod length m and
-    the part q' of q coprime to s from `_split_denominator`, and the period
-    length L, the order of s modulo q' (`_order`), or None when L is above
-    _SHORT_PERIOD.
+def _shape(q: int, s: int) -> tuple[int, int, int | None, int | None]:
+    """(m, q', L, power) for a denominator q in base s: the preperiod length
+    m and the part q' of q coprime to s from `_split_denominator`, the
+    period length L, the order of s modulo q' (`_order`), or None when L is
+    above _SHORT_PERIOD, and power = s**(m + L), which scales x to its first
+    m + L digits, or None when L is None or power could be wider than
+    _SHAPE_POWER_BITS.
+
+    Memory: `expand` caches the shape of a q of at most _SHORT_PERIOD * b
+    bits, b = s.bit_length(), so an entry holds at most 32*b bytes of q and
+    1 KiB of power, besides a few hundred bytes of objects. With
+    _SHAPE_CACHE_SIZE entries the cache stays under about 6 MB in base 4
+    and 14 MB in base 2**64.
     """
     m, core = _split_denominator(q, s)
-    return m, core, _order(s, core, _SHORT_PERIOD)
+    length = _order(s, core, _SHORT_PERIOD)
+    if length is None or (m + length) * s.bit_length() > _SHAPE_POWER_BITS:
+        return m, core, length, None
+    return m, core, length, s ** (m + length)
 
 
 # For s = 2**k with k = 1, 2, 4: how many digits one byte holds, and the
@@ -571,15 +584,16 @@ def expand(x: Fraction | int | str, base: Base = BASE4) -> DigitStream:
     period L = ord_q'(s) digits (L = 1, period (0), when q' = 1). One
     lookup of `_shape` gives m and q' from `_split_denominator` in O(log m)
     big divisions, and L, when it is at most _SHORT_PERIOD, from `_order`
-    in at most 34 modular multiplications. Its cache holds
-    _SHAPE_CACHE_SIZE (q, s) pairs, only for a q narrow enough to have a
-    short period, so it stays small.
+    in at most 34 modular multiplications, together with s**(m + L). Its
+    cache holds _SHAPE_CACHE_SIZE (q, s) pairs, only for a q narrow enough
+    to have a short period, so it stays small (`_shape` states its bound).
 
     When L <= _SHORT_PERIOD, the first m + L digits of x, the base-s
     digits of (p * s**(m + L)) // q that `_base_digits` writes out, are the
     preperiod and one period (the period's integer is r' * (s**L - 1) / q',
     with r'/q' the fractional part of x * s**m), and the stream records the
-    pair at once. Otherwise the stream is lazy: `_long_division` computes
+    pair at once; its chunks tile the period as `periodic_stream`'s do.
+    Otherwise the stream is lazy: `_long_division` computes
     its digits, a first chunk of m + _SHORT_PERIOD and then longer ones.
     The stream's finder (see `DigitStream`) looks for L by `_order` in q'
     up to _MAX_PERIOD_DIGITS, in O(sqrt(_MAX_PERIOD_DIGITS)) modular
@@ -598,10 +612,13 @@ def expand(x: Fraction | int | str, base: Base = BASE4) -> DigitStream:
         return periodic_stream((), (s - 1,), base)
     # A q too wide for a short period is not cached, so the cache stays small.
     shape = _shape if q.bit_length() <= _SHORT_PERIOD * s.bit_length() else _shape.__wrapped__
-    m, core, length = shape(q, s)
+    m, core, length, power = shape(q, s)
     if length is not None:
-        head = _base_digits(p * s ** (m + length) // q, base, m + length)
-        return periodic_stream(head[:m], head[m:], base)
+        head = _base_digits(p * (power or s ** (m + length)) // q, base, m + length)
+        # p < q, so `_base_digits` writes m + L digits in 0..s-1, and the
+        # pair needs no range check.
+        pair = head[:m], head[m:]
+        return DigitStream(base, partial(_tiled_chunks, *pair), _period=pair)
     _wide(base)  # refuses a base above 2**64 before any digit is computed
     make = partial(_long_division, p, base, q, m + _SHORT_PERIOD)
 

@@ -19,6 +19,7 @@ from typing import Callable, Sequence
 
 from .construct import (
     CONDITION_NEXT_TERM,
+    MEAN_DEFICIT,
     ColumnSchedule,
     ProbabilityVector,
     ScheduleSpec,
@@ -29,6 +30,7 @@ from .construct import (
     greedy_stream,
     prefix_distinguish,
     validate_schedule,
+    _mean_vector,
 )
 from .digits import BASE4, Base, DigitPrefix, dual_representation, expand, prefix_value, stream_value
 from .entropy import be_dimension, exp_family_vector, neg_entropy_minima, neg_entropy_minimum_grid
@@ -55,6 +57,9 @@ DISTINGUISH_PAIRS = (
 )
 
 THETA_GRID = (0.1, 0.5, 1.0, 1.5, 2.0, 2.5, 2.9)
+
+# Means of the exact mean-target vectors, with one near each end of (0, 3).
+MEAN_THETAS = tuple(map(Fraction, ("1/100", "1/4", "23/25", "13/10", "3/2", "11/4", "299/100")))
 
 
 @dataclass(frozen=True)
@@ -348,6 +353,29 @@ def _block_mean_sandwich() -> tuple[bool, dict, dict]:
         failures == 0,
         {"thetas": ["3/2", "3/2", "3/2", "5/4"], "cases": 4, "max_digits": limit},
         {"failures": failures, "worst_gap_over_bound": worst},
+    )
+
+
+@_check("construct/mean_target_exact")
+def _mean_target_exact() -> tuple[bool, dict, dict]:
+    # The vector behind `mean_target_stream`: its mean is theta exactly, and
+    # its dimension, taken apart from the construction, is within
+    # MEAN_DEFICIT of the entropy bound. The table holds a theta near each
+    # end, where the denominator must grow past 2**16.
+    failures = 0
+    worst = 0.0
+    denominators = []
+    for theta, optimum in zip(MEAN_THETAS, neg_entropy_minima(MEAN_THETAS)):
+        tau, _ = _mean_vector(theta, BASE4)
+        deficit = optimum.dimension_bound - be_dimension(tau)
+        worst = max(worst, deficit)
+        denominators.append(math.lcm(*(t.denominator for t in tau.entries)))
+        if tau.mean() != theta or min(tau.entries) < 0 or deficit > MEAN_DEFICIT:
+            failures += 1
+    return (
+        failures == 0,
+        {"thetas": [str(t) for t in MEAN_THETAS], "max_deficit": MEAN_DEFICIT},
+        {"failures": failures, "worst_deficit": worst, "denominators": denominators},
     )
 
 

@@ -185,6 +185,18 @@ class TestConstruct:
         got = run_cli(capsys, "construct", "--tau", "1/0,1,0,0", "--length", "5")
         assert got == (2, "", "error: Fraction(1, 0)\n")
 
+    def test_mean_with_no_exact_vector_is_refused(self, tmp_path, capsys, monkeypatch):
+        # theta = 1/100 needs a D past 2**16, so with no doubling allowed no
+        # exact vector is found: exit 2, and no artifact is left.
+        from adiclab import construct
+
+        monkeypatch.setattr(construct, "_MAX_DOUBLINGS", 0)
+        out_path = tmp_path / "m.txt"
+        code, out, err = run_cli(capsys, "construct", "--mean", "1/100", "--length", "5", "--out", str(out_path))
+        assert (code, out) == (2, "")
+        assert err == "error: no vector over D = 65500 * 2**k, k <= 0, has mean exactly 1/100 in base 4\n"
+        assert list(tmp_path.iterdir()) == []
+
     @pytest.mark.parametrize(
         "doc, message",
         [
@@ -996,9 +1008,11 @@ class TestVerify:
         # the library modules it runs and no other, and numpy only where an
         # array kernel runs. A greedy `construct --tau` builds a period of at
         # most 65536 digits without numpy; one whose period is longer runs
-        # the kernel. A long-period rational divides big ints in base 4; in
-        # base 10 its first chunk is one big-int division, and later ones
-        # fill numpy remainder arrays. `analyze` counts a tally of at most
+        # the kernel. A `--mean` vector over a denominator D of at most 65536
+        # tiles its period too; a theta whose denominator is over 65536 needs
+        # a larger D and runs the kernel. A long-period rational divides big
+        # ints in base 4; in base 10 its first chunk is one big-int division,
+        # and later ones fill numpy remainder arrays. `analyze` counts a tally of at most
         # 2**20 digits in a base up to 16 without numpy; a longer file is
         # bincounted. One entropy point in base 4 bisects on exact rows; the
         # grid oracle and a sweep's batch load numpy. So the test cannot
@@ -1022,6 +1036,11 @@ class TestVerify:
             (block, ["adiclab.construct"], ["numpy", "adiclab.entropy"]),
             (short_period, ["adiclab.construct"], ["numpy", "adiclab.entropy", "adiclab.stats"]),
             (long_period, ["numpy"], ["adiclab.entropy", "adiclab.stats"]),
+            (
+                ["construct", "--mean", "37/40", "--length", "200000"],
+                ["adiclab.construct", "adiclab.entropy"], ["numpy", "adiclab.stats"],
+            ),
+            (["construct", "--mean", "737067/491201", "--length", "50"], ["adiclab.entropy", "numpy"], ["adiclab.stats"]),
             (["analyze", "--in", str(short_file)], ["adiclab.stats"], ["numpy", *unrun]),
             (
                 ["analyze", "--tau", "1/10,2/10,3/10,4/10"],
@@ -1418,13 +1437,16 @@ GOLDEN = {
         "in_json": "3cddc3c6555fef803f74d95c2356fc0caabeb54a82ddfe06a3fc6d98c60ec0da",
         "inline": "e769aeaa10c8debb4ba55504cbb080de4c578a3ec4e200e2d8e6e0f6b17737e0",
     },
+    # The mean-target stream of the exact vector over D = 65525 (mean
+    # exactly 23/25, one tiled period); the per-digit digests were of the
+    # vector rationalized entry by entry.
     "mean": {
-        "stdout": "eeb44aca7a8af49343f3cb2290e0ae41e3ee6f271a6ac1b860e6de65e2864165",
-        "file": "a947b99d6c87bdc565c6003e33199dbcb29f28418d5cbceca91376b97558c9ab",
+        "stdout": "c245bd76ffbcb7bc7258596d9b85326bd645e4afee237bfd5dec20094adb2ac7",
+        "file": "6324385756ad1caea435843e6edd6931cab5f0c909ee4244655df2b8dc653809",
         "sidecar": "d53e8cf6fc9208ffbfaff0cbac56720698ea952333ea6967777ecc4093c2e2d2",
-        "in_csv": "311f94819897b1da3fbf67f7710de897d5c20916ac165f517c14d7fc32580bce",
-        "in_json": "d7278e855f863a949758a2998255719ad989e495fb0e005f980143b9993bc6c8",
-        "inline": "4a9b8f145fde6b4e7f80a0f27d15275f242e755eb5c2a799f8460b7c4f9ff50a",
+        "in_csv": "826c4eb2081038cd401a285fd7e7e4e504ec07ea60d3be42446e9bf66fc4ff2c",
+        "in_json": "203b6e5f4aa2beafebd247e28dfed101ee51e6301ce4ab2fcdfaa84405a7efc2",
+        "inline": "af8b04a81cae79108e6849a7cbfe6aa79ed8418bc24b5a72fd8afafd37694e94",
     },
     "block": {
         "stdout": "71ee52ae2dddefbcf9c9a08dff6fc84c7bad283a93eac0cf39ca329def578d07",

@@ -3,19 +3,21 @@ import math
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from adiclab.construct import (
     CONDITION_DIVERGES,
     CONDITION_INDEX,
     CONDITION_NEXT_TERM,
+    MEAN_DEFICIT,
     ColumnConstraintError,
     ColumnSchedule,
     DistinguishResult,
     ProbabilityVector,
     ScheduleRejectedError,
     ScheduleSpec,
-    _rationalize_simplex,
+    _mean_numerators,
+    _mean_vector,
     block_boundaries,
     block_stream,
     columns_from_config,
@@ -28,7 +30,7 @@ from adiclab.construct import (
     validate_schedule,
 )
 from adiclab.digits import BASE4, Base, expand, stream_from_digits
-from adiclab.entropy import neg_entropy_minimum
+from adiclab.entropy import be_dimension, neg_entropy_minimum
 from adiclab.stats import convergence_trace, digit_counts
 
 
@@ -310,17 +312,45 @@ class TestMeanTargetStream:
             mean_target_stream(-1)
 
     @staticmethod
-    def _argmin(theta, base):
-        return neg_entropy_minimum(float(theta), base).argmin
-
-    @staticmethod
-    def _oracle(values):
-        # The vector as the plain constructor checks it: each entry's
-        # Fraction, with the residual added to the first largest entry.
-        fr = [Fraction(v).limit_denominator(10**12) for v in values]
-        j = max(range(len(fr)), key=lambda i: fr[i])
-        fr[j] += 1 - sum(fr)
-        return ProbabilityVector(tuple(fr))
+    def _oracle(theta, base):
+        # The documented construction, restated over the whole vector in
+        # Fractions: round over D, sum residual to a, bulk between the
+        # outermost coordinates with mass (a short donor gives all it
+        # holds), remainder from a to a+1; D doubles, or jumps by the 1/D**2
+        # estimate of the deficit, until no entry is negative and the
+        # deficit is within MEAN_DEFICIT.
+        s = base.s
+        optimum = neg_entropy_minimum(float(theta), base)
+        d = theta.denominator * max(1, 2**16 // theta.denominator)
+        while True:
+            nums = [math.floor(Fraction(t) * d + Fraction(1, 2)) for t in optimum.argmin]
+            a = min(math.floor(theta), s - 2)
+            nums[a] += d - sum(nums)
+            delta = theta * d - sum(i * n for i, n in enumerate(nums))
+            support = [i for i, n in enumerate(nums) if n > 0]
+            receiver = support[-1] if delta > 0 else support[0]
+            donors = [i for i in support if (i < receiver if delta > 0 else i > receiver)]
+            for donor in donors if delta > 0 else donors[::-1]:
+                lo, hi = sorted((donor, receiver))
+                q, r = divmod(delta, hi - lo)
+                if nums[donor] >= abs(q):
+                    nums[lo] -= q
+                    nums[hi] += q
+                    nums[a] -= r
+                    nums[a + 1] += r
+                    delta = 0
+                    break
+                delta -= nums[donor] * (receiver - donor)
+                nums[receiver] += nums[donor]
+                nums[donor] = 0
+            grow = 1
+            if delta == 0 and min(nums) >= 0:
+                tau = ProbabilityVector(tuple(Fraction(n, d) for n in nums))
+                deficit = optimum.dimension_bound - be_dimension(tau, base)
+                if deficit <= MEAN_DEFICIT:
+                    return tau
+                grow = max(1, math.ceil(math.log2(deficit / MEAN_DEFICIT) / 2))
+            d <<= grow
 
     @pytest.mark.parametrize(
         "s, thetas",
@@ -334,34 +364,135 @@ class TestMeanTargetStream:
     )
     def test_vector_is_the_plain_rationalization(self, s, thetas):
         for theta in thetas:
-            values = self._argmin(theta, Base(s))
-            assert _rationalize_simplex(values) == self._oracle(values), theta
+            tau, deficit = _mean_vector(theta, Base(s))
+            assert tau == self._oracle(theta, Base(s)), theta
+            assert tau.mean() == theta and min(tau.entries) >= 0
+            assert deficit <= MEAN_DEFICIT
 
     @pytest.mark.parametrize(
         "theta, s", [(Fraction(1, 3), 4), (Fraction(13, 10), 4), (Fraction(23, 25), 4), (Fraction(37, 10), 10)]
     )
     def test_stream_is_the_greedy_stream_of_the_plain_rationalization(self, theta, s):
-        tau = self._oracle(self._argmin(theta, Base(s)))
+        tau = self._oracle(theta, Base(s))
         n = 2**17
         assert mean_target_stream(theta, Base(s)).prefix(n) == greedy_stream(tau, Base(s)).prefix(n)
 
     def test_documented_mean_misses(self):
-        # The figures that the docstring and the README state.
-        def miss(theta, s):
-            return float(abs(_rationalize_simplex(self._argmin(theta, Base(s))).mean() - theta))
+        # The mean is theta exactly; the figures that the docstring states
+        # are the deficits and the denominators.
+        base4 = {}
+        for k in range(1, 300):
+            theta = Fraction(k, 100)
+            tau, deficit = _mean_vector(theta, BASE4)
+            assert tau.mean() == theta
+            base4[theta] = deficit
+        assert max(base4.values()) <= MEAN_DEFICIT == 2.0**-25
+        for theta in range(10, 300, 10):
+            tau, deficit = _mean_vector(Fraction(theta), Base(300))
+            assert tau.mean() == theta and deficit <= MEAN_DEFICIT
 
-        base4 = {Fraction(k, 100): miss(Fraction(k, 100), 4) for k in range(1, 300)}
-        worst = max(base4.values())
-        assert f"{worst:.3g}" == "9.97e-11"
-        assert {t for t, m in base4.items() if m == worst} == {Fraction(49, 50), Fraction(101, 50)}
-        base300 = {t: miss(t, 300) for t in range(10, 300, 10)}
-        assert f"{base300[290]:.3g}" == "9.46e-10" and f"{base300[10]:.3g}" == "6.8e-10"
-        assert max(base300.values()) == base300[290]
+    def test_base4_means_up_to_denominator_1000_tile(self):
+        # Every theta in [1/4, 11/4] with denominator up to 1000 gets D =
+        # den * (2**16 // den), and its deficit stays below 2.0e-8 (the
+        # docstring's figure; 253/992 has the largest, 1.94e-8). Each
+        # denominator's thetas nearest both ends and a stride through the
+        # middle stand for all of them. Entries over D make a greedy period
+        # of at most D digits, which the stream tiles.
+        for q in (*range(1, 61), *range(61, 1001, 13), 992, 997, 1000):
+            low, high = -(-q // 4), 11 * q // 4
+            for p in {low, low + 1, high - 1, high, *range(low, high + 1, max(1, q // 7))}:
+                theta = Fraction(p, q)
+                tau, deficit = _mean_vector(theta, BASE4)
+                assert tau.mean() == theta and deficit < 2.0e-8, theta
+                d = theta.denominator * (2**16 // theta.denominator)
+                assert all(d % t.denominator == 0 for t in tau.entries), theta
+        for theta in (Fraction(1, 4), Fraction(253, 992), Fraction(11, 4)):
+            pre, period = mean_target_stream(theta)._period
+            assert pre == b"" and len(period) <= 2**16, theta
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        st.sampled_from([2, 3, 4, 10, 300]),
+        st.integers(1, 10**6),
+        st.integers(1, 10**6),
+        st.sampled_from(["low", "high", "any"]),
+    )
+    def test_every_vector_is_exact_or_refused(self, s, p, q, where):
+        # Means near either end, where D must grow, and anywhere inside.
+        theta = {"low": Fraction(p, q * 10**3), "high": s - 1 - Fraction(p, q * 10**3)}.get(where)
+        if theta is None:
+            theta = Fraction(p % (q * (s - 1)), q) or Fraction(1, q)
+        assume(0 < theta < s - 1)
+        try:
+            tau, deficit = _mean_vector(theta, Base(s))
+        except ValueError as exc:
+            assert str(exc).startswith("no vector over D = ")
+            return
+        assert tau.mean() == theta and min(tau.entries) >= 0
+        assert deficit <= MEAN_DEFICIT
+        bound = neg_entropy_minimum(float(theta), Base(s)).dimension_bound
+        assert bound - be_dimension(tau, Base(s)) == pytest.approx(deficit, abs=1e-12)
+
+    @pytest.mark.parametrize("s", [4, 300])
+    def test_thetas_within_half_an_ulp_of_an_end(self, s):
+        # float(theta) is the end itself, so the optimum is solved at the
+        # nearest float inside, and the vector still has mean theta exactly.
+        for theta in (Fraction(1, 10**400), s - 1 - Fraction(1, 10**400), s - 1 - Fraction(1, 10**20)):
+            tau, deficit = _mean_vector(theta, Base(s))
+            assert tau.mean() == theta and min(tau.entries) >= 0 and deficit <= MEAN_DEFICIT
+
+    def test_theta_past_the_doublings_is_refused(self, monkeypatch):
+        # theta = 1/100 needs a D past 2**16; with no doubling allowed it is
+        # refused.
+        import adiclab.construct as construct
+
+        monkeypatch.setattr(construct, "_MAX_DOUBLINGS", 0)
+        with pytest.raises(ValueError, match=r"^no vector over D = 65500 \* 2\*\*k, k <= 0, has mean exactly 1/100 in base 4$"):
+            mean_target_stream(Fraction(1, 100))
+        assert mean_target_stream(Fraction(1, 4))._period is not None
+
+    def test_set_up_is_linear_and_takes_no_lcm(self, monkeypatch):
+        # Base 10000 at theta = 5000, where every entry is nonzero and
+        # distinct: each D tried rounds at most s entries, the vector is
+        # checked once in its own integers (no lcm of the entries'
+        # denominators), and `greedy_stream` takes lcms of two ints only.
+        import adiclab.construct as construct
+
+        rounded, lcms = [], []
+        numerators, real_lcm = construct._mean_numerators, math.lcm
+
+        def counted(weights, *args):
+            rounded.append(len(weights))
+            return numerators(weights, *args)
+
+        def lcm(*args):
+            lcms.append(len(args))
+            return real_lcm(*args)
+
+        def no_lcm(entries):
+            raise AssertionError("the entries' lcm was taken")
+
+        monkeypatch.setattr(construct, "_mean_numerators", counted)
+        monkeypatch.setattr(construct, "_over_lcm", no_lcm)
+        monkeypatch.setattr(construct.math, "lcm", lcm)
+        s = 10000
+        stream = mean_target_stream(Fraction(5000), Base(s))
+        assert 1 <= len(rounded) <= 8 and max(rounded) <= s
+        assert set(lcms) <= {2} and len(lcms) <= s
+        assert stream.prefix(10).base.s == s
 
     def test_negative_patched_entry_is_refused_by_from_numerators(self):
-        # Four halves: the residual -1 leaves the first entry at -1/2.
+        # A spread that would leave an entry negative is not taken: the point
+        # mass has no donor, so no numerators come back at any D, and a
+        # negative numerator given directly is refused.
+        assert _mean_numerators((1.0, 0.0), 0, Fraction(1, 2), 2) is None
+        assert _mean_numerators((0.5, 0.5), 0, Fraction(1, 2), 2) == [1, 1]
+        # A donor that holds too few units gives all it holds: mean 1/4 from
+        # (4, 3, 0, 1)/8 needs 4 units down; digit 3 gives its one unit to
+        # digit 0, and digit 1 the last one.
+        assert _mean_numerators((0.5, 0.375, 0.0, 0.125), 0, Fraction(1, 4), 8) == [6, 2, 0, 0]
         with pytest.raises(ValueError, match="negative entry"):
-            _rationalize_simplex([0.5] * 4)
+            ProbabilityVector.from_numerators([-1, 3, 0, 0], 2)
 
 
 class TestPrefixDistinguish:

@@ -18,9 +18,9 @@ EXPAND_SWEEPS = {
     "digits/period_length_bound": ({"max_denominator": 500}, 125_750),
     "digits/expand_roundtrip": ({"max_denominator": 200, "prefix_length": 64}, 20_300),
 }
-# sha256 of the stdout of `adiclab verify`, written before the entropy
-# checks solved their theta grids in one batch each.
-GOLDEN_REPORT = "4ea1ff64dfdf46a4b461b07ddc074c67c71fcec40c36590ff69097283b3988bd"
+# sha256 of the stdout of `adiclab verify`, written when the battery gained
+# `construct/mean_target_exact`; the report before it was 4ea1ff64dfdf46a4...
+GOLDEN_REPORT = "d236c98f103bf606b10d34199ed121c624e81141fc3d5ed80f189fd6f5460668"
 
 
 def test_enumerated_prefixes_are_base4_counters():
