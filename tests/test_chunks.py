@@ -946,7 +946,6 @@ class TestSmallRationals:
                 assert stream_value(stream) == x, x
                 assert 0 <= x - prefix_value(stream.prefix(depth)) <= Fraction(1, s**depth), x
 
-
     @pytest.mark.parametrize("s", [2, 3, 4, 10, 300])
     def test_pair_needs_no_range_check(self, s):
         # expand records the digits that `_base_digits` writes as its pair

@@ -1012,9 +1012,9 @@ class TestVerify:
         # tiles its period too; a theta whose denominator is over 65536 needs
         # a larger D and runs the kernel. A long-period rational divides big
         # ints in base 4; in base 10 its first chunk is one big-int division,
-        # and later ones fill numpy remainder arrays. `analyze` counts a tally of at most
-        # 2**20 digits in a base up to 16 without numpy; a longer file is
-        # bincounted. One entropy point in base 4 bisects on exact rows; the
+        # and later ones fill numpy remainder arrays. `analyze` counts a
+        # tally of at most 2**20 digits in a base up to 16 without numpy; a
+        # longer file is bincounted. One entropy point in base 4 bisects on exact rows; the
         # grid oracle and a sweep's batch load numpy. So the test cannot
         # pass by never loading numpy.
         config = tmp_path / "blocks.json"
@@ -1437,9 +1437,8 @@ GOLDEN = {
         "in_json": "3cddc3c6555fef803f74d95c2356fc0caabeb54a82ddfe06a3fc6d98c60ec0da",
         "inline": "e769aeaa10c8debb4ba55504cbb080de4c578a3ec4e200e2d8e6e0f6b17737e0",
     },
-    # The mean-target stream of the exact vector over D = 65525 (mean
-    # exactly 23/25, one tiled period); the per-digit digests were of the
-    # vector rationalized entry by entry.
+    # Written from the exact vector over D = 65525 (mean exactly 23/25, one
+    # tiled period), not by the per-digit implementation.
     "mean": {
         "stdout": "c245bd76ffbcb7bc7258596d9b85326bd645e4afee237bfd5dec20094adb2ac7",
         "file": "6324385756ad1caea435843e6edd6931cab5f0c909ee4244655df2b8dc653809",

@@ -19,7 +19,7 @@ EXPAND_SWEEPS = {
     "digits/expand_roundtrip": ({"max_denominator": 200, "prefix_length": 64}, 20_300),
 }
 # sha256 of the stdout of `adiclab verify`, written when the battery gained
-# `construct/mean_target_exact`; the report before it was 4ea1ff64dfdf46a4...
+# `construct/mean_target_exact`.
 GOLDEN_REPORT = "d236c98f103bf606b10d34199ed121c624e81141fc3d5ed80f189fd6f5460668"
 
 
