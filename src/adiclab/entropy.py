@@ -8,16 +8,12 @@ lower bound for the level set of the asymptotic-mean function.
 
 f is strictly convex on the constraint slice, so its unique stationary
 point is the exponential-family (Gibbs) vector tau_i ~ exp(lambda * i);
-the multiplier is found by bisection on the strictly increasing mean.
-`neg_entropy_minima` bisects a whole list of means at once: numpy decides
-and `math.exp` answers. Each step's means come from `np.exp` as arrays,
-and only a row whose mean lies within a derived margin of a decision is
-recomputed as the exact row, whose weights come from `math.exp` and whose
-sums run left to right; each result comes from the exact row too. So
-every result is bit for bit what a bisection of that mean alone gives. A
-small batch, such as one mean in a small base, bisects on exact rows
-alone and loads no numpy. An exhaustive grid scan over the slice, walked
-in slabs of bounded size, serves as an independent oracle.
+the multiplier is found by bisection on the strictly increasing mean,
+which each step takes in closed form, in O(1) in any base (see `_bisect`).
+The Gibbs vector is built once per answer. `neg_entropy_minima` bisects a
+short list of means in pure Python, loading no numpy, and a long one on
+numpy arrays, bit for bit alike. An exhaustive grid scan over the slice,
+walked in slabs of bounded size, serves as an independent oracle.
 
 This module works in binary64, unlike the exact-rational digit modules:
 logarithms are transcendental, so exactness is impossible, and the oracle
@@ -57,17 +53,20 @@ __all__ = [
 # no multiplier in the bracket meets ends in the _MAX_BISECT ArithmeticError.
 LAMBDA_BRACKET = 50.0
 _MAX_BISECT = 200
-# Vector entries (thetas times digits) one block of the batched bisection
-# holds at once.
-_BATCH_ENTRIES = 2**16
-# A block of at most this many entries (one theta up to base 64, 16 in base
-# 4) bisects on exact rows alone: below about 50 entries that beats numpy's
-# fixed cost per step, and it loads no numpy.
-_EXACT_ENTRIES = 2**6
-# Error of one exp, in ulps, that the decision margin allows (see _bisect).
-_EXP_ULPS = 2
+# At most this many means bisect in pure Python, loading no numpy; more step
+# together on numpy arrays. Both give the same results, bit for bit.
+_PYTHON_ROWS = 16
 # math.exp of anything below this is 0.0: exp(-746) < 2**-1076.
 _UNDERFLOW = -746.0
+# c_n = 4**n B_2n / (2n)!, n = 1..18, of coth(x) - 1/x = sum c_n x**(2n-1)
+# for |x| < pi (Abramowitz & Stegun 4.5.67); on |x| <= 1 the tail is below 2**-61.
+_COTH = (
+    0.3333333333333333, -0.022222222222222223, 0.0021164021164021165, -0.00021164021164021165,
+    2.1377799155576935e-05, -2.1644042808063972e-06, 2.1925947851873778e-07, -2.2214608789979678e-08,
+    2.2507846516808994e-09, -2.2805151204592183e-10, 2.3106432599002624e-11, -2.3411706819824882e-12,
+    2.3721017400233653e-13, -2.4034415333307705e-14, 2.4351954029183367e-15, -2.4673688045172075e-16,
+    2.499967277122081e-17, -2.532996435740635e-18,
+)
 
 # Largest grid the oracle scans: npts**(s-2) cells (npts for s <= 3). Every
 # cell is formed and tested, so this bounds the scan's time; its memory is
@@ -89,7 +88,7 @@ def xlogx(x: float) -> float:
 
 def _lsum(values: Iterable[float]) -> float:
     """Left-to-right float sum. The builtin sum compensates its rounding
-    from Python 3.12 on, so it would not match the solver's array sums."""
+    from Python 3.12 on, so results would depend on the Python version."""
     total = 0.0
     for v in values:
         total += v
@@ -129,18 +128,18 @@ def exp_family_vector(lam: float, base: Base = BASE4) -> tuple[tuple[float, ...]
         raise ValueError(f"multiplier must be finite, got {lam}")
     if not math.isfinite(lam * (base.s - 1)):
         raise ValueError(f"multiplier {lam} overflows lam * {base.s - 1}")
-    return _gibbs_row(float(lam), base.s)
+    tau = _gibbs_row(float(lam), base.s)
+    return tau, _lsum(map(mul, tau, range(base.s)))
 
 
-def _gibbs_row(lam: float, s: int) -> tuple[tuple[float, ...], float]:
-    """The Gibbs vector of multiplier `lam` in base s and its mean, in pure
-    Python: exponents lam*i shifted by their maximum, `math.exp`, and sums
-    that run left to right.
+def _gibbs_row(lam: float, s: int) -> tuple[float, ...]:
+    """The Gibbs vector of multiplier `lam` in base s in pure Python: exponents
+    lam*i shifted by their maximum, `math.exp`, and a left-to-right sum.
 
     `math.exp` runs only where the shifted exponent is at least -746. lam*i
     is monotone in i, so that is one window, and every weight outside it is
     exactly 0.0 (exp(-746) is below half the least subnormal); adding 0.0
-    changes no partial sum, and 0.0 / Z and 0.0 * i are 0.0.
+    changes no partial sum, and 0.0 / Z is 0.0.
     """
     if lam > 0.0:
         top = lam * (s - 1)
@@ -154,26 +153,49 @@ def _gibbs_row(lam: float, s: int) -> tuple[tuple[float, ...], float]:
     exp = math.exp
     weights = [exp(lam * i - top) for i in range(lo, hi)]
     z = _lsum(weights)
-    tau = [w / z for w in weights]
-    mean = _lsum(map(mul, tau, range(lo, hi)))
-    return (0.0,) * lo + tuple(tau) + (0.0,) * (s - hi), mean
+    return (0.0,) * lo + tuple([w / z for w in weights]) + (0.0,) * (s - hi)
 
 
-def _numpy_means(lams: np.ndarray, digits: np.ndarray) -> np.ndarray:
-    """The means of the Gibbs rows of `lams`, from `np.exp` and numpy's
-    sums; `_bisect` bounds how far each lies from the `_gibbs_row` mean."""
+def _series(x):
+    """sum c_n x**(2n-1) over _COTH by Horner's rule, for a float or array x."""
+    y = x * x
+    p = 0.0
+    for c in reversed(_COTH):
+        p = p * y + c
+    return x * p
+
+
+def _h(x: float) -> float:
+    """coth(x) - 1/x (0 at 0; `_bisect` bounds the error): the series for
+    |x| <= 1, and (1 - 1/|x|) + 2t/(1 - t), t = exp(-2|x|), signed like x."""
+    a = abs(x)
+    if a <= 1.0:
+        return _series(x)
+    t = math.exp(-2.0 * a) if -2.0 * a >= _UNDERFLOW else 0.0
+    return math.copysign((1.0 - 1.0 / a) + 2.0 * t / (1.0 - t), x)
+
+
+def _h_array(x: np.ndarray) -> np.ndarray:
+    """`_h` of every entry of x, bit for bit: the same IEEE operations in
+    the same order, and t from `math.exp` where it does not underflow."""
     import numpy as np
 
-    exponents = np.multiply.outer(lams, digits)
-    exponents -= np.where(lams > 0.0, exponents[:, -1], 0.0)[:, None]
-    weights = np.exp(exponents, out=exponents)
-    return (weights * digits).sum(axis=1) / weights.sum(axis=1)
+    h = np.empty_like(x)
+    near = np.abs(x) <= 1.0
+    h[near] = _series(x[near])
+    far = ~near
+    a = np.abs(x[far])
+    live = -2.0 * a >= _UNDERFLOW
+    t = np.zeros_like(a)
+    t[live] = np.fromiter(map(math.exp, (-2.0 * a[live]).tolist()), float)
+    h[far] = np.copysign((1.0 - 1.0 / a) + 2.0 * t / (1.0 - t), x[far])
+    return h
 
 
-def _margin(s: int) -> float:
-    """Bound on |d_np - d| in base s, where d = mean - theta is computed from
-    the `_gibbs_row` mean and d_np from the `_numpy_means` one (see `_bisect`)."""
-    return (s - 1) * (2 * s + 4 * _EXP_ULPS + 1) * 2.0**-52 * (1.0 + 2.0**-20)
+def _gibbs_mean(lam, s: int, h=_h):
+    """The mean of the Gibbs row of multiplier lam in base s, with
+    h(x) = coth(x) - 1/x (see `_bisect`); lam may be an array if h is `_h_array`."""
+    return 0.5 * ((s - 1) + (s * h(lam * (0.5 * s)) - h(0.5 * lam)))
 
 
 @dataclass(frozen=True)
@@ -196,111 +218,90 @@ class EntropyResult:
         }
 
 
-def _bisect(
-    results: list, positions: list[int], thetas: list[float], base: Base, tol: float
-) -> None:
-    """Bisect the interior means thetas[k], k in `positions`, one row each,
-    and write each row's result to results[k] at its first midpoint with
-    |mean - theta| <= tol.
+def _bisect(results: list, positions: list[int], thetas: list[float], s: int, tol: float) -> None:
+    """Bisect the interior means thetas[k], k in `positions`, and write each
+    result to results[k] at its first midpoint with |mean - theta| <= tol;
+    raise ArithmeticError for the first theta that has not stopped after
+    _MAX_BISECT steps.
 
-    Every decision (`mean < theta` and the stop test) and every result is
-    the one that the exact row, `_gibbs_row`, gives, so a result does not
-    depend on which other rows share the call. A block of at most
-    _EXACT_ENTRIES entries bisects on exact rows alone and loads no numpy.
-    A larger block takes each step's means from `_numpy_means` and
-    recomputes with `_gibbs_row` only the rows whose d_np = mean_np - theta
-    lies within M = _margin(s) of the stop test: ||d_np| - tol| <= M. Where
-    |d_np - d| <= M, with d from the exact row, no other row can decide
-    differently. If |d_np| > tol + M, then |d| > tol and d has the sign of
-    d_np, so both paths step the same way; if |d_np| < tol - M, both stop.
-    (So the `mean < theta` test needs no margin of its own.) Rounding is
-    monotone, so the computed test flags every row where the exact one
-    holds.
+    Each step decides on d = mean - theta, the mean from `_gibbs_mean` in
+    O(1): ((s-1) + s h1 - h0)/2, h1 = h(s lam/2), h0 = h(lam/2). Up to
+    _PYTHON_ROWS thetas bisect in pure Python on `_h`, more on arrays with
+    `_h_array`, which repeats `_h`'s operations, so a result does not
+    depend on the other thetas. `_solution` builds each answer's row once.
 
-    The bound. Let u = 2**-53, e_i the true exp of the shifted exponents
-    (both paths form them with the same IEEE operations), and
-    R = sum(i e_i) / sum(e_i) <= s - 1. Assume each exp, `math.exp` or
-    `np.exp`, is within K = _EXP_ULPS = 2 ulps of e_i, so within a factor
-    1 +- 2Ku while e_i is normal. numpy's own accuracy tests hold float64
-    `np.exp` to 1 ulp, and tests/test_entropy.py holds both to 1 ulp on
-    [-746, 0], so one ulp is headroom. Every term is nonnegative, so on
-    each path:
-    - the exp errors move sum(i w_i) / sum(w_i) from R by a factor
-      1 +- 4Ku;
-    - the mean is that quotient of two sums of at most s terms, in any
-      order, with at most s + 1 roundings per term above the line and
-      s - 1 below, so it is the quotient times 1 + phi with
-      |phi| <= gamma(2s) = 2su / (1 - 2su);
-    - computing d = mean - theta rounds by at most u(s - 1).
-    Summed over both paths, |d_np - d| <= (s - 1)(2s + 4K + 1) 2**-52 to
-    first order. The factor 1 + 2**-20 in M covers the second-order terms
-    for every s up to 2**30 (a row of 8 GiB), and the weights and quotients
-    below the normal range (at most s**2 2**-1021 in all). So
-    M = (s - 1)(2s + 9) 2**-52 (1 + 2**-20): 1.1e-14 in base 4, 5.8e-14 in
-    base 10, 4.0e-11 in base 300 and 7.1e-5 in base 400000.
-
-    If a row has not stopped after _MAX_BISECT steps, raise ArithmeticError
-    for the first such theta.
+    d is within E(s) = 5 s 2**-53 of its exact value (2.2e-15 in base 4,
+    1.7e-13 in base 300, 2.2e-10 in base 400000). Let u = 2**-53; then
+    |h| < 1 and 0 <= x h'(x) < 0.35.
+    - `_h` is within 3u of h. On |x| <= 1 the series alternates, its terms
+      falling by a factor below 1/9, so Horner's roundings, the rounded c_n
+      and x*x and the tail give at most 1.1u. Above 1, 1 - 1/|x| is within
+      u, 2t/(1 - t) <= 0.313 within 3.9u relative (t within 1 ulp, then
+      three roundings), and their sum rounds by at most u/2.
+    - Rounding lam * (s/2) moves h1 by at most 0.35u.
+    - s h1 rounds by su; s h1 - h0, in (1-s, s-1), by u(s-1); adding s - 1,
+      for a sum in (0, 2(s-1)), by 2u(s-1); halving is exact. So the mean is
+      within 3.7su of exact, and d = mean - theta rounds by u(s-1): 4.7su,
+      and the second-order terms fit in the rest of E(s).
+    So a step goes where the exact mean sends it unless the exact |d| lies
+    within E(s) of 0, and stops as the exact mean would unless it lies
+    within E(s) of tol; at the stop, |mean(lam) - theta| <= tol + E(s).
     """
-    s = base.s
-    bisect = _bisect_rows if len(positions) * s <= _EXACT_ENTRIES else _bisect_batch
+    bisect = _bisect_rows if len(positions) <= _PYTHON_ROWS else _bisect_batch
     unsolved = bisect(results, positions, thetas, s, tol)
     if unsolved is not None:
-        theta = thetas[unsolved]
-        raise ArithmeticError(f"bisection did not reach |mean - theta| <= {tol} for theta={theta}")
+        raise ArithmeticError(f"bisection did not reach |mean - theta| <= {tol} for theta={thetas[unsolved]}")
 
 
 def _bisect_rows(results: list, positions: list[int], thetas: list[float], s: int, tol: float) -> int | None:
-    """`_bisect` on exact rows, one theta at a time; the position of the
+    """`_bisect` in pure Python, one theta at a time; the position of the
     first theta that did not stop, or None."""
     for k in positions:
         theta, lo, hi = thetas[k], -LAMBDA_BRACKET, LAMBDA_BRACKET
         for _ in range(_MAX_BISECT):
             mid = 0.5 * (lo + hi)
-            tau, mean = _gibbs_row(mid, s)
+            mean = _gibbs_mean(mid, s)
             if abs(mean - theta) <= tol:
-                results[k] = _solution(theta, mid, tau, s)
+                results[k] = _solution(theta, mid, s)
                 break
-            if mean < theta:
-                lo = mid
-            else:
-                hi = mid
+            lo, hi = (mid, hi) if mean < theta else (lo, mid)
         else:
             return k
     return None
 
 
 def _bisect_batch(results: list, positions: list[int], thetas: list[float], s: int, tol: float) -> int | None:
-    """`_bisect` on numpy means, all rows together; the position of the
-    first row that did not stop, or None."""
+    """`_bisect` on numpy arrays, all thetas together; the position of the
+    first theta that did not stop, or None. The rows are kept in order of
+    theta, so equal midpoints (in a sweep's first dozen steps, most) are
+    adjacent, and each run of them takes one mean."""
     import numpy as np
 
-    margin = _margin(s)
-    digits = np.arange(float(s))
-    rows = np.array(positions)
-    target = np.array([thetas[k] for k in positions])
+    rows = np.array(sorted(positions, key=thetas.__getitem__))
+    target = np.array(thetas)[rows]
     lo, hi = np.full(len(rows), -LAMBDA_BRACKET), np.full(len(rows), LAMBDA_BRACKET)
     for _ in range(_MAX_BISECT):
         mid = 0.5 * (lo + hi)
-        gap = _numpy_means(mid, digits) - target
-        near = np.abs(np.abs(gap) - tol) <= margin
-        for j in np.flatnonzero(near).tolist():
-            gap[j] = _gibbs_row(float(mid[j]), s)[1] - target[j]
+        starts = np.flatnonzero(np.r_[True, mid[1:] != mid[:-1]])
+        means = _gibbs_mean(mid[starts], s, _h_array)
+        gap = np.repeat(means, np.diff(starts, append=len(mid))) - target
         below = gap < 0.0
         lo, hi = np.where(below, mid, lo), np.where(below, hi, mid)
         done = np.abs(gap) <= tol
         if not done.any():
             continue
         for k, lam in zip(rows[done].tolist(), mid[done].tolist()):
-            results[k] = _solution(thetas[k], lam, _gibbs_row(lam, s)[0], s)
+            results[k] = _solution(thetas[k], lam, s)
         keep = ~done
         if not keep.any():
             return None
         rows, target, lo, hi = rows[keep], target[keep], lo[keep], hi[keep]
-    return int(rows[0])
+    return int(rows.min())
 
 
-def _solution(theta: float, lam: float, argmin: tuple[float, ...], s: int) -> EntropyResult:
+def _solution(theta: float, lam: float, s: int) -> EntropyResult:
+    """The result at the stopping multiplier lam: its Gibbs row, built once."""
+    argmin = _gibbs_row(lam, s)
     m = _lsum(map(xlogx, filter(None, argmin)))  # zero entries add 0.0
     return EntropyResult(theta, m, argmin, lam, -m / math.log(s))
 
@@ -312,18 +313,19 @@ def neg_entropy_minima(
     each theta in `thetas`, in order.
 
     Interior theta: bisection on [-50, 50] stops at the first multiplier
-    with |mean(lambda) - theta| <= tol; the minimizer is the Gibbs vector
-    there and the dimension bound is -m / ln s. Every theta in [0, s-1] is
-    solved: a theta within tol of 0 or of s-1 stops at a multiplier well
-    inside the bracket (at the default tol, every theta below 1e-10 stops at
-    lambda = -25), so its argmin's mean can differ from theta by up to tol,
-    however small theta is. Endpoints short-circuit to the point-mass
-    result (m = 0, bound 0). The result is symmetric under theta -> s-1-theta
-    because digit reflection preserves f and reflects the mean.
+    whose computed mean lies within tol of theta, so its exact mean lies
+    within tol + E(s) (see `_bisect`). The minimizer is the Gibbs vector
+    there, its float entries rounded, and the dimension bound is -m / ln s.
+    Every theta in [0, s-1] is solved: a theta within tol of 0 or of s-1
+    stops at a multiplier well inside the bracket (at the default tol,
+    every theta below 1e-10 stops at lambda = -25), so its argmin's mean can
+    differ from theta by up to tol, however small theta is. Endpoints
+    short-circuit to the point-mass result (m = 0, bound 0). The result is
+    symmetric under theta -> s-1-theta because digit reflection preserves f
+    and reflects the mean.
 
     `tol` and every theta are validated, in order, before anything is
-    solved. The interior thetas are then bisected together, in blocks of
-    about 2**16 vector entries so that memory stays bounded.
+    solved; the interior thetas are then bisected together.
     """
     if tol <= 0:
         raise ValueError(f"tolerance must be positive, got {tol}")
@@ -341,9 +343,7 @@ def neg_entropy_minima(
             results[k] = EntropyResult(th, 0.0, point, None, 0.0)
         else:
             interior.append(k)
-    block = max(1, _BATCH_ENTRIES // s)
-    for start in range(0, len(interior), block):
-        _bisect(results, interior[start : start + block], ths, base, tol)
+    _bisect(results, interior, ths, s, tol)
     return results
 
 

@@ -789,6 +789,16 @@ class TestDimension:
         assert doc["lambda"] == 0.0
         assert set(doc) == {"provenance", "theta", "m", "argmin", "lambda", "dimension_bound"}
 
+    @pytest.mark.parametrize("theta", ["340000", "360000"])
+    def test_mid_range_theta_in_base_400000_is_solved(self, capsys, theta):
+        # Bisecting on the rows' own means, whose rounding grows like
+        # s**2 2**-53, no midpoint stopped within 1e-10 of these thetas, and
+        # the command exited 2 after about 25 s.
+        code, out, err = run_cli(capsys, "dimension", "--theta", theta, "--base", "400000")
+        assert (code, err) == (0, "")
+        doc = json.loads(out)
+        assert doc["theta"] == float(theta) and len(doc["argmin"]) == 400000
+
     def test_oracle_comparison(self, capsys):
         code, out, _ = run_cli(capsys, "dimension", "--theta", "3/2", "--oracle")
         doc = json.loads(out)
@@ -1014,9 +1024,9 @@ class TestVerify:
         # ints in base 4; in base 10 its first chunk is one big-int division,
         # and later ones fill numpy remainder arrays. `analyze` counts a
         # tally of at most 2**20 digits in a base up to 16 without numpy; a
-        # longer file is bincounted. One entropy point in base 4 bisects on exact rows; the
-        # grid oracle and a sweep's batch load numpy. So the test cannot
-        # pass by never loading numpy.
+        # longer file is bincounted. One entropy point bisects in pure Python in
+        # any base; the grid oracle and a sweep's batch load numpy. So the
+        # test cannot pass by never loading numpy.
         config = tmp_path / "blocks.json"
         blocks = {"schedule": {"family": "polynomial", "degree": 1}, "columns": CONVERGING_COLUMNS}
         config.write_text(json.dumps(blocks))
@@ -1031,6 +1041,7 @@ class TestVerify:
             ([], [], ["numpy", "adiclab.construct", "adiclab.entropy", "adiclab.stats"]),
             (["dimension", "--tau", "1/3,1/3,0,1/3"], ["adiclab.entropy"], ["numpy", "adiclab.stats"]),
             (["dimension", "--theta", "1/2"], ["adiclab.entropy"], ["numpy", "adiclab.stats"]),
+            (["dimension", "--theta", "1/2", "--base", "300"], ["adiclab.entropy"], ["numpy", "adiclab.stats"]),
             (["dimension", "--theta", "1/2", "--oracle"], ["adiclab.entropy", "numpy"], ["adiclab.stats"]),
             (["dimension", "--sweep", "0:3:1/10"], ["adiclab.entropy", "numpy"], ["adiclab.stats"]),
             (block, ["adiclab.construct"], ["numpy", "adiclab.entropy"]),
