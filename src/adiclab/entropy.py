@@ -13,7 +13,8 @@ which each step takes in closed form, in O(1) in any base (see `_bisect`).
 The Gibbs vector is built once per answer. `neg_entropy_minima` bisects a
 short list of means in pure Python, loading no numpy, and a long one on
 numpy arrays, bit for bit alike. An exhaustive grid scan over the slice,
-walked in slabs of bounded size, serves as an independent oracle.
+which forms only the grid cells that can lie on it, serves as an
+independent oracle.
 
 This module works in binary64, unlike the exact-rational digit modules:
 logarithms are transcendental, so exactness is impossible, and the oracle
@@ -22,7 +23,6 @@ bounds the error instead.
 
 from __future__ import annotations
 
-import itertools
 import math
 from bisect import bisect_left
 from dataclasses import dataclass
@@ -54,8 +54,12 @@ __all__ = [
 LAMBDA_BRACKET = 50.0
 _MAX_BISECT = 200
 # At most this many means bisect in pure Python, loading no numpy; more step
-# together on numpy arrays. Both give the same results, bit for bit.
-_PYTHON_ROWS = 16
+# together on numpy arrays. Both give the same results, bit for bit. Set from
+# fresh `dimension --sweep` processes, which pay about 0.1 s to import numpy:
+# pure Python was faster up to about 1000 interior means, even near 1500 and
+# slower at 3000 (base 4, 0.49 s against 0.34 s). With numpy already
+# loaded, the arrays win from about 128 means.
+_PYTHON_ROWS = 1024
 # math.exp of anything below this is 0.0: exp(-746) < 2**-1076.
 _UNDERFLOW = -746.0
 # c_n = 4**n B_2n / (2n)!, n = 1..18, of coth(x) - 1/x = sum c_n x**(2n-1)
@@ -68,13 +72,16 @@ _COTH = (
     2.499967277122081e-17, -2.532996435740635e-18,
 )
 
-# Largest grid the oracle scans: npts**(s-2) cells (npts for s <= 3). Every
-# cell is formed and tested, so this bounds the scan's time; its memory is
-# bounded by the slab size instead. It admits base 5 at step 1/200 (201**3
+# Largest grid the oracle scans: npts**(s-2) cells (npts for s <= 3). Only
+# the cells that can lie on the theta slice are formed and tested, so the
+# scan's time follows them, and this bounds it; its memory is bounded by
+# the piece size in every base. It admits base 5 at step 1/200 (201**3
 # cells).
 _MAX_GRID_CELLS = 2**24
-# Cells the grid oracle forms at once.
-_SLAB_CELLS = 2**16
+# Cells the grid oracle forms at once, and prefixes of all but the last free
+# coordinate whose intervals on the slice it solves at once.
+_SLAB_CELLS = 2**12
+_BLOCK_ROWS = 2**11
 
 
 def xlogx(x: float) -> float:
@@ -371,27 +378,55 @@ def _xlx(a: np.ndarray) -> np.ndarray:
     return np.where(positive, a * np.log(np.where(positive, a, 1.0)), 0.0)
 
 
-def _grid_slabs(npts: int, free: int) -> Iterator[tuple[np.ndarray, ...]]:
-    """The cells of the grid {0..npts-1}**free in C order, in slabs of at
-    most _SLAB_CELLS cells, each given as `np.ix_` index arrays.
+def _axis_values(index: np.ndarray, npts: int) -> np.ndarray:
+    """np.linspace(0.0, 1.0, npts)[index], bit for bit, from the indices
+    alone: linspace takes i * (1.0 / (npts - 1)) and sets its last value
+    to 1.0."""
+    values = index * (1.0 / (npts - 1))
+    values[index == npts - 1] = 1.0
+    return values
 
-    A slab fixes the leading coordinates, takes a run of values of the
-    next one and every value of the rest.
+
+def _slice_pieces(
+    th: float, npts: int, free: int
+) -> Iterator[tuple[list[np.ndarray], np.ndarray, np.ndarray]]:
+    """The cells of the grid {0..npts-1}**free that can lie on the theta
+    slice, in C order, in pieces of at most _SLAB_CELLS cells.
+
+    A piece is (values, s1, s0): each free coordinate's grid values at the
+    piece's cells, s1 = sum (j+2) a_j and s0 = sum (j+1) a_j, both summed
+    over j in order, as the full scan sums them. The first free-1
+    coordinates, a row, run over every prefix in blocks of _BLOCK_ROWS
+    rows. For each row the two constraints t1 = theta - s1 >= -1e-12 and
+    t0 = 1 - theta + s0 >= -1e-12 bound the last coordinate to an interval,
+    which is solved in closed form and widened by one index on each side
+    against its rounding; only the cells in it are formed. So a row forms
+    at most its feasible cells and two more, and the caller still masks
+    every cell.
     """
     import numpy as np
 
     if free == 0:
-        yield ()
+        yield [], np.zeros(1), np.zeros(1)
         return
-    lead = 0
-    while lead < free - 1 and npts ** (free - lead - 1) > _SLAB_CELLS:
-        lead += 1
-    run = _SLAB_CELLS // npts ** (free - lead - 1)
-    rest = [np.arange(npts)] * (free - lead - 1)
-    for prefix in itertools.product(range(npts), repeat=lead):
-        fixed = [[i] for i in prefix]
-        for start in range(0, npts, run):
-            yield np.ix_(*fixed, np.arange(start, min(start + run, npts)), *rest)
+    rows = npts ** (free - 1)
+    for start in range(0, rows, _BLOCK_ROWS):
+        row = np.arange(start, min(start + _BLOCK_ROWS, rows))
+        lead = [_axis_values(row // npts ** (free - 2 - j) % npts, npts) for j in range(free - 1)]
+        p1 = p0 = np.zeros(row.size)
+        for j, a in enumerate(lead):
+            p1 = p1 + (j + 2) * a
+            p0 = p0 + (j + 1) * a
+        lo = np.ceil((th - 1.0 - p0 - 1e-12) / free * (npts - 1)).astype(np.int64) - 1
+        hi = np.floor((th - p1 + 1e-12) / (free + 1) * (npts - 1)).astype(np.int64) + 1
+        lo = np.maximum(lo, 0)
+        count = np.maximum(np.minimum(hi, npts - 1) - lo + 1, 0)
+        ends = np.cumsum(count)
+        for first in range(0, int(ends[-1]), _SLAB_CELLS):
+            cell = np.arange(first, min(first + _SLAB_CELLS, int(ends[-1])))
+            r = np.searchsorted(ends, cell, side="right")
+            a = _axis_values(lo[r] + cell - (ends[r] - count[r]), npts)
+            yield [v[r] for v in lead] + [a], p1[r] + (free + 1) * a, p0[r] + free * a
 
 
 def neg_entropy_minimum_grid(
@@ -404,13 +439,15 @@ def neg_entropy_minimum_grid(
     every evaluated point lies exactly on the slice. The returned value is
     never below the true minimum (that holds at any step, even a very
     coarse one) and lies within O(step * ln(1/step)) above it; of equal
-    values the first cell in C order wins.
+    values the first cell in C order wins. It shares no code with the
+    Gibbs closed form.
 
-    The grid is walked in slabs of about 2**16 cells, and f is evaluated
-    only on the cells where coordinates 0 and 1 are nonnegative, so memory
-    stays bounded whatever the step. Time grows like (1/step)**(s-2); a
-    grid of more than 2**24 cells is refused with ValueError before
-    anything is scanned.
+    Only the cells that can lie on the slice are formed (`_slice_pieces`),
+    in pieces of at most 2**12 cells, and f is evaluated only where
+    coordinates 0 and 1 are nonnegative. So the time follows the cells on
+    the slice, and the memory stays bounded in every base, whatever the
+    step. A grid of more than 2**24 cells is refused with ValueError
+    before anything is scanned.
     """
     import numpy as np
 
@@ -428,26 +465,23 @@ def neg_entropy_minimum_grid(
             f"grid oracle at step {step} in base {s} needs {cells} cells, "
             f"over the limit of {_MAX_GRID_CELLS}; use a coarser step"
         )
-    axis = np.linspace(0.0, 1.0, npts)
-    xlx_axis = _xlx(axis)
     best, argmin = math.inf, None
-    for slab in _grid_slabs(npts, s - 2):
-        free = [axis[i] for i in slab]
-        t1 = np.atleast_1d(th - sum((j + 2) * a for j, a in enumerate(free)))
-        t0 = np.atleast_1d(1.0 - th + sum((j + 1) * a for j, a in enumerate(free)))
-        hits = np.nonzero((t1 >= -1e-12) & (t0 >= -1e-12))
-        if hits[0].size == 0:
+    for values, s1, s0 in _slice_pieces(th, npts, s - 2):
+        t1 = th - s1
+        t0 = 1.0 - th + s0
+        hits = np.flatnonzero((t1 >= -1e-12) & (t0 >= -1e-12))
+        if hits.size == 0:
             continue
         t0c = np.clip(t0[hits], 0.0, 1.0)
         t1c = np.clip(t1[hits], 0.0, 1.0)
-        index = [i.ravel()[h] for i, h in zip(slab, hits)]
+        free = [a[hits] for a in values]
         total = _xlx(t0c) + _xlx(t1c)
-        for i in index:
-            total = total + xlx_axis[i]
+        for a in free:
+            total = total + _xlx(a)
         k = int(np.argmin(total))
         if total[k] < best:
             best = float(total[k])
-            argmin = (float(t0c[k]), float(t1c[k])) + tuple(float(axis[i[k]]) for i in index)
+            argmin = (float(t0c[k]), float(t1c[k])) + tuple(float(a[k]) for a in free)
     if argmin is None:
         raise ArithmeticError(f"no feasible grid point at step {step} for theta={th}")
     return GridMinimum(theta=th, step=step, m_value=best, argmin=argmin)

@@ -1024,9 +1024,10 @@ class TestVerify:
         # ints in base 4; in base 10 its first chunk is one big-int division,
         # and later ones fill numpy remainder arrays. `analyze` counts a
         # tally of at most 2**20 digits in a base up to 16 without numpy; a
-        # longer file is bincounted. One entropy point bisects in pure Python in
-        # any base; the grid oracle and a sweep's batch load numpy. So the
-        # test cannot pass by never loading numpy.
+        # longer file is bincounted. One entropy point, and a sweep of at most
+        # 1024 interior means, bisect in pure Python in any base; the grid
+        # oracle and a longer sweep's batch load numpy. So the test cannot
+        # pass by never loading numpy.
         config = tmp_path / "blocks.json"
         blocks = {"schedule": {"family": "polynomial", "degree": 1}, "columns": CONVERGING_COLUMNS}
         config.write_text(json.dumps(blocks))
@@ -1043,7 +1044,8 @@ class TestVerify:
             (["dimension", "--theta", "1/2"], ["adiclab.entropy"], ["numpy", "adiclab.stats"]),
             (["dimension", "--theta", "1/2", "--base", "300"], ["adiclab.entropy"], ["numpy", "adiclab.stats"]),
             (["dimension", "--theta", "1/2", "--oracle"], ["adiclab.entropy", "numpy"], ["adiclab.stats"]),
-            (["dimension", "--sweep", "0:3:1/10"], ["adiclab.entropy", "numpy"], ["adiclab.stats"]),
+            (["dimension", "--sweep", "0:3:1/10"], ["adiclab.entropy"], ["numpy", "adiclab.stats"]),
+            (["dimension", "--sweep", "0:3:1/400"], ["adiclab.entropy", "numpy"], ["adiclab.stats"]),
             (block, ["adiclab.construct"], ["numpy", "adiclab.entropy"]),
             (short_period, ["adiclab.construct"], ["numpy", "adiclab.entropy", "adiclab.stats"]),
             (long_period, ["numpy"], ["adiclab.entropy", "adiclab.stats"]),

@@ -788,3 +788,177 @@ class TestSlabGridMatchesFullScan:
         finally:
             tracemalloc.stop()
         assert peak < 32 * 2**20
+
+
+CAP_STEP = 1 / (2**24 - 1)  # base 3's finest admitted step: 2**24 grid points
+
+
+def grid_of(s, step):
+    """Grid points per free coordinate, and free coordinates, of the oracle."""
+    return round(1 / step) + 1, s - 2
+
+
+def slice_mask(theta, npts, free):
+    """Which cells of the whole grid {0..npts-1}**free pass the oracle's
+    mask, with the full scan's float operations."""
+    axis = np.linspace(0.0, 1.0, npts)
+    s1 = s0 = np.zeros((npts,) * free)
+    for j in range(free):
+        shape = [1] * free
+        shape[j] = npts
+        s1 = s1 + (j + 2) * axis.reshape(shape)
+        s0 = s0 + (j + 1) * axis.reshape(shape)
+    return (theta - s1 >= -1e-12) & (1.0 - theta + s0 >= -1e-12)
+
+
+def formed_cells(theta, npts, free):
+    """Index tuples of the cells that the slice walk forms, in order."""
+    cells = []
+    for values, _, _ in entropy._slice_pieces(theta, npts, free):
+        index = [np.rint(a * (npts - 1)).astype(np.int64) for a in values]
+        cells.extend(zip(*(i.tolist() for i in index)) if index else [()])
+    return cells
+
+
+def thetas_near_a_boundary(npts, free, cells):
+    """For each cell, the thetas within 6 ulps of where its t1 or its t0
+    is exactly -1e-12: the rounding of the walk's closed-form interval
+    decides whether such a cell is formed."""
+    axis = np.linspace(0.0, 1.0, npts)
+    for cell in cells:
+        s1 = s0 = 0.0
+        for j, i in enumerate(cell):
+            s1 = s1 + (j + 2) * float(axis[i])
+            s0 = s0 + (j + 1) * float(axis[i])
+        for edge in (s1 - 1e-12, 1.0 + s0 + 1e-12):
+            theta = edge
+            for _ in range(6):
+                theta = math.nextafter(theta, -math.inf)
+            for _ in range(13):
+                if 0.0 < theta < free + 1:
+                    yield theta
+                theta = math.nextafter(theta, math.inf)
+
+
+def grid_thetas(s):
+    """Fractions of the mean range, theta = k/100, and thetas within 1e-9
+    of either end, all inside (0, s-1) as the oracle requires."""
+    return st.one_of(
+        st.floats(min_value=0.0, max_value=1.0).map(lambda f: f * (s - 1)),
+        st.integers(1, 100 * (s - 1) - 1).map(lambda k: k / 100),
+        st.floats(min_value=0.0, max_value=1e-9),
+        st.floats(min_value=0.0, max_value=1e-9).map(lambda x: (s - 1) - x),
+    ).filter(lambda theta: 0.0 < theta < s - 1)
+
+
+class TestSliceWalk:
+    @pytest.mark.parametrize("npts", [2, 3, 11, 201, 1001, 4097, 2**20 + 1, 2**24])
+    def test_axis_values_are_linspace(self, npts):
+        # The oracle's grid points come from their indices; they must be the
+        # installed numpy's linspace, bit for bit, at every npts it uses
+        # (2**24 is base 3 at the finest admitted step).
+        want = np.linspace(0.0, 1.0, npts)
+        for start in range(0, npts, 2**20):
+            index = np.arange(start, min(start + 2**20, npts))
+            assert entropy._axis_values(index, npts).tobytes() == want[index].tobytes()
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.data())
+    def test_matches_full_scan(self, data):
+        # Bases 2-7 at any step whose whole grid the full scan can hold
+        # (at most 2**16 cells), the value or the refusal alike.
+        s = data.draw(st.integers(2, 7))
+        top = min(2**16, entropy._MAX_GRID_CELLS) ** (1 / max(s - 2, 1))
+        step = 1 / data.draw(st.integers(2, int(top) - 1))
+        theta = data.draw(grid_thetas(s))
+        want = outcome(full_grid_oracle, theta, Base(s), step)
+        assert outcome(neg_entropy_minimum_grid, theta, Base(s), step) == want
+
+    @pytest.mark.parametrize("s, step", [(3, 1 / 50), (4, 1 / 40), (5, 1 / 20), (6, 1 / 7)])
+    def test_forms_every_cell_that_passes_the_mask(self, s, step):
+        # At thetas where a cell's t1 or t0 sits within a few ulps of
+        # -1e-12, the closed-form interval rounds either way; the one-index
+        # widening must keep every cell that the mask passes.
+        npts, free = grid_of(s, step)
+        rng = random.Random(s)
+        cells = [tuple(rng.randrange(npts) for _ in range(free)) for _ in range(12)]
+        for theta in thetas_near_a_boundary(npts, free, cells):
+            feasible = {tuple(c) for c in np.argwhere(slice_mask(theta, npts, free)).tolist()}
+            assert feasible <= set(formed_cells(theta, npts, free)), theta
+
+    @pytest.mark.parametrize("theta", [1e-13, 5e-13, 2.0 - 1e-13, 2.0 - 5e-13])
+    def test_the_interval_keeps_the_tolerance(self, theta):
+        # On a line of 4 * 10**12 + 1 points the 1e-12 tolerance spans
+        # several indices beyond the widening; the cells within it lie at
+        # the ends of the line, so only those are checked.
+        npts = 4 * 10**12 + 1
+        ends = [*range(8), *range(npts - 8, npts)]
+        feasible = set()
+        for i in ends:
+            a = 1.0 if i == npts - 1 else i * (1.0 / (npts - 1))
+            if theta - (0.0 + 2 * a) >= -1e-12 and 1.0 - theta + (0.0 + a) >= -1e-12:
+                feasible.add((i,))
+        formed = formed_cells(theta, npts, 1)
+        assert feasible and feasible <= set(formed)
+        assert len(formed) <= len(feasible) + 2
+
+    @pytest.mark.parametrize(
+        "s, step, fractions",
+        [
+            (2, 0.1, (0.25, 0.5)),
+            (3, 1 / 1000, (0.01, 0.3, 0.5, 0.9)),
+            (4, 1 / 200, (0.01, 0.37, 0.5, 0.97)),
+            (5, 1 / 60, (0.0625, 0.25, 0.4825, 0.9375)),
+            (6, 1 / 20, (0.1, 0.5, 0.81)),
+            (7, 1 / 10, (0.2, 0.5)),
+        ],
+    )
+    def test_forms_at_most_the_feasible_cells_and_two_per_row(self, s, step, fractions):
+        # Counted through the piece generator: a row (a prefix of the first
+        # s-3 free coordinates) forms its feasible cells and at most two
+        # more, so the walk's work follows the slice, not the grid.
+        npts, free = grid_of(s, step)
+        rows = npts ** max(free - 1, 0)
+        walk = entropy._slice_pieces
+        for fraction in fractions:
+            theta = fraction * (s - 1)
+            counted = []
+
+            def counting(*args):
+                for piece in walk(*args):
+                    counted.append(piece[1].size)
+                    yield piece
+
+            with mock.patch.object(entropy, "_slice_pieces", counting):
+                assert neg_entropy_minimum_grid(theta, Base(s), step) == full_grid_oracle(theta, Base(s), step)
+            feasible = int(np.count_nonzero(slice_mask(theta, npts, free)))
+            assert feasible <= sum(counted) <= feasible + 2 * rows
+            assert max(counted) <= entropy._SLAB_CELLS
+        if s == 5:
+            # theta = 0.25 in base 5 at step 1/60: under 1 % of the grid.
+            assert sum(counted) < 0.01 * npts**free
+
+    @pytest.mark.parametrize("s, theta", [(3, 0.5), (2, 0.5)])
+    def test_memory_is_bounded_at_the_cap_in_small_bases(self, s, theta):
+        # The grid of 2**24 points once held a linspace axis and its x ln x
+        # whole: 400 MiB at the tracemalloc peak.
+        tracemalloc.start()
+        try:
+            grid = neg_entropy_minimum_grid(theta, Base(s), CAP_STEP)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert grid.theta == theta
+        assert peak < 2**20
+
+    def test_memory_is_below_the_slab_scan(self):
+        # The slab scan peaked at 1.41 MiB in base 5 at step 1/200, and at
+        # 2.06-3.11 MiB on the verify check's base-4 grids at step 1/1000.
+        for theta, s, step in [(1.23, 5, 1 / 200), *((t, 4, 1e-3) for t in (0.1, 0.5, 1.0, 1.5, 2.0, 2.5, 2.9))]:
+            tracemalloc.start()
+            try:
+                neg_entropy_minimum_grid(theta, Base(s), step)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak < 1.4 * 2**20, (theta, s)
