@@ -32,13 +32,13 @@ from .digits import Base, DigitStream, digit_text, expand
 MAX_CONSTRUCT_LENGTH = 10**8
 # A sweep bisects all its points in one batch (`entropy.neg_entropy_minima`:
 # in pure Python up to 1024 interior points, on numpy arrays above).
-# A point costs about 1.5 (base 300) to 5 (base 4) us per base digit, so
-# points * max(s, 4) is capped: 10**5 points up to base 4 (about 2 s with
-# the CSV), 1333 in base 300 (about 0.6 s). A single entropy point
+# A point costs about 1 (base 300) to 5 (base 4) us per base digit, so
+# points * max(s, 4) is capped: 10**5 points up to base 4 (1.4 to 1.9 s
+# with the CSV), 1333 in base 300 (0.4 to 0.6 s). A single entropy point
 # (`dimension --theta`, `--mean`) gets the same budget, so its base is at
-# most this (in base 400000, theta = 1/2 takes about 0.5 s, and a mid-range
-# theta, whose last steps all fall within the margin, 3 to 4 s), and so do
-# `analyze`'s checkpoints * max(s, 4).
+# most this (in base 400000, theta = 1/2 takes about 0.35 s and a
+# mid-range theta such as 200000 about 1 s), and so do `analyze`'s
+# checkpoints * max(s, 4). (Fresh processes on a 2-vCPU x86-64 box.)
 _MAX_SWEEP_POINT_DIGITS = 4 * 10**5
 DEFAULT_PRECISION = 12
 PRECISION_ENV = "ADICLAB_PRECISION"
@@ -293,7 +293,7 @@ def _check_checkpoint_count(count: int, base: Base) -> None:
 
 
 def cmd_analyze(cfg: ExperimentConfig, fmt: str) -> int:
-    from ._digitfile import byte_size, digit_file
+    from ._digitfile import digit_file
     from .stats import DEFAULT_CHECKPOINTS, _trace, convergence_trace, weak_normality_verdict
 
     base = Base(cfg.base)
@@ -318,10 +318,8 @@ def cmd_analyze(cfg: ExperimentConfig, fmt: str) -> int:
             checkpoints = checkpoints or (*(p for p in DEFAULT_CHECKPOINTS if p < length), length)
             _check_checkpoint_count(len(checkpoints), base)
         # One pass that reads the whole file, past the last checkpoint;
-        # without a list, the end of the file is the last checkpoint. The
-        # file's size bounds the tally, so a short file is counted without
-        # numpy; a pipe has no size.
-        trace = _trace(base, stream.make_chunks(), checkpoints, byte_size(cfg.source))
+        # without a list, the end of the file is the last checkpoint.
+        trace = _trace(base, stream.make_chunks(), checkpoints)
         # A default list is known only now: a point per power of ten below
         # the file's length, and its end. Above base 57142 it may be over.
         _check_checkpoint_count(len(trace.checkpoints), base)

@@ -4,17 +4,15 @@ All statistics are exact rationals; floating point appears only at
 serialization. A convergence trace is finite-n evidence for the limiting
 frequencies and the asymptotic digit mean -- it never extrapolates.
 
-Digits are tallied in one of two ways. A tally known before its first
-piece to cover at most _COUNT_DIGITS digits, in a base up to 16, is
-counted with `bytes.count` while numpy is not loaded, so a short input
-never pays for importing numpy. Every other tally uses `numpy.bincount`,
-and numpy is imported only then.
+Digits are tallied in one of two ways. In a base up to 16, the first
+_COUNT_DIGITS digits of a tally are counted with `bytes.count`, so a short
+input never pays for importing numpy. Every later piece, and every piece in
+a larger base, uses `numpy.bincount`, and numpy is imported only then.
 """
 
 from __future__ import annotations
 
 import operator
-import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
@@ -40,10 +38,10 @@ __all__ = [
 # Log-spaced desk-scale evidence of convergence.
 DEFAULT_CHECKPOINTS: tuple[int, ...] = tuple(10**k for k in range(1, 7))
 
-# Most digits a tally counts without numpy. DEFAULT_CHECKPOINTS ends below
-# it; at this length the count passes cost at most about 30 ms (uniform
-# base-16 digits, one pass per digit value), less than importing numpy
-# does (about 0.1 s).
+# Digits a tally counts without numpy before it moves to `numpy.bincount`.
+# DEFAULT_CHECKPOINTS ends below it; at this length the count passes cost
+# at most about 30 ms (uniform base-16 digits, one pass per digit value),
+# less than importing numpy does (about 0.1 s).
 _COUNT_DIGITS = 2**20
 
 
@@ -100,14 +98,6 @@ class FreqReport:
     def to_json_dict(self, precision: int = 12) -> dict:
         *freqs, mean = self._decimals(precision)
         return {"n": self.n, "counts": list(self.counts), "freqs": freqs, "mean": mean}
-
-
-def _without_numpy(bound: int | None, s: int) -> bool:
-    """True when a tally of at most `bound` digits (None: no bound is known)
-    in base s is counted without numpy: the bound is at most _COUNT_DIGITS,
-    s is at most 16 (a count pass per digit value), and numpy is not
-    loaded. Once numpy is loaded, `bincount` costs less than the passes."""
-    return bound is not None and bound <= _COUNT_DIGITS and s <= 16 and "numpy" not in sys.modules
 
 
 def _tally(piece: Chunk, s: int, count: bool) -> list[int] | np.ndarray:
@@ -181,14 +171,14 @@ def convergence_trace(stream: DigitStream, checkpoints: Sequence[int]) -> Conver
 
     The stream's chunks are cut at every checkpoint, and into pieces of at
     most CHUNK_DIGITS digits, so memory stays bounded by that whatever the
-    chunks' length. Each piece is tallied whole, by `_tally`: with
-    `bytes.count` passes when the last checkpoint is at most _COUNT_DIGITS
-    in a base up to 16 and numpy is not loaded, and otherwise with
-    `numpy.bincount`, which costs one pass whatever the base. The digit sum
-    is accumulated independently, by `_digit_sum`, and compared in integers
-    with sum(i * N_i) from the counts (as the length is with sum(N_i)), so
-    every emitted report has passed the mean identity both ways, on either
-    path.
+    chunks' length. Each piece is tallied whole, by `_tally`: in a base up
+    to 16 (a count pass per digit value) with `bytes.count` passes while the
+    digits counted, the piece's included, are at most _COUNT_DIGITS, and
+    otherwise with `numpy.bincount`, which costs one pass whatever the
+    base. The digit sum is accumulated independently, by `_digit_sum`, and
+    compared in integers with sum(i * N_i) from the counts (as the length
+    is with sum(N_i)), so every emitted report has passed the mean identity
+    both ways, on either path.
     """
     points = tuple(map(operator.index, checkpoints))
     if not points:
@@ -198,26 +188,16 @@ def convergence_trace(stream: DigitStream, checkpoints: Sequence[int]) -> Conver
     return _trace(stream.base, stream.chunks(points[-1]), points)
 
 
-def _trace(
-    base: Base, chunks: Iterable[Chunk], points: Sequence[int] | None = None, size: int | None = None
-) -> ConvergenceTrace:
+def _trace(base: Base, chunks: Iterable[Chunk], points: Sequence[int] | None = None) -> ConvergenceTrace:
     """`convergence_trace` of the digits in `chunks`, which are read to
     their end; chunks past the last checkpoint are read and not tallied.
 
     With `points` None, the points are DEFAULT_CHECKPOINTS below the end of
     `chunks`, then the end: `analyze --in` traces a file of unknown length
     to its end this way, in one pass. Otherwise a point past the end is an
-    error. `points` must be >= 1 and strictly increasing.
-
-    `size`, when known, bounds the digits in `chunks`. With the last of
-    `points` it bounds the tally, which picks its path by `_without_numpy`
-    before the first piece. A stream that loads numpy as it is read (a
-    long-period `expand` may, see `digits._long_division`) moves the tally
-    to `bincount` from the next piece on."""
+    error. `points` must be >= 1 and strictly increasing."""
     s = base.s
-    bound = size if points is None else points[-1] if size is None else min(size, points[-1])
-    count = _without_numpy(bound, s)
-    counts = _tally(b"", s, count)  # the counts of no digits, on the tally's path
+    counts = [0] * s
     digit_sum = 0
     consumed = 0
     reports = []
@@ -228,7 +208,7 @@ def _trace(
         while start < len(chunk) and (target is not None or points is None):
             take = CHUNK_DIGITS if target is None else min(CHUNK_DIGITS, target - consumed)
             piece = chunk[start : start + take]
-            count = count and _without_numpy(bound, s)
+            count = s <= 16 and consumed + len(piece) <= _COUNT_DIGITS
             tally = _tally(piece, s, count)
             # An array plus the counts so far, a list or an array, is an array.
             counts = list(map(operator.add, counts, tally)) if count else tally + counts

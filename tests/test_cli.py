@@ -413,20 +413,20 @@ class TestAnalyze:
     )
 
     @pytest.mark.parametrize(
-        "size, pipe, preload, checkpoints, counted",
+        "size, pipe, preload, checkpoints, want",
         [
-            (2**20, False, False, None, True),
-            (2**20 + 1, False, False, None, False),
-            (2**20 + 1, False, False, "10,1048576", True),
-            (2**20, True, False, None, False),
-            (2**20, False, True, None, False),
+            (2**20, False, False, None, [True]),
+            (2**20 + 1, False, False, None, [False, True]),
+            (2**20 + 1, False, False, "10,1048576", [True]),
+            (2**20, True, False, None, [True]),
+            (2**20, False, True, None, [True]),
         ],
         ids=["2^20-bytes", "2^20+1-bytes", "2^20+1-bytes-checkpoint-2^20", "pipe", "numpy-loaded"],
     )
-    def test_which_tally_path_runs(self, tmp_path, size, pipe, preload, checkpoints, counted):
-        # A file's byte size bounds its digits: at most 2**20 (or a last
-        # checkpoint of at most 2**20) is counted without numpy, and every
-        # other tally is bincounted from its first piece.
+    def test_which_tally_path_runs(self, tmp_path, size, pipe, preload, checkpoints, want):
+        # The first 2**20 digits of a base-4 tally are counted without numpy,
+        # from a file or a pipe, whether numpy is loaded or not; the rest of
+        # a longer tally is bincounted, which loads numpy.
         if pipe and not os.path.exists("/dev/stdin"):
             pytest.skip("needs /dev/stdin")
         digits = (b"0123" * (size // 4 + 1))[:size]
@@ -442,8 +442,8 @@ class TestAnalyze:
         )
         assert done.returncode == 0, done.stderr
         status, paths, numpy_loaded = json.loads(done.stdout)
-        assert (status, paths) == (0, [counted])
-        assert numpy_loaded == (preload or not counted)
+        assert (status, paths) == (0, want)
+        assert numpy_loaded == (preload or False in want)
         n = int(checkpoints.split(",")[-1]) if checkpoints else size
         assert (tmp_path / "a.csv").read_text().splitlines()[-1].startswith(f"{n},")
 
@@ -1022,11 +1022,12 @@ class TestVerify:
         # tiles its period too; a theta whose denominator is over 65536 needs
         # a larger D and runs the kernel. A long-period rational divides big
         # ints in base 4; in base 10 its first chunk is one big-int division,
-        # and later ones fill numpy remainder arrays. `analyze` counts a
-        # tally of at most 2**20 digits in a base up to 16 without numpy; a
-        # longer file is bincounted. One entropy point, and a sweep of at most
-        # 1024 interior means, bisect in pure Python in any base; the grid
-        # oracle and a longer sweep's batch load numpy. So the test cannot
+        # and later ones fill numpy remainder arrays. `analyze` counts the
+        # first 2**20 digits of a tally in a base up to 16 without numpy and
+        # bincounts the rest, so a longer file loads numpy. One entropy
+        # point, and a sweep of at most 1024 interior means, bisect in pure
+        # Python in any base; the grid oracle and a longer sweep's batch
+        # load numpy. So the test cannot
         # pass by never loading numpy.
         config = tmp_path / "blocks.json"
         blocks = {"schedule": {"family": "polynomial", "degree": 1}, "columns": CONVERGING_COLUMNS}

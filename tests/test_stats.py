@@ -45,7 +45,8 @@ class TestDigitCounts:
     @pytest.mark.parametrize("count", [True, False], ids=["count", "bincount"])
     def test_tally_is_cross_checked(self, monkeypatch, count):
         # The counts are refused as a report's are; an empty prefix has none to check.
-        monkeypatch.setattr(stats, "_without_numpy", lambda bound, s: count)
+        if not count:
+            monkeypatch.setattr(stats, "_COUNT_DIGITS", 0)
         monkeypatch.setattr(stats, "_tally", one_count_moved(stats._tally))
         with pytest.raises(AssertionError, match="digit counts disagree with the digit sum or the length"):
             digit_counts(DigitPrefix(BASE4, (1, 2, 3)))
@@ -63,6 +64,19 @@ def one_count_moved(tally):
         return counts if count else np.array(counts)
 
     return faulty
+
+
+def record_pieces(monkeypatch) -> list[tuple[bool, int]]:
+    """Patch `stats._tally` to append each piece's path (True: counted
+    without numpy) and length to the list returned."""
+    tally, pieces = stats._tally, []
+
+    def recorded(chunk, s, count):
+        pieces.append((count, len(chunk)))
+        return tally(chunk, s, count)
+
+    monkeypatch.setattr(stats, "_tally", recorded)
+    return pieces
 
 
 # Digit values mod s, byte by byte, to draw a random piece in base s.
@@ -94,26 +108,40 @@ class TestTallyPaths:
         assert stats._digit_sum(piece, True) == stats._digit_sum(piece, False) == sum(piece)
 
     def test_the_rule(self, monkeypatch):
-        # Counting needs a known bound of at most 2**20 digits, a base up to
-        # 16 and an unloaded numpy. The rule itself imports nothing.
-        assert stats._COUNT_DIGITS == 2**20
-        assert "numpy" in sys.modules and not stats._without_numpy(10, 4)
-        monkeypatch.delitem(sys.modules, "numpy")
-        assert stats._without_numpy(2**20, 4) and stats._without_numpy(0, 10)
-        assert not stats._without_numpy(2**20 + 1, 4)
-        assert not stats._without_numpy(None, 4)
-        assert stats._without_numpy(10, 16)
-        assert not stats._without_numpy(10, 17)
+        # In a base up to 16, the pieces are counted while the digits counted,
+        # the piece's included, are at most 2**20, and bincounted after (a
+        # piece that crosses 2**20, whole); a larger base is bincounted from
+        # its first piece. Nothing else, such as a loaded numpy, moves the tally.
+        assert stats._COUNT_DIGITS == 2**20 and "numpy" in sys.modules
+        pieces = record_pieces(monkeypatch)
+        cases = [
+            # base, digits, checkpoints, digits counted, digits bincounted
+            (4, 2**20, None, 2**20, 0),
+            # To its end, a piece starts at the last default checkpoint, 10**6.
+            (16, 2**20 + 1, None, 10**6, 2**20 + 1 - 10**6),
+            (10, 2**20 + 1, (2**20,), 2**20, 0),
+            (2, 2**20 + 1, (10, 2**20 + 1), 10 + 15 * CHUNK_DIGITS, 2**20 + 1 - 10 - 15 * CHUNK_DIGITS),
+            (17, 10, None, 0, 10),
+        ]
+        for s, length, points, counted, binned in cases:
+            pieces.clear()
+            digits = bytes(d % s for d in range(length))
+            trace = stats._trace(Base(s), (digits,), points)
+            paths = [count for count, _ in pieces]
+            assert paths == sorted(paths, reverse=True), s
+            assert sum(n for count, n in pieces if count) == counted, s
+            assert sum(n for count, n in pieces if not count) == binned, s
+            assert trace.reports[-1].counts == tuple(digits[: counted + binned].count(d) for d in range(s))
 
     @pytest.mark.parametrize("count", [True, False], ids=["count", "bincount"])
     def test_both_paths_give_one_trace(self, monkeypatch, count):
         digits = bytes(d % 7 for d in range(3 * CHUNK_DIGITS + 5))
         points = (1, 10, CHUNK_DIGITS + 1, len(digits))
-        want = convergence_trace(stream_from_digits(digits, Base(7)), points)
-        monkeypatch.setattr(stats, "_without_numpy", lambda bound, s: count)
+        if not count:
+            monkeypatch.setattr(stats, "_COUNT_DIGITS", 0)
         got = convergence_trace(stream_from_digits(digits, Base(7)), points)
-        assert got == want
-        assert digit_counts(DigitPrefix(Base(7), digits)) == want.reports[-1].counts
+        assert [r.counts for r in got.reports] == [tuple(digits[:n].count(d) for d in range(7)) for n in points]
+        assert digit_counts(DigitPrefix(Base(7), digits)) == got.reports[-1].counts
 
     def test_every_tally_is_at_most_one_chunk(self, monkeypatch, tmp_path):
         # Four chunks' digits, held in one chunk or read from a file: every
@@ -142,27 +170,27 @@ class TestTallyPaths:
             run()
             assert sum(lengths) == len(digits) and max(lengths) <= CHUNK_DIGITS, name
 
-    def test_a_stream_that_loads_numpy_moves_the_tally_to_bincount(self, monkeypatch):
-        # Once numpy is loaded mid-stream, as a long-period expand loads it
-        # at its second chunk, the later pieces are bincounted.
-        loaded, paths = [False], []
-        tally = stats._tally
-
-        def recorded(chunk, s, count):
-            paths.append(count)
-            return tally(chunk, s, count)
-
-        def chunks():
-            yield bytes(range(4)) * 5
-            loaded[0] = True
-            yield bytes(range(4)) * 5
-
-        monkeypatch.setattr(stats, "_without_numpy", lambda bound, s: not loaded[0])
-        monkeypatch.setattr(stats, "_tally", recorded)
-        trace = stats._trace(BASE4, chunks(), (10, 20, 40))
-        assert [r.counts for r in trace.reports] == [(3, 3, 2, 2), (5,) * 4, (10,) * 4]
-        # The counts of no digits and two pieces counted, then one bincounted.
-        assert paths == [True, True, True, False]
+    @pytest.mark.parametrize("switch", [60, 100])
+    @pytest.mark.parametrize("s", [2, 4, 10, 16])
+    def test_a_trace_that_crosses_the_switch(self, monkeypatch, s, switch):
+        # Checkpoints before, at and after the switch, chunk edges off it;
+        # at 60 the piece from 37 to 99 crosses it and is bincounted whole.
+        digits = bytes((7 * d + d // 3) % s for d in range(1000))
+        chunks = [digits[:37], digits[37:250], digits[250:]]
+        points = (5, 99, 100, 101, 250, 1000)
+        monkeypatch.setattr(stats, "_COUNT_DIGITS", 0)
+        want = stats._trace(Base(s), chunks, points)
+        assert [r.counts for r in want.reports] == [tuple(digits[:n].count(d) for d in range(s)) for n in points]
+        monkeypatch.setattr(stats, "_COUNT_DIGITS", switch)
+        pieces = record_pieces(monkeypatch)
+        assert stats._trace(Base(s), chunks, points) == want
+        counted = {60: 2, 100: 4}[switch]  # pieces end at 5, 37, 99, 100, 101, 250, 1000
+        assert [count for count, _ in pieces] == [True] * counted + [False] * (7 - counted)
+        # A moved count in a piece after the switch is still refused.
+        tally, moved = stats._tally, one_count_moved(stats._tally)
+        monkeypatch.setattr(stats, "_tally", lambda chunk, s, count: (tally if count else moved)(chunk, s, count))
+        with pytest.raises(AssertionError, match="digit counts disagree"):
+            stats._trace(Base(s), chunks, points)
 
 
 class TestFreqReport:
@@ -188,7 +216,8 @@ class TestFreqReport:
     @pytest.mark.parametrize("count", [True, False], ids=["count", "bincount"])
     def test_tally_is_cross_checked(self, monkeypatch, count):
         # The report must be refused, as a trace report is.
-        monkeypatch.setattr(stats, "_without_numpy", lambda bound, s: count)
+        if not count:
+            monkeypatch.setattr(stats, "_COUNT_DIGITS", 0)
         monkeypatch.setattr(stats, "_tally", one_count_moved(stats._tally))
         with pytest.raises(AssertionError, match="digit counts disagree"):
             freq_report(DigitPrefix(BASE4, (1, 2, 3)))
@@ -290,7 +319,8 @@ class TestConvergenceTrace:
                 counts = fault(list(tally(chunk, s, on_count_path)))
                 return counts if on_count_path else np.array(counts)
 
-            monkeypatch.setattr(stats, "_without_numpy", lambda bound, s: count)
+            if not count:
+                monkeypatch.setattr(stats, "_COUNT_DIGITS", 0)
             monkeypatch.setattr(stats, "_tally", faulty)
             with pytest.raises(AssertionError, match="digit counts disagree"):
                 convergence_trace(constant_stream(3), (10,))
@@ -321,7 +351,8 @@ class TestConvergenceTrace:
                 paths.append(on_count_path)
                 return digit_sum(piece, on_count_path) + 1
 
-            monkeypatch.setattr(stats, "_without_numpy", lambda bound, s: count)
+            if not count:
+                monkeypatch.setattr(stats, "_COUNT_DIGITS", 0)
             monkeypatch.setattr(stats, "_digit_sum", off_by_one)
             with pytest.raises(AssertionError, match="digit counts disagree"):
                 convergence_trace(constant_stream(3), (10,))
