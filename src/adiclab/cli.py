@@ -20,7 +20,7 @@ import sys
 from dataclasses import dataclass, field, fields
 from fractions import Fraction
 from pathlib import Path
-from typing import Callable, Iterable, Iterator, Sequence
+from typing import Callable, Iterable, Sequence
 
 from . import __version__
 
@@ -244,15 +244,6 @@ def _stream_from_config(cfg: ExperimentConfig) -> DigitStream:
     return block_stream(columns_from_config(cfg.columns), schedule_from_config(cfg.schedule), base)
 
 
-def _digit_chunks(stream: DigitStream, length: int) -> Iterator[str]:
-    produced = 0
-    for chunk in stream.chunks(length):
-        produced += len(chunk)
-        yield digit_text(chunk)
-    if produced < length:
-        raise UsageError(f"digit source ended after {produced} digits, wanted {length}")
-
-
 def cmd_construct(cfg: ExperimentConfig, fmt: str) -> int:
     if cfg.length is None:
         raise UsageError("construct needs --length")
@@ -260,11 +251,11 @@ def cmd_construct(cfg: ExperimentConfig, fmt: str) -> int:
         raise UsageError(f"--length must lie in [1, {MAX_CONSTRUCT_LENGTH}], got {cfg.length}")
     if cfg.base > 10:
         raise UsageError("digit text output is defined for bases <= 10 only")
-    stream = _stream_from_config(cfg)
+    # Every construct source is unbounded, so its chunks hold all `length` digits.
+    text = map(digit_text, _stream_from_config(cfg).chunks(cfg.length))
     h = cfg.config_hash()
     if cfg.out is None:
-        for chunk in _digit_chunks(stream, cfg.length):
-            sys.stdout.write(chunk)
+        sys.stdout.writelines(text)
         sys.stdout.write("\n")
         return 0
     path = Path(cfg.out)
@@ -273,7 +264,7 @@ def cmd_construct(cfg: ExperimentConfig, fmt: str) -> int:
     # any digit is made.
     _write_replacing(
         (path.with_name(path.name + ".json"), [json.dumps(sidecar, indent=2) + "\n"]),
-        (path, itertools.chain([_provenance_line(h) + "\n"], _digit_chunks(stream, cfg.length), ["\n"])),
+        (path, itertools.chain([_provenance_line(h) + "\n"], text, ["\n"])),
     )
     return 0
 

@@ -8,11 +8,18 @@ Digits are tallied in one of two ways. In a base up to 16, the first
 _COUNT_DIGITS digits of a tally are counted with `bytes.count`, so a short
 input never pays for importing numpy. Every later piece, and every piece in
 a larger base, uses `numpy.bincount`, and numpy is imported only then.
+
+Whichever way a piece is counted, its digit sum is taken by one rule that
+does not read the counts (`_digit_sum`): a bytes piece, in any base up to
+256, is summed by `zlib.adler32` over spans short enough that no span's sum
+reaches adler32's modulus, and an array("Q") piece, which is always
+bincounted, by numpy. The counts must match that sum and the length.
 """
 
 from __future__ import annotations
 
 import operator
+import zlib
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
@@ -107,7 +114,8 @@ def _tally(piece: Chunk, s: int, count: bool) -> list[int] | np.ndarray:
     `bytes.count` pass per digit value. Otherwise they are an int64 array
     made by `numpy.bincount`, which needs an `intp` copy of the digits, 8
     bytes each: `_trace` cuts every chunk into such pieces, so a long chunk
-    never costs a copy of its whole length."""
+    never costs a copy of its whole length. `_trace` checks the counts on
+    either path against `_digit_sum`, which is the same for both."""
     if count:
         return [piece.count(d) for d in range(s)]
     import numpy as np
@@ -115,14 +123,28 @@ def _tally(piece: Chunk, s: int, count: bool) -> list[int] | np.ndarray:
     return np.bincount(np.asarray(memoryview(piece)).astype(np.intp), minlength=s)
 
 
-def _digit_sum(piece: Chunk, count: bool) -> int:
-    """Sum of the digits of a piece of at most CHUNK_DIGITS digits, by an
-    algorithm apart from `_tally`'s counts on the same path, so that the two
-    check each other. With `count` it is the builtin `sum`; otherwise an
-    int64 numpy sum, exact while (s - 1) * CHUNK_DIGITS < 2**63, which
-    every base whose count array `_tally` can hold meets."""
-    if count:
-        return sum(piece)
+# The largest byte sum that adler32's low half (the sum modulo 65521) gives exactly.
+_SPAN_SUM = 65520
+
+
+def _digit_sum(piece: Chunk, s: int) -> int:
+    """Sum of the digits of a piece of at most CHUNK_DIGITS digits in base
+    s, by an algorithm apart from `_tally`'s counts, so that the two check
+    each other; the tally path does not change it.
+
+    A bytes piece (base up to 256) is summed as `zlib.adler32(span, 0) &
+    0xFFFF` over spans of _SPAN_SUM // (s - 1) digits: digits are below s,
+    so no span's sum reaches the modulus 65521, and each is exact. A piece
+    that fits in one span is one call. An array("Q") piece (base above 256)
+    is always bincounted, so numpy is loaded, and it is summed in int64,
+    exact while (s - 1) * CHUNK_DIGITS < 2**63, which every base whose
+    count array `_tally` can hold meets."""
+    if s <= 256:
+        span = _SPAN_SUM // (s - 1)
+        if len(piece) <= span:
+            return zlib.adler32(piece, 0) & 0xFFFF
+        view = memoryview(piece)
+        return sum([zlib.adler32(view[i : i + span], 0) & 0xFFFF for i in range(0, len(piece), span)])
     import numpy as np
 
     return int(np.asarray(memoryview(piece)).sum(dtype=np.int64))
@@ -175,10 +197,10 @@ def convergence_trace(stream: DigitStream, checkpoints: Sequence[int]) -> Conver
     to 16 (a count pass per digit value) with `bytes.count` passes while the
     digits counted, the piece's included, are at most _COUNT_DIGITS, and
     otherwise with `numpy.bincount`, which costs one pass whatever the
-    base. The digit sum is accumulated independently, by `_digit_sum`, and
-    compared in integers with sum(i * N_i) from the counts (as the length
-    is with sum(N_i)), so every emitted report has passed the mean identity
-    both ways, on either path.
+    base. The digit sum is accumulated independently, by `_digit_sum`,
+    whichever path counted the piece, and compared in integers with
+    sum(i * N_i) from the counts (as the length is with sum(N_i)), so every
+    emitted report has passed the mean identity both ways, on either path.
     """
     points = tuple(map(operator.index, checkpoints))
     if not points:
@@ -212,7 +234,7 @@ def _trace(base: Base, chunks: Iterable[Chunk], points: Sequence[int] | None = N
             tally = _tally(piece, s, count)
             # An array plus the counts so far, a list or an array, is an array.
             counts = list(map(operator.add, counts, tally)) if count else tally + counts
-            digit_sum += _digit_sum(piece, count)
+            digit_sum += _digit_sum(piece, s)
             consumed += len(piece)
             start += len(piece)
             if consumed == target:

@@ -390,6 +390,16 @@ class TestAnalyze:
         assert list(doc)[0] == "provenance"
         assert doc["reports"][0]["counts"] == [0, 4, 0, 0]
 
+    def test_json_normality_object(self, capsys):
+        code, out, _ = run_cli(
+            capsys, "analyze", "--tau", "1/4,1/4,1/4,1/4", "--checkpoints", "10,100",
+            "--format", "json", "--normality-tol", "1/100",
+        )
+        assert code == 0
+        doc = json.loads(out)
+        assert doc["normality"] == {"n": 100, "tol": "0.01", "max_deviation": "0", "consistent": True}
+        assert list(doc)[-1] == "normality"
+
     def test_exit_zero_even_when_inconsistent(self, capsys):
         code, out, _ = run_cli(
             capsys, "analyze", "--mean", "0", "--checkpoints", "10", "--normality-tol", "0"
@@ -1152,6 +1162,36 @@ class TestVerify:
         assert (code, out) == (2, "") and "base-4 only" in err
         code, out, _ = run_cli(capsys, "verify", "--module", "stats", "--base", "4")
         assert code == 0 and json.loads(out)["failed"] == 0
+
+
+class TestRefusals:
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["construct", "--tau", "1/2,1/2", "--length", "3"], "--tau has 2 entries but base is 4"),
+            (["dimension", "--sweep", "1:0:1"], "--sweep needs step > 0 and stop >= start, got '1:0:1'"),
+            (["dimension", "--sweep", "0:1:0"], "--sweep needs step > 0 and stop >= start, got '0:1:0'"),
+            (["analyze", "--tau", "1/2,1/2,0,0", "--checkpoints", "1,x"], "checkpoints must be integers, got '1,x'"),
+            (["construct", "--base", "1", "--mean", "0", "--length", "3"], "--base must be >= 2, got 1"),
+            (
+                ["analyze", "--mean", "0", "--checkpoints", "10", "--normality-tol", "-1"],
+                "--normality-tol: tolerance must be >= 0, got -1",
+            ),
+        ],
+    )
+    def test_exit_2_with_the_message(self, argv, message, capsys):
+        assert run_cli(capsys, *argv) == (2, "", f"error: {message}\n")
+
+    def test_a_missing_config_file(self, tmp_path, capsys):
+        config = tmp_path / "missing.json"
+        got = run_cli(capsys, "construct", "--config", str(config), "--length", "3")
+        assert got == (2, "", f"error: cannot read config file: [Errno 2] No such file or directory: '{config}'\n")
+
+    def test_a_config_file_that_is_not_an_object(self, tmp_path, capsys):
+        config = tmp_path / "list.json"
+        config.write_text("[1]")
+        got = run_cli(capsys, "construct", "--config", str(config), "--length", "3")
+        assert got == (2, "", "error: config file must hold a JSON object\n")
 
 
 class TestConfigMerging:

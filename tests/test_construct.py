@@ -130,6 +130,10 @@ class TestGreedyStream:
         with pytest.raises(ValueError):
             greedy_stream(ProbabilityVector.parse("1/2,1/2"), BASE4)
 
+    def test_negative_boundary_is_refused(self):
+        with pytest.raises(ValueError, match=r"^boundary must be >= 0, got -1$"):
+            floor_counts(ProbabilityVector.parse("1/2,1/2,0,0"), -1)
+
     @given(probability_vectors(), st.integers(min_value=1, max_value=400))
     def test_exact_counts_at_boundaries(self, tau, n):
         targets = floor_counts(tau, n)
@@ -159,6 +163,14 @@ class TestScheduleSpec:
             ScheduleSpec.geometric(Fraction(1, 2))
         with pytest.raises(ValueError):
             ScheduleSpec(family="mystery")
+
+    def test_affine_must_be_positive_from_one(self):
+        with pytest.raises(ValueError, match=r"^affine schedule must be positive from k = 1$"):
+            ScheduleSpec.affine(1, -1)
+
+    def test_terms_are_one_based(self):
+        with pytest.raises(ValueError, match=r"^schedule index must be >= 1, got 0$"):
+            ScheduleSpec.polynomial(1).term(0)
 
     def test_labels(self):
         assert ScheduleSpec.polynomial(1).label() == "k"
@@ -210,6 +222,19 @@ class TestBlockStream:
         columns = ColumnSchedule.constant(ProbabilityVector.parse("1/4,1/4,1/4,1/4"))
         with pytest.raises(ScheduleRejectedError, match="next_term_over_partial_sum"):
             block_stream(columns, ScheduleSpec.geometric(2))
+
+    def test_columns_are_one_based(self):
+        columns = ColumnSchedule.constant(ProbabilityVector.parse("1/4,1/4,1/4,1/4"))
+        with pytest.raises(ValueError, match=r"^column indices are 1-based, got 0$"):
+            columns.column(0)
+
+    def test_a_rule_may_return_a_tuple(self):
+        # The column is made a vector, and so checked as one.
+        columns = ColumnSchedule(rule=lambda n: (Fraction(1, 2), Fraction(1, 2)), mean=Fraction(1, 2))
+        assert columns.column(3) == ProbabilityVector((Fraction(1, 2), Fraction(1, 2)))
+        assert block_stream(columns, ScheduleSpec.polynomial(1), Base(2)).prefix(6).digits == (0, 1, 0, 1, 0, 0)
+        with pytest.raises(ValueError, match="negative entry"):
+            ColumnSchedule(rule=lambda n: (Fraction(3, 2), Fraction(-1, 2))).column(1)
 
     def test_declared_mean_violation_is_hard_error(self):
         tau = ProbabilityVector.parse("1/4,1/4,1/4,1/4")  # true mean 3/2
@@ -548,6 +573,10 @@ class TestConfigParsing:
         }
         for doc, spec in docs.items():
             assert schedule_from_config(json.loads(doc)) == spec
+
+    def test_columns_config_must_be_an_object(self):
+        with pytest.raises(ValueError, match=r"^columns config must be an object with a 'kind' key, got \[\]$"):
+            columns_from_config([])
 
     def test_constant_columns_config(self):
         columns = columns_from_config({"kind": "constant", "tau": ["1/4", "1/4", "1/4", "1/4"]})

@@ -57,6 +57,11 @@ class TestDigitPrefix:
         with pytest.raises(ValueError):
             parse_digit_text("159", 4)  # 5 and 9 out of range for base 4
 
+    def test_equal_wide_prefixes_hash_equal(self):
+        # Base 300 holds its digits in an unhashable array("Q") chunk.
+        a, b = DigitPrefix(Base(300), [299, 0, 5]), DigitPrefix(Base(300), (299, 0, 5))
+        assert a == b and hash(a) == hash(b) and len({a, b}) == 1
+
     @pytest.mark.parametrize("text", ["\u0661\u0662", "1\u00b2", "\uff11"])
     def test_from_text_accepts_ascii_digits_only(self, text):
         # Arabic-Indic, superscript and fullwidth digits pass str.isdigit().
@@ -284,3 +289,11 @@ class TestStreams:
         assert [stream.digit_at(k) for k in (1, 2, 3, 4)] == [0, 3, 0, 3]
         with pytest.raises(ValueError):
             stream.digit_at(0)
+
+    def test_negative_prefix_length_is_refused(self):
+        with pytest.raises(ValueError, match=r"^prefix length must be >= 0, got -1$"):
+            expand(Fraction(1, 5)).prefix(-1)
+
+    def test_digit_at_past_the_end_of_a_finite_stream(self):
+        with pytest.raises(ValueError, match=r"^stream ended after 2 digits, before position 5$"):
+            stream_from_digits((1, 2)).digit_at(5)

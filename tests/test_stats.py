@@ -105,7 +105,8 @@ class TestTallyPaths:
         binned = stats._tally(piece, s, False)
         assert isinstance(counted, list) and counted == binned.tolist()
         assert counted == [piece.count(d) for d in range(s)] and sum(counted) == length
-        assert stats._digit_sum(piece, True) == stats._digit_sum(piece, False) == sum(piece)
+        # The digit sum does not depend on the path that counts the piece.
+        assert stats._digit_sum(piece, s) == sum(piece)
 
     def test_the_rule(self, monkeypatch):
         # In a base up to 16, the pieces are counted while the digits counted,
@@ -193,6 +194,57 @@ class TestTallyPaths:
             stats._trace(Base(s), chunks, points)
 
 
+BYTE_BASES = range(2, 257)
+
+
+class TestDigitSum:
+    """`_digit_sum` of a bytes piece: adler32's low half over spans of
+    65520 // (s - 1) digits, whose sums stay below the modulus 65521."""
+
+    def test_a_full_span_sums_to_its_edge(self):
+        # All s - 1 digits fill a span to the largest sum it can hold: 65520
+        # where s - 1 divides it (base 2, all ones; base 10, all nines). One
+        # more digit in a span would pass the modulus.
+        for s in BYTE_BASES:
+            span = 65520 // (s - 1)
+            for length in (span - 1, span, span + 1, 2 * span, CHUNK_DIGITS):
+                piece = bytes([s - 1]) * length
+                assert stats._digit_sum(piece, s) == (s - 1) * length, (s, length)
+
+    @pytest.mark.parametrize("count", [True, False], ids=["count", "bincount"])
+    def test_a_trace_of_full_spans_on_each_path(self, monkeypatch, count):
+        # Two chunks of all s - 1 digits in every byte base pass the trace's
+        # cross-check, on the count path (bases up to 16) and on bincount.
+        if not count:
+            monkeypatch.setattr(stats, "_COUNT_DIGITS", 0)
+        pieces = record_pieces(monkeypatch)
+        for s in BYTE_BASES if not count else range(2, 17):
+            top = bytes([s - 1]) * CHUNK_DIGITS
+            report = stats._trace(Base(s), (top, top), (10, 2 * CHUNK_DIGITS)).reports[-1]
+            assert report.counts[-1] == 2 * CHUNK_DIGITS
+        assert {path for path, _ in pieces} == {count}
+
+    @pytest.mark.parametrize("s", [2, 4, 10, 16, 200, 256])
+    def test_one_call_per_span(self, monkeypatch, s):
+        # A piece that fits in one span is one call, so the many tiny pieces
+        # of a block stream or `verify` cost one call each.
+        import zlib
+
+        adler32, spans = zlib.adler32, []
+
+        def recorded(data, value):
+            spans.append(len(data))
+            return adler32(data, value)
+
+        monkeypatch.setattr(zlib, "adler32", recorded)
+        span = 65520 // (s - 1)
+        for length in (1, span, span + 1, CHUNK_DIGITS):
+            spans.clear()
+            piece = bytes(d % s for d in range(length))
+            assert stats._digit_sum(piece, s) == sum(piece)
+            assert spans == [min(span, length - i) for i in range(0, length, span)], length
+
+
 class TestFreqReport:
     def test_all_threes(self):
         rep = freq_report(DigitPrefix(BASE4, (3, 3)))
@@ -225,9 +277,9 @@ class TestFreqReport:
     def test_long_prefix_is_summed_in_bounded_pieces(self, monkeypatch):
         digit_sum, pieces = stats._digit_sum, []
 
-        def recorded(piece, count):
+        def recorded(piece, s):
             pieces.append(len(piece))
-            return digit_sum(piece, count)
+            return digit_sum(piece, s)
 
         monkeypatch.setattr(stats, "_digit_sum", recorded)
         rep = freq_report(DigitPrefix(BASE4, bytes(range(4)) * CHUNK_DIGITS))
@@ -326,37 +378,37 @@ class TestConvergenceTrace:
                 convergence_trace(constant_stream(3), (10,))
             assert paths and set(paths) == {count}
 
-    @pytest.mark.parametrize("s", [2, 4, 10, 256, 257, 300, 2**40])
-    def test_digit_sum_matches_the_builtin_sum(self, s):
-        # Up to base 256 a piece is bytes, above it an array("Q"). Bytes in
-        # a base up to 16 may take the count path, whose sum is the builtin.
+    @pytest.mark.parametrize("s", [*BYTE_BASES, 257, 300, 2**40])
+    def test_digit_sum_matches_the_builtin_sum(self, monkeypatch, s):
+        # Up to base 256 a piece is bytes, summed by adler32 spans without
+        # numpy, whichever path counts it; above it an array("Q"), summed by
+        # numpy. Empty, all s - 1, random and mixed pieces.
         from array import array
 
         from adiclab.digits import to_chunk
 
+        if s <= 256:
+            monkeypatch.setitem(sys.modules, "numpy", None)
         top = [s - 1] * CHUNK_DIGITS
-        for digits in ([], [0], top, [d % s for d in range(CHUNK_DIGITS)], top[:-1] + [0]):
+        rng = random.Random(s)
+        random_digits = rng.choices(range(s), k=rng.randrange(CHUNK_DIGITS))
+        for digits in ([], [0], top, [d % s for d in range(CHUNK_DIGITS)], top[:-1] + [0], random_digits):
             piece = to_chunk(digits, Base(s))
             assert isinstance(piece, bytes if s <= 256 else array)
-            assert stats._digit_sum(piece, False) == sum(piece) == sum(digits)
-            if s <= 10:
-                assert stats._digit_sum(piece, True) == sum(digits)
+            assert stats._digit_sum(piece, s) == sum(piece) == sum(digits)
 
     def test_digit_sum_is_cross_checked(self, monkeypatch):
+        # One digit sum serves both paths, and a wrong one is refused on each.
         digit_sum = stats._digit_sum
+        monkeypatch.setattr(stats, "_digit_sum", lambda piece, s: digit_sum(piece, s) + 1)
+        pieces = record_pieces(monkeypatch)
         for count in (True, False):
-            paths = []
-
-            def off_by_one(piece, on_count_path):
-                paths.append(on_count_path)
-                return digit_sum(piece, on_count_path) + 1
-
             if not count:
                 monkeypatch.setattr(stats, "_COUNT_DIGITS", 0)
-            monkeypatch.setattr(stats, "_digit_sum", off_by_one)
+            pieces.clear()
             with pytest.raises(AssertionError, match="digit counts disagree"):
                 convergence_trace(constant_stream(3), (10,))
-            assert paths and set(paths) == {count}
+            assert pieces and {path for path, _ in pieces} == {count}
 
     def test_long_chunks_are_tallied_in_bounded_pieces(self):
         # One 4 * 10**6-digit chunk: an intp copy of it alone is 30.5 MiB.
