@@ -20,7 +20,7 @@ import sys
 from dataclasses import dataclass, field, fields
 from fractions import Fraction
 from pathlib import Path
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Iterable, Iterator, Sequence
 
 from . import __version__
 
@@ -244,6 +244,18 @@ def _stream_from_config(cfg: ExperimentConfig) -> DigitStream:
     return block_stream(columns_from_config(cfg.columns), schedule_from_config(cfg.schedule), base)
 
 
+def _digit_chunks(stream: DigitStream, length: int) -> Iterator[str]:
+    """The digit text of the stream's first `length` digits, refused if the
+    stream ends first (`DigitStream.chunks` then holds fewer), so that no
+    source can leave a short artifact."""
+    produced = 0
+    for chunk in stream.chunks(length):
+        produced += len(chunk)
+        yield digit_text(chunk)
+    if produced < length:
+        raise UsageError(f"digit source ended after {produced} digits, wanted {length}")
+
+
 def cmd_construct(cfg: ExperimentConfig, fmt: str) -> int:
     if cfg.length is None:
         raise UsageError("construct needs --length")
@@ -251,8 +263,7 @@ def cmd_construct(cfg: ExperimentConfig, fmt: str) -> int:
         raise UsageError(f"--length must lie in [1, {MAX_CONSTRUCT_LENGTH}], got {cfg.length}")
     if cfg.base > 10:
         raise UsageError("digit text output is defined for bases <= 10 only")
-    # Every construct source is unbounded, so its chunks hold all `length` digits.
-    text = map(digit_text, _stream_from_config(cfg).chunks(cfg.length))
+    text = _digit_chunks(_stream_from_config(cfg), cfg.length)
     h = cfg.config_hash()
     if cfg.out is None:
         sys.stdout.writelines(text)

@@ -134,15 +134,13 @@ def _digit_sum(piece: Chunk, s: int) -> int:
 
     A bytes piece (base up to 256) is summed as `zlib.adler32(span, 0) &
     0xFFFF` over spans of _SPAN_SUM // (s - 1) digits: digits are below s,
-    so no span's sum reaches the modulus 65521, and each is exact. A piece
+    so no span's sum reaches the modulus 65521, and each is exact; a piece
     that fits in one span is one call. An array("Q") piece (base above 256)
     is always bincounted, so numpy is loaded, and it is summed in int64,
     exact while (s - 1) * CHUNK_DIGITS < 2**63, which every base whose
     count array `_tally` can hold meets."""
     if s <= 256:
         span = _SPAN_SUM // (s - 1)
-        if len(piece) <= span:
-            return zlib.adler32(piece, 0) & 0xFFFF
         view = memoryview(piece)
         return sum([zlib.adler32(view[i : i + span], 0) & 0xFFFF for i in range(0, len(piece), span)])
     import numpy as np

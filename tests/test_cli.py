@@ -197,6 +197,18 @@ class TestConstruct:
         assert err == "error: no vector over D = 65500 * 2**k, k <= 0, has mean exactly 1/100 in base 4\n"
         assert list(tmp_path.iterdir()) == []
 
+    def test_a_source_that_ends_early_is_refused(self, tmp_path, capsys, monkeypatch):
+        # No construct source ends today; one that did must not leave a short artifact.
+        from adiclab import cli
+        from adiclab.digits import stream_from_digits
+
+        monkeypatch.setattr(cli, "_stream_from_config", lambda cfg: stream_from_digits((1, 2)))
+        message = "error: digit source ended after 2 digits, wanted 5\n"
+        assert run_cli(capsys, "construct", "--mean", "0", "--length", "5") == (2, "12", message)
+        got = run_cli(capsys, "construct", "--mean", "0", "--length", "5", "--out", str(tmp_path / "x.txt"))
+        assert got == (2, "", message)
+        assert list(tmp_path.iterdir()) == []
+
     @pytest.mark.parametrize(
         "doc, message",
         [
@@ -828,6 +840,9 @@ class TestDimension:
         assert run_cli(capsys, "dimension")[0] == 2
         assert run_cli(capsys, "dimension", "--theta", "1", "--tau", "1,0,0,0")[0] == 2
         assert run_cli(capsys, "dimension", "--sweep", "1:2")[0] == 2
+        for sweep in ("1:0:1", "0:1:0"):
+            got = run_cli(capsys, "dimension", "--sweep", sweep)
+            assert got == (2, "", f"error: --sweep needs step > 0 and stop >= start, got '{sweep}'\n")
         assert run_cli(capsys, "dimension", "--tau", "1,0,0,0", "--oracle")[0] == 2
 
     @pytest.mark.parametrize(
@@ -1169,8 +1184,6 @@ class TestRefusals:
         "argv, message",
         [
             (["construct", "--tau", "1/2,1/2", "--length", "3"], "--tau has 2 entries but base is 4"),
-            (["dimension", "--sweep", "1:0:1"], "--sweep needs step > 0 and stop >= start, got '1:0:1'"),
-            (["dimension", "--sweep", "0:1:0"], "--sweep needs step > 0 and stop >= start, got '0:1:0'"),
             (["analyze", "--tau", "1/2,1/2,0,0", "--checkpoints", "1,x"], "checkpoints must be integers, got '1,x'"),
             (["construct", "--base", "1", "--mean", "0", "--length", "3"], "--base must be >= 2, got 1"),
             (
@@ -1181,17 +1194,6 @@ class TestRefusals:
     )
     def test_exit_2_with_the_message(self, argv, message, capsys):
         assert run_cli(capsys, *argv) == (2, "", f"error: {message}\n")
-
-    def test_a_missing_config_file(self, tmp_path, capsys):
-        config = tmp_path / "missing.json"
-        got = run_cli(capsys, "construct", "--config", str(config), "--length", "3")
-        assert got == (2, "", f"error: cannot read config file: [Errno 2] No such file or directory: '{config}'\n")
-
-    def test_a_config_file_that_is_not_an_object(self, tmp_path, capsys):
-        config = tmp_path / "list.json"
-        config.write_text("[1]")
-        got = run_cli(capsys, "construct", "--config", str(config), "--length", "3")
-        assert got == (2, "", "error: config file must hold a JSON object\n")
 
 
 class TestConfigMerging:
@@ -1239,6 +1241,9 @@ class TestConfigMerging:
         assert run_cli(capsys, "construct", "--config", str(config), "--length", "4")[0] == 2
         config.write_text(json.dumps({"levitation": True}))
         assert run_cli(capsys, "construct", "--config", str(config), "--length", "4")[0] == 2
+        missing = tmp_path / "missing.json"
+        got = run_cli(capsys, "construct", "--config", str(missing), "--length", "4")
+        assert got == (2, "", f"error: cannot read config file: [Errno 2] No such file or directory: '{missing}'\n")
 
     @pytest.mark.parametrize(
         "doc, message",
@@ -1256,6 +1261,7 @@ class TestConfigMerging:
                 {"mean": "0", "length": 5, "modules": "stats"},
                 "config key 'modules' must be a list of strings, got \"stats\"",
             ),
+            ([1], "config file must hold a JSON object"),
         ],
     )
     def test_value_types_are_checked(self, doc, message, tmp_path, capsys):

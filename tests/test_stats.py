@@ -226,8 +226,7 @@ class TestDigitSum:
 
     @pytest.mark.parametrize("s", [2, 4, 10, 16, 200, 256])
     def test_one_call_per_span(self, monkeypatch, s):
-        # A piece that fits in one span is one call, so the many tiny pieces
-        # of a block stream or `verify` cost one call each.
+        # One adler32 call per span, so a piece that fits in one span is one call.
         import zlib
 
         adler32, spans = zlib.adler32, []
