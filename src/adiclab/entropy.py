@@ -10,11 +10,13 @@ f is strictly convex on the constraint slice, so its unique stationary
 point is the exponential-family (Gibbs) vector tau_i ~ exp(lambda * i);
 the multiplier is found by bisection on the strictly increasing mean,
 which each step takes in closed form, in O(1) in any base (see `_bisect`).
-The Gibbs vector is built once per answer. `neg_entropy_minima` bisects a
-short list of means in pure Python, loading no numpy, and a long one on
-numpy arrays, bit for bit alike. An exhaustive grid scan over the slice,
-which forms only the grid cells that can lie on it, serves as an
-independent oracle.
+The Gibbs vector is built once per answer. `neg_entropy_minima` solves a
+whole list of means in one pure-Python loop, in increasing order: Newton's
+method from one mean's multiplier brackets the next one's, so that only the
+few bisection steps inside the bracket take a mean, and every result is
+still the plain bisection's, bit for bit. An exhaustive grid scan over the
+slice, which forms only the grid cells that can lie on it, serves as an
+independent oracle; it alone loads numpy.
 
 This module works in binary64, unlike the exact-rational digit modules:
 logarithms are transcendental, so exactness is impossible, and the oracle
@@ -53,13 +55,10 @@ __all__ = [
 # no multiplier in the bracket meets ends in the _MAX_BISECT ArithmeticError.
 LAMBDA_BRACKET = 50.0
 _MAX_BISECT = 200
-# At most this many means bisect in pure Python, loading no numpy; more step
-# together on numpy arrays. Both give the same results, bit for bit. Set from
-# fresh `dimension --sweep` processes, which pay about 0.1 s to import numpy:
-# pure Python was faster up to about 1000 interior means, even near 1500 and
-# slower at 3000 (base 4, 0.49 s against 0.34 s). With numpy already
-# loaded, the arrays win from about 128 means.
-_PYTHON_ROWS = 1024
+# Newton steps that `_steer` takes at most. A cold start from lambda = 0
+# doubles lambda at each step while 1/s << |lambda| << 1, which takes about
+# 16 steps in base 400000 at theta = 1/2.
+_NEWTON_STEPS = 32
 # math.exp of anything below this is 0.0: exp(-746) < 2**-1076.
 _UNDERFLOW = -746.0
 # c_n = 4**n B_2n / (2n)!, n = 1..18, of coth(x) - 1/x = sum c_n x**(2n-1)
@@ -163,8 +162,8 @@ def _gibbs_row(lam: float, s: int) -> tuple[float, ...]:
     return (0.0,) * lo + tuple([w / z for w in weights]) + (0.0,) * (s - hi)
 
 
-def _series(x):
-    """sum c_n x**(2n-1) over _COTH by Horner's rule, for a float or array x."""
+def _series(x: float) -> float:
+    """sum c_n x**(2n-1) over _COTH by Horner's rule."""
     y = x * x
     p = 0.0
     for c in reversed(_COTH):
@@ -182,27 +181,21 @@ def _h(x: float) -> float:
     return math.copysign((1.0 - 1.0 / a) + 2.0 * t / (1.0 - t), x)
 
 
-def _h_array(x: np.ndarray) -> np.ndarray:
-    """`_h` of every entry of x, bit for bit: the same IEEE operations in
-    the same order, and t from `math.exp` where it does not underflow."""
-    import numpy as np
-
-    h = np.empty_like(x)
-    near = np.abs(x) <= 1.0
-    h[near] = _series(x[near])
-    far = ~near
-    a = np.abs(x[far])
-    live = -2.0 * a >= _UNDERFLOW
-    t = np.zeros_like(a)
-    t[live] = np.fromiter(map(math.exp, (-2.0 * a[live]).tolist()), float)
-    h[far] = np.copysign((1.0 - 1.0 / a) + 2.0 * t / (1.0 - t), x[far])
-    return h
-
-
-def _gibbs_mean(lam, s: int, h=_h):
+def _gibbs_mean(lam: float, s: int) -> float:
     """The mean of the Gibbs row of multiplier lam in base s, with
-    h(x) = coth(x) - 1/x (see `_bisect`); lam may be an array if h is `_h_array`."""
-    return 0.5 * ((s - 1) + (s * h(lam * (0.5 * s)) - h(0.5 * lam)))
+    h(x) = coth(x) - 1/x (see `_bisect`)."""
+    return 0.5 * ((s - 1) + (s * _h(lam * (0.5 * s)) - _h(0.5 * lam)))
+
+
+def _dh(x: float) -> float:
+    """h'(x) = 1/x**2 - 1/sinh(x)**2, for Newton's slope alone: within about
+    1e-9 of it, relative, with the series' first two terms below 1e-3."""
+    a = abs(x)
+    if a < 1e-3:
+        return 1.0 / 3.0 - a * a / 15.0
+    if a > 350.0:  # sinh(a)**2 would overflow; 1/sinh(a)**2 < 1e-303
+        return 1.0 / (a * a)
+    return 1.0 / (a * a) - 1.0 / math.sinh(a) ** 2
 
 
 @dataclass(frozen=True)
@@ -228,14 +221,12 @@ class EntropyResult:
 def _bisect(results: list, positions: list[int], thetas: list[float], s: int, tol: float) -> None:
     """Bisect the interior means thetas[k], k in `positions`, and write each
     result to results[k] at its first midpoint with |mean - theta| <= tol;
-    raise ArithmeticError for the first theta that has not stopped after
-    _MAX_BISECT steps.
+    raise ArithmeticError for the first theta, in the order of `positions`,
+    that has not stopped after _MAX_BISECT steps.
 
     Each step decides on d = mean - theta, the mean from `_gibbs_mean` in
-    O(1): ((s-1) + s h1 - h0)/2, h1 = h(s lam/2), h0 = h(lam/2). Up to
-    _PYTHON_ROWS thetas bisect in pure Python on `_h`, more on arrays with
-    `_h_array`, which repeats `_h`'s operations, so a result does not
-    depend on the other thetas. `_solution` builds each answer's row once.
+    O(1): ((s-1) + s h1 - h0)/2, h1 = h(s lam/2), h0 = h(lam/2).
+    `_solution` builds each answer's row once.
 
     d is within E(s) = 5 s 2**-53 of its exact value (2.2e-15 in base 4,
     1.7e-13 in base 300, 2.2e-10 in base 400000). Let u = 2**-53; then
@@ -253,57 +244,73 @@ def _bisect(results: list, positions: list[int], thetas: list[float], s: int, to
     So a step goes where the exact mean sends it unless the exact |d| lies
     within E(s) of 0, and stops as the exact mean would unless it lies
     within E(s) of tol; at the stop, |mean(lam) - theta| <= tol + E(s).
+
+    Most steps need no mean. If d < -(tol + 2E(s)) at lam_lo, the exact d
+    there is below -(tol + E(s)); the exact mean increases with lam, so the
+    exact d at every lam <= lam_lo is below it too, and the computed d there
+    is below -tol: a step that goes up and does not stop. Likewise every
+    lam >= lam_hi steps down without stopping if d > tol + 2E(s) at
+    lam_hi. So the thetas are taken in increasing order; `_steer` proposes
+    lam_lo and lam_hi around each root by Newton's method from the last
+    multiplier of the theta before; one mean each certifies them, and one
+    that fails is dropped; and the midpoint path from [-50, 50] is replayed
+    with a mean at the midpoints strictly between them alone. The slope
+    only steers: whatever `_steer` proposes, every step and stop is the
+    plain path's, so each result is bit for bit what the theta gives alone.
     """
-    bisect = _bisect_rows if len(positions) <= _PYTHON_ROWS else _bisect_batch
-    unsolved = bisect(results, positions, thetas, s, tol)
-    if unsolved is not None:
-        raise ArithmeticError(f"bisection did not reach |mean - theta| <= {tol} for theta={thetas[unsolved]}")
-
-
-def _bisect_rows(results: list, positions: list[int], thetas: list[float], s: int, tol: float) -> int | None:
-    """`_bisect` in pure Python, one theta at a time; the position of the
-    first theta that did not stop, or None."""
-    for k in positions:
-        theta, lo, hi = thetas[k], -LAMBDA_BRACKET, LAMBDA_BRACKET
+    margin = tol + 10 * s * 2.0**-53  # tol + 2 E(s)
+    lam, mean = 0.0, 0.5 * (s - 1)  # the computed mean at 0, exactly
+    unsolved = []
+    for k in sorted(positions, key=thetas.__getitem__):
+        theta = thetas[k]
+        below, above = _steer(theta, lam, mean, s, margin)
+        if not (below > -LAMBDA_BRACKET and _gibbs_mean(below, s) - theta < -margin):
+            below = -math.inf
+        if not (above < LAMBDA_BRACKET and _gibbs_mean(above, s) - theta > margin):
+            above = math.inf
+        lo, hi = -LAMBDA_BRACKET, LAMBDA_BRACKET
         for _ in range(_MAX_BISECT):
             mid = 0.5 * (lo + hi)
-            mean = _gibbs_mean(mid, s)
-            if abs(mean - theta) <= tol:
-                results[k] = _solution(theta, mid, s)
-                break
-            lo, hi = (mid, hi) if mean < theta else (lo, mid)
+            if mid <= below:
+                lo = mid
+            elif mid >= above:
+                hi = mid
+            else:
+                lam, mean = mid, _gibbs_mean(mid, s)
+                if abs(mean - theta) <= tol:
+                    results[k] = _solution(theta, mid, s)
+                    break
+                lo, hi = (mid, hi) if mean < theta else (lo, mid)
         else:
-            return k
-    return None
+            unsolved.append(k)
+    if unsolved:
+        theta = thetas[min(unsolved)]
+        raise ArithmeticError(f"bisection did not reach |mean - theta| <= {tol} for theta={theta}")
 
 
-def _bisect_batch(results: list, positions: list[int], thetas: list[float], s: int, tol: float) -> int | None:
-    """`_bisect` on numpy arrays, all thetas together; the position of the
-    first theta that did not stop, or None. The rows are kept in order of
-    theta, so equal midpoints (in a sweep's first dozen steps, most) are
-    adjacent, and each run of them takes one mean."""
-    import numpy as np
-
-    rows = np.array(sorted(positions, key=thetas.__getitem__))
-    target = np.array(thetas)[rows]
-    lo, hi = np.full(len(rows), -LAMBDA_BRACKET), np.full(len(rows), LAMBDA_BRACKET)
-    for _ in range(_MAX_BISECT):
-        mid = 0.5 * (lo + hi)
-        starts = np.flatnonzero(np.r_[True, mid[1:] != mid[:-1]])
-        means = _gibbs_mean(mid[starts], s, _h_array)
-        gap = np.repeat(means, np.diff(starts, append=len(mid))) - target
-        below = gap < 0.0
-        lo, hi = np.where(below, mid, lo), np.where(below, hi, mid)
-        done = np.abs(gap) <= tol
-        if not done.any():
-            continue
-        for k, lam in zip(rows[done].tolist(), mid[done].tolist()):
-            results[k] = _solution(thetas[k], lam, s)
-        keep = ~done
-        if not keep.any():
-            return None
-        rows, target, lo, hi = rows[keep], target[keep], lo[keep], hi[keep]
-    return int(rows.min())
+def _steer(theta: float, lam: float, mean: float, s: int, margin: float) -> tuple[float, float]:
+    """Multipliers below and above theta's for `_bisect` to certify: Newton's
+    method on the closed-form mean from lam, whose computed mean is `mean`,
+    with slope (s**2 h'(s lam/2) - h'(lam/2))/4, kept between the
+    multipliers seen on either side of theta; once |mean - theta| <= margin,
+    one more step and 2 margin / slope either side of it. (-inf, inf), no
+    proposal, if the slope is not positive or Newton's method has not come
+    within margin after _NEWTON_STEPS steps."""
+    lo, hi = -LAMBDA_BRACKET, LAMBDA_BRACKET
+    for _ in range(_NEWTON_STEPS):
+        d = mean - theta
+        slope = 0.25 * (s * s * _dh(lam * (0.5 * s)) - _dh(0.5 * lam))
+        if not slope > 0.0:
+            break
+        lo, hi = (lam, hi) if d < 0.0 else (lo, lam)
+        lam -= d / slope
+        if abs(d) <= margin:
+            width = 2.0 * margin / slope
+            return lam - width, lam + width
+        if not lo < lam < hi:
+            lam = 0.5 * (lo + hi)
+        mean = _gibbs_mean(lam, s)
+    return -math.inf, math.inf
 
 
 def _solution(theta: float, lam: float, s: int) -> EntropyResult:
@@ -332,7 +339,9 @@ def neg_entropy_minima(
     and reflects the mean.
 
     `tol` and every theta are validated, in order, before anything is
-    solved; the interior thetas are then bisected together.
+    solved; the interior thetas are then solved in increasing order, each
+    from the one before (see `_bisect`), so a whole sweep in one call costs
+    a few means per theta. Each result is what the theta gives alone.
     """
     if tol <= 0:
         raise ValueError(f"tolerance must be positive, got {tol}")

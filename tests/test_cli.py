@@ -1050,10 +1050,9 @@ class TestVerify:
         # and later ones fill numpy remainder arrays. `analyze` counts the
         # first 2**20 digits of a tally in a base up to 16 without numpy and
         # bincounts the rest, so a longer file loads numpy. One entropy
-        # point, and a sweep of at most 1024 interior means, bisect in pure
-        # Python in any base; the grid oracle and a longer sweep's batch
-        # load numpy. So the test cannot
-        # pass by never loading numpy.
+        # point and a sweep of any length bisect in pure Python in any base;
+        # only the grid oracle loads numpy. So the test cannot pass by never
+        # loading numpy.
         config = tmp_path / "blocks.json"
         blocks = {"schedule": {"family": "polynomial", "degree": 1}, "columns": CONVERGING_COLUMNS}
         config.write_text(json.dumps(blocks))
@@ -1071,7 +1070,7 @@ class TestVerify:
             (["dimension", "--theta", "1/2", "--base", "300"], ["adiclab.entropy"], ["numpy", "adiclab.stats"]),
             (["dimension", "--theta", "1/2", "--oracle"], ["adiclab.entropy", "numpy"], ["adiclab.stats"]),
             (["dimension", "--sweep", "0:3:1/10"], ["adiclab.entropy"], ["numpy", "adiclab.stats"]),
-            (["dimension", "--sweep", "0:3:1/400"], ["adiclab.entropy", "numpy"], ["adiclab.stats"]),
+            (["dimension", "--sweep", "0:3:1/400"], ["adiclab.entropy"], ["numpy", "adiclab.stats"]),
             (block, ["adiclab.construct"], ["numpy", "adiclab.entropy"]),
             (short_period, ["adiclab.construct"], ["numpy", "adiclab.entropy", "adiclab.stats"]),
             (long_period, ["numpy"], ["adiclab.entropy", "adiclab.stats"]),

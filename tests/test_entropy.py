@@ -190,13 +190,29 @@ def replay(result, s, tol=1e-10):
     raise AssertionError(f"no midpoint reached {result.multiplier}")
 
 
+def plain_path(theta, s, tol=1e-10):
+    """The multiplier where the plain bisection from [-50, 50] stops, with a
+    mean from entropy._gibbs_mean at every midpoint; None if it has not
+    stopped after entropy._MAX_BISECT steps."""
+    lo, hi = -LAMBDA_BRACKET, LAMBDA_BRACKET
+    for _ in range(entropy._MAX_BISECT):
+        mid = 0.5 * (lo + hi)
+        mean = entropy._gibbs_mean(mid, s)
+        if abs(mean - theta) <= tol:
+            return mid
+        lo, hi = (mid, hi) if mean < theta else (lo, mid)
+    return None
+
+
 def check_solved(thetas, base):
     """The batch equals each theta solved alone, bit for bit, and every
-    interior result replays; the results."""
+    interior result stops where the plain path stops and replays; the
+    results."""
     results = neg_entropy_minima(thetas, base)
     assert reprs(results) == [repr(neg_entropy_minimum(t, base)) for t in thetas]
     for res in results:
         if res.multiplier is not None:
+            assert res.multiplier == plain_path(res.theta, base.s)
             replay(res, base.s)
     return results
 
@@ -501,7 +517,7 @@ class TestBatchedSolverMatchesOracle:
         def unreachable(*args):
             raise AssertionError("solved before validating")
 
-        for name in ("_gibbs_row", "_gibbs_mean", "_h_array"):
+        for name in ("_gibbs_row", "_gibbs_mean"):
             monkeypatch.setattr(entropy, name, unreachable)
         with pytest.raises(ValueError, match=r"^theta must lie in \[0, 3\], got 4.0$"):
             neg_entropy_minima([1.0, 4.0, -1.0])
@@ -531,12 +547,6 @@ class TestBatchedSolverMatchesOracle:
         assert outcome(neg_entropy_minimum, thetas[-1]) == outcome(bisection_oracle, thetas[-1])
 
 
-def forced(path):
-    """Send every batch down one loop: "exact", pure Python one theta at a
-    time as a lone theta goes, or "numpy", all thetas together on arrays."""
-    return mock.patch.object(entropy, "_PYTHON_ROWS", 0 if path == "numpy" else 2**62)
-
-
 def thetas_of(s):
     """Thetas in base s: fractions of the range and values within 1e-9 of
     either end."""
@@ -547,11 +557,31 @@ def thetas_of(s):
     )
 
 
+# The thetas in base 400000 where the rows' rounding once broke the solver.
+THETAS_400000 = (0.5, 200000.0, 340000.0, 360000.0)
+
+
+@lru_cache(maxsize=None)
+def alone_in_base_400000(theta):
+    """check_solved of theta alone in base 400000, once per theta: each
+    result builds a row of 400000 entries."""
+    return repr(check_solved([theta], Base(400000))[0])
+
+
+def with_repeats(thetas):
+    """Lists of the given thetas, in the order drawn, and then repeats of
+    them."""
+    return st.lists(st.sampled_from(thetas), max_size=len(thetas)).map(lambda more: thetas + more)
+
+
 class TestNumpyDecidesExactAnswers:
+    # The loop takes the thetas in increasing order and starts Newton's
+    # method from the theta before; unsorted lists with repeats, and thetas
+    # next to either end, must not change a result.
     @settings(max_examples=40, deadline=None)
     @given(
-        st.sampled_from((*range(2, 11), 300)).flatmap(
-            lambda s: st.tuples(st.just(s), st.lists(thetas_of(s), min_size=1, max_size=12))
+        st.sampled_from((*range(2, 11), 300, 10**4)).flatmap(
+            lambda s: st.tuples(st.just(s), st.lists(thetas_of(s), min_size=1, max_size=8).flatmap(with_repeats))
         )
     )
     def test_both_paths_match_the_oracle(self, case):
@@ -562,55 +592,38 @@ class TestNumpyDecidesExactAnswers:
             assert reprs(neg_entropy_minima(thetas, base)) == expected
             assert [repr(neg_entropy_minimum(t, base)) for t in thetas] == expected
         else:
-            expected = reprs(check_solved(thetas, base))
-        for path in ("exact", "numpy"):
-            with forced(path):
-                assert reprs(neg_entropy_minima(thetas, base)) == expected
+            check_solved(thetas, base)
+
+    @settings(max_examples=5, deadline=None)
+    @given(st.lists(st.sampled_from(THETAS_400000), min_size=1, max_size=3).flatmap(with_repeats))
+    def test_lists_in_base_400000(self, thetas):
+        results = neg_entropy_minima(thetas, Base(400000))
+        assert reprs(results) == [alone_in_base_400000(t) for t in thetas]
 
     # The small tols, 1e-14 in base 10 (about 2 E(10)) and 1e-11 in base
     # 300, bring the stop test close to the bound.
     @pytest.mark.parametrize("s, tol", [(2, 1e-10), (4, 1e-10), (10, 1e-14), (300, 1e-10), (300, 1e-11)])
     @pytest.mark.parametrize("sign", [1, -1, 0])
     def test_numpy_means_off_by_the_margin(self, monkeypatch, s, tol, sign):
-        # Every mean of the numpy loop is the exact one moved by E(s) less
-        # four roundings of size u(s - 1): the rounding of the exact and of
-        # the moved mean, and of mean - theta, still leave d within E(s) of
-        # the exact d, the bound that _bisect derives. Its consequences must
-        # then hold: each answer replays. Sign 0 alternates the direction by
-        # row.
+        # Every mean is the exact one moved by E(s) less four roundings of
+        # size u(s - 1): the rounding of the exact and of the moved mean,
+        # and of mean - theta, still leave d within E(s) of the exact d, the
+        # bound that _bisect derives. Its consequences must then hold: each
+        # answer replays, and the loop stops where the plain path stops on
+        # the same means. Sign 0 moves each mean by the parity of its
+        # multiplier's last bit, a sawtooth.
         shift = mean_error(s) - 4 * (s - 1) * 2.0**-53
 
-        def means(lams, base_s, h=None):
-            signs = [sign or (-1) ** j for j in range(len(lams))]
-            moved = [float(exact_mean(lam, s)) + sg * shift for lam, sg in zip(lams.tolist(), signs)]
-            return np.array(moved)
+        def means(lam, base_s):
+            direction = sign or (-1) ** int(math.frexp(lam)[0] * 2.0**53)
+            return float(exact_mean(lam, s)) + direction * shift
 
         monkeypatch.setattr(entropy, "_gibbs_mean", means)
         thetas = [k / 40 * (s - 1) for k in range(41)] + [1e-9, (s - 1) - 1e-9]
-        with forced("numpy"):
-            results = neg_entropy_minima(thetas, Base(s), tol)
-        for res in results:
+        for res in neg_entropy_minima(thetas, Base(s), tol):
             if res.multiplier is not None:
                 replay(res, s, tol)
-
-    @pytest.mark.parametrize("s", [3, 4, 10, 300])
-    @pytest.mark.parametrize("direction", [math.inf, -math.inf])
-    def test_np_exp_one_ulp_off(self, monkeypatch, s, direction):
-        # np.exp differs by an ulp between numpy versions and CPUs. Moving
-        # every np.exp result by one more ulp changes no result, since the
-        # numpy loop calls no np.exp: t comes from math.exp, as in _h.
-        exact_exp, calls = np.exp, []
-
-        def exp(x, out=None):
-            calls.append(x)
-            return np.nextafter(exact_exp(x, out=out), direction, out=out)
-
-        thetas = [k / 50 * (s - 1) for k in range(51)] + [1e-9, (s - 1) - 1e-9]
-        with forced("numpy"):
-            expected = reprs(neg_entropy_minima(thetas, Base(s)))
-            monkeypatch.setattr(np, "exp", exp)
-            assert reprs(neg_entropy_minima(thetas, Base(s))) == expected
-        assert calls == []
+                assert res.multiplier == plain_path(res.theta, s, tol)
 
     def test_exp_is_within_one_ulp(self):
         # E(s) takes t = math.exp(-2|x|) in _h within 1 ulp. Hold it to that
@@ -653,15 +666,17 @@ class TestNumpyDecidesExactAnswers:
         assert sum(1 for t in result.argmin if t) <= window
         assert repr(result.argmin) == repr(oracle_row(result.multiplier, Base(400000))[0])
 
-    @pytest.mark.parametrize("path", ["exact", "numpy"])
-    def test_max_bisect_error_text_is_unchanged(self, path):
-        # No multiplier brings the mean within 1e-300 of 0.3; 1.5 stops at
-        # lambda = 0 with the mean exactly 1.5, and 2.2 is never reached.
-        with forced(path), pytest.raises(ArithmeticError) as info:
-            neg_entropy_minima([1.5, 0.3, 2.2], tol=1e-300)
-        message = "bisection did not reach |mean - theta| <= 1e-300 for theta=0.3"
+    # No multiplier brings the computed mean within 1e-300 of 0.3 or of 0.9;
+    # 1.5 stops at lambda = 0 with the mean exactly 1.5, and 2.2 where it is
+    # exactly 2.2. The loop meets 0.3 first, in increasing order, but names
+    # the first theta in the order given that does not stop.
+    @pytest.mark.parametrize("thetas, named", [([1.5, 0.3, 2.2], 0.3), ([1.5, 0.9, 0.3], 0.9)])
+    def test_max_bisect_error_text_is_unchanged(self, thetas, named):
+        with pytest.raises(ArithmeticError) as info:
+            neg_entropy_minima(thetas, tol=1e-300)
+        message = f"bisection did not reach |mean - theta| <= 1e-300 for theta={named}"
         assert str(info.value) == message
-        assert outcome(bisection_oracle, 0.3, BASE4, 1e-300) == (ArithmeticError, message)
+        assert outcome(bisection_oracle, named, BASE4, 1e-300) == (ArithmeticError, message)
 
 
 def bernoulli_coth(n):
@@ -710,35 +725,10 @@ class TestClosedFormMean:
         got = entropy._gibbs_mean(lam, s)
         assert abs(Decimal(got) - exact_mean(lam, s)) <= Decimal(mean_error(s))
 
-    @settings(max_examples=100, deadline=None)
-    @given(
-        st.lists(
-            st.one_of(
-                st.floats(allow_nan=False, allow_infinity=False, min_value=-1e7, max_value=1e7),
-                st.floats(min_value=-1.0, max_value=1.0),
-                st.sampled_from((0.0, -0.0, 1.0, -1.0, math.nextafter(1.0, 2.0), 373.0, 373.5, -373.0)),
-            ),
-            max_size=40,
-        )
-    )
-    def test_array_form_is_bit_identical(self, xs):
-        got = entropy._h_array(np.array(xs, dtype=float)).tolist()
-        assert [x.hex() for x in got] == [entropy._h(x).hex() for x in xs]
-
-    @pytest.mark.parametrize("s", [2, 4, 300, 400000])
-    def test_array_mean_is_bit_identical(self, s):
-        rng = random.Random(s)
-        lams = [rng.uniform(-50.0, 50.0) for _ in range(200)]
-        lams += [rng.uniform(-4.0 / s, 4.0 / s) for _ in range(200)] + [0.0, 2.0 / s, -2.0 / s, 2.0, -2.0]
-        got = entropy._gibbs_mean(np.array(lams), s, entropy._h_array).tolist()
-        assert [m.hex() for m in got] == [entropy._gibbs_mean(lam, s).hex() for lam in lams]
-
 
 class TestPathReplay:
     # Fractions of the range, values within 1e-9 of either end, a cluster
-    # whose midpoints part only in the last steps (the numpy loop shares a
-    # mean between equal midpoints alone), and the thetas in base 400000
-    # where the rows' rounding once broke the solver.
+    # whose midpoints part only in the last steps, and THETAS_400000.
     @pytest.mark.parametrize("s", [*range(2, 11), 300, 10**4])
     def test_every_step_follows_the_exact_mean(self, s):
         rng = random.Random(s)
@@ -746,16 +736,87 @@ class TestPathReplay:
         thetas = [f * (s - 1) for f in fractions] + [1e-9, 5e-10, (s - 1) - 1e-9]
         thetas += [thetas[3] + k * 3e-10 for k in range(1, 4)]
         check_solved(thetas, Base(s))
-        with forced("numpy"):
-            check_solved(thetas, Base(s))
 
     def test_base_400000(self):
-        thetas = [0.5, 200000.0, 340000.0, 360000.0]
-        with forced("numpy"):
-            results = check_solved(thetas, Base(400000))
+        results = check_solved(THETAS_400000, Base(400000))
         # The changed answer at 200000: 3.749999963839916e-11 before, from
         # row-decided steps.
         assert results[1].multiplier == 3.749999999838816e-11
+
+
+def offsets():
+    """Where a proposal may lie from the root: at it, on the scale of a
+    stop's band, anywhere in the bracket, or nowhere."""
+    return st.one_of(
+        st.floats(min_value=-1e-8, max_value=1e-8),
+        st.floats(min_value=-100.0, max_value=100.0),
+        st.sampled_from((0.0, math.inf, -math.inf, math.nan)),
+    )
+
+
+class TestOneLoop:
+    @settings(max_examples=200, deadline=None)
+    @given(
+        st.sampled_from((2, 3, 4, 10, 300, 10**4)).flatmap(
+            lambda s: st.tuples(
+                st.just(s), thetas_of(s).filter(lambda t: 0.0 < t < s - 1), offsets(), offsets()
+            )
+        )
+    )
+    def test_any_proposal_stops_where_the_plain_path_stops(self, case):
+        # Newton's method only picks which midpoints take a mean: proposals
+        # in either order, on either side of the root, at it, or not finite,
+        # are each certified or dropped.
+        s, theta, below, above = case
+        root = plain_path(theta, s)
+        with mock.patch.object(entropy, "_steer", lambda *args: (root + below, root + above)):
+            assert neg_entropy_minimum(theta, Base(s)).multiplier == root
+
+    def test_a_sweep_takes_few_means(self, monkeypatch):
+        # The 2999 interior thetas of `dimension --sweep 0:3:1/1000`. The
+        # plain path takes 37 means per theta; Newton's method from each
+        # theta's neighbour leaves about 6.
+        mean, calls = entropy._gibbs_mean, []
+
+        def counting(lam, s):
+            calls.append(lam)
+            return mean(lam, s)
+
+        monkeypatch.setattr(entropy, "_gibbs_mean", counting)
+        neg_entropy_minima([k / 1000 for k in range(3001)])
+        assert len(calls) <= 12 * 2999
+
+    @pytest.mark.parametrize("s", [2, 4, 10, 300])
+    @pytest.mark.parametrize("side", [-1, 1])
+    def test_a_certificate_needs_the_whole_margin(self, monkeypatch, s, side):
+        # m is a midpoint of theta's path whose exact d is side * (tol +
+        # 0.6 E(s)), and c lies between m and the root, at exact d side *
+        # (tol + 0.3 E(s)). The means below move each computed d by up to
+        # E(s): c's away from theta, every other one toward it. So the plain
+        # path stops at m, and c's d lies beyond tol + E(s) but within
+        # tol + 2 E(s): a margin of E(s) would certify c and skip m.
+        tol, bound = 1e-10, Decimal(mean_error(s))
+        m = -50.0 + 100.0 * (int(0.49 * 2**30) | 1) / 2**30  # a 30th midpoint, near lambda = -1
+        theta = float(exact_mean(m, s) - side * (Decimal(tol) + Decimal("0.6") * bound))
+        slope = (exact_mean(m + 1e-6, s) - exact_mean(m - 1e-6, s)) / Decimal(2e-6)
+        c = m - side * float(Decimal("0.3") * bound / slope)
+
+        def moved(lam, base_s):
+            # Rounding the moved mean and mean - theta costs at most one ulp
+            # of the larger of the two.
+            exact = exact_mean(lam, s)
+            direction = (1 if exact > Decimal(theta) else -1) * (1 if lam == c else -1)
+            ulp = Decimal(math.ulp(max(float(exact), theta)))
+            mean = float(exact + direction * (bound - ulp))
+            assert abs(Decimal(mean - theta) - (exact - Decimal(theta))) <= bound
+            return mean
+
+        monkeypatch.setattr(entropy, "_gibbs_mean", moved)
+        assert plain_path(theta, s, tol) == m
+        assert tol + mean_error(s) < side * (moved(c, s) - theta) <= tol + 2 * mean_error(s)
+        proposals = (c, math.inf) if side < 0 else (-math.inf, c)
+        monkeypatch.setattr(entropy, "_steer", lambda *args: proposals)
+        assert neg_entropy_minimum(theta, Base(s), tol).multiplier == m
 
 
 GRID_THETAS = (0.004, 0.37, 0.5, 0.81, 0.999)
