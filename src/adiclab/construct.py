@@ -267,13 +267,16 @@ def _greedy_chunks(tau: ProbabilityVector, base: Base) -> Iterator[Chunk]:
     the steps they fall on come from one continued-fraction convergent of
     tau_i, the one for the chunk end N. The state is four arrays over the
     columns: p', q', c and `until`, the chunk end at which the convergent
-    expires, and only the columns with until <= N are refreshed. A column
-    of any denominator is computed in int64 while N**2 < 2**63, that is
-    for about the first 3.04e9 steps, and in exact Python ints only past
-    that."""
+    expires, and only the columns with until <= N are refreshed. A zero
+    column starts settled, as 0/1 until _NEVER, so the first chunk refreshes
+    only the nonzero ones. A column of any denominator is computed in int64
+    while N**2 < 2**63, that is for about the first 3.04e9 steps, and in
+    exact Python ints only past that."""
     import numpy as np
 
-    p, q, c, until = (np.zeros(tau.s, dtype=np.int64) for _ in range(4))
+    p, c = np.zeros(tau.s, dtype=np.int64), np.zeros(tau.s, dtype=np.int64)
+    q = np.ones(tau.s, dtype=np.int64)
+    until = np.array([0 if t else _NEVER for t in tau.entries], dtype=np.int64)
     k, steps = 1, _FIRST_STEPS
     while True:
         end = k + steps
@@ -633,49 +636,59 @@ MEAN_DEFICIT = 2.0**-25
 _MAX_DOUBLINGS = 64
 
 
-def _mean_numerators(weights: Sequence[float], first: int, th: Fraction, d: int) -> list[int] | None:
-    """Integers n_i >= 0, for the digits i = first, first+1, ..., with sum d
-    and sum i*n_i = th*d, near d times the float `weights` (d is a multiple
-    of th's denominator); None where the spread rule leaves an entry
-    negative. O(len(weights)) int operations.
+def _mean_numerators(weights: Sequence[float], first: int, th: Fraction, d: int) -> list[int]:
+    """Integers n_i >= 0 for the digits i = first, first+1, ..., with sum d
+    and sum i*n_i = th*d exactly, each within one unit of tau_i*d for the
+    vector tau below. d is a multiple of th's denominator, first <= th <
+    the last digit, and the float `weights` are not all 0. The rule cannot
+    fail; it takes O(len(weights)) int operations.
 
-    Each n_i is weight_i*d rounded half up, exactly. The sum's residual
-    goes to a = floor(th), or to the last digit but one if floor(th) is the
-    last. The mean's residual, delta units, then moves in two parts. Its
-    bulk, delta // w units, moves between two digits lo < hi = lo + w that
-    carry mass: the receiver, the outermost one on the side the mean must
-    move to, and the donor, the outermost one on the other side. A donor
-    that holds too few units gives all it holds, and the next one inward
-    is tried. The rest, delta mod w units, moves from a to a+1.
+    1. tau is the weights moved to mean th. Read as integers w_i over one
+       power of two, they have the exact mean mu. The pivot c is the first
+       digit if mu > th and the last one otherwise, and tau mixes w/sum(w)
+       with the point mass at c: tau = (1-t) w/sum(w) + t e_c, with t =
+       (mu-th)/(mu-c) in [0, 1]. In the pivot's frame j = |i - c|, tau_j =
+       |th-c| w_j / sum_k k w_k for j >= 1, and tau_0 takes the rest.
+    2. n_j starts as floor(tau_j*d). The R = d - sum n_j entries that round
+       up must have frame indices summing to M = |th-c|*d - sum j n_j.
+       Since tau sums to 1 and has mean th exactly, R and M are the sums of
+       the fractional parts of the tau_j*d and of j times them. So R is
+       below the number of digits, and M lies between the index sums of the
+       R lowest and of the R highest frame indices.
+    3. The R round-ups are a run of R+1 consecutive frame indices with one
+       left out, placed so that their sum is M. The fractional parts are
+       not consulted.
     """
-    # weight = p / 2**k exactly, so its nearest integer is a shift.
-    nums = [(p * d + (q >> 1)) >> (q.bit_length() - 1) for p, q in map(float.as_integer_ratio, weights)]
-    a = min(th.numerator // th.denominator - first, len(nums) - 2)
-    nums[a] += d - sum(nums)
-    delta = th.numerator * (d // th.denominator) - first * d - sum(map(mul, range(len(nums)), nums))
-    if delta:
-        support = [i for i, n in enumerate(nums) if n > 0]
-        receiver, donors = (support[-1], support) if delta > 0 else (support[0], reversed(support))
-        for donor in donors:
-            if donor == receiver:
-                return None
-            lo, hi = sorted((donor, receiver))
-            q, r = divmod(delta, hi - lo)
-            if nums[donor] >= abs(q):
-                nums[lo] -= q
-                nums[hi] += q
-                nums[a] -= r
-                nums[a + 1] += r
-                break
-            delta -= nums[donor] * (receiver - donor)
-            nums[receiver] += nums[donor]
-            nums[donor] = 0
-    return nums if min(nums) >= 0 else None
+    n = len(weights)
+    # A nonzero float is m * 2**e with 2**53 * m an integer, and e is least
+    # at the least weight, so the weights are the integers w_i over 2**k.
+    k = 53 - math.frexp(min(filter(None, weights)))[1]
+    ws = [p << (k + 1 - q.bit_length()) for p, q in map(float.as_integer_ratio, weights)]
+    total = sum(ws)
+    moment = sum(map(mul, range(n), ws))
+    # |th - c| * d and sum_j j*w_j in the pivot's frame; first the lower pivot.
+    gap = th.numerator * (d // th.denominator) - first * d
+    upper = moment * d <= gap * total
+    if upper:
+        ws.reverse()
+        gap, moment = (n - 1) * d - gap, (n - 1) * total - moment
+    nums = [gap * w // moment for w in ws]
+    # floor(tau_0*d) = d - ceil(gap * (sum of w_j, j >= 1) / moment).
+    nums[0] = d + -gap * (total - ws[0]) // moment
+    up = d - sum(nums)
+    if up:
+        target = gap - sum(map(mul, range(n), nums))
+        start = min((target - up * (up - 1) // 2) // up, n - 1 - up)
+        skip = (up + 1) * (2 * start + up) // 2 - target
+        for j in range(start, start + up + 1):
+            nums[j] += j != skip
+    return nums[::-1] if upper else nums
 
 
 def _mean_vector(th: Fraction, base: Base) -> tuple[ProbabilityVector, float]:
     """The vector behind `mean_target_stream` at an interior theta, and its
-    dimension deficit (see there)."""
+    dimension deficit (see there). `_mean_numerators` gives a vector of
+    mean theta at every D it is given, so D grows only for the deficit."""
     from .entropy import neg_entropy_minimum
 
     s = base.s
@@ -694,15 +707,14 @@ def _mean_vector(th: Fraction, base: Base) -> tuple[ProbabilityVector, float]:
     d = d0 = den * max(1, CHUNK_DIGITS // den)
     doublings = 0
     while doublings <= _MAX_DOUBLINGS:
-        grow = 1
-        if (nums := _mean_numerators(weights, first, th, d)) is not None:
-            entropy = -math.fsum(x * math.log(x) for x in (n / d for n in nums) if x)
-            deficit = optimum.dimension_bound - entropy / math.log(s)
-            if deficit <= MEAN_DEFICIT:
-                vector = ProbabilityVector.from_numerators([0] * first + nums + [0] * (s - last), d)
-                return vector, deficit
-            # The deficit falls about as 1/D**2.
-            grow = max(1, math.ceil(math.log2(deficit / MEAN_DEFICIT) / 2))
+        nums = _mean_numerators(weights, first, th, d)
+        entropy = -math.fsum(x * math.log(x) for x in (n / d for n in nums) if x)
+        deficit = optimum.dimension_bound - entropy / math.log(s)
+        if deficit <= MEAN_DEFICIT:
+            vector = ProbabilityVector.from_numerators([0] * first + nums + [0] * (s - last), d)
+            return vector, deficit
+        # The deficit falls about as 1/D**2.
+        grow = max(1, math.ceil(math.log2(deficit / MEAN_DEFICIT) / 2))
         d <<= grow
         doublings += grow
     raise ValueError(f"no vector over D = {d0} * 2**k, k <= {_MAX_DOUBLINGS}, has mean exactly {th} in base {s}")
@@ -721,23 +733,25 @@ def mean_target_stream(theta: Fraction | int | float | str, base: Base = BASE4) 
 
     D is a multiple of theta's denominator. The first D tried is the
     largest such multiple up to CHUNK_DIGITS = 2**16, or the denominator
-    itself if it is larger. `_mean_numerators` rounds the optimum over D
-    and spreads the residuals of the sum and the mean. D doubles while
-    that leaves an entry negative, and grows by 2**k while the deficit d
-    is over MEAN_DEFICIT = 2**-25 (about 3.0e-8), with k the least
-    positive integer such that 4**k >= d / MEAN_DEFICIT, since d falls
-    about as 1/D**2. Once D has doubled more than 64 times in all, theta
-    is refused with a ValueError. The deficit is computed in floats
+    itself if it is larger. `_mean_numerators` moves the optimum to mean
+    theta exactly, by mixing it with the point mass at one end of its
+    support, takes floors over D, and rounds up one run of entries. So at
+    every D the sum is 1 and the mean theta exactly, and every n_i lies
+    within one unit of D times the moved optimum. D grows by 2**k only
+    while the deficit d is over MEAN_DEFICIT = 2**-25 (about 3.0e-8), with
+    k the least positive integer such that 4**k >= d / MEAN_DEFICIT, since
+    d falls about as 1/D**2. Once D has doubled more than 64 times in all,
+    theta is refused with a ValueError. The deficit is computed in floats
     against the solver's bound, so it can be a little below 0, where the
     solver's argmin misses theta by up to 1e-10.
 
     A D of at most 2**16 makes the greedy stream a tiled period of at
     most D digits, built without numpy. In base 4 that holds for every
     theta in [1/4, 11/4] with denominator up to 1000; their deficits stay
-    below 2.0e-8 (the largest is 1.94e-8, at 253/992). A larger D runs
-    the array kernel. It is needed near theta = 0 and theta = s-1, in
-    large bases, and for a denominator over 2**16. Setting up costs O(s)
-    integer operations per D tried, and takes no lcm.
+    below 2.0e-8. A larger D runs the array kernel. It is needed near
+    theta = 0 and theta = s-1, in large bases, and for a denominator over
+    2**16. Setting up costs O(s) integer operations per D tried, and takes
+    no lcm.
     """
     s = base.s
     th = Fraction(theta)

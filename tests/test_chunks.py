@@ -187,6 +187,18 @@ class TestGreedyChunks:
         pair = greedy_oracle(ProbabilityVector((Fraction(1, 3), Fraction(2, 3))), 4000)
         assert prefix.digits == tuple(4095 * d for d in pair)
 
+    def test_zero_columns_start_settled(self, monkeypatch):
+        # The base-300 vector of `--mean 1/2` has 15 nonzero entries over
+        # D = 2**23, so its stream runs the kernel; the first chunk finds the
+        # convergents of those 15 columns only, not of all 300.
+        calls = []
+        convergent = construct._convergent
+        monkeypatch.setattr(construct, "_convergent", lambda *args: calls.append(args) or convergent(*args))
+        tau, _ = construct._mean_vector(Fraction(1, 2), Base(300))
+        assert math.lcm(*(t.denominator for t in tau.entries)) == 2**23
+        next(greedy_stream(tau).make_chunks())
+        assert len(calls) == sum(map(bool, tau.entries)) == 15
+
 
 def convergent_denominators(x: Fraction) -> list[int]:
     """The denominators q_k of the continued-fraction convergents of x."""

@@ -1497,14 +1497,15 @@ GOLDEN = {
         "inline": "e769aeaa10c8debb4ba55504cbb080de4c578a3ec4e200e2d8e6e0f6b17737e0",
     },
     # Written from the exact vector over D = 65525 (mean exactly 23/25, one
-    # tiled period), not by the per-digit implementation.
+    # tiled period) that the floors-and-one-run rule gives, not by the
+    # per-digit implementation.
     "mean": {
-        "stdout": "c245bd76ffbcb7bc7258596d9b85326bd645e4afee237bfd5dec20094adb2ac7",
-        "file": "6324385756ad1caea435843e6edd6931cab5f0c909ee4244655df2b8dc653809",
+        "stdout": "8c06b908432106957480e5a7e636667b32211abe9d84de610d1ffb02a85625d3",
+        "file": "7f14e7356c0cd2f414f974d778548eddbfe8ed26d5f87156f37068fd0b14cc91",
         "sidecar": "d53e8cf6fc9208ffbfaff0cbac56720698ea952333ea6967777ecc4093c2e2d2",
-        "in_csv": "826c4eb2081038cd401a285fd7e7e4e504ec07ea60d3be42446e9bf66fc4ff2c",
-        "in_json": "203b6e5f4aa2beafebd247e28dfed101ee51e6301ce4ab2fcdfaa84405a7efc2",
-        "inline": "af8b04a81cae79108e6849a7cbfe6aa79ed8418bc24b5a72fd8afafd37694e94",
+        "in_csv": "89d194fa01591415dc097e51c409088bafc5d55e44a1081171d2339673a3b98c",
+        "in_json": "021523b97a6de186c5b254604f0a580f4d14f2f999e000ac9cdaff9e44323ec6",
+        "inline": "6636564c649103044fcbac677c3133a874673bc3842e14c96bfd6e34a25e68ed",
     },
     "block": {
         "stdout": "71ee52ae2dddefbcf9c9a08dff6fc84c7bad283a93eac0cf39ca329def578d07",

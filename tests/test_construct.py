@@ -337,45 +337,51 @@ class TestMeanTargetStream:
             mean_target_stream(-1)
 
     @staticmethod
-    def _oracle(theta, base):
-        # The documented construction, restated over the whole vector in
-        # Fractions: round over D, sum residual to a, bulk between the
-        # outermost coordinates with mass (a short donor gives all it
-        # holds), remainder from a to a+1; D doubles, or jumps by the 1/D**2
-        # estimate of the deficit, until no entry is negative and the
-        # deficit is within MEAN_DEFICIT.
+    def _moved(weights, first, theta):
+        # Step 1 of `_mean_numerators` in Fractions: the window's weights,
+        # moved to mean theta by mixing them with the point mass at the
+        # window's first digit if their mean is above theta, else at its
+        # last one. Returns tau and the pivot's place in the window.
+        w = [Fraction(x) for x in weights]
+        total = sum(w)
+        mu = first + sum(i * x for i, x in enumerate(w)) / total
+        pivot = 0 if mu > theta else len(w) - 1
+        t = (mu - theta) / (mu - first - pivot)
+        return [(1 - t) * x / total + t * (i == pivot) for i, x in enumerate(w)], pivot
+
+    @classmethod
+    def _oracle(cls, theta, base):
+        # The documented construction, restated in Fractions: the window of
+        # the argmin's nonzero entries, widened to hold floor(theta) and the
+        # digit after it, is moved to mean theta; over D the entries are
+        # floored, and the R that round up are found by trying each run of
+        # R+1 consecutive indices in the pivot's frame with one left out,
+        # until one sums to the frame's missing index sum M. D jumps by the
+        # 1/D**2 estimate of the deficit until it is within MEAN_DEFICIT.
         s = base.s
         optimum = neg_entropy_minimum(float(theta), base)
+        a = min(math.floor(theta), s - 2)
+        support = [i for i, t in enumerate(optimum.argmin) if t]
+        first, last = min(a, support[0]), max(a + 2, support[-1] + 1)
+        tau, pivot = cls._moved(optimum.argmin[first:last], first, theta)
+        frame = [abs(i - pivot) for i in range(last - first)]
         d = theta.denominator * max(1, 2**16 // theta.denominator)
         while True:
-            nums = [math.floor(Fraction(t) * d + Fraction(1, 2)) for t in optimum.argmin]
-            a = min(math.floor(theta), s - 2)
-            nums[a] += d - sum(nums)
-            delta = theta * d - sum(i * n for i, n in enumerate(nums))
-            support = [i for i, n in enumerate(nums) if n > 0]
-            receiver = support[-1] if delta > 0 else support[0]
-            donors = [i for i in support if (i < receiver if delta > 0 else i > receiver)]
-            for donor in donors if delta > 0 else donors[::-1]:
-                lo, hi = sorted((donor, receiver))
-                q, r = divmod(delta, hi - lo)
-                if nums[donor] >= abs(q):
-                    nums[lo] -= q
-                    nums[hi] += q
-                    nums[a] -= r
-                    nums[a + 1] += r
-                    delta = 0
-                    break
-                delta -= nums[donor] * (receiver - donor)
-                nums[receiver] += nums[donor]
-                nums[donor] = 0
-            grow = 1
-            if delta == 0 and min(nums) >= 0:
-                tau = ProbabilityVector(tuple(Fraction(n, d) for n in nums))
-                deficit = optimum.dimension_bound - be_dimension(tau, base)
-                if deficit <= MEAN_DEFICIT:
-                    return tau
-                grow = max(1, math.ceil(math.log2(deficit / MEAN_DEFICIT) / 2))
-            d <<= grow
+            nums = [math.floor(x * d) for x in tau]
+            if up := d - sum(nums):
+                target = sum(j * (x * d - n) for j, x, n in zip(frame, tau, nums))
+                b, x = next(
+                    (b, x)
+                    for b in range(len(frame) - up)
+                    for x in [sum(range(b, b + up + 1)) - target]
+                    if b <= x <= b + up
+                )
+                nums = [n + (b <= j <= b + up and j != x) for j, n in zip(frame, nums)]
+            tau_d = ProbabilityVector(tuple([0] * first + [Fraction(n, d) for n in nums] + [0] * (s - last)))
+            deficit = optimum.dimension_bound - be_dimension(tau_d, base)
+            if deficit <= MEAN_DEFICIT:
+                return tau_d
+            d <<= max(1, math.ceil(math.log2(deficit / MEAN_DEFICIT) / 2))
 
     @pytest.mark.parametrize(
         "s, thetas",
@@ -419,11 +425,11 @@ class TestMeanTargetStream:
     def test_base4_means_up_to_denominator_1000_tile(self):
         # Every theta in [1/4, 11/4] with denominator up to 1000 gets D =
         # den * (2**16 // den), and its deficit stays below 2.0e-8 (the
-        # docstring's figure; 253/992 has the largest, 1.94e-8). Each
+        # docstring's figure; 89/354 has the largest, 1.41e-8). Each
         # denominator's thetas nearest both ends and a stride through the
         # middle stand for all of them. Entries over D make a greedy period
         # of at most D digits, which the stream tiles.
-        for q in (*range(1, 61), *range(61, 1001, 13), 992, 997, 1000):
+        for q in (*range(1, 61), *range(61, 1001, 13), 354, 992, 997, 1000):
             low, high = -(-q // 4), 11 * q // 4
             for p in {low, low + 1, high - 1, high, *range(low, high + 1, max(1, q // 7))}:
                 theta = Fraction(p, q)
@@ -431,7 +437,7 @@ class TestMeanTargetStream:
                 assert tau.mean() == theta and deficit < 2.0e-8, theta
                 d = theta.denominator * (2**16 // theta.denominator)
                 assert all(d % t.denominator == 0 for t in tau.entries), theta
-        for theta in (Fraction(1, 4), Fraction(253, 992), Fraction(11, 4)):
+        for theta in (Fraction(1, 4), Fraction(89, 354), Fraction(11, 4)):
             pre, period = mean_target_stream(theta)._period
             assert pre == b"" and len(period) <= 2**16, theta
 
@@ -507,17 +513,102 @@ class TestMeanTargetStream:
         assert stream.prefix(10).base.s == s
 
     def test_negative_patched_entry_is_refused_by_from_numerators(self):
-        # A spread that would leave an entry negative is not taken: the point
-        # mass has no donor, so no numerators come back at any D, and a
-        # negative numerator given directly is refused.
-        assert _mean_numerators((1.0, 0.0), 0, Fraction(1, 2), 2) is None
+        # The point mass at 0 has mean 0, below 1/2, so it is mixed with the
+        # point mass at the last digit: (1/2, 1/2) over D = 2.
+        assert _mean_numerators((1.0, 0.0), 0, Fraction(1, 2), 2) == [1, 1]
         assert _mean_numerators((0.5, 0.5), 0, Fraction(1, 2), 2) == [1, 1]
-        # A donor that holds too few units gives all it holds: mean 1/4 from
-        # (4, 3, 0, 1)/8 needs 4 units down; digit 3 gives its one unit to
-        # digit 0, and digit 1 the last one.
+        # (4, 3, 0, 1)/8 has mean 3/4, so mean 1/4 mixes it with the point
+        # mass at 0: tau*8 = (6 - 2/3, 1, 0, 1/3). One entry rounds up, at
+        # frame index 1, whatever the fractional parts.
         assert _mean_numerators((0.5, 0.375, 0.0, 0.125), 0, Fraction(1, 4), 8) == [6, 2, 0, 0]
         with pytest.raises(ValueError, match="negative entry"):
             ProbabilityVector.from_numerators([-1, 3, 0, 0], 2)
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        st.lists(st.floats(0, 1), min_size=2, max_size=40).filter(any),
+        st.integers(0, 5),
+        st.integers(1, 60),
+        st.integers(1, 10**6),
+        st.data(),
+    )
+    def test_numerators_of_any_float_weights(self, weights, first, den, scale, data):
+        # Float simplex weights, a theta in [first, last digit) and a d over
+        # its denominator: the rule never fails, the integers sum to d with
+        # index sum theta*d, and each lies within one unit of D*tau_i.
+        weights = [w / math.fsum(weights) for w in weights]
+        assume(any(weights))
+        theta = first + Fraction(data.draw(st.integers(0, (len(weights) - 1) * den - 1)), den)
+        d = theta.denominator * scale
+        nums = _mean_numerators(weights, first, theta, d)
+        assert len(nums) == len(weights) and min(nums) >= 0
+        assert sum(nums) == d
+        assert sum(i * n for i, n in enumerate(nums, first)) == theta * d
+        moved, _ = self._moved(weights, first, theta)
+        assert all(abs(n - x * d) <= 1 for n, x in zip(nums, moved))
+
+    @pytest.mark.parametrize(
+        "theta, s",
+        [
+            (Fraction(1, 3), 4),
+            (Fraction(89, 354), 4),
+            (Fraction(1, 100), 4),
+            (Fraction(1, 10**400), 4),
+            (Fraction(37, 10), 10),
+            (Fraction(1, 2), 300),
+            (Fraction(150), 300),
+            (Fraction(5000), 10**4),
+        ],
+    )
+    def test_every_entry_is_within_one_unit(self, theta, s, monkeypatch):
+        # Each n_i of the vector taken lies within one unit of D*tau_i, tau
+        # the window moved to mean theta (`_moved`).
+        import adiclab.construct as construct
+
+        calls = []
+
+        def recorded(weights, first, th, d):
+            calls.append((weights, first, d, numerators(weights, first, th, d)))
+            return calls[-1][-1]
+
+        numerators = construct._mean_numerators
+        monkeypatch.setattr(construct, "_mean_numerators", recorded)
+        tau, _ = _mean_vector(theta, Base(s))
+        weights, first, d, nums = calls[-1]
+        moved, _ = self._moved(weights, first, theta)
+        assert all(abs(n - x * d) <= 1 for n, x in zip(nums, moved)), theta
+        assert [Fraction(n, d) for n in nums] == list(tau.entries[first : first + len(nums)])
+
+    def test_reflected_theta_gives_the_reversed_vector(self):
+        # The rule treats both ends alike, so s-1-theta gets the vector of
+        # theta reversed.
+        grid = [
+            *((4, Fraction(k, 100)) for k in range(1, 300)),
+            *((10, Fraction(k, 10)) for k in range(1, 90)),
+            *((300, theta) for theta in (Fraction(1, 2), Fraction(10), Fraction(299, 2), Fraction(290))),
+        ]
+        assert len(grid) == 392
+        for s, theta in grid:
+            tau, _ = _mean_vector(theta, Base(s))
+            reflected, _ = _mean_vector(s - 1 - theta, Base(s))
+            assert reflected.entries == tau.entries[::-1], (s, theta)
+
+    @pytest.mark.parametrize("s, theta, most", [(10**4, 5000, 2**24), (4 * 10**4, 20000, 2**26), (4 * 10**5, 200000, 2**29)])
+    def test_mid_range_denominator_stays_near_s_times_a_constant(self, s, theta, most, monkeypatch):
+        # The deficit falls as 1/D**2 with no s**3 term, so a mid-range theta
+        # in a large base needs D of only a few thousand times s.
+        import adiclab.construct as construct
+
+        tried = []
+        numerators = construct._mean_numerators
+
+        def counted(weights, first, th, d):
+            tried.append(d)
+            return numerators(weights, first, th, d)
+
+        monkeypatch.setattr(construct, "_mean_numerators", counted)
+        tau, _ = _mean_vector(Fraction(theta), Base(s))
+        assert tau.mean() == theta and tried[-1] <= most
 
 
 class TestPrefixDistinguish:
