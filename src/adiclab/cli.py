@@ -17,10 +17,10 @@ import itertools
 import json
 import os
 import sys
-from dataclasses import dataclass, field, fields
+from collections import namedtuple
 from fractions import Fraction
 from pathlib import Path
-from typing import Callable, Iterable, Iterator, Sequence
+from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
 
 from . import __version__
 
@@ -60,16 +60,54 @@ def _check_point_base(base: Base, flag: str) -> None:
         raise UsageError(f"{flag} allows bases up to {_MAX_SWEEP_POINT_DIGITS}, got {base.s}")
 
 
-def _field(flag: str | None, text: str | None = None, kind=str, default=None, key: str | None = None):
-    """A field of `ExperimentConfig` with its flag (None: config file only),
-    its help text, its JSON type ((list, t) is a list of t) and its config
-    key (None: the field's name)."""
-    return field(default=default, metadata={"flag": flag, "help": text, "kind": kind, "key": key})
+class Option(NamedTuple):
+    """A field of `ExperimentConfig`: its name, its flag (None: config file
+    only), its help text, its JSON type ((list, t) is a list of t), its
+    config key and its default (`command`, the first, has none)."""
+
+    name: str
+    flag: str | None
+    help: str | None
+    kind: object
+    key: str
+    default: object = None
 
 
-@dataclass(frozen=True)
-class ExperimentConfig:
-    """Normalized parameters of one command invocation.
+OPTIONS = (
+    Option("command", None, None, str, "command"),
+    Option("base", "--base", "radix (default 4)", int, "base", 4),
+    Option("out", "--out", "output path (default stdout)", str, "out"),
+    Option("fmt", "--format", "csv, json or text (default: the mode's first)", str, "format"),
+    Option("tau", "--tau", "frequency vector, e.g. 1/4,1/4,1/4,1/4: greedy stream, or its dimension", str, "tau"),
+    Option("mean", "--mean", "target asymptotic digit mean, e.g. 3/2", str, "mean"),
+    Option("rational", "--rational", "expand this rational, e.g. 1/3", str, "rational"),
+    Option("length", "--length", f"digits to emit (<= {MAX_CONSTRUCT_LENGTH})", int, "length"),
+    Option("schedule", None, None, dict, "schedule"),
+    Option("columns", None, None, dict, "columns"),
+    Option("source", "--in", "digit text file to analyze", str, "in"),
+    Option("checkpoints", "--checkpoints", "comma list of prefix lengths", (list, int), "checkpoints"),
+    Option("normality_tol", "--normality-tol", "also report the uniformity verdict", str, "normality_tol"),
+    Option("theta", "--theta", "digit mean in [0, s-1]", str, "theta"),
+    Option("sweep", "--sweep", "theta sweep start:stop:step, emits CSV", str, "sweep"),
+    Option("oracle", "--oracle", "also run the grid oracle", bool, "oracle", False),
+    Option("grid_step", "--grid-step", "grid oracle step (default 1/1000)", str, "grid_step"),
+    Option(
+        "precision", "--precision", f"significant digits (default {DEFAULT_PRECISION}, or ${PRECISION_ENV})", int,
+        "precision", DEFAULT_PRECISION,
+    ),
+    Option(
+        "modules", "--module", "restrict to a module (repeatable); one of digits, stats, construct, entropy",
+        (list, str), "modules",
+    ),
+)
+_BY_KEY = {option.key: option for option in OPTIONS}
+
+
+class ExperimentConfig(
+    namedtuple("ExperimentConfig", [o.name for o in OPTIONS], defaults=[o.default for o in OPTIONS[1:]])
+):
+    """Normalized parameters of one command invocation, a field per row of
+    `OPTIONS`.
 
     Built by merging an optional JSON config file with command-line flags
     (flags win, with a warning on conflicts). Round-trips through
@@ -78,37 +116,15 @@ class ExperimentConfig:
     each command and mode reads.
     """
 
-    command: str
-    base: int = _field("--base", "radix (default 4)", int, 4)
-    out: str | None = _field("--out", "output path (default stdout)")
-    fmt: str | None = _field("--format", "csv, json or text (default: the mode's first)", key="format")
-    tau: str | None = _field("--tau", "frequency vector, e.g. 1/4,1/4,1/4,1/4: greedy stream, or its dimension")
-    mean: str | None = _field("--mean", "target asymptotic digit mean, e.g. 3/2")
-    rational: str | None = _field("--rational", "expand this rational, e.g. 1/3")
-    length: int | None = _field("--length", f"digits to emit (<= {MAX_CONSTRUCT_LENGTH})", int)
-    schedule: dict | None = _field(None, kind=dict)
-    columns: dict | None = _field(None, kind=dict)
-    source: str | None = _field("--in", "digit text file to analyze", key="in")
-    checkpoints: tuple[int, ...] | None = _field("--checkpoints", "comma list of prefix lengths", (list, int))
-    normality_tol: str | None = _field("--normality-tol", "also report the uniformity verdict")
-    theta: str | None = _field("--theta", "digit mean in [0, s-1]")
-    sweep: str | None = _field("--sweep", "theta sweep start:stop:step, emits CSV")
-    oracle: bool = _field("--oracle", "also run the grid oracle", bool, False)
-    grid_step: str | None = _field("--grid-step", "grid oracle step (default 1/1000)")
-    precision: int = _field(
-        "--precision", f"significant digits (default {DEFAULT_PRECISION}, or ${PRECISION_ENV})", int, DEFAULT_PRECISION
-    )
-    modules: tuple[str, ...] | None = _field(
-        "--module", "restrict to a module (repeatable); one of digits, stats, construct, entropy", (list, str)
-    )
+    __slots__ = ()
 
     def to_json_dict(self) -> dict:
         out = {}
-        for f in fields(self):
-            value = getattr(self, f.name)
-            if value is None or value == f.default:
+        for option in OPTIONS:
+            value = getattr(self, option.name)
+            if value is None or value == option.default:
                 continue
-            out[_key(f)] = list(value) if isinstance(value, tuple) else value
+            out[option.key] = list(value) if isinstance(value, tuple) else value
         out["command"] = self.command
         return out
 
@@ -121,7 +137,7 @@ class ExperimentConfig:
                 raise UsageError(f"unknown config key {key!r}")
             if value is None:
                 continue
-            kind = _BY_KEY[key].metadata.get("kind", str)
+            kind = _BY_KEY[key].kind
             if isinstance(kind, tuple):
                 ok = isinstance(value, (list, tuple)) and all(_is_json(v, kind[1]) for v in value)
                 wanted = f"a list of {_JSON_NAMES[kind[1]]}s"
@@ -139,14 +155,6 @@ class ExperimentConfig:
     def config_hash(self) -> str:
         canon = json.dumps(self.to_json_dict(), sort_keys=True, separators=(",", ":"))
         return hashlib.sha256(canon.encode()).hexdigest()[:12]
-
-
-def _key(f) -> str:
-    """The config key of an `ExperimentConfig` field."""
-    return f.metadata.get("key") or f.name
-
-
-_BY_KEY = {_key(f): f for f in fields(ExperimentConfig)}
 
 
 _JSON_NAMES = {int: "integer", str: "string", bool: "boolean", dict: "object"}
@@ -516,6 +524,14 @@ _ARGUMENT_KINDS = {int: {"type": int}, bool: {"action": "store_true"}, (list, st
 
 
 def build_parser() -> argparse.ArgumentParser:
+    """The parser of every command and all their arguments."""
+    return _parser(COMMANDS)
+
+
+def _parser(names: Iterable[str]) -> argparse.ArgumentParser:
+    """The parser with every command registered, so its usage, help and
+    refusals are those of `build_parser`, and the arguments of the
+    commands in `names` only."""
     parser = argparse.ArgumentParser(
         prog="adiclab",
         description="Digit statistics, constructive digit streams, and "
@@ -524,12 +540,13 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
     for name, command in COMMANDS.items():
         p = sub.add_parser(name, help=command.help)
+        if name not in names:
+            continue
         reads = frozenset().union(*(mode.reads for mode in command.modes.values()))
-        for f in fields(ExperimentConfig):
-            spec = f.metadata
-            if spec.get("flag") and _key(f) in reads:
-                kind = _ARGUMENT_KINDS.get(spec["kind"], {})
-                p.add_argument(spec["flag"], dest=f.name, default=None, help=spec["help"], **kind)
+        for option in OPTIONS:
+            if option.flag and option.key in reads:
+                kind = _ARGUMENT_KINDS.get(option.kind, {})
+                p.add_argument(option.flag, dest=option.name, default=None, help=option.help, **kind)
         p.add_argument("--config", default=None, help="JSON config file; flags win on conflict")
     return parser
 
@@ -617,11 +634,11 @@ def effective_config(args: argparse.Namespace) -> tuple[ExperimentConfig, str]:
     merged = _load_config_file(args.config) if args.config else {}
     merged.pop("command", None)
     ExperimentConfig.check_json(merged)
-    for f in fields(ExperimentConfig):
-        flag_value = getattr(args, f.name, None) if f.metadata.get("flag") else None
+    for option in OPTIONS:
+        flag_value = getattr(args, option.name, None) if option.flag else None
         if flag_value is None:
             continue
-        key = _key(f)
+        key = option.key
         if key in merged and _normalized(key, merged[key]) != _normalized(key, flag_value):
             warning = f"flag --{key.replace('_', '-')}={flag_value!r} overrides config file value {merged[key]!r}"
             print(f"warning: {warning}", file=sys.stderr)
@@ -657,7 +674,12 @@ def effective_config(args: argparse.Namespace) -> tuple[ExperimentConfig, str]:
 
 
 def main(argv: Sequence[str] | None = None) -> int:
-    args = build_parser().parse_args(argv)
+    if argv is None:
+        argv = sys.argv[1:]
+    # The top-level parser takes no option with a value, so the first
+    # command name in argv is the one that argparse runs: only it needs
+    # its arguments.
+    args = _parser({next((arg for arg in argv if arg in COMMANDS), None)}).parse_args(argv)
     try:
         cfg, fmt = effective_config(args)
         return COMMANDS[cfg.command].run(cfg, fmt)

@@ -50,14 +50,13 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, partial
 from operator import mul
-from typing import TYPE_CHECKING, Callable, Iterator, Sequence
+from typing import TYPE_CHECKING, Callable, Iterable, Iterator, NamedTuple, Sequence
 
 from .digits import (
-    _MAX_PERIOD_DIGITS, BASE4, CHUNK_DIGITS, Base, Chunk, DigitStream, _read_period, chunk_from_array,
+    _MAX_PERIOD_DIGITS, BASE4, CHUNK_DIGITS, Base, Chunk, DigitStream, Frozen, _read_period, chunk_from_array,
     constant_stream, periodic_stream, to_chunk,
 )
 
@@ -92,8 +91,7 @@ def _over_lcm(entries: Sequence[Fraction]) -> tuple[list[int], int]:
     return [e.numerator * (den // e.denominator) for e in entries], den
 
 
-@dataclass(frozen=True)
-class ProbabilityVector:
+class ProbabilityVector(Frozen):
     """Exact probability vector over the digit alphabet (tau_i >= 0, sum 1).
 
     A vector the library computes is built by `from_numerators` and checked
@@ -102,10 +100,10 @@ class ProbabilityVector:
     `parse`, config vectors, and a column rule that returns a tuple.
     """
 
-    entries: tuple[Fraction, ...]
+    _fields = ("entries",)
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "entries", tuple(Fraction(e) for e in self.entries))
+    def __init__(self, entries: Iterable) -> None:
+        object.__setattr__(self, "entries", tuple(Fraction(e) for e in entries))
         self._check(*_over_lcm(self.entries))
 
     @classmethod
@@ -341,8 +339,7 @@ _CONDITION_FORMULAS = {
 }
 
 
-@dataclass(frozen=True)
-class ScheduleSpec:
+class ScheduleSpec(Frozen):
     """A named block-length family s_k.
 
     Only named families are allowed (rather than arbitrary callables)
@@ -353,32 +350,34 @@ class ScheduleSpec:
     rejectable candidates (geometric growth) are still constructible.
     """
 
-    family: str  # "polynomial" | "affine" | "geometric"
-    degree: int | None = None  # polynomial: s_k = k**degree
-    a: Fraction | None = None  # affine: s_k = a*k + b
-    b: Fraction | None = None
-    ratio: Fraction | None = None  # geometric: s_k = ratio**k
+    _fields = ("family", "degree", "a", "b", "ratio")
 
-    def __post_init__(self) -> None:
-        if self.family == "polynomial":
-            if not isinstance(self.degree, int) or self.degree < 1:
+    def __init__(
+        self,
+        family: str,  # "polynomial" | "affine" | "geometric"
+        degree: int | None = None,  # polynomial: s_k = k**degree
+        a: Fraction | None = None,  # affine: s_k = a*k + b
+        b: Fraction | None = None,
+        ratio: Fraction | None = None,  # geometric: s_k = ratio**k
+    ) -> None:
+        if family == "polynomial":
+            if not isinstance(degree, int) or degree < 1:
                 raise ValueError("polynomial schedule needs an integer degree >= 1")
-        elif self.family == "affine":
-            a = Fraction(self.a)
-            b = Fraction(self.b if self.b is not None else 0)
-            object.__setattr__(self, "a", a)
-            object.__setattr__(self, "b", b)
+        elif family == "affine":
+            a = Fraction(a)
+            b = Fraction(b if b is not None else 0)
             if a < 1:
                 raise ValueError(f"affine schedule needs slope >= 1, got {a}")
             if a + b <= 0:
                 raise ValueError("affine schedule must be positive from k = 1")
-        elif self.family == "geometric":
-            r = Fraction(self.ratio)
-            object.__setattr__(self, "ratio", r)
-            if r < 1:
-                raise ValueError(f"geometric schedule needs ratio >= 1, got {r}")
+        elif family == "geometric":
+            ratio = Fraction(ratio)
+            if ratio < 1:
+                raise ValueError(f"geometric schedule needs ratio >= 1, got {ratio}")
         else:
-            raise ValueError(f"unknown schedule family {self.family!r}")
+            raise ValueError(f"unknown schedule family {family!r}")
+        for name, value in zip(self._fields, (family, degree, a, b, ratio)):
+            object.__setattr__(self, name, value)
 
     @classmethod
     def polynomial(cls, degree: int) -> "ScheduleSpec":
@@ -409,16 +408,14 @@ class ScheduleSpec:
         return f"{self.ratio}^k"
 
 
-@dataclass(frozen=True)
-class ConditionStatus:
+class ConditionStatus(NamedTuple):
     name: str
     formula: str
     holds: bool
     detail: str
 
 
-@dataclass(frozen=True)
-class ScheduleValidation:
+class ScheduleValidation(NamedTuple):
     spec: ScheduleSpec
     accepted: bool
     conditions: tuple[ConditionStatus, ...]
@@ -488,8 +485,7 @@ class ColumnConstraintError(ValueError):
     pass
 
 
-@dataclass(frozen=True)
-class ColumnSchedule:
+class ColumnSchedule(Frozen):
     """Column rule n -> probability vector for the block construction.
 
     The rule must be a pure function of the column index. A declared mean
@@ -499,8 +495,11 @@ class ColumnSchedule:
     it once.
     """
 
-    rule: Callable[[int], ProbabilityVector]
-    mean: Fraction | None = None
+    _fields = ("rule", "mean")
+
+    def __init__(self, rule: Callable[[int], ProbabilityVector], mean: Fraction | None = None) -> None:
+        object.__setattr__(self, "rule", rule)
+        object.__setattr__(self, "mean", mean)
 
     def column(self, n: int) -> ProbabilityVector:
         if n < 1:
@@ -636,15 +635,26 @@ MEAN_DEFICIT = 2.0**-25
 _MAX_DOUBLINGS = 64
 
 
-def _mean_numerators(weights: Sequence[float], first: int, th: Fraction, d: int) -> list[int]:
+def _integer_window(weights: Sequence[float]) -> tuple[list[int], int, int]:
+    """(w, sum w_i, sum i*w_i): the float `weights`, not all 0, as integers
+    w_i over one power of two. `_mean_vector` reads them once per theta
+    and gives them to `_mean_numerators` for every D it tries."""
+    # A nonzero float is m * 2**e with 2**53 * m an integer, and e is least
+    # at the least weight, so the weights are the integers w_i over 2**k.
+    k = 53 - math.frexp(min(filter(None, weights)))[1]
+    ws = [p << (k + 1 - q.bit_length()) for p, q in map(float.as_integer_ratio, weights)]
+    return ws, sum(ws), sum(map(mul, range(len(ws)), ws))
+
+
+def _mean_numerators(window: tuple[list[int], int, int], first: int, th: Fraction, d: int) -> list[int]:
     """Integers n_i >= 0 for the digits i = first, first+1, ..., with sum d
     and sum i*n_i = th*d exactly, each within one unit of tau_i*d for the
-    vector tau below. d is a multiple of th's denominator, first <= th <
-    the last digit, and the float `weights` are not all 0. The rule cannot
-    fail; it takes O(len(weights)) int operations.
+    vector tau below. `window` is `_integer_window` of the weights, d is a
+    multiple of th's denominator, and first <= th < the last digit. The
+    rule cannot fail; it takes O(len(weights)) int operations.
 
-    1. tau is the weights moved to mean th. Read as integers w_i over one
-       power of two, they have the exact mean mu. The pivot c is the first
+    1. tau is the weights moved to mean th. As the integers w_i of
+       `window`, they have the exact mean mu. The pivot c is the first
        digit if mu > th and the last one otherwise, and tau mixes w/sum(w)
        with the point mass at c: tau = (1-t) w/sum(w) + t e_c, with t =
        (mu-th)/(mu-c) in [0, 1]. In the pivot's frame j = |i - c|, tau_j =
@@ -659,18 +669,13 @@ def _mean_numerators(weights: Sequence[float], first: int, th: Fraction, d: int)
        left out, placed so that their sum is M. The fractional parts are
        not consulted.
     """
-    n = len(weights)
-    # A nonzero float is m * 2**e with 2**53 * m an integer, and e is least
-    # at the least weight, so the weights are the integers w_i over 2**k.
-    k = 53 - math.frexp(min(filter(None, weights)))[1]
-    ws = [p << (k + 1 - q.bit_length()) for p, q in map(float.as_integer_ratio, weights)]
-    total = sum(ws)
-    moment = sum(map(mul, range(n), ws))
+    ws, total, moment = window
+    n = len(ws)
     # |th - c| * d and sum_j j*w_j in the pivot's frame; first the lower pivot.
     gap = th.numerator * (d // th.denominator) - first * d
     upper = moment * d <= gap * total
     if upper:
-        ws.reverse()
+        ws = ws[::-1]
         gap, moment = (n - 1) * d - gap, (n - 1) * total - moment
     nums = [gap * w // moment for w in ws]
     # floor(tau_0*d) = d - ceil(gap * (sum of w_j, j >= 1) / moment).
@@ -702,12 +707,12 @@ def _mean_vector(th: Fraction, base: Base) -> tuple[ProbabilityVector, float]:
     a = min(th.numerator // th.denominator, s - 2)
     first = min(a, next(i for i, t in enumerate(weights) if t))
     last = max(a + 2, s - next(i for i, t in enumerate(reversed(weights)) if t))
-    weights = weights[first:last]
+    window = _integer_window(weights[first:last])
     den = th.denominator
     d = d0 = den * max(1, CHUNK_DIGITS // den)
     doublings = 0
     while doublings <= _MAX_DOUBLINGS:
-        nums = _mean_numerators(weights, first, th, d)
+        nums = _mean_numerators(window, first, th, d)
         entropy = -math.fsum(x * math.log(x) for x in (n / d for n in nums) if x)
         deficit = optimum.dimension_bound - entropy / math.log(s)
         if deficit <= MEAN_DEFICIT:
@@ -764,8 +769,7 @@ def mean_target_stream(theta: Fraction | int | float | str, base: Base = BASE4) 
     return greedy_stream(_mean_vector(th, base)[0], base)
 
 
-@dataclass(frozen=True)
-class DistinguishResult:
+class DistinguishResult(NamedTuple):
     """Outcome of a finite-prefix comparison of two streams."""
 
     differs: bool

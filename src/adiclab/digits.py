@@ -31,7 +31,6 @@ import codecs
 import itertools
 import math
 from array import array
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache, partial
 from typing import Callable, Iterable, Iterator, Sequence, Union
@@ -58,15 +57,51 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class Base:
+class Frozen:
+    """Base of the library's immutable value classes.
+
+    A subclass names its fields in `_fields` and sets each once, in its own
+    `__init__`, through `object.__setattr__`. Two instances of one class
+    are equal when their fields are, an instance hashes as the tuple of its
+    fields, and it shows as Name(field=value, ...). Assigning or deleting
+    an attribute raises AttributeError. Instances keep their `__dict__`, so
+    a `functools.cached_property` can store its value there.
+    """
+
+    __slots__ = ()
+    _fields: tuple[str, ...] = ()
+
+    def _values(self) -> tuple:
+        return tuple([getattr(self, name) for name in self._fields])
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._values() == other._values()
+
+    def __hash__(self) -> int:
+        return hash(self._values())
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields)
+        return f"{type(self).__qualname__}({fields})"
+
+    def __setattr__(self, name: str, value) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete field {name!r}")
+
+
+class Base(Frozen):
     """Radix of the digit system; digits live in {0, ..., s-1}."""
 
-    s: int = 4
+    _fields = ("s",)
 
-    def __post_init__(self) -> None:
-        if not isinstance(self.s, int) or self.s < 2:
-            raise ValueError(f"base must be an integer >= 2, got {self.s!r}")
+    def __init__(self, s: int = 4) -> None:
+        if not isinstance(s, int) or s < 2:
+            raise ValueError(f"base must be an integer >= 2, got {s!r}")
+        object.__setattr__(self, "s", s)
 
 
 BASE4 = Base(4)
@@ -169,8 +204,7 @@ def parse_digit_text(text: str, s: int) -> bytes:
     raise ValueError(f"non-digit character {bad!r} for base {s}")
 
 
-@dataclass(frozen=True, init=False)
-class DigitPrefix:
+class DigitPrefix(Frozen):
     """A finite, materialized block of leading digits.
 
     The digits are held as one chunk (see the module docstring), checked
@@ -179,8 +213,7 @@ class DigitPrefix:
     built on each read; code that reads many digits should use `chunk`.
     """
 
-    base: Base
-    chunk: Chunk
+    _fields = ("base", "chunk")
 
     def __init__(self, base: Base, digits: Iterable[int] | Chunk) -> None:
         object.__setattr__(self, "base", base)

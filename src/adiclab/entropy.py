@@ -27,10 +27,9 @@ from __future__ import annotations
 
 import math
 from bisect import bisect_left
-from dataclasses import dataclass
 from fractions import Fraction
 from operator import mul
-from typing import TYPE_CHECKING, Iterable, Iterator, Sequence
+from typing import TYPE_CHECKING, Iterable, Iterator, NamedTuple, Sequence
 
 from .digits import BASE4, Base
 
@@ -198,8 +197,7 @@ def _dh(x: float) -> float:
     return 1.0 / (a * a) - 1.0 / math.sinh(a) ** 2
 
 
-@dataclass(frozen=True)
-class EntropyResult:
+class EntropyResult(NamedTuple):
     """Constrained minimum of f(tau) = sum(tau_i ln tau_i) at mean theta."""
 
     theta: float
@@ -370,8 +368,7 @@ def neg_entropy_minimum(
     return neg_entropy_minima([theta], base, tol)[0]
 
 
-@dataclass(frozen=True)
-class GridMinimum:
+class GridMinimum(NamedTuple):
     """Result of the exhaustive grid scan over the mean-theta slice."""
 
     theta: float

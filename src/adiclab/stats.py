@@ -20,12 +20,11 @@ from __future__ import annotations
 
 import operator
 import zlib
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from typing import TYPE_CHECKING, Iterable, Sequence
+from typing import TYPE_CHECKING, Iterable, NamedTuple, Sequence
 
-from .digits import CHUNK_DIGITS, Base, Chunk, DigitPrefix, DigitStream
+from .digits import CHUNK_DIGITS, Base, Chunk, DigitPrefix, DigitStream, Frozen
 
 if TYPE_CHECKING:
     import numpy as np
@@ -59,8 +58,7 @@ def format_decimal(value: Fraction | float, precision: int = 12) -> str:
     return f"{float(value):.{precision}g}"
 
 
-@dataclass(frozen=True)
-class FreqReport:
+class FreqReport(Frozen):
     """Statistics of one prefix, held as its digit counts N_i.
 
     Everything else follows from the counts, so the identities hold by
@@ -69,10 +67,10 @@ class FreqReport:
     exact rationals; serialization formats the integer quotients directly.
     """
 
-    counts: tuple[int, ...]
+    _fields = ("counts",)
 
-    def __post_init__(self) -> None:
-        counts = tuple(map(operator.index, self.counts))
+    def __init__(self, counts: Iterable[int]) -> None:
+        counts = tuple(map(operator.index, counts))
         if min(counts, default=0) < 0:
             raise ValueError(f"digit counts must be nonnegative, got {counts}")
         if not any(counts):
@@ -163,8 +161,7 @@ def freq_report(p: DigitPrefix) -> FreqReport:
     return _trace(p.base, (p.chunk,), (len(p),)).reports[0]
 
 
-@dataclass(frozen=True)
-class ConvergenceTrace:
+class ConvergenceTrace(NamedTuple):
     """Frequency reports at a strictly increasing sequence of prefix lengths."""
 
     base: Base
@@ -255,8 +252,7 @@ def _report(counts: list[int] | np.ndarray, n: int, digit_sum: int) -> FreqRepor
     return report
 
 
-@dataclass(frozen=True)
-class NormalityVerdict:
+class NormalityVerdict(NamedTuple):
     """Finite-n verdict: are the observed frequencies within tol of uniform?"""
 
     consistent: bool

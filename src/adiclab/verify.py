@@ -12,10 +12,9 @@ rather than restating them.
 from __future__ import annotations
 
 import math
-from dataclasses import asdict, dataclass
 from fractions import Fraction
 from itertools import permutations
-from typing import Callable, Sequence
+from typing import Callable, NamedTuple, Sequence
 
 from .construct import (
     CONDITION_NEXT_TERM,
@@ -62,8 +61,7 @@ THETA_GRID = (0.1, 0.5, 1.0, 1.5, 2.0, 2.5, 2.9)
 MEAN_THETAS = tuple(map(Fraction, ("1/100", "1/4", "23/25", "13/10", "3/2", "11/4", "299/100")))
 
 
-@dataclass(frozen=True)
-class CheckResult:
+class CheckResult(NamedTuple):
     name: str
     module: str
     passed: bool
@@ -520,7 +518,7 @@ def run_checks(modules: Sequence[str] | None = None) -> list[CheckResult]:
 
 def report_dict(results: Sequence[CheckResult]) -> dict:
     return {
-        "checks": [asdict(r) for r in results],
+        "checks": [r._asdict() for r in results],
         "passed": sum(1 for r in results if r.passed),
         "failed": sum(1 for r in results if not r.passed),
     }

@@ -445,18 +445,18 @@ def count_column_work(monkeypatch) -> dict:
     search over every entry) and vector means evaluated (a Fraction product
     per entry)."""
     work = {"vectors": 0, "means": 0}
-    post_init, mean = ProbabilityVector.__post_init__, ProbabilityVector.__dict__["_mean"]
+    init, mean = ProbabilityVector.__init__, ProbabilityVector.__dict__["_mean"]
     compute_mean = mean.func
 
-    def counted_post_init(self):
+    def counted_init(self, entries):
         work["vectors"] += 1
-        post_init(self)
+        init(self, entries)
 
     def counted_mean(self):
         work["means"] += 1
         return compute_mean(self)
 
-    monkeypatch.setattr(ProbabilityVector, "__post_init__", counted_post_init)
+    monkeypatch.setattr(ProbabilityVector, "__init__", counted_init)
     monkeypatch.setattr(mean, "func", counted_mean)
     return work
 

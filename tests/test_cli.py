@@ -9,7 +9,6 @@ import sys
 import threading
 import time
 import tracemalloc
-from dataclasses import fields
 from fractions import Fraction
 from pathlib import Path
 
@@ -17,7 +16,9 @@ import pytest
 from hypothesis import event, given, settings, strategies as st
 
 from adiclab import _digitfile
-from adiclab.cli import COMMANDS, ExperimentConfig, UsageError, _parse_sweep, build_parser, effective_config, main
+from adiclab.cli import (
+    COMMANDS, OPTIONS, ExperimentConfig, UsageError, _parse_sweep, build_parser, effective_config, main,
+)
 from adiclab.digits import CHUNK_DIGITS, Base, DigitStream, expand, parse_digit_text
 
 
@@ -1052,7 +1053,10 @@ class TestVerify:
         # bincounts the rest, so a longer file loads numpy. One entropy
         # point and a sweep of any length bisect in pure Python in any base;
         # only the grid oracle loads numpy. So the test cannot pass by never
-        # loading numpy.
+        # loading numpy. Only `verify` loads the battery. No case loads
+        # `dataclasses` or `inspect` (with `ast`, `dis` and `tokenize`, about
+        # 10 ms of start-up) unless it loads numpy, which imports `inspect`
+        # itself.
         config = tmp_path / "blocks.json"
         blocks = {"schedule": {"family": "polynomial", "degree": 1}, "columns": CONVERGING_COLUMNS}
         config.write_text(json.dumps(blocks))
@@ -1104,6 +1108,7 @@ class TestVerify:
                 ["analyze", "--rational", "1/999983", "--base", "10", "--checkpoints", "1000"],
                 ["adiclab.stats", "numpy"], unrun,
             ),
+            (["verify", "--module", "stats"], ["adiclab.verify", "adiclab.stats"], ["numpy"]),
         ]
         code = (
             "import contextlib, io, json, sys\n"
@@ -1121,7 +1126,9 @@ class TestVerify:
             status, modules = json.loads(done.stdout)
             assert status == 0, (argv, done.stderr)
             assert set(loaded) <= set(modules), argv
-            assert not {"adiclab.verify", *unloaded} & set(modules), argv
+            assert not ({"adiclab.verify", *unloaded} - set(loaded)) & set(modules), argv
+            if "numpy" not in modules:
+                assert not {"dataclasses", "inspect"} & set(modules), argv
 
     def test_no_command_runs_a_period_finder(self, tmp_path, monkeypatch):
         # A stream with a long period carries a finder, which runs only when
@@ -1156,9 +1163,16 @@ class TestVerify:
                 ["analyze", *flags, "--checkpoints", "1,65536,70000"],
             ]
         for argv in runs:
-            with contextlib.redirect_stdout(io.StringIO()):
+            out = io.StringIO()
+            with contextlib.redirect_stdout(out):
                 assert main(argv) == 0, argv
             assert found == [], argv
+            if argv == ["verify"]:
+                # The report's bytes, which `verify.report_dict` builds from
+                # the check records: the digest that tests/test_verify.py
+                # pins as GOLDEN_REPORT.
+                digest = hashlib.sha256(out.getvalue().encode()).hexdigest()
+                assert digest == "22bc6dbd12efc9f5017f6d7326ff03987bb60b7788de6c9f590dd80b4a7017ae"
         # The count sees a finder that does run.
         assert expand(Fraction(1, 1000003)).eventual_period is not None
         assert len(found) == 1
@@ -1363,7 +1377,7 @@ class TestModeTable:
         assert rows == expected
 
 
-FIELDS = {f.metadata.get("key") or f.name: f for f in fields(ExperimentConfig)}
+FIELDS = {option.key: option for option in OPTIONS}
 # Small valid config values of each key; "digits.txt" holds 10 digits.
 KEY_VALUES = {
     "base": [4, 2],
@@ -1414,7 +1428,7 @@ class TestModeTableProperties:
         for key in dict.fromkeys(keys):
             value = data.draw(st.sampled_from(KEY_VALUES[key]), label=key)
             value = str(tmp / value) if key == "in" else value
-            flag = FIELDS[key].metadata["flag"]
+            flag = FIELDS[key].flag
             if flag and key in parsed and data.draw(st.booleans(), label=f"{key} by flag"):
                 text = ",".join(map(str, value)) if isinstance(value, list) else str(value)
                 argv += [flag] if value is True else [flag, text]

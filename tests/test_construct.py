@@ -16,6 +16,7 @@ from adiclab.construct import (
     ProbabilityVector,
     ScheduleRejectedError,
     ScheduleSpec,
+    _integer_window,
     _mean_numerators,
     _mean_vector,
     block_boundaries,
@@ -492,9 +493,9 @@ class TestMeanTargetStream:
         rounded, lcms = [], []
         numerators, real_lcm = construct._mean_numerators, math.lcm
 
-        def counted(weights, *args):
-            rounded.append(len(weights))
-            return numerators(weights, *args)
+        def counted(window, *args):
+            rounded.append(len(window[0]))
+            return numerators(window, *args)
 
         def lcm(*args):
             lcms.append(len(args))
@@ -515,12 +516,12 @@ class TestMeanTargetStream:
     def test_negative_patched_entry_is_refused_by_from_numerators(self):
         # The point mass at 0 has mean 0, below 1/2, so it is mixed with the
         # point mass at the last digit: (1/2, 1/2) over D = 2.
-        assert _mean_numerators((1.0, 0.0), 0, Fraction(1, 2), 2) == [1, 1]
-        assert _mean_numerators((0.5, 0.5), 0, Fraction(1, 2), 2) == [1, 1]
+        assert _mean_numerators(_integer_window((1.0, 0.0)), 0, Fraction(1, 2), 2) == [1, 1]
+        assert _mean_numerators(_integer_window((0.5, 0.5)), 0, Fraction(1, 2), 2) == [1, 1]
         # (4, 3, 0, 1)/8 has mean 3/4, so mean 1/4 mixes it with the point
         # mass at 0: tau*8 = (6 - 2/3, 1, 0, 1/3). One entry rounds up, at
         # frame index 1, whatever the fractional parts.
-        assert _mean_numerators((0.5, 0.375, 0.0, 0.125), 0, Fraction(1, 4), 8) == [6, 2, 0, 0]
+        assert _mean_numerators(_integer_window((0.5, 0.375, 0.0, 0.125)), 0, Fraction(1, 4), 8) == [6, 2, 0, 0]
         with pytest.raises(ValueError, match="negative entry"):
             ProbabilityVector.from_numerators([-1, 3, 0, 0], 2)
 
@@ -540,7 +541,7 @@ class TestMeanTargetStream:
         assume(any(weights))
         theta = first + Fraction(data.draw(st.integers(0, (len(weights) - 1) * den - 1)), den)
         d = theta.denominator * scale
-        nums = _mean_numerators(weights, first, theta, d)
+        nums = _mean_numerators(_integer_window(weights), first, theta, d)
         assert len(nums) == len(weights) and min(nums) >= 0
         assert sum(nums) == d
         assert sum(i * n for i, n in enumerate(nums, first)) == theta * d
@@ -567,8 +568,10 @@ class TestMeanTargetStream:
 
         calls = []
 
-        def recorded(weights, first, th, d):
-            calls.append((weights, first, d, numerators(weights, first, th, d)))
+        def recorded(window, first, th, d):
+            # The window's integers are the weights over one power of two,
+            # which moves to the same tau.
+            calls.append((window[0], first, d, numerators(window, first, th, d)))
             return calls[-1][-1]
 
         numerators = construct._mean_numerators
@@ -602,13 +605,36 @@ class TestMeanTargetStream:
         tried = []
         numerators = construct._mean_numerators
 
-        def counted(weights, first, th, d):
+        def counted(window, first, th, d):
             tried.append(d)
-            return numerators(weights, first, th, d)
+            return numerators(window, first, th, d)
 
         monkeypatch.setattr(construct, "_mean_numerators", counted)
         tau, _ = _mean_vector(Fraction(theta), Base(s))
         assert tau.mean() == theta and tried[-1] <= most
+
+    @pytest.mark.parametrize("theta, s", [(Fraction(1, 100), 4), (Fraction(5000), 10**4)])
+    def test_window_is_read_once_per_theta(self, theta, s, monkeypatch):
+        # The float window becomes integers once, however many D are tried.
+        import adiclab.construct as construct
+
+        windows, tried = [], []
+        integer_window, numerators = construct._integer_window, construct._mean_numerators
+
+        def read(weights):
+            windows.append(integer_window(weights))
+            return windows[-1]
+
+        def counted(window, first, th, d):
+            assert window is windows[-1]
+            tried.append(d)
+            return numerators(window, first, th, d)
+
+        monkeypatch.setattr(construct, "_integer_window", read)
+        monkeypatch.setattr(construct, "_mean_numerators", counted)
+        tau, _ = _mean_vector(theta, Base(s))
+        assert tau.mean() == theta
+        assert len(windows) == 1 and len(tried) >= 2, tried
 
 
 class TestPrefixDistinguish:

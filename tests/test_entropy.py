@@ -540,8 +540,10 @@ class TestBatchedSolverMatchesOracle:
         "thetas", [[1.0, -1e-300], [float("nan")], [3.5], [-0.0, -5e-324]]
     )
     def test_errors_match_the_oracle(self, thetas):
+        # An error is a plain (type, message) tuple; a result is an
+        # EntropyResult, a tuple subclass.
         first_error = next(
-            r for r in (outcome(bisection_oracle, t) for t in thetas) if isinstance(r, tuple)
+            r for r in (outcome(bisection_oracle, t) for t in thetas) if type(r) is tuple
         )
         assert outcome(neg_entropy_minima, thetas) == first_error
         assert outcome(neg_entropy_minimum, thetas[-1]) == outcome(bisection_oracle, thetas[-1])
