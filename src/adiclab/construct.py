@@ -22,9 +22,11 @@ Both streams produce whole chunks (see `digits`). A greedy stream is
 purely periodic, with period L = lcm of tau's denominators. When L is at
 most CHUNK_DIGITS it is a `periodic_stream` of one period, built in
 exact Python ints without numpy, so its value is exact and `digit_at` is
-O(1). Otherwise its digits come from an array kernel, and while L is at
-most 10**7 (`digits._MAX_PERIOD_DIGITS`) the stream carries a finder,
-which reads the kernel's first L digits as the period only when the
+O(1). Otherwise the first 2**14 steps are computed in exact Python ints
+as well, without numpy, and numpy is used only past them, by an array
+kernel; the exact steps cost about 4 ms on a 10**6-digit construct. While
+L is at most 10**7 (`digits._MAX_PERIOD_DIGITS`) the stream carries a
+finder, which reads its first L digits as the period only when the
 period is first needed; a longer L leaves the stream without one.
 
 The greedy kernel computes a block of steps at once with numpy. Up to
@@ -138,6 +140,18 @@ class ProbabilityVector(Frozen):
         return self._mean
 
     @cached_property
+    def _pairs(self) -> tuple[tuple[int, int], ...]:
+        """(p_i, q_i): each entry tau_i = p_i/q_i in lowest terms, read once."""
+        return tuple(map(Fraction.as_integer_ratio, self.entries))
+
+    @cached_property
+    def _support(self) -> tuple[tuple[int, int, int], ...]:
+        """(i, p_i, q_i) for each nonzero entry tau_i = p_i/q_i. Only the
+        nonzero entries are converted, so a wide base with few of them,
+        as `_mean_vector` makes, pays one truth test per zero."""
+        return tuple((i, *t.as_integer_ratio()) for i, t in enumerate(self.entries) if t)
+
+    @cached_property
     def _mean(self) -> Fraction:
         # The vector is frozen, so its mean is computed once.
         return sum(i * e for i, e in enumerate(self.entries))
@@ -156,24 +170,26 @@ def greedy_increments(tau: ProbabilityVector, n: int) -> tuple[int, ...]:
     """Per-digit increments floor(tau_i*(n+1)) - floor(tau_i*n); each 0 or 1."""
     if n < 1:
         raise ValueError(f"step index must be >= 1, got {n}")
-    out = []
-    for t in tau.entries:
-        p, q = t.numerator, t.denominator
-        out.append((p * (n + 1)) // q - (p * n) // q)
-    return tuple(out)
+    return tuple((p * (n + 1)) // q - (p * n) // q for p, q in tau._pairs)
 
 
 def floor_counts(tau: ProbabilityVector, n: int) -> tuple[int, ...]:
     """Target digit counts floor(tau_i * n) at boundary n."""
     if n < 0:
         raise ValueError(f"boundary must be >= 0, got {n}")
-    return tuple((t.numerator * n) // t.denominator for t in tau.entries)
+    return tuple((p * n) // q for p, q in tau._pairs)
 
 
 # Greedy steps in a stream's first chunk; each later chunk doubles them up
 # to CHUNK_DIGITS steps (about that many digits, since the increments of
 # one step sum to 1 on average).
 _FIRST_STEPS = 256
+
+# A long-period greedy stream computes the chunks that end by this step in
+# exact Python ints (`_greedy_steps`): 256 doubling to 8192 steps, 16128 in
+# all. Only a tau with at most _PURE_COLUMNS nonzero entries does.
+_PURE_STEPS = 1 << 14
+_PURE_COLUMNS = 256
 
 
 # Up to this chunk end N the greedy kernel's arithmetic is int64: its values
@@ -236,46 +252,46 @@ def _greedy_digits(p: np.ndarray, q: np.ndarray, c: np.ndarray, k: int, end: int
     return column[np.argsort(steps, kind="stable")]
 
 
-def _greedy_period(tau: ProbabilityVector, period: int, base: Base) -> Chunk:
-    """One period of the greedy stream of tau, whose denominators divide
-    `period` = L: the digits of steps 1, ..., L, which hold L*tau_i copies
-    of digit i.
+def _greedy_steps(tau: ProbabilityVector, k: int, end: int, base: Base) -> Chunk:
+    """The digits of greedy steps k, ..., end-1 (1 <= k < end), in stream
+    order, in exact Python ints without numpy.
 
-    With tau_i = p/q reduced and F(n) = floor(n*p/q), copy m of digit i
-    falls on the step n with F(n) < m <= F(n+1), that is n = (m*q - 1) // p.
-    For tau_i < 1 the copies m = 1, ..., L*p/q fall on steps 1..L-1, so
-    they are the period's. (tau_i = 1 puts them on steps 0..L-1; it is then
-    the only nonzero column, and the period is constant.) One sort of the
-    keys step*s + i merges the columns: by step, and within a step in
-    increasing digit order. Exact Python ints throughout, O(L log L).
+    With tau_i = p/q reduced and F(n) = floor(n*p/q), step n emits the
+    copies F(n)+1, ..., F(n+1) of digit i, so copy m falls on the step n
+    with F(n) < m <= F(n+1), that is n = (m*q - 1) // p, and the steps
+    emit the copies m = F(k)+1, ..., F(end). One sort of the keys n*s + i
+    merges the columns: by step, and within a step in increasing digit
+    order. Only the nonzero columns are visited, so the work is O(their
+    number + digits log digits).
     """
     s = base.s
     keys: list[int] = []
-    for i, t in enumerate(tau.entries):
-        if p := t.numerator:
-            q = t.denominator
-            keys += [x // p * s + i for x in range(q - 1, p * period, q)]
+    for i, p, q in tau._support:
+        keys += [x // p * s + i for x in range((k * p // q + 1) * q - 1, end * p // q * q, q)]
     keys.sort()
     return to_chunk([key % s for key in keys], base)
 
 
-def _greedy_chunks(tau: ProbabilityVector, base: Base) -> Iterator[Chunk]:
-    """The greedy stream's chunks from the array kernel: each chunk covers
-    the steps K..N-1 at once (`_greedy_digits`). Each column's copies and
-    the steps they fall on come from one continued-fraction convergent of
-    tau_i, the one for the chunk end N. The state is four arrays over the
-    columns: p', q', c and `until`, the chunk end at which the convergent
-    expires, and only the columns with until <= N are refreshed. A zero
-    column starts settled, as 0/1 until _NEVER, so the first chunk refreshes
-    only the nonzero ones. A column of any denominator is computed in int64
-    while N**2 < 2**63, that is for about the first 3.04e9 steps, and in
-    exact Python ints only past that."""
+def _greedy_chunks(
+    tau: ProbabilityVector, base: Base, k: int = 1, steps: int = _FIRST_STEPS
+) -> Iterator[Chunk]:
+    """The greedy stream's chunks from the array kernel, from step k on: the
+    first chunk covers `steps` steps, and each later one twice as many, up
+    to CHUNK_DIGITS. Each chunk covers the steps K..N-1 at once
+    (`_greedy_digits`). Each column's copies and the steps they fall on
+    come from one continued-fraction convergent of tau_i, the one for the
+    chunk end N. The state is four arrays over the columns: p', q', c and
+    `until`, the chunk end at which the convergent expires, and only the
+    columns with until <= N are refreshed. A zero column starts settled, as
+    0/1 until _NEVER, so the first chunk refreshes only the nonzero ones. A
+    column of any denominator is computed in int64 while N**2 < 2**63,
+    that is for about the first 3.04e9 steps, and in exact Python ints only
+    past that."""
     import numpy as np
 
     p, c = np.zeros(tau.s, dtype=np.int64), np.zeros(tau.s, dtype=np.int64)
     q = np.ones(tau.s, dtype=np.int64)
     until = np.array([0 if t else _NEVER for t in tau.entries], dtype=np.int64)
-    k, steps = 1, _FIRST_STEPS
     while True:
         end = k + steps
         for i in np.flatnonzero(until <= end).tolist():
@@ -286,6 +302,17 @@ def _greedy_chunks(tau: ProbabilityVector, base: Base) -> Iterator[Chunk]:
         yield chunk_from_array(_greedy_digits(p, q, c, k, end), base)
         k = end
         steps = min(2 * steps, CHUNK_DIGITS)
+
+
+def _pure_then_kernel(tau: ProbabilityVector, base: Base) -> Iterator[Chunk]:
+    """The chunks of a long-period greedy stream: those that end by step
+    _PURE_STEPS from `_greedy_steps`, without numpy, and the rest from the
+    array kernel, which takes up the same chunk lengths where they stop."""
+    k, steps = 1, _FIRST_STEPS
+    while k + steps <= _PURE_STEPS:
+        yield _greedy_steps(tau, k, k + steps, base)
+        k, steps = k + steps, 2 * steps
+    yield from _greedy_chunks(tau, base, k, steps)
 
 
 def greedy_stream(tau: ProbabilityVector, base: Base | None = None) -> DigitStream:
@@ -300,28 +327,36 @@ def greedy_stream(tau: ProbabilityVector, base: Base | None = None) -> DigitStre
     of step k depend only on k mod L, so the stream is purely periodic: one
     period is steps 1..L, L digits with n_i copies of digit i. When L is at
     most CHUNK_DIGITS the stream is `periodic_stream((), period)`, the
-    period built in exact ints without numpy (`_greedy_period`), so
-    `stream_value` is exact and `digit_at` is O(1). Otherwise its chunks
-    come from the array kernel (`_greedy_chunks`), and up to L =
-    _MAX_PERIOD_DIGITS the stream's finder (see `DigitStream`) reads its
-    period, the kernel's first L digits, when it is first needed. A longer
-    period is never built, and the stream has none. Both paths give the
-    same digits.
+    period built in exact ints without numpy (`_greedy_steps`), so
+    `stream_value` is exact and `digit_at` is O(1). Otherwise the first
+    2**14 steps (`_PURE_STEPS`; its chunks hold 16128 steps) are computed
+    in exact ints without numpy too, and numpy is used only past them, by
+    the array kernel (`_greedy_chunks`): a short prefix loads no numpy, and
+    on a 10**6-digit construct the exact chunks cost about 4 ms more than
+    the kernel's. A tau with more than 256 nonzero entries
+    (`_PURE_COLUMNS`) runs the kernel from step 1, so that an exact chunk
+    costs O(its steps). Up to L = _MAX_PERIOD_DIGITS the stream's finder
+    (see `DigitStream`) reads its period, the first L digits, when it is
+    first needed. A longer period is never built, and the stream has none.
+    Every path gives the same digits.
     """
     if base is None:
         base = Base(tau.s)
     elif base.s != tau.s:
         raise ValueError(f"vector has {tau.s} entries but base is {base.s}")
-    make = partial(_greedy_chunks, tau, base)
     # L is built up one denominator at a time and given up once it passes
     # _MAX_PERIOD_DIGITS, so wide denominators cost no big lcm.
     period = 1
     for t in tau.entries:
         if (period := math.lcm(period, t.denominator)) > _MAX_PERIOD_DIGITS:
-            return DigitStream(base, make)
+            break
     if period <= CHUNK_DIGITS:
-        return periodic_stream((), _greedy_period(tau, period, base), base)
-    return DigitStream(base, make, _period=partial(_read_period, make, base, 0, period))
+        return periodic_stream((), _greedy_steps(tau, 1, period + 1, base), base)
+    # The count of nonzero entries stops at the first one past _PURE_COLUMNS.
+    few = next(itertools.islice(filter(None, tau.entries), _PURE_COLUMNS, None), None) is None
+    make = partial(_pure_then_kernel if few else _greedy_chunks, tau, base)
+    finder = partial(_read_period, make, base, 0, period) if period <= _MAX_PERIOD_DIGITS else None
+    return DigitStream(base, make, _period=finder)
 
 
 # ---------------------------------------------------------------------------

@@ -189,14 +189,14 @@ class TestGreedyChunks:
 
     def test_zero_columns_start_settled(self, monkeypatch):
         # The base-300 vector of `--mean 1/2` has 15 nonzero entries over
-        # D = 2**23, so its stream runs the kernel; the first chunk finds the
-        # convergents of those 15 columns only, not of all 300.
+        # D = 2**23; the kernel's first chunk finds the convergents of those
+        # 15 columns only, not of all 300.
         calls = []
         convergent = construct._convergent
         monkeypatch.setattr(construct, "_convergent", lambda *args: calls.append(args) or convergent(*args))
         tau, _ = construct._mean_vector(Fraction(1, 2), Base(300))
         assert math.lcm(*(t.denominator for t in tau.entries)) == 2**23
-        next(greedy_stream(tau).make_chunks())
+        next(kernel_stream(tau).make_chunks())
         assert len(calls) == sum(map(bool, tau.entries)) == 15
 
 
@@ -346,6 +346,95 @@ class TestWideGreedyColumns:
         header, text = out.read_text().splitlines()
         assert header.startswith("# adiclab ")
         assert tuple(map(int, text)) == greedy_oracle(tau, 100_000)
+
+
+def wide_base_vector(entries: dict[int, Fraction], s: int) -> ProbabilityVector:
+    """The vector with the given entries at their digits and 0 elsewhere."""
+    return ProbabilityVector(tuple(entries.get(i, Fraction(0)) for i in range(s)))
+
+
+def relabelled(small: ProbabilityVector, labels: tuple[int, ...], s: int) -> ProbabilityVector:
+    """`small` in base s, its digit j written as labels[j]."""
+    return wide_base_vector(dict(zip(labels, small.entries)), s)
+
+
+def rest_of_one(*entries: Fraction) -> ProbabilityVector:
+    """The vector of `entries`, then 1 less their sum."""
+    return ProbabilityVector((*entries, 1 - sum(entries)))
+
+
+# The (k, end) of the chunks that a long-period greedy stream computes in
+# exact ints: 256 steps doubling to 8192, 16128 steps in all, the last
+# ending at step 16129. The kernel takes up from there with 16384 steps.
+PURE_CHUNKS = [(1, 257), (257, 769), (769, 1793), (1793, 3841), (3841, 7937), (7937, 16129)]
+FIRST_KERNEL_CHUNK = (16129, 32513)
+
+THIRDS = rest_of_one(Fraction(1, 3) - Fraction(1, 65537), Fraction(1, 3))
+SWITCH_CASES = {
+    "base-2": (ProbabilityVector((Fraction(30001, 65537), Fraction(35536, 65537))), None),
+    # 20011 lies in (2**14, 2**15): the kernel's column 0 moves from a
+    # convergent of denominator below 16129 to 5000/20011 itself at the switch.
+    "base-3-convergent": (rest_of_one(Fraction(5000, 20011), Fraction(1, 7)), None),
+    "base-4-mean": (construct._mean_vector(Fraction(242716, 161703), Base(4))[0], None),
+    "base-10": (rest_of_one(Fraction(0), *(Fraction(1, q) for q in (11, 13, 17, 19, 23, 29, 31, 37))), None),
+    # Three nonzero columns, checked against the oracle of the base-3 vector.
+    "base-300": (relabelled(THIRDS, (0, 150, 299), 300), (THIRDS, (0, 150, 299))),
+    # A one-digit vector has period 1, so greedy_stream tiles it; its chunk
+    # factory is driven directly.
+    "tau-i-is-1": (wide_base_vector({2: Fraction(1)}, 4), None),
+}
+
+
+class TestPureSteps:
+    """A long-period greedy stream computes the chunks that end by step
+    2**14 in exact ints, without numpy, and the rest with the kernel."""
+
+    @pytest.mark.parametrize("tau, small", SWITCH_CASES.values(), ids=SWITCH_CASES.keys())
+    def test_streams_agree_across_the_switch(self, tau, small, monkeypatch):
+        base = Base(tau.s)
+        exact, kernel_chunks = [], []
+        steps, digits_of = construct._greedy_steps, construct._greedy_digits
+        monkeypatch.setattr(construct, "_greedy_steps", lambda t, k, end, b: exact.append((k, end)) or steps(t, k, end, b))
+        monkeypatch.setattr(
+            construct, "_greedy_digits", lambda p, q, c, k, end: kernel_chunks.append((k, end)) or digits_of(p, q, c, k, end)
+        )
+        if period_of(tau) > CHUNK_DIGITS:
+            stream = greedy_stream(tau)
+        else:
+            stream = DigitStream(base, partial(construct._pure_then_kernel, tau, base))
+        kernel = kernel_stream(tau)
+        # Around every chunk end up to that of the first kernel chunk.
+        lengths = edge_lengths(stream, len(PURE_CHUNKS) + 1)
+        assert lengths == edge_lengths(kernel, len(PURE_CHUNKS) + 1)
+        if small is None:
+            want = greedy_oracle(tau, lengths[-1])
+        else:
+            vector, labels = small
+            want = tuple(labels[d] for d in greedy_oracle(vector, lengths[-1]))
+        for n in lengths:
+            assert stream.prefix(n).digits == want[:n], n
+            assert kernel.prefix(n).digits == want[:n], n
+        # One pass over the chunks: six exact ones, then the kernel.
+        exact.clear()
+        kernel_chunks.clear()
+        list(itertools.islice(stream.make_chunks(), len(PURE_CHUNKS) + 1))
+        assert exact == PURE_CHUNKS
+        assert kernel_chunks == [FIRST_KERNEL_CHUNK]
+
+    @pytest.mark.parametrize("nonzero", [256, 257])
+    def test_more_than_256_columns_run_the_kernel_from_step_1(self, nonzero, monkeypatch):
+        # Base 300 over D = 65537: the period is over CHUNK_DIGITS digits.
+        tau = ProbabilityVector.from_numerators([1] * (nonzero - 1) + [65537 - nonzero + 1] + [0] * (300 - nonzero), 65537)
+        assert period_of(tau) > CHUNK_DIGITS
+        exact = []
+        steps = construct._greedy_steps
+        monkeypatch.setattr(construct, "_greedy_steps", lambda t, k, end, b: exact.append((k, end)) or steps(t, k, end, b))
+        stream = greedy_stream(tau)
+        lengths = edge_lengths(stream, 2)
+        want = greedy_oracle(tau, lengths[-1])
+        for n in lengths:
+            assert stream.prefix(n).digits == want[:n], n
+        assert bool(exact) == (nonzero <= 256)
 
 
 @st.composite

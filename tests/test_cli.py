@@ -1043,11 +1043,14 @@ class TestVerify:
         # imports the CLI) and reads sys.modules after it: a command loads
         # the library modules it runs and no other, and numpy only where an
         # array kernel runs. A greedy `construct --tau` builds a period of at
-        # most 65536 digits without numpy; one whose period is longer runs
-        # the kernel. A `--mean` vector over a denominator D of at most 65536
-        # tiles its period too; a theta whose denominator is over 65536 needs
-        # a larger D and runs the kernel. A long-period rational divides big
-        # ints in base 4; in base 10 its first chunk is one big-int division,
+        # most 65536 digits without numpy. One whose period is longer computes
+        # its first 2**14 steps in exact ints and runs the kernel only past
+        # them, so `--length 50` of it loads no numpy and `--length 100000`
+        # does. A `--mean` vector over a denominator D of at most 65536 tiles
+        # its period too; a theta whose denominator is over 65536 needs a
+        # larger D, whose stream is a long greedy period, so again only the
+        # 100000-digit construct loads numpy. A long-period rational divides
+        # big ints in base 4; in base 10 its first chunk is one big-int division,
         # and later ones fill numpy remainder arrays. `analyze` counts the
         # first 2**20 digits of a tally in a base up to 16 without numpy and
         # bincounts the rest, so a longer file loads numpy. One entropy
@@ -1062,7 +1065,8 @@ class TestVerify:
         config.write_text(json.dumps(blocks))
         block = ["construct", "--config", str(config), "--length", "50"]
         short_period = ["construct", "--tau", "1/10,2/10,3/10,4/10", "--length", "1000000"]
-        long_period = ["construct", "--tau", "1/65537,65536/65537", "--base", "2", "--length", "50"]
+        long_period = ["construct", "--tau", "1/65537,65536/65537", "--base", "2", "--length"]
+        long_mean = ["construct", "--mean", "737067/491201", "--length"]
         short_file, long_file = tmp_path / "short.txt", tmp_path / "long.txt"
         assert main([*short_period, "--out", str(short_file)]) == 0
         long_file.write_bytes(b"0123" * (2**18 + 1))
@@ -1077,12 +1081,14 @@ class TestVerify:
             (["dimension", "--sweep", "0:3:1/400"], ["adiclab.entropy"], ["numpy", "adiclab.stats"]),
             (block, ["adiclab.construct"], ["numpy", "adiclab.entropy"]),
             (short_period, ["adiclab.construct"], ["numpy", "adiclab.entropy", "adiclab.stats"]),
-            (long_period, ["numpy"], ["adiclab.entropy", "adiclab.stats"]),
+            ([*long_period, "50"], ["adiclab.construct"], ["numpy", "adiclab.entropy", "adiclab.stats"]),
+            ([*long_period, "100000"], ["adiclab.construct", "numpy"], ["adiclab.entropy", "adiclab.stats"]),
             (
                 ["construct", "--mean", "37/40", "--length", "200000"],
                 ["adiclab.construct", "adiclab.entropy"], ["numpy", "adiclab.stats"],
             ),
-            (["construct", "--mean", "737067/491201", "--length", "50"], ["adiclab.entropy", "numpy"], ["adiclab.stats"]),
+            ([*long_mean, "50"], ["adiclab.entropy"], ["numpy", "adiclab.stats"]),
+            ([*long_mean, "100000"], ["adiclab.entropy", "numpy"], ["adiclab.stats"]),
             (["analyze", "--in", str(short_file)], ["adiclab.stats"], ["numpy", *unrun]),
             (
                 ["analyze", "--tau", "1/10,2/10,3/10,4/10"],
