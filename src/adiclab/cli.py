@@ -31,14 +31,13 @@ from .digits import Base, DigitStream, digit_text, expand
 
 MAX_CONSTRUCT_LENGTH = 10**8
 # A sweep solves all its points in one pure-Python loop
-# (`entropy.neg_entropy_minima`, each point from the one before). A point
-# costs about 0.75 (base 300) to 8 (base 4) us per base digit, so
-# points * max(s, 4) is capped: 10**5 points up to base 4 (3.1 to 4.0 s
-# with the CSV), 1333 in base 300 (0.38 to 0.52 s). A single entropy point
-# (`dimension --theta`, `--mean`) gets the same budget, so its base is at
-# most this (in base 400000, theta = 1/2 takes about 0.5 s and a
-# mid-range theta such as 200000 about 1 s), and so do `analyze`'s
-# checkpoints * max(s, 4). (Fresh processes on a 2-vCPU x86-64 box.)
+# (`entropy.neg_entropy_minima`, each point from the one before), and a
+# point costs a few Gibbs means, each a pass over the s digits. So the cap
+# bounds the digit work points * max(s, 4): 10**5 points up to base 4,
+# 1333 in base 300. A single entropy point (`dimension --theta`, `--mean`)
+# gets the same budget, so its base is at most this, and so do `analyze`'s
+# checkpoints * max(s, 4). ROADMAP.md's re-anchor table records what the
+# capped runs take.
 _MAX_SWEEP_POINT_DIGITS = 4 * 10**5
 DEFAULT_PRECISION = 12
 PRECISION_ENV = "ADICLAB_PRECISION"

@@ -18,16 +18,16 @@ Column vectors and schedule parameters are exact rationals and every floor
 is exact: the constructions are floor-sensitive, and the exact-count
 claims are only checkable in integer arithmetic.
 
-Both streams produce whole chunks (see `digits`). A greedy stream is
-purely periodic, with period L = lcm of tau's denominators. When L is at
-most CHUNK_DIGITS it is a `periodic_stream` of one period, built in
-exact Python ints without numpy, so its value is exact and `digit_at` is
-O(1). Otherwise the first 2**14 steps are computed in exact Python ints
-as well, without numpy, and numpy is used only past them, by an array
-kernel; the exact steps cost about 4 ms on a 10**6-digit construct. While
-L is at most 10**7 (`digits._MAX_PERIOD_DIGITS`) the stream carries a
-finder, which reads its first L digits as the period only when the
-period is first needed; a longer L leaves the stream without one.
+Both streams produce whole chunks (see `digits`). A greedy stream of
+tau = (n_i / L), the vector's own integers, is purely periodic with
+period L. When L is at most CHUNK_DIGITS it is a `periodic_stream` of
+one period, built in exact Python ints without numpy, so its value is
+exact and `digit_at` is O(1). Otherwise the first 2**14 steps are
+computed in exact Python ints as well, and numpy is used only past them,
+by an array kernel that gives the same digits. While L is at most 10**7
+(`digits._MAX_PERIOD_DIGITS`) the stream carries a finder, which reads
+its first L digits as the period only when the period is first needed; a
+longer L leaves the stream without one.
 
 The greedy kernel computes a block of steps at once with numpy. Up to
 the chunk's last step N, floor(n * tau_i) equals a floor of n * p'/q'
@@ -87,14 +87,12 @@ __all__ = [
 ]
 
 
-def _over_lcm(entries: Sequence[Fraction]) -> tuple[list[int], int]:
-    """(n_i, D): the fractions as n_i / D over the lcm D of their denominators."""
-    den = math.lcm(*(e.denominator for e in entries))
-    return [e.numerator * (den // e.denominator) for e in entries], den
-
-
 class ProbabilityVector(Frozen):
     """Exact probability vector over the digit alphabet (tau_i >= 0, sum 1).
+
+    It is held as integers tau_i = n_i / D (`numerators`, `denominator`)
+    in lowest terms, so D is the lcm of the entries' denominators; the
+    Fraction `entries` are built when first read.
 
     A vector the library computes is built by `from_numerators` and checked
     once, in its own integers. Only outside input takes the plain
@@ -102,28 +100,32 @@ class ProbabilityVector(Frozen):
     `parse`, config vectors, and a column rule that returns a tuple.
     """
 
-    _fields = ("entries",)
+    _fields = ("numerators", "denominator")
 
     def __init__(self, entries: Iterable) -> None:
-        object.__setattr__(self, "entries", tuple(Fraction(e) for e in entries))
-        self._check(*_over_lcm(self.entries))
+        fractions = [Fraction(e) for e in entries]
+        # The lcm of reduced denominators is already in lowest terms.
+        den = math.lcm(*(f.denominator for f in fractions))
+        self._set(tuple(f.numerator * (den // f.denominator) for f in fractions), den)
 
     @classmethod
     def from_numerators(cls, numerators: Sequence[int], denominator: int) -> "ProbabilityVector":
         """The vector (n_i / denominator) for integers n_i, checked in those
         integers; it skips the plain constructor's common-denominator search.
-        Equal numerators share one Fraction, so a vector with few distinct
-        entries (zeros, a uniform part) reduces few fractions."""
+        The integers are divided by their gcd with the denominator once."""
+        if denominator < 1:
+            raise ValueError(f"denominator must be >= 1, got {denominator}")
+        g = math.gcd(denominator, *numerators)
         vec = object.__new__(cls)
-        reduced = {n: Fraction(n, denominator) for n in set(numerators)}
-        object.__setattr__(vec, "entries", tuple(map(reduced.__getitem__, numerators)))
-        vec._check(numerators, denominator)
+        vec._set(tuple(numerators) if g == 1 else tuple(n // g for n in numerators), denominator // g)
         return vec
 
-    def _check(self, numerators: Sequence[int], denominator: int) -> None:
-        """The simplex conditions on the entries n_i / denominator, exactly,
-        in integers: at least two entries, each n_i >= 0, sum n_i = denominator."""
-        if len(self.entries) < 2:
+    def _set(self, numerators: tuple[int, ...], denominator: int) -> None:
+        """Store the integers, then check the simplex conditions on them
+        exactly: at least two entries, each n_i >= 0, sum n_i = D."""
+        object.__setattr__(self, "numerators", numerators)
+        object.__setattr__(self, "denominator", denominator)
+        if len(numerators) < 2:
             raise ValueError("a probability vector needs at least two entries")
         if min(numerators) < 0:
             raise ValueError(f"negative entry in {self.entries}")
@@ -134,27 +136,26 @@ class ProbabilityVector(Frozen):
 
     @property
     def s(self) -> int:
-        return len(self.entries)
+        return len(self.numerators)
+
+    @cached_property
+    def entries(self) -> tuple[Fraction, ...]:
+        """The entries tau_i = n_i / D as Fractions."""
+        return tuple(Fraction(n, self.denominator) for n in self.numerators)
 
     def mean(self) -> Fraction:
         return self._mean
 
     @cached_property
-    def _pairs(self) -> tuple[tuple[int, int], ...]:
-        """(p_i, q_i): each entry tau_i = p_i/q_i in lowest terms, read once."""
-        return tuple(map(Fraction.as_integer_ratio, self.entries))
-
-    @cached_property
-    def _support(self) -> tuple[tuple[int, int, int], ...]:
-        """(i, p_i, q_i) for each nonzero entry tau_i = p_i/q_i. Only the
-        nonzero entries are converted, so a wide base with few of them,
-        as `_mean_vector` makes, pays one truth test per zero."""
-        return tuple((i, *t.as_integer_ratio()) for i, t in enumerate(self.entries) if t)
+    def _support(self) -> tuple[tuple[int, int], ...]:
+        """(i, n_i) for each nonzero n_i. A wide base with few of them, as
+        `_mean_vector` makes, then costs an exact chunk O(their number)."""
+        return tuple((i, n) for i, n in enumerate(self.numerators) if n)
 
     @cached_property
     def _mean(self) -> Fraction:
         # The vector is frozen, so its mean is computed once.
-        return sum(i * e for i, e in enumerate(self.entries))
+        return Fraction(sum(map(mul, range(self.s), self.numerators)), self.denominator)
 
     def as_strings(self) -> list[str]:
         return [str(e) for e in self.entries]
@@ -170,14 +171,15 @@ def greedy_increments(tau: ProbabilityVector, n: int) -> tuple[int, ...]:
     """Per-digit increments floor(tau_i*(n+1)) - floor(tau_i*n); each 0 or 1."""
     if n < 1:
         raise ValueError(f"step index must be >= 1, got {n}")
-    return tuple((p * (n + 1)) // q - (p * n) // q for p, q in tau._pairs)
+    d = tau.denominator
+    return tuple(a * (n + 1) // d - a * n // d for a in tau.numerators)
 
 
 def floor_counts(tau: ProbabilityVector, n: int) -> tuple[int, ...]:
     """Target digit counts floor(tau_i * n) at boundary n."""
     if n < 0:
         raise ValueError(f"boundary must be >= 0, got {n}")
-    return tuple((p * n) // q for p, q in tau._pairs)
+    return tuple(a * n // tau.denominator for a in tau.numerators)
 
 
 # Greedy steps in a stream's first chunk; each later chunk doubles them up
@@ -203,16 +205,16 @@ _NEVER = 2**63 - 1
 
 def _convergent(p: int, q: int, n: int) -> tuple[int, int, int | float]:
     """(p', q', q'') for n >= 1: the last continued-fraction convergent
-    p'/q' of the reduced fraction p/q >= 0 with q' <= n, and the next
-    denominator q'' > n, or infinity when p'/q' is p/q itself."""
-    if q <= n:
-        return p, q, math.inf
+    p'/q' of the fraction p/q >= 0 (q >= 1, not necessarily reduced) with
+    q' <= n, and the next denominator q'' > n, or infinity when p'/q' is
+    p/q itself, which it then gives in lowest terms."""
     h0, k0, h1, k1 = 0, 1, 1, 0
-    while True:  # the last convergent has denominator q > n, so this returns
+    while q:  # the remainder reaches 0 at the last convergent, p/q reduced
         a, (p, q) = p // q, (q, p % q)
         h0, k0, h1, k1 = h1, k1, a * h1 + h0, a * k1 + k0
         if k1 > n:
             return h0, k0, k1
+    return h1, k1, math.inf
 
 
 def _greedy_digits(p: np.ndarray, q: np.ndarray, c: np.ndarray, k: int, end: int) -> np.ndarray:
@@ -256,18 +258,18 @@ def _greedy_steps(tau: ProbabilityVector, k: int, end: int, base: Base) -> Chunk
     """The digits of greedy steps k, ..., end-1 (1 <= k < end), in stream
     order, in exact Python ints without numpy.
 
-    With tau_i = p/q reduced and F(n) = floor(n*p/q), step n emits the
-    copies F(n)+1, ..., F(n+1) of digit i, so copy m falls on the step n
-    with F(n) < m <= F(n+1), that is n = (m*q - 1) // p, and the steps
-    emit the copies m = F(k)+1, ..., F(end). One sort of the keys n*s + i
+    With tau_i = p/D and F(n) = floor(n*p/D), step n emits the copies
+    F(n)+1, ..., F(n+1) of digit i, so copy m falls on the step n with
+    F(n) < m <= F(n+1), that is n = (m*D - 1) // p, and the steps emit
+    the copies m = F(k)+1, ..., F(end). One sort of the keys n*s + i
     merges the columns: by step, and within a step in increasing digit
     order. Only the nonzero columns are visited, so the work is O(their
     number + digits log digits).
     """
-    s = base.s
+    s, d = base.s, tau.denominator
     keys: list[int] = []
-    for i, p, q in tau._support:
-        keys += [x // p * s + i for x in range((k * p // q + 1) * q - 1, end * p // q * q, q)]
+    for i, p in tau._support:
+        keys += [x // p * s + i for x in range((k * p // d + 1) * d - 1, end * p // d * d, d)]
     keys.sort()
     return to_chunk([key % s for key in keys], base)
 
@@ -291,12 +293,12 @@ def _greedy_chunks(
 
     p, c = np.zeros(tau.s, dtype=np.int64), np.zeros(tau.s, dtype=np.int64)
     q = np.ones(tau.s, dtype=np.int64)
-    until = np.array([0 if t else _NEVER for t in tau.entries], dtype=np.int64)
+    nums, den = tau.numerators, tau.denominator
+    until = np.array([0 if n else _NEVER for n in nums], dtype=np.int64)
     while True:
         end = k + steps
         for i in np.flatnonzero(until <= end).tolist():
-            t = tau.entries[i]
-            num, den = t.numerator, t.denominator
+            num = nums[i]
             pi, qi, qnext = _convergent(num, den, end)
             p[i], q[i], c[i], until[i] = pi, qi, num * qi < pi * den, min(qnext, _NEVER)
         yield chunk_from_array(_greedy_digits(p, q, c, k, end), base)
@@ -323,37 +325,31 @@ def greedy_stream(tau: ProbabilityVector, base: Base | None = None) -> DigitStre
     sum(floor_counts(tau, n)) contains exactly floor(tau_i * n) copies of
     digit i. Pure integer arithmetic throughout.
 
-    With tau = (n_i / L) over the lcm L of its denominators, the increments
-    of step k depend only on k mod L, so the stream is purely periodic: one
-    period is steps 1..L, L digits with n_i copies of digit i. When L is at
+    With tau = (n_i / L), the vector's own `numerators` over its
+    `denominator` L, the increments of step k depend only on k mod L, so
+    the stream is purely periodic: one period is steps 1..L, L digits with
+    n_i copies of digit i, copy m on step (m*L - 1) // n_i. When L is at
     most CHUNK_DIGITS the stream is `periodic_stream((), period)`, the
     period built in exact ints without numpy (`_greedy_steps`), so
     `stream_value` is exact and `digit_at` is O(1). Otherwise the first
     2**14 steps (`_PURE_STEPS`; its chunks hold 16128 steps) are computed
     in exact ints without numpy too, and numpy is used only past them, by
-    the array kernel (`_greedy_chunks`): a short prefix loads no numpy, and
-    on a 10**6-digit construct the exact chunks cost about 4 ms more than
-    the kernel's. A tau with more than 256 nonzero entries
-    (`_PURE_COLUMNS`) runs the kernel from step 1, so that an exact chunk
-    costs O(its steps). Up to L = _MAX_PERIOD_DIGITS the stream's finder
-    (see `DigitStream`) reads its period, the first L digits, when it is
-    first needed. A longer period is never built, and the stream has none.
+    the array kernel (`_greedy_chunks`), so a short prefix loads no numpy.
+    A tau with more than 256 nonzero entries (`_PURE_COLUMNS`) runs the
+    kernel from step 1, so that an exact chunk costs O(its steps). Up to
+    L = _MAX_PERIOD_DIGITS the stream's finder (see `DigitStream`) reads
+    its period, the first L digits, when it is first needed. A longer period is never built, and the stream has none.
     Every path gives the same digits.
     """
     if base is None:
         base = Base(tau.s)
     elif base.s != tau.s:
         raise ValueError(f"vector has {tau.s} entries but base is {base.s}")
-    # L is built up one denominator at a time and given up once it passes
-    # _MAX_PERIOD_DIGITS, so wide denominators cost no big lcm.
-    period = 1
-    for t in tau.entries:
-        if (period := math.lcm(period, t.denominator)) > _MAX_PERIOD_DIGITS:
-            break
+    period = tau.denominator
     if period <= CHUNK_DIGITS:
         return periodic_stream((), _greedy_steps(tau, 1, period + 1, base), base)
     # The count of nonzero entries stops at the first one past _PURE_COLUMNS.
-    few = next(itertools.islice(filter(None, tau.entries), _PURE_COLUMNS, None), None) is None
+    few = next(itertools.islice(filter(None, tau.numerators), _PURE_COLUMNS, None), None) is None
     make = partial(_pure_then_kernel if few else _greedy_chunks, tau, base)
     finder = partial(_read_period, make, base, 0, period) if period <= _MAX_PERIOD_DIGITS else None
     return DigitStream(base, make, _period=finder)
@@ -574,7 +570,7 @@ class ColumnSchedule(Frozen):
         # With limit = (a_i / D) and eps_n = 1/E, column n is
         # (a_i * (E - 1) + D * [i == mix]) / (D * E): integer numerators over
         # one denominator, checked in integers.
-        scaled, den = _over_lcm(limit.entries)
+        scaled, den = limit.numerators, limit.denominator
 
         def rule(n: int) -> ProbabilityVector:
             e = inverse_eps(n)
@@ -606,8 +602,8 @@ class ColumnSchedule(Frozen):
 
 def _block_counts(col: ProbabilityVector, sk: Fraction) -> list[int]:
     """floor(tau_i * s_k) for each entry of the column, in integers."""
-    a, b = sk.numerator, sk.denominator
-    return [t.numerator * a // (t.denominator * b) for t in col.entries]
+    a, b = sk.numerator, col.denominator * sk.denominator
+    return [n * a // b for n in col.numerators]
 
 
 def _base_column(columns: ColumnSchedule, n: int, base: Base) -> ProbabilityVector:

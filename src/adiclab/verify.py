@@ -367,7 +367,7 @@ def _mean_target_exact() -> tuple[bool, dict, dict]:
         tau, _ = _mean_vector(theta, BASE4)
         deficit = optimum.dimension_bound - be_dimension(tau)
         worst = max(worst, deficit)
-        denominators.append(math.lcm(*(t.denominator for t in tau.entries)))
+        denominators.append(tau.denominator)
         if tau.mean() != theta or min(tau.entries) < 0 or deficit > MEAN_DEFICIT:
             failures += 1
     return (

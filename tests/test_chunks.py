@@ -245,6 +245,24 @@ class TestWideGreedyColumns:
     """Greedy columns of any denominator, whose floors come from one
     continued-fraction convergent per chunk, against the step formula."""
 
+    @given(
+        st.integers(min_value=1, max_value=10**12),
+        st.integers(min_value=0, max_value=10**12),
+        st.integers(min_value=1, max_value=10**6),
+        st.integers(min_value=1, max_value=2 * 10**12),
+    )
+    def test_convergent_of_an_unreduced_fraction(self, q, p, g, n):
+        # The kernel gives `_convergent` a column's n_i over the vector's D,
+        # which need not be in lowest terms with n_i alone.
+        x = Fraction(min(p, q), q)
+        p, q = x.numerator, x.denominator
+        got = construct._convergent(g * p, g * q, n)
+        assert got == construct._convergent(p, q, n)
+        if n >= q:
+            assert got == (p, q, math.inf)
+        else:
+            assert got[1] <= n < got[2] and got[1] in convergent_denominators(x)
+
     @settings(max_examples=40)
     @given(st.one_of(wide_vectors(), NEAR_RATIONALS))
     def test_matches_the_oracle_at_chunk_edges_and_convergents(self, tau):
@@ -495,6 +513,14 @@ class TestGreedyPeriod:
         assert kernel_stream(tau).prefix(n).digits == want
         assert stream.eventual_period == ((), want[:length])
         assert stream.prefix(n).digits == want
+
+    def test_denominator_in_lowest_terms(self, monkeypatch):
+        # 65537/131074 is 1/2: the vector's D is 2, not 131074 (past
+        # CHUNK_DIGITS), so the stream tiles a period of two digits.
+        monkeypatch.setattr(construct, "_greedy_digits", lambda *args: pytest.fail("a kernel chunk ran"))
+        tau = ProbabilityVector.from_numerators([65537, 65537], 131074)
+        assert (tau.numerators, tau.denominator) == ((1, 1), 2)
+        assert greedy_stream(tau).eventual_period == ((), (0, 1))
 
     def test_no_period_past_the_cap(self, monkeypatch):
         # L is the lcm of the denominators; one past the cap gives no finder.

@@ -64,11 +64,26 @@ class TestProbabilityVector:
         with pytest.raises(ValueError):
             ProbabilityVector.parse("1/2,1/4,0,0")
 
-    @given(probability_vectors(size=5, max_denominator=30), st.integers(min_value=1, max_value=4))
+    @given(
+        probability_vectors(size=5, max_denominator=30),
+        st.one_of(st.integers(min_value=1, max_value=4), st.integers(min_value=5, max_value=10**6)),
+    )
     def test_from_numerators_is_the_plain_vector(self, tau, scale):
-        den = scale * math.lcm(*(t.denominator for t in tau.entries))
+        # Both hold the vector in lowest terms, over the lcm of its entries'
+        # denominators, whatever common factor the integers carry.
+        lcm = math.lcm(*(t.denominator for t in tau.entries))
+        den = scale * lcm
         nums = [t.numerator * (den // t.denominator) for t in tau.entries]
-        assert ProbabilityVector.from_numerators(nums, den) == tau
+        direct = ProbabilityVector.from_numerators(nums, den)
+        for plain in (tau, ProbabilityVector.parse(",".join(tau.as_strings()))):
+            assert direct == plain and hash(direct) == hash(plain)
+            assert direct.numerators == plain.numerators and direct.denominator == plain.denominator == lcm
+        assert direct.entries == tau.entries
+
+    @pytest.mark.parametrize("den", [0, -2])
+    def test_from_numerators_refuses_a_denominator_below_1(self, den):
+        with pytest.raises(ValueError, match=rf"^denominator must be >= 1, got {den}$"):
+            ProbabilityVector.from_numerators([0, 0] if den == 0 else [-1, -1], den)
 
     @pytest.mark.parametrize(
         "nums, den, entries",
@@ -485,32 +500,26 @@ class TestMeanTargetStream:
 
     def test_set_up_is_linear_and_takes_no_lcm(self, monkeypatch):
         # Base 10000 at theta = 5000, where every entry is nonzero and
-        # distinct: each D tried rounds at most s entries, the vector is
-        # checked once in its own integers (no lcm of the entries'
-        # denominators), and `greedy_stream` takes lcms of two ints only.
+        # distinct: each D tried rounds at most s entries, and the vector is
+        # checked once in its own integers. No lcm is taken at all: the
+        # vector's denominator is the greedy stream's period.
         import adiclab.construct as construct
 
-        rounded, lcms = [], []
-        numerators, real_lcm = construct._mean_numerators, math.lcm
+        rounded = []
+        numerators = construct._mean_numerators
 
         def counted(window, *args):
             rounded.append(len(window[0]))
             return numerators(window, *args)
 
-        def lcm(*args):
-            lcms.append(len(args))
-            return real_lcm(*args)
-
-        def no_lcm(entries):
-            raise AssertionError("the entries' lcm was taken")
+        def no_lcm(*args):
+            raise AssertionError("an lcm was taken")
 
         monkeypatch.setattr(construct, "_mean_numerators", counted)
-        monkeypatch.setattr(construct, "_over_lcm", no_lcm)
-        monkeypatch.setattr(construct.math, "lcm", lcm)
+        monkeypatch.setattr(construct.math, "lcm", no_lcm)
         s = 10000
         stream = mean_target_stream(Fraction(5000), Base(s))
         assert 1 <= len(rounded) <= 8 and max(rounded) <= s
-        assert set(lcms) <= {2} and len(lcms) <= s
         assert stream.prefix(10).base.s == s
 
     def test_negative_patched_entry_is_refused_by_from_numerators(self):
