@@ -147,10 +147,13 @@ class ProbabilityVector(Frozen):
         return self._mean
 
     @cached_property
-    def _support(self) -> tuple[tuple[int, int], ...]:
-        """(i, n_i) for each nonzero n_i. A wide base with few of them, as
-        `_mean_vector` makes, then costs an exact chunk O(their number)."""
-        return tuple((i, n) for i, n in enumerate(self.numerators) if n)
+    def _support(self) -> tuple[tuple[int, int, int], ...]:
+        """(i, p_i, q_i) for each nonzero entry tau_i = p_i / q_i, in lowest
+        terms. A wide base with few of them, as `_mean_vector` makes, then
+        costs an exact chunk O(their number), and a column whose own
+        denominator is small divides by it, not by a wide D."""
+        d = self.denominator
+        return tuple((i, n // (g := math.gcd(n, d)), d // g) for i, n in enumerate(self.numerators) if n)
 
     @cached_property
     def _mean(self) -> Fraction:
@@ -258,17 +261,17 @@ def _greedy_steps(tau: ProbabilityVector, k: int, end: int, base: Base) -> Chunk
     """The digits of greedy steps k, ..., end-1 (1 <= k < end), in stream
     order, in exact Python ints without numpy.
 
-    With tau_i = p/D and F(n) = floor(n*p/D), step n emits the copies
-    F(n)+1, ..., F(n+1) of digit i, so copy m falls on the step n with
-    F(n) < m <= F(n+1), that is n = (m*D - 1) // p, and the steps emit
-    the copies m = F(k)+1, ..., F(end). One sort of the keys n*s + i
-    merges the columns: by step, and within a step in increasing digit
-    order. Only the nonzero columns are visited, so the work is O(their
-    number + digits log digits).
+    With tau_i = p/d in lowest terms (`_support`) and F(n) = floor(n*p/d),
+    step n emits the copies F(n)+1, ..., F(n+1) of digit i, so copy m
+    falls on the step n with F(n) < m <= F(n+1), that is n = (m*d - 1) //
+    p, and the steps emit the copies m = F(k)+1, ..., F(end). One sort of
+    the keys n*s + i merges the columns: by step, and within a step in
+    increasing digit order. Only the nonzero columns are visited, so the
+    work is O(their number + digits log digits).
     """
-    s, d = base.s, tau.denominator
+    s = base.s
     keys: list[int] = []
-    for i, p in tau._support:
+    for i, p, d in tau._support:
         keys += [x // p * s + i for x in range((k * p // d + 1) * d - 1, end * p // d * d, d)]
     keys.sort()
     return to_chunk([key % s for key in keys], base)
@@ -331,7 +334,8 @@ def greedy_stream(tau: ProbabilityVector, base: Base | None = None) -> DigitStre
     n_i copies of digit i, copy m on step (m*L - 1) // n_i. When L is at
     most CHUNK_DIGITS the stream is `periodic_stream((), period)`, the
     period built in exact ints without numpy (`_greedy_steps`), so
-    `stream_value` is exact and `digit_at` is O(1). Otherwise the first
+    `stream_value` is exact, `digit_at` is O(1) and a far trace tallies
+    one period and a window (`convergence_trace`). Otherwise the first
     2**14 steps (`_PURE_STEPS`; its chunks hold 16128 steps) are computed
     in exact ints without numpy too, and numpy is used only past them, by
     the array kernel (`_greedy_chunks`), so a short prefix loads no numpy.

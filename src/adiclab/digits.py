@@ -109,6 +109,7 @@ BASE4 = Base(4)
 Chunk = Union[bytes, array]
 Period = tuple[tuple[int, ...], tuple[int, ...]]
 ChunkPair = tuple[Chunk, Chunk]
+Cycle = tuple[int, int, Callable[[int], Iterator[Chunk]]]
 
 # Generated streams grow their chunks up to about this many digits.
 CHUNK_DIGITS = 1 << 16
@@ -252,15 +253,28 @@ class DigitStream:
     a greedy stream whose period is over _MAX_PERIOD_DIGITS digits, a
     stream built from `make_chunks` alone) has no value computable from
     finite data.
+
+    A stream that knows its shape without reading a digit carries it in
+    the private `_cycle` input, which `convergence_trace` reads: (m, L,
+    restart), m the preperiod's length, L the period's, and restart(k) an
+    iterator over the stream's chunks from digit k + 1 on, made apart from
+    m and L. A `periodic_stream` and a short-period `expand` stream carry
+    the tuple; a lazy `expand` stream carries a function of a bound `most`
+    that gives it when m + L <= most and `_order` finds L cheaply, and
+    None otherwise. A lazy function runs no finder and reads no digit.
     """
 
-    __slots__ = ("base", "make_chunks", "_period")
+    __slots__ = ("base", "make_chunks", "_period", "_cycle")
 
-    def __init__(self, base: Base, make_chunks: Callable[[], Iterator[Chunk]], *, _period=None) -> None:
+    def __init__(
+        self, base: Base, make_chunks: Callable[[], Iterator[Chunk]], *, _period=None, _cycle=None
+    ) -> None:
         self.base = base
         self.make_chunks = make_chunks
         # The (preperiod, period) pair as two chunks, its finder, or None.
         self._period: ChunkPair | Callable[[], ChunkPair] | None = _period
+        # (m, L, restart), a function of `most` that gives it or None, or None.
+        self._cycle: Cycle | Callable[[int], Cycle | None] | None = _cycle
 
     def _chunk_pair(self) -> ChunkPair | None:
         """The (preperiod, period) pair as two chunks, or None; a finder
@@ -341,6 +355,18 @@ def _leading_chunks(make_chunks: Callable[[], Iterator[Chunk]], n: int) -> Itera
         yield chunk
 
 
+def _skip(make_chunks: Callable[[], Iterator[Chunk]], start: int) -> Iterator[Chunk]:
+    """The chunks of `make_chunks()` from digit start + 1 on: the chunks
+    before it are passed over whole, and the one that holds it is cut."""
+    chunks = make_chunks()
+    for chunk in chunks:
+        if start < len(chunk):
+            yield chunk[start:]
+            yield from chunks
+            return
+        start -= len(chunk)
+
+
 def _read_period(make_chunks: Callable[[], Iterator[Chunk]], base: Base, m: int, length: int) -> ChunkPair:
     """The (preperiod, period) pair of a stream whose chunks `make_chunks`
     makes, given m and L = `length`: its first m digits and the L after
@@ -367,8 +393,14 @@ def periodic_stream(
         period = tuple(period)
     if not period:
         raise ValueError("period must be nonempty")
-    head, tile = to_chunk(preperiod, base), to_chunk(period, base)
-    return DigitStream(base, partial(_tiled_chunks, head, tile), _period=(head, tile))
+    return _tiled_stream(to_chunk(preperiod, base), to_chunk(period, base), base)
+
+
+def _tiled_stream(head: Chunk, tile: Chunk, base: Base) -> DigitStream:
+    """The stream of `head`, then `tile` repeated, which carries them as its
+    pair and its shape; its restart passes over the chunks before a digit."""
+    make = partial(_tiled_chunks, head, tile)
+    return DigitStream(base, make, _period=(head, tile), _cycle=(len(head), len(tile), partial(_skip, make)))
 
 
 def _tiled_chunks(head: Chunk, tile: Chunk) -> Iterator[Chunk]:
@@ -632,7 +664,10 @@ def expand(x: Fraction | int | str, base: Base = BASE4) -> DigitStream:
     up to _MAX_PERIOD_DIGITS, in O(sqrt(_MAX_PERIOD_DIGITS)) modular
     multiplications and without reading a digit, and raises ValueError
     past it; a period it finds is the m + L digits that the stream's own
-    chunks begin with.
+    chunks begin with. Its shape function (`DigitStream`'s `_cycle`)
+    searches L up to a bound only for a q' with q' * max(q', s) < 2**63,
+    and restarts the digits at any position k by long division from p *
+    s**k mod q.
     """
     if not isinstance(x, Fraction):
         x = Fraction(x)
@@ -650,8 +685,7 @@ def expand(x: Fraction | int | str, base: Base = BASE4) -> DigitStream:
         head = _base_digits(p * (power or s ** (m + length)) // q, base, m + length)
         # p < q, so `_base_digits` writes m + L digits in 0..s-1, and the
         # pair needs no range check.
-        pair = head[:m], head[m:]
-        return DigitStream(base, partial(_tiled_chunks, *pair), _period=pair)
+        return _tiled_stream(head[:m], head[m:], base)
     _wide(base)  # refuses a base above 2**64 before any digit is computed
     make = partial(_long_division, p, base, q, m + _SHORT_PERIOD)
 
@@ -660,7 +694,15 @@ def expand(x: Fraction | int | str, base: Base = BASE4) -> DigitStream:
             raise ValueError(f"the period of {x} in base {s} is longer than {_MAX_PERIOD_DIGITS} digits")
         return _read_period(make, base, m, length)
 
-    return DigitStream(base, make, _period=find)
+    def cycle(most: int) -> Cycle | None:
+        # Only a core whose products fit int64 is searched, in at most about
+        # 2 * sqrt(most) word-size multiplications. The restart divides from
+        # the remainder p * s**k mod q, whatever m and L are.
+        if core * max(core, s) >= 2**63 or (length := _order(s, core, most - m)) is None:
+            return None
+        return m, length, lambda k: _long_division(p * pow(s, k, q) % q, base, q, _SHORT_PERIOD)
+
+    return DigitStream(base, make, _period=find, _cycle=cycle)
 
 
 # Below this many digits a numeral is built whole instead of split. A leaf

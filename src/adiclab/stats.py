@@ -14,6 +14,11 @@ does not read the counts (`_digit_sum`): a bytes piece, in any base up to
 256, is summed by `zlib.adler32` over spans short enough that no span's sum
 reaches adler32's modulus, and an array("Q") piece, which is always
 bincounted, by numpy. The counts must match that sum and the length.
+
+A stream that knows its shape, m digits of preperiod and then a period of
+L, is traced to a far checkpoint from its first m + L digits and a
+window of CHUNK_DIGITS digits (`_periodic_trace`); every later count is
+a sum of period counts, and the window's tally checks them.
 """
 
 from __future__ import annotations
@@ -21,10 +26,10 @@ from __future__ import annotations
 import operator
 import zlib
 from fractions import Fraction
-from functools import cached_property
-from typing import TYPE_CHECKING, Iterable, NamedTuple, Sequence
+from functools import cached_property, partial
+from typing import TYPE_CHECKING, Callable, Iterable, Iterator, NamedTuple, Sequence
 
-from .digits import CHUNK_DIGITS, Base, Chunk, DigitPrefix, DigitStream, Frozen
+from .digits import CHUNK_DIGITS, Base, Chunk, DigitPrefix, DigitStream, Frozen, _leading_chunks
 
 if TYPE_CHECKING:
     import numpy as np
@@ -196,13 +201,58 @@ def convergence_trace(stream: DigitStream, checkpoints: Sequence[int]) -> Conver
     whichever path counted the piece, and compared in integers with
     sum(i * N_i) from the counts (as the length is with sum(N_i)), so every
     emitted report has passed the mean identity both ways, on either path.
+
+    A stream that knows its shape (m, L) (see `DigitStream`) is traced from
+    one period instead, when the last checkpoint N exceeds m + L +
+    CHUNK_DIGITS, so that it never reads more digits than the pass would:
+    see `_periodic_trace`. A lazy `expand` stream finds L only then, and
+    only up to N - CHUNK_DIGITS - 1 - m.
     """
     points = tuple(map(operator.index, checkpoints))
     if not points:
         raise ValueError("need at least one checkpoint")
     if points[0] < 1 or any(b <= a for a, b in zip(points, points[1:])):
         raise ValueError(f"checkpoints must be >= 1 and strictly increasing, got {points}")
-    return _trace(stream.base, stream.chunks(points[-1]), points)
+    n = points[-1]
+    cycle = stream._cycle
+    if callable(cycle) and n > CHUNK_DIGITS:
+        cycle = cycle(n - CHUNK_DIGITS - 1)
+    if isinstance(cycle, tuple) and cycle[0] + cycle[1] + CHUNK_DIGITS < n:
+        return _periodic_trace(stream, points, *cycle)
+    return _trace(stream.base, stream.chunks(n), points)
+
+
+def _periodic_trace(
+    stream: DigitStream, points: tuple[int, ...], m: int, length: int, restart: Callable[[int], Iterator[Chunk]]
+) -> ConvergenceTrace:
+    """`convergence_trace` of a stream whose digits are m, then a period of
+    L = `length` repeated, for a last checkpoint N > m + L + CHUNK_DIGITS.
+
+    With C(n) the counts of the first n digits and (k, r) = divmod(n - m,
+    L), C(n) = C(m) + k * (C(m + L) - C(m)) + C(m + r) - C(m) for n >= m.
+    One `_trace` pass tallies the first m + L digits, cut at every
+    checkpoint up to m + L, at m, at m + L and at m + r for every later
+    one, so each of its reports is cross-checked as the pass's are; the
+    later ones come from the formula. The formula is then checked apart
+    from m and L: the last CHUNK_DIGITS digits before N, which `restart`
+    makes from digit N - CHUNK_DIGITS + 1 on, are tallied and compared
+    with C(N) - C(N - CHUNK_DIGITS), and a mismatch raises AssertionError.
+    So m + L + CHUNK_DIGITS digits are read, and memory stays O(
+    CHUNK_DIGITS + checkpoints)."""
+    base, top, n = stream.base, m + length, points[-1]
+    start = n - CHUNK_DIGITS
+    cuts = {p for p in points if p <= top} | {m, top} | {m + (p - m) % length for p in (*points, start) if p > top}
+    head = _trace(base, stream.chunks(top), sorted(cuts - {0}))
+    counts = {0: (0,) * base.s, **{r.n: r.counts for r in head.reports}}
+
+    def at(p: int) -> list[int]:
+        k, r = divmod(p - m, length)
+        return [a + k * (b - a) + c - a for a, b, c in zip(counts[m], counts[top], counts[m + r])]
+
+    window = _trace(base, _leading_chunks(partial(restart, start), CHUNK_DIGITS), (CHUNK_DIGITS,))
+    if list(window.reports[0].counts) != list(map(operator.sub, at(n), at(start))):
+        raise AssertionError("the period's counts disagree with the digits of the last window")
+    return ConvergenceTrace(base, points, tuple(FreqReport(counts[p] if p <= top else at(p)) for p in points))
 
 
 def _trace(base: Base, chunks: Iterable[Chunk], points: Sequence[int] | None = None) -> ConvergenceTrace:

@@ -439,6 +439,17 @@ class TestPureSteps:
         assert exact == PURE_CHUNKS
         assert kernel_chunks == [FIRST_KERNEL_CHUNK]
 
+    def test_a_column_divides_by_its_own_denominator(self):
+        # D = 4 * 7**1500 is wide, but three columns reduce to small
+        # denominators: the exact chunks divide by each column's own.
+        tiny = Fraction(1, 7**1500)
+        tau = ProbabilityVector((tiny, Fraction(1, 2), Fraction(1, 4), Fraction(1, 4) - tiny))
+        assert [(i, q) for i, _, q in tau._support] == [(0, 7**1500), (1, 2), (2, 4), (3, 4 * 7**1500)]
+        assert all(math.gcd(p, q) == 1 and Fraction(p, q) == tau.entries[i] for i, p, q in tau._support)
+        digits = greedy_stream(tau).prefix(10**4).chunk
+        assert digits == bytes(greedy_oracle(tau, 10**4))
+        assert hashlib.sha256(digits).hexdigest().startswith("037cb6d7")
+
     @pytest.mark.parametrize("nonzero", [256, 257])
     def test_more_than_256_columns_run_the_kernel_from_step_1(self, nonzero, monkeypatch):
         # Base 300 over D = 65537: the period is over CHUNK_DIGITS digits.

@@ -1053,7 +1053,11 @@ class TestVerify:
         # big ints in base 4; in base 10 its first chunk is one big-int division,
         # and later ones fill numpy remainder arrays. `analyze` counts the
         # first 2**20 digits of a tally in a base up to 16 without numpy and
-        # bincounts the rest, so a longer file loads numpy. One entropy
+        # bincounts the rest, so a longer file loads numpy. An inline source
+        # that knows its period tallies one period and a window of
+        # CHUNK_DIGITS digits however far its last checkpoint lies, so a
+        # 10**8-digit trace of 1/999983 (period 499991) or of a period-10
+        # `--tau` loads no numpy. One entropy
         # point and a sweep of any length bisect in pure Python in any base;
         # only the grid oracle loads numpy. So the test cannot pass by never
         # loading numpy. Only `verify` loads the battery. No case loads
@@ -1096,6 +1100,14 @@ class TestVerify:
             ),
             (["analyze", "--rational", "1/7"], ["adiclab.stats"], ["numpy", *unrun]),
             (["analyze", "--rational", "1/999983", "--checkpoints", "1000"], ["adiclab.stats"], ["numpy", *unrun]),
+            (
+                ["analyze", "--rational", "1/999983", "--checkpoints", "10,100000000"],
+                ["adiclab.stats"], ["numpy", *unrun],
+            ),
+            (
+                ["analyze", "--tau", "1/10,2/10,3/10,4/10", "--checkpoints", "100000000"],
+                ["adiclab.stats", "adiclab.construct"], ["numpy", "adiclab.entropy"],
+            ),
             (["construct", "--rational", "1/999983", "--length", "1000000"], [], ["numpy", "adiclab.stats", *unrun]),
             (
                 ["construct", "--rational", "1/999983", "--base", "10", "--length", "256"],
@@ -1140,8 +1152,8 @@ class TestVerify:
         # A stream with a long period carries a finder, which runs only when
         # the period is needed (see DigitStream). Each command runs in process
         # and counts the finders that run: none may, in any construct or
-        # analyze mode, in verify, or for a greedy period between 65537 and
-        # 10**7 digits.
+        # analyze mode, in verify, for a greedy period between 65537 and
+        # 10**7 digits, or for a trace that a period's counts serve.
         monkeypatch.chdir(tmp_path)
         (tmp_path / "block.json").write_text(json.dumps(GOLDEN_BLOCK))
         found = []
@@ -1160,7 +1172,7 @@ class TestVerify:
             ["--tau", "1/999983,999982/999983", "--base", "2"],
             ["--mean", "13/10"],
         ]
-        runs = [["verify"]]
+        runs = [["verify"], ["analyze", "--rational", "1/999983", "--checkpoints", "10,100000000"]]
         for flags in sources:
             base = flags[flags.index("--base") + 1] if "--base" in flags else "4"
             runs += [
@@ -1182,6 +1194,21 @@ class TestVerify:
         # The count sees a finder that does run.
         assert expand(Fraction(1, 1000003)).eventual_period is not None
         assert len(found) == 1
+
+    def test_a_wide_core_is_not_searched(self, monkeypatch):
+        # A lazy rational's trace looks for the order of s modulo the core
+        # q' only when q' * max(q', s) < 2**63, so a wide core streams
+        # without a search past the short period's. 1/999983 is searched once,
+        # up to N - CHUNK_DIGITS - 1.
+        from adiclab import digits
+
+        searched, order = [], digits._order
+        monkeypatch.setattr(digits, "_order", lambda s, core, bound: searched.append(bound) or order(s, core, bound))
+        for x, n, bounds in [(f"1/{3**2000}", 10**6, []), ("1/999983", 10**8, [10**8 - CHUNK_DIGITS - 1])]:
+            searched.clear()
+            with contextlib.redirect_stdout(io.StringIO()):
+                assert main(["analyze", "--rational", x, "--checkpoints", f"10,{n}"]) == 0
+            assert [b for b in searched if b > digits._SHORT_PERIOD] == bounds, x
 
     @pytest.mark.parametrize("base", ["2", "10", "300"])
     def test_other_bases_are_refused(self, base, tmp_path, capsys):

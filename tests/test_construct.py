@@ -79,6 +79,9 @@ class TestProbabilityVector:
             assert direct == plain and hash(direct) == hash(plain)
             assert direct.numerators == plain.numerators and direct.denominator == plain.denominator == lcm
         assert direct.entries == tau.entries
+        # The support lists each nonzero entry once, as p_i / q_i in lowest terms.
+        assert [(i, Fraction(p, q)) for i, p, q in direct._support] == [(i, t) for i, t in enumerate(tau.entries) if t]
+        assert all(p > 0 and math.gcd(p, q) == 1 for _, p, q in direct._support)
 
     @pytest.mark.parametrize("den", [0, -2])
     def test_from_numerators_refuses_a_denominator_below_1(self, den):

@@ -1,3 +1,4 @@
+import itertools
 import random
 import sys
 import tracemalloc
@@ -464,6 +465,144 @@ class TestConvergenceTrace:
             "freqs": ["0", "1", "0", "0"],
             "mean": "1",
         }
+
+
+# Primes whose base-s periods are short (up to 256 digits) or long.
+PERIOD_PRIMES = (7, 11, 13, 31, 127, 257, 1021, 2039, 4093, 12289, 40009)
+
+
+def shape_of(stream, most: int = 10**7) -> tuple[int, int]:
+    """(m, L) of a stream that carries its shape, searched up to `most`."""
+    cycle = stream._cycle
+    return (cycle(most) if callable(cycle) else cycle)[:2]
+
+
+@st.composite
+def shaped_streams(draw):
+    """A stream that carries its shape, in base 2, 3, 4, 10 or 300:
+    `periodic_stream` (L = 1, an empty preperiod), a short-period or lazy
+    `expand` stream whose q may share factors with s (a preperiod), or a
+    tiled greedy stream."""
+    from adiclab.construct import ProbabilityVector, greedy_stream
+    from adiclab.digits import periodic_stream
+
+    s = draw(st.sampled_from([2, 3, 4, 10, 300]))
+    base, rng = Base(s), random.Random(draw(st.integers(0, 2**32)))
+    kind = draw(st.sampled_from(["periodic", "expand", "greedy"]))
+    if kind == "periodic":
+        pre = rng.choices(range(s), k=draw(st.sampled_from([0, 1, 5, 300])))
+        return periodic_stream(pre, rng.choices(range(s), k=draw(st.sampled_from([1, 2, 7, 4000]))), base)
+    if kind == "expand":
+        core = draw(st.sampled_from([p for p in PERIOD_PRIMES if s % p]))
+        factor = min(f for f in range(2, s + 1) if s % f == 0)
+        q = core * factor ** draw(st.integers(0, 40))
+        return expand(Fraction(rng.randrange(1, q), q), base)
+    den = draw(st.integers(1, 3000))
+    cuts = sorted(rng.choices(range(den + 1), k=s - 1))
+    numerators = [b - a for a, b in zip([0, *cuts], [*cuts, den])]
+    return greedy_stream(ProbabilityVector.from_numerators(numerators, den), base)
+
+
+class TestPeriodicTrace:
+    """A stream that knows its shape (m, L) is traced from its first m + L
+    digits when the last checkpoint N exceeds m + L + CHUNK_DIGITS, and
+    every report equals the streaming tally's."""
+
+    @given(shaped_streams(), st.data())
+    @settings(max_examples=150, deadline=None)
+    def test_equals_the_streaming_tally(self, stream, data):
+        m, length = shape_of(stream)
+        top = m + length
+        n = top + CHUNK_DIGITS + data.draw(st.integers(0, 3 * length + 2 * CHUNK_DIGITS))
+        ends = list(itertools.accumulate(len(c) for c in itertools.islice(stream.make_chunks(), 4)))
+        far = n // length
+        candidates = {
+            m, top, top + 1, n - CHUNK_DIGITS, n - CHUNK_DIGITS + 1,  # the preperiod, one period, the window
+            *(k * length for k in (1, 2, 3, far - 1, far)),  # multiples of L
+            *(m + k * length + d for k in (2, 3, (n - m) // length) for d in (-1, 0, 1)),  # residues 0 and +-1
+            *(e + d for e in (*ends, CHUNK_DIGITS, 2 * CHUNK_DIGITS) for d in (-1, 0, 1)),  # chunk edges
+        }
+        chosen = data.draw(st.sets(st.sampled_from(sorted(p for p in candidates if 1 <= p < n))))
+        points = (*sorted(chosen), n)
+        taken = []
+        with pytest.MonkeyPatch.context() as patch:
+            periodic = stats._periodic_trace
+            patch.setattr(stats, "_periodic_trace", lambda *args: taken.append(args[2:4]) or periodic(*args))
+            trace = convergence_trace(stream, points)
+        assert taken == ([(m, length)] if n > top + CHUNK_DIGITS else [])
+        want = stats._trace(stream.base, stream.chunks(n), points)
+        assert trace == want
+        assert trace.to_csv() == want.to_csv() and trace.to_json_dict() == want.to_json_dict()
+
+    @pytest.mark.parametrize(
+        "stream, shape",
+        [
+            (constant_stream(2), (0, 1)),
+            (expand(Fraction(1, 7)), (0, 3)),
+            (expand(Fraction(5, 7 * 4**3)), (3, 3)),
+            (expand(Fraction(1, 999983)), (0, 499991)),
+            (expand(Fraction(2672, 538709)), (0, 269354)),
+            (expand(Fraction(5, 8 * 40009), Base(10)), (3, 1667)),
+        ],
+        ids=["L=1", "1/7", "preperiod", "lazy", "lazy-2", "lazy-base-10"],
+    )
+    def test_a_far_checkpoint_tallies_one_period_and_a_window(self, monkeypatch, stream, shape):
+        # m + L + CHUNK_DIGITS digits are tallied, however far N lies, and
+        # memory holds no period: two chunks, whatever L.
+        assert shape_of(stream) == shape
+        pieces = record_pieces(monkeypatch)
+        tracemalloc.start()
+        try:
+            trace = convergence_trace(stream, (10, 10**8 - 1, 10**8))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert sum(n for _, n in pieces) == sum(shape) + CHUNK_DIGITS
+        assert peak < 2 * 2**20
+        assert trace.reports[-1].n == 10**8
+
+    def test_the_path_starts_past_one_period_and_a_window(self, monkeypatch):
+        # At N = m + L + CHUNK_DIGITS the stream is tallied digit by digit;
+        # one digit further it is traced from one period, and both tally N
+        # digits. L is looked for only up to N - CHUNK_DIGITS - 1 - m, and
+        # not at all for N <= CHUNK_DIGITS.
+        from adiclab import digits
+
+        orders, order = [], digits._order
+        monkeypatch.setattr(digits, "_order", lambda s, core, bound: orders.append(bound) or order(s, core, bound))
+        taken, periodic = [], stats._periodic_trace
+        monkeypatch.setattr(stats, "_periodic_trace", lambda *args: taken.append(args[2:4]) or periodic(*args))
+        pieces = record_pieces(monkeypatch)
+        stream, n = expand(Fraction(1, 999983)), 499991 + CHUNK_DIGITS
+        for last, path in [(n, []), (n + 1, [(0, 499991)])]:
+            for log in (orders, taken, pieces):
+                log.clear()
+            convergence_trace(stream, (10, last))
+            assert orders == [last - CHUNK_DIGITS - 1] and taken == path
+            assert sum(length for _, length in pieces) == n
+        orders.clear()
+        convergence_trace(stream, (CHUNK_DIGITS,))
+        assert orders == []
+
+    @pytest.mark.parametrize("x", [Fraction(5, 7 * 4**3), Fraction(3, 4 * 2039)], ids=["known", "lazy"])
+    def test_a_wrong_shape_fails_the_window_check(self, x):
+        # The window is made apart from m and L: from the stream's own tiles,
+        # or by long division from p * s**k mod q. A shorter preperiod, or a
+        # period that is not a multiple of L, is refused; a longer preperiod
+        # or a multiple of L also describes the digits, and gives their trace.
+        stream = expand(x)
+        cycle = stream._cycle
+        m, length, restart = cycle(10**7) if callable(cycle) else cycle
+        assert m >= 1
+        points = (10, 5 * 10**5 + 3, 10**6)
+        want = stats._trace(stream.base, stream.chunks(10**6), points)
+        for dm, dl in [(-1, 0), (0, 1), (0, -1), (-1, 1)]:
+            stream._cycle = (m + dm, length + dl, restart)
+            with pytest.raises(AssertionError, match="the period's counts disagree with the digits of the last window"):
+                convergence_trace(stream, points)
+        for dm, dl in [(1, 0), (0, length), (5, 2 * length)]:
+            stream._cycle = (m + dm, length + dl, restart)
+            assert convergence_trace(stream, points) == want
 
 
 class TestSerializationFromCounts:
