@@ -12,8 +12,10 @@ digits are plain ints. Floor and periodicity logic is off-by-one fragile in
 floating point, so none is used.
 
 `expand` gives a rational's digits and its (preperiod, period) pair; its
-docstring states how. Numerals, the inverse, are built by halving down to
-leaves that `int(text, s)` reads in C up to base 36.
+docstring states how. Numerals, the inverse, are read by one `int(text, s)`
+call, in C and in linear time, in bases 2, 4, 8, 16 and 32, and built by
+halving down to such leaves in the other bases up to 36. In a base that is a
+power of two, `prefix_value` reduces its fraction without a gcd.
 
 A `DigitStream` produces its digits in chunks: `bytes` with one byte per
 digit (values 0..s-1, not ASCII) up to base 256, and `array("Q")` of
@@ -667,7 +669,9 @@ def expand(x: Fraction | int | str, base: Base = BASE4) -> DigitStream:
     chunks begin with. Its shape function (`DigitStream`'s `_cycle`)
     searches L up to a bound only for a q' with q' * max(q', s) < 2**63,
     and restarts the digits at any position k by long division from p *
-    s**k mod q.
+    s**k mod q, whose first chunk holds CHUNK_DIGITS digits in bases 2, 4
+    and 16 (`_base_digits` writes them in linear time) and _SHORT_PERIOD
+    in the others.
     """
     if not isinstance(x, Fraction):
         x = Fraction(x)
@@ -697,10 +701,12 @@ def expand(x: Fraction | int | str, base: Base = BASE4) -> DigitStream:
     def cycle(most: int) -> Cycle | None:
         # Only a core whose products fit int64 is searched, in at most about
         # 2 * sqrt(most) word-size multiplications. The restart divides from
-        # the remainder p * s**k mod q, whatever m and L are.
+        # the remainder p * s**k mod q, whatever m and L are; in bases 2, 4
+        # and 16 its first chunk is a whole window of CHUNK_DIGITS digits.
         if core * max(core, s) >= 2**63 or (length := _order(s, core, most - m)) is None:
             return None
-        return m, length, lambda k: _long_division(p * pow(s, k, q) % q, base, q, _SHORT_PERIOD)
+        first = CHUNK_DIGITS if s in _BYTE_DIGITS else _SHORT_PERIOD
+        return m, length, lambda k: _long_division(p * pow(s, k, q) % q, base, q, first)
 
     return DigitStream(base, make, _period=find, _cycle=cycle)
 
@@ -714,19 +720,24 @@ _NUMERAL_LEAF = 128
 # other byte maps to "!", which `int` refuses.
 _ALNUM = b"0123456789abcdefghijklmnopqrstuvwxyz".ljust(256, b"!")
 
+# Power-of-two bases up to 36: `int` reads their numerals in linear time,
+# and without the 4300-digit limit of the other bases.
+_BINARY_NUMERAL_BASES = (2, 4, 8, 16, 32)
+
 
 def _numeral(digits: Chunk, s: int, powers: dict[int, int] | None = None) -> int:
     """The integer whose base-s digits, most significant first, are `digits`.
 
-    Halving keeps the big-int products balanced, so the cost is that of a
-    few full-size multiplications instead of the quadratic `acc * s + d`
-    loop. A leaf of at most _NUMERAL_LEAF digits is, for s <= 36, one
-    `int(text, s)` call on its digits translated to characters, all in C;
-    above base 36 it is that loop. `powers` caches s**k across the
-    recursion.
+    In bases 2, 4, 8, 16 and 32 it is one `int(text, s)` call on the digits
+    translated to characters, all in C and in linear time. Other bases are
+    halved, which keeps the big-int products balanced, so the cost is that
+    of a few full-size multiplications instead of the quadratic `acc * s +
+    d` loop. A leaf of at most _NUMERAL_LEAF digits is, for s <= 36, one
+    `int(text, s)` call too; above base 36 it is that loop. `powers` caches
+    s**k across the recursion.
     """
     n = len(digits)
-    if n <= _NUMERAL_LEAF:
+    if n <= _NUMERAL_LEAF or s in _BINARY_NUMERAL_BASES:
         if s <= 36:
             return int(digits.translate(_ALNUM) or b"0", s)
         acc = 0
@@ -742,9 +753,37 @@ def _numeral(digits: Chunk, s: int, powers: dict[int, int] | None = None) -> int
     return _numeral(digits[:half], s, powers) * powers[k] + _numeral(digits[half:], s, powers)
 
 
+def _power(s: int, n: int) -> int:
+    """s**n, as a shift when s is a power of two."""
+    return s**n if s & (s - 1) else 1 << (s.bit_length() - 1) * n
+
+
+def _coprime_constructor() -> Callable[[int, int], Fraction]:
+    """The Fraction n/d for coprime n and d > 0, made without the gcd that
+    `Fraction(n, d)` runs on them. The standard library's constructor for
+    this is private and changed name: `Fraction._from_coprime_ints` from
+    Python 3.12 on, `Fraction(n, d, _normalize=False)` before it."""
+    return getattr(Fraction, "_from_coprime_ints", None) or partial(Fraction, _normalize=False)
+
+
+_from_coprime = _coprime_constructor()
+
+
 def prefix_value(p: DigitPrefix) -> Fraction:
-    """Exact partial sum sum_{k<=n} a_k * s**(-k) of a finite prefix."""
-    return Fraction(_numeral(p.chunk, p.base.s), p.base.s ** len(p.chunk))
+    """Exact partial sum sum_{k<=n} a_k * s**(-k) of a finite prefix.
+
+    It is N / s**n, N the prefix's numeral (`_numeral`). For s = 2**k the
+    fraction is reduced without a gcd: with t the number of trailing zero
+    bits of N, it is (N >> t) / 2**(k*n - t), so a prefix in base 2, 4, 8,
+    16 or 32 takes linear time. Other bases are reduced by `Fraction`.
+    """
+    s, n = p.base.s, len(p.chunk)
+    numeral = _numeral(p.chunk, s)
+    if s & (s - 1):
+        return Fraction(numeral, s**n)
+    bits = (s.bit_length() - 1) * n
+    zeros = (numeral & -numeral).bit_length() - 1 if numeral else bits
+    return _from_coprime(numeral >> zeros, 1 << bits - zeros)
 
 
 def stream_value(stream: DigitStream) -> Fraction:
@@ -754,14 +793,15 @@ def stream_value(stream: DigitStream) -> Fraction:
     computable from finite data; anything else raises. With m = len(pre),
     L = len(per) and N the numeral of a digit string, the value is the
     single fraction (N(pre) * (s**L - 1) + N(per)) / (s**m * (s**L - 1)),
-    reduced once.
+    reduced once by `Fraction`, since s**L - 1 is not a power of s. When s
+    is a power of two its powers are shifts (`_power`).
     """
     if (pair := stream._chunk_pair()) is None:
         raise ValueError("stream value needs a (preperiod, period) descriptor")
     pre, per = pair
     s = stream.base.s
-    cycle = s ** len(per) - 1  # one period is worth N(per) / cycle
-    return Fraction(_numeral(pre, s) * cycle + _numeral(per, s), s ** len(pre) * cycle)
+    cycle = _power(s, len(per)) - 1  # one period is worth N(per) / cycle
+    return Fraction(_numeral(pre, s) * cycle + _numeral(per, s), _power(s, len(pre)) * cycle)
 
 
 def dual_representation(p: DigitPrefix) -> DigitStream:

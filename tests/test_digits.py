@@ -156,6 +156,92 @@ class TestPrefixValue:
             assert value == head + Fraction(acc, s ** len(digits) - 1) / s ** len(pre)
 
 
+def horner(digits, s: int) -> int:
+    """sum(d_i * s**(n - i)), the numeral of `digits` in base s."""
+    acc = 0
+    for d in digits:
+        acc = acc * s + d
+    return acc
+
+
+def same_fraction(got, want) -> bool:
+    return (type(got), got.numerator, got.denominator, hash(got)) == (
+        type(want), want.numerator, want.denominator, hash(want)
+    )
+
+
+@st.composite
+def digit_lists(draw, s: int, lengths=(0, 1, 2, 127, 128, 129, 4299, 4300, 4301)):
+    """Digits in base s: random, all zero, all s - 1, or random up to a
+    last nonzero digit 2**j < s and zeros after it, so that in base 8 the
+    trailing zero bits need not be a multiple of 3."""
+    n = draw(st.sampled_from(lengths) | st.integers(0, 300))
+    rng = draw(st.randoms(use_true_random=False))
+    kind = draw(st.sampled_from(["random", "zeros", "max", "trailing zeros"]))
+    if kind == "zeros":
+        return [0] * n
+    if kind == "max":
+        return [s - 1] * n
+    digits = [rng.randrange(s) for _ in range(n)]
+    if kind == "trailing zeros" and n:
+        cut = rng.randrange(n)
+        digits[cut:] = [rng.choice([2**j for j in range(s.bit_length()) if 2**j < s])] + [0] * (n - cut - 1)
+    return digits
+
+
+VALUE_BASES = [2, 4, 8, 16, 32, 3, 10, 300]
+
+
+class TestPowerOfTwoValues:
+    """In a base s = 2**k, `prefix_value` reads its numeral in one C call
+    (k <= 5) and reduces it by its trailing zero bits instead of a gcd;
+    bases 3, 10 and 300 keep the halving and `Fraction`'s gcd. Both give
+    the fraction that `Fraction` makes from the schoolbook sums."""
+
+    @given(st.sampled_from(VALUE_BASES).flatmap(lambda s: st.tuples(st.just(s), digit_lists(s))))
+    def test_prefix_value_is_the_reduced_fraction(self, case):
+        s, digits = case
+        got = prefix_value(DigitPrefix(Base(s), digits))
+        assert same_fraction(got, Fraction(horner(digits, s), s ** len(digits)))
+
+    @given(
+        st.sampled_from(VALUE_BASES).flatmap(
+            lambda s: st.tuples(st.just(s), digit_lists(s), digit_lists(s, (1, 2, 127, 129, 4301)))
+        )
+    )
+    def test_stream_value_is_the_reduced_fraction(self, case):
+        s, pre, per = case
+        per = per or [s - 1]
+        cycle = s ** len(per) - 1
+        want = Fraction(horner(pre, s) * cycle + horner(per, s), s ** len(pre) * cycle)
+        assert same_fraction(stream_value(periodic_stream(pre, per, Base(s))), want)
+
+    @pytest.mark.parametrize("s", VALUE_BASES)
+    def test_an_empty_preperiod_and_a_period_of_one_digit(self, s):
+        for pre, per in [((), (1,)), ((), (s - 1,)), ((s - 1, 0), (0,)), ((), (0,))]:
+            cycle = s ** len(per) - 1
+            want = Fraction(horner(pre, s) * cycle + horner(per, s), s ** len(pre) * cycle)
+            assert same_fraction(stream_value(periodic_stream(pre, per, Base(s))), want)
+
+    def test_the_work_is_one_numeral_and_no_wide_gcd(self, monkeypatch):
+        # Counted, not timed: a 10**5-digit prefix in base 4 is one `_numeral`
+        # call and no gcd on an operand wider than 64 bits; in base 10 the
+        # numeral is halved and `Fraction` runs a wide gcd.
+        numerals, wide_gcds = [], []
+        numeral, gcd = digits._numeral, math.gcd
+        monkeypatch.setattr(digits, "_numeral", lambda *args: numerals.append(len(args[0])) or numeral(*args))
+        monkeypatch.setattr(
+            math, "gcd", lambda *args: wide_gcds.extend(a for a in args if a.bit_length() > 64) or gcd(*args)
+        )
+        n = 10**5
+        chunk = bytes(i * 7 % 4 for i in range(n - 1)) + b"\x02"
+        value = prefix_value(DigitPrefix(BASE4, chunk))
+        assert numerals == [n] and wide_gcds == []
+        assert value.denominator == 4**n // 2
+        prefix_value(DigitPrefix(Base(10), chunk))
+        assert len(numerals) > 3 and wide_gcds
+
+
 class TestDualRepresentation:
     def test_single_digit(self):
         dual = dual_representation(DigitPrefix(BASE4, (1,)))

@@ -584,6 +584,28 @@ class TestPeriodicTrace:
         convergence_trace(stream, (CHUNK_DIGITS,))
         assert orders == []
 
+    @pytest.mark.parametrize("s, first", [(4, CHUNK_DIGITS), (10, 256)])
+    def test_the_restart_computes_only_the_window(self, s, first):
+        # In base 4 a lazy stream's restart divides out the window in one
+        # chunk of CHUNK_DIGITS digits; in base 10 it still starts short and
+        # doubles. Either way the window is the period's digits there, and
+        # the trace to 10**8 is the period's counts.
+        from functools import partial
+
+        from adiclab.digits import _leading_chunks
+
+        stream, n = expand(Fraction(1, 999983), Base(s)), 10**8
+        m, length, restart = stream._cycle(n)
+        window = list(_leading_chunks(partial(restart, n - CHUNK_DIGITS), CHUNK_DIGITS))
+        assert len(window[0]) == first and sum(map(len, window)) == CHUNK_DIGITS
+        pre, per = stream._chunk_pair()
+        assert m == 0 and length > CHUNK_DIGITS
+        r = (n - CHUNK_DIGITS) % length
+        assert b"".join(window) == (per * 2)[r : r + CHUNK_DIGITS]
+        k, rest = divmod(n, length)
+        counts = [k * per.count(d) + per[:rest].count(d) for d in range(s)]
+        assert list(convergence_trace(stream, (n,)).reports[0].counts) == counts
+
     @pytest.mark.parametrize("x", [Fraction(5, 7 * 4**3), Fraction(3, 4 * 2039)], ids=["known", "lazy"])
     def test_a_wrong_shape_fails_the_window_check(self, x):
         # The window is made apart from m and L: from the stream's own tiles,
